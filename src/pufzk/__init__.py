@@ -29,7 +29,6 @@ from .pairing import (
     G1Element,
     G2Element,
     GtElement,
-    PairingContext,
     Scalar,
     hash_to_g1,
     hash_to_scalar,

@@ -184,14 +184,15 @@ def run_bench(iterations: int = 50, mode: str = zkp.MODE_CORRECTED, seed: int = 
         cycle_start = _now()
 
         t = _now()
-        challenges = generate_stable_challenges(
+        screened = generate_stable_challenges(
             puf, np_rng, params.challenge_count, params.repetitions, params.screen_rounds,
         )
         challenge_gen_ms = (_now() - t) * 1000.0
 
         identity, keypair = register_device(
-            puf, ca, ledger, rng, np_rng, params, challenges=challenges,
+            puf, ca, ledger, rng, np_rng, params, challenges=screened,
         )
+        challenges = identity.challenge_set
         device = Device(puf=puf, identity=identity, keypair=keypair, params=params)
 
         session = verifier.begin_session(identity.device_id)

@@ -22,7 +22,7 @@ from typing import Set, Tuple
 
 import numpy as np
 
-from . import ledger as ledger_mod
+from .ledger import Ledger
 from .pairing import DomainTag, G1Element, G2Element, Scalar, hash_to_scalar
 from .params import ParamSet, DEFAULT_PARAMS
 from .puf import (
@@ -133,9 +133,6 @@ class CertificateAuthority:
     def revoke(self, serial: int) -> None:
         self._revoked.add(serial)
 
-    def is_revoked(self, serial: int) -> bool:
-        return serial in self._revoked
-
     def verify(self, cert: Certificate) -> bool:
         """Signature check plus revocation-list lookup."""
         if cert.serial in self._revoked:
@@ -145,19 +142,6 @@ class CertificateAuthority:
         except Exception:
             return False
         return verify_sig(self.pk, cert.signing_payload(), sig)
-
-
-def ca_issue(ca: CertificateAuthority, device_id: bytes, pk: G2Element,
-             role: str = "device") -> Certificate:
-    return ca.issue(device_id, pk, role)
-
-
-def ca_verify(ca: CertificateAuthority, cert: Certificate) -> bool:
-    return ca.verify(cert)
-
-
-def ca_revoke(ca: CertificateAuthority, serial: int) -> None:
-    ca.revoke(serial)
 
 
 def compute_device_id(pk: G2Element, responses: np.ndarray) -> bytes:
@@ -178,15 +162,19 @@ def device_fingerprint(puf: PufDevice, repetitions: int) -> bytes:
     return hashlib.sha256(b"fingerprint" + responses_to_bytes(responses)).digest()
 
 
-def register_device(puf: PufDevice, ca: CertificateAuthority, ledger: "ledger_mod.Ledger",
+def register_device(puf: PufDevice, ca: CertificateAuthority, ledger: Ledger,
                     rng, np_rng=None, params: ParamSet = DEFAULT_PARAMS,
                     challenges=None) -> Tuple[DeviceIdentity, KeyPair]:
     """Enroll a device: challenges, responses, keys, identifier,
     certificate, and one atomic ledger registration.
 
-    Returns the registered identity together with the device key pair
-    (the secret key never appears on the ledger).  ``challenges`` may
-    be supplied pre-generated (the benchmark times that stage itself).
+    The enrolled responses are the unanimous bits observed while
+    screening the challenges, so every stored bit is the device's
+    majority answer.  Returns the registered identity together with the
+    device key pair (the secret key never appears on the ledger).
+    ``challenges`` may be supplied pre-generated as the (challenges,
+    responses) pair from ``generate_stable_challenges`` (the benchmark
+    times that stage itself).
     """
     if np_rng is None:
         np_rng = np.random.default_rng(rng.getrandbits(64))
@@ -194,7 +182,7 @@ def register_device(puf: PufDevice, ca: CertificateAuthority, ledger: "ledger_mo
         challenges = generate_stable_challenges(
             puf, np_rng, params.challenge_count, params.repetitions, params.screen_rounds,
         )
-    responses = puf_respond(puf, challenges, params.repetitions, np_rng)
+    challenges, responses = challenges
     keypair = KeyPair.generate(rng)
     device_id = compute_device_id(keypair.pk, responses)
     commitment = G1Element.generator() ** response_scalar(responses)
@@ -208,12 +196,11 @@ def register_device(puf: PufDevice, ca: CertificateAuthority, ledger: "ledger_mo
         cert_bytes=cert.to_bytes(),
         challenge_bytes=challenges_to_bytes(challenges),
     )
-    subset = ledger_mod.initial_subset(rng, params.challenge_count, params.subset_size)
     tx = TransactionRecord(
         payload=record.to_bytes(),
         device_id=device_id,
         signature=b"",
-        proof=ledger_mod.pack_register_extra(subset),
+        proof=b"",
         chaincode="register",
         nonce=rng.getrandbits(128).to_bytes(16, "big"),
     )

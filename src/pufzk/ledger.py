@@ -10,7 +10,7 @@ leave no trace in state or chain.
 
 Chaincodes are in-process functions from (state view, transaction) to a
 write-set; the built-in ones cover bootstrap parameters, device
-registration, challenge-subset rotation, and the guarded data-submit
+registration, challenge-epoch rotation, and the guarded data-submit
 path that checks a signature and a mode-tagged proof before writing.
 """
 
@@ -223,23 +223,10 @@ class Ledger:
     # -- chain verification ----------------------------------------------------
 
     def verify_chain(self) -> bool:
-        """Recompute every link: block h's prev_hash must equal the
-        digest of block h-1's bytes, genesis must anchor at zero, and
-        the recorded head digest must match the last block."""
-        prev = None
-        for raw in self._block_bytes:
-            try:
-                block = Block.from_bytes(raw)
-            except WireError:
-                return False
-            if prev is None:
-                if block.prev_hash != GENESIS_PREV_HASH or block.height != 0:
-                    return False
-            else:
-                if block.prev_hash != _digest(prev):
-                    return False
-            prev = raw
-        return self._head_digest == _digest(self._block_bytes[-1])
+        """Recompute every link (see :func:`chain_prefix_valid`) and
+        check that the recorded head digest matches the last block."""
+        valid, _ = chain_prefix_valid(self._block_bytes)
+        return valid and self._head_digest == _digest(self._block_bytes[-1])
 
     # -- export / replay --------------------------------------------------------
 
@@ -334,7 +321,6 @@ def _cc_register(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     uniqueness and a valid CA certificate."""
     try:
         record = DeviceRecord.from_bytes(tx.payload)
-        initial_subset, _ = _unpack_register_extra(tx.proof)
     except WireError as exc:
         raise ChaincodeRejection(f"malformed registration: {exc}")
     id_key = f"identity/{record.device_id.hex()}"
@@ -359,45 +345,24 @@ def _cc_register(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     return {
         id_key: record.to_bytes(),
         fp_key: record.device_id,
-        f"subset/{record.device_id.hex()}": initial_subset.to_bytes(),
+        f"subset/{record.device_id.hex()}": SubsetRecord(0).to_bytes(),
     }
-
-
-def _unpack_register_extra(data: bytes) -> Tuple[SubsetRecord, int]:
-    subset_raw, off = _get_field(data, 0)
-    return SubsetRecord.from_bytes(subset_raw), off
-
-
-def pack_register_extra(subset: SubsetRecord) -> bytes:
-    buf = bytearray()
-    _put_field(buf, subset.to_bytes())
-    return bytes(buf)
 
 
 def _cc_rotate(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
-    """Advance a device's active challenge subset by exactly one epoch."""
+    """Advance a device's challenge epoch by exactly one."""
     try:
         device_id, off = _get_field(tx.payload, 0)
-        subset_raw, off = _get_field(tx.payload, off)
-        new_subset = SubsetRecord.from_bytes(subset_raw)
+        epoch_raw, off = _get_field(tx.payload, off)
+        new_epoch = SubsetRecord.from_bytes(epoch_raw).epoch
     except WireError as exc:
         raise ChaincodeRejection(f"malformed rotation: {exc}")
-    id_key = f"identity/{device_id.hex()}"
-    if not state.has(id_key):
+    if not state.has(f"identity/{device_id.hex()}"):
         raise ChaincodeRejection("unknown device")
-    current = SubsetRecord.from_bytes(state.get(f"subset/{device_id.hex()}"))
-    if new_subset.epoch != current.epoch + 1:
+    current = SubsetRecord.from_bytes(state.get(f"subset/{device_id.hex()}")).epoch
+    if new_epoch != current + 1:
         raise ChaincodeRejection("rotation epoch must advance by one")
-    record = DeviceRecord.from_bytes(state.get(id_key))
-    challenge_count = len(record.challenge_bytes) // 8
-    if len(set(new_subset.indices)) != len(new_subset.indices):
-        raise ChaincodeRejection("duplicate subset indices")
-    if any(i >= challenge_count for i in new_subset.indices):
-        raise ChaincodeRejection("subset index out of range")
-    return {
-        f"subset/{device_id.hex()}": new_subset.to_bytes(),
-        f"consumed-epoch/{device_id.hex()}/{current.epoch}": b"\x01",
-    }
+    return {f"subset/{device_id.hex()}": epoch_raw}
 
 
 def _cc_submit(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
@@ -476,18 +441,13 @@ def bootstrap(ledger: Ledger, setup_pk: G2Element, ca_pk: G2Element) -> CommitRe
     return ledger.invoke("bootstrap", tx)
 
 
-def rotate_challenges(ledger: Ledger, device_id: bytes, rng, subset_size: int = 32) -> int:
-    """Draw and commit a fresh active challenge subset; returns the new
-    epoch.  Rotation is itself a committed, auditable transaction."""
-    record = ledger.query_device_record(device_id)
-    current = ledger.query_subset(device_id)
-    challenge_count = len(record.challenge_bytes) // 8
-    subset_size = min(subset_size, challenge_count)
-    indices = tuple(sorted(rng.sample(range(challenge_count), subset_size)))
-    new_subset = SubsetRecord(epoch=current.epoch + 1, indices=indices)
+def rotate_challenges(ledger: Ledger, device_id: bytes, rng) -> int:
+    """Commit the device's next challenge epoch; returns the new epoch.
+    Rotation is itself a committed, auditable transaction."""
+    new_epoch = ledger.query_subset(device_id).epoch + 1
     buf = bytearray()
     _put_field(buf, device_id)
-    _put_field(buf, new_subset.to_bytes())
+    _put_field(buf, SubsetRecord(new_epoch).to_bytes())
     tx = TransactionRecord(
         payload=bytes(buf), device_id=device_id, signature=b"", proof=b"",
         chaincode="rotate", nonce=rng.getrandbits(128).to_bytes(16, "big"),
@@ -495,10 +455,4 @@ def rotate_challenges(ledger: Ledger, device_id: bytes, rng, subset_size: int = 
     result = ledger.invoke("rotate", tx)
     if not result:
         raise LedgerError(f"rotation rejected: {result.reason}")
-    return new_subset.epoch
-
-
-def initial_subset(rng, challenge_count: int, subset_size: int = 32) -> SubsetRecord:
-    subset_size = min(subset_size, challenge_count)
-    indices = tuple(sorted(rng.sample(range(challenge_count), subset_size)))
-    return SubsetRecord(epoch=0, indices=indices)
+    return new_epoch

@@ -2,7 +2,6 @@
 
 from .curve import DecodeError
 from .group import (
-    CONTEXT,
     ORDER,
     SCALAR_ENC_LEN,
     GT_ENC_LEN,
@@ -10,7 +9,6 @@ from .group import (
     G1Element,
     G2Element,
     GtElement,
-    PairingContext,
     Scalar,
     hash_to_g1,
     hash_to_scalar,
@@ -19,7 +17,6 @@ from .group import (
 )
 
 __all__ = [
-    "CONTEXT",
     "ORDER",
     "SCALAR_ENC_LEN",
     "GT_ENC_LEN",
@@ -28,7 +25,6 @@ __all__ = [
     "G1Element",
     "G2Element",
     "GtElement",
-    "PairingContext",
     "Scalar",
     "hash_to_g1",
     "hash_to_scalar",

@@ -200,10 +200,6 @@ def fq6_mul(x, y):
     return ((r0r, r0i), (r1r, r1i), (m0 % P, m1 % P))
 
 
-def fq6_sqr(a):
-    return fq6_mul(a, a)
-
-
 def fq6_mul_by_v(a):
     """Multiply by v: (c0, c1, c2) -> (xi*c2, c0, c1)."""
     return (fq2_mul_xi(a[2]), a[0], a[1])
@@ -264,10 +260,6 @@ def fq12_pow(a, e):
         base = fq12_sqr(base)
         e >>= 1
     return out
-
-
-def fq12_eq(a, b):
-    return a == b
 
 
 # Frobenius constants: gamma_k[i] = xi^(i*(p^k - 1)/6), used on the

@@ -14,7 +14,6 @@ its own tag (see ``DomainTag``).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Tuple
 
@@ -357,26 +356,3 @@ def hash_to_g1(data: bytes, tag: bytes) -> G1Element:
                 return G1Element(pt)
         ctr += 1
 
-
-@dataclass(frozen=True)
-class PairingContext:
-    """Fixed parameter set: generators, group order, and hash tags."""
-
-    g1: G1Element
-    g2: G2Element
-    order: int
-    tags: tuple
-
-    def non_degenerate(self) -> bool:
-        return not pair(self.g1, self.g2).is_identity()
-
-
-CONTEXT = PairingContext(
-    g1=_G1_GEN_ELEM,
-    g2=_G2_GEN_ELEM,
-    order=ORDER,
-    tags=tuple(sorted(
-        (name, value) for name, value in vars(DomainTag).items()
-        if not name.startswith("_")
-    )),
-)

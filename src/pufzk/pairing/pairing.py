@@ -123,12 +123,3 @@ def final_exponentiation(f):
     )                                                   # ^(x^2+p^2-1)
     return fq12_mul(t3, fq12_mul(fq12_sqr(m), m))
 
-
-def pairing(p1, p2):
-    """Reduced pairing of an affine G1 point and an affine G2 point."""
-    return final_exponentiation(miller_loop([(p1, p2)]))
-
-
-def multi_pairing(pairs):
-    """Reduced product of pairings, one shared final exponentiation."""
-    return final_exponentiation(miller_loop(pairs))

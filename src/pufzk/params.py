@@ -16,7 +16,6 @@ class ParamSet:
     challenge_count: int = 256
     repetitions: int = 9
     noise_ratio: float = 0.05
-    subset_size: int = 32
     screen_rounds: int = 2
 
     def describe(self) -> dict:
@@ -25,7 +24,6 @@ class ParamSet:
             "challenge_count": self.challenge_count,
             "repetitions": self.repetitions,
             "noise_ratio": self.noise_ratio,
-            "subset_size": self.subset_size,
             "screen_rounds": self.screen_rounds,
         }
 
@@ -33,7 +31,7 @@ class ParamSet:
 PRESETS = {
     "default": ParamSet("default"),
     "noiseless": ParamSet("noiseless", noise_ratio=0.0),
-    "fast": ParamSet("fast", challenge_count=64, subset_size=16, noise_ratio=0.0),
+    "fast": ParamSet("fast", challenge_count=64, noise_ratio=0.0),
 }
 
 DEFAULT_PARAMS = PRESETS["default"]

@@ -6,8 +6,8 @@ man-in-the-middle mutator operates on real message bytes.
 
 The verifier role is distinct from the ledger: it mints one 16-byte
 nonce per session, checks proofs against ledger state only, and on
-success commits a challenge-subset rotation.  Corrected-mode decisions
-enforce nonce freshness and the active subset epoch; literal mode
+success advances the device's challenge epoch.  Corrected-mode decisions
+enforce nonce freshness and the current challenge epoch; literal mode
 verifies exactly the printed pairing equation and binds no session
 data, which is precisely the replay defect the attack suite
 demonstrates.
@@ -234,7 +234,7 @@ class Verifier:
         current_epoch = self.ledger.query_subset(msg.device_id).epoch
         if session.epoch != current_epoch:
             self._consume(msg.nonce)
-            return AuthDecision(False, "challenge subset rotated")
+            return AuthDecision(False, "challenge epoch advanced")
         try:
             proof = zkp.CorrectedAuthProof.from_bytes(msg.proof)
         except DecodeError:

@@ -17,6 +17,7 @@ kept (see ``generate_stable_challenges``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Tuple
 
 import numpy as np
 
@@ -111,25 +112,26 @@ def generate_challenges(rng, count: int) -> ChallengeSet:
 
 def generate_stable_challenges(device: PufDevice, rng, count: int,
                                repetitions: int = DEFAULT_REPETITIONS,
-                               screen_rounds: int = 2) -> ChallengeSet:
+                               screen_rounds: int = 2) -> Tuple[ChallengeSet, ResponseSet]:
     """Random challenges screened for reproducible responses.
 
     Candidates are evaluated ``screen_rounds * repetitions`` times; only
-    challenges whose raw evaluations are unanimous survive.  Exact
-    response reproduction at authentication needs every enrolled bit to
-    be stable, which plain majority voting cannot guarantee for
-    challenges near the arbiter decision boundary.
+    challenges whose raw evaluations are unanimous survive, and each is
+    returned with that unanimous bit.  Exact response reproduction at
+    authentication needs every enrolled bit to be stable, which plain
+    majority voting cannot guarantee for challenges near the arbiter
+    decision boundary.
     """
-    kept = []
+    kept, bits = [], []
     total = 0
     while total < count:
         batch = generate_challenges(rng, max(count - total + 8, 16))
         raw = _eval_many(device, batch, screen_rounds * repetitions, rng)
         unanimous = (raw.sum(axis=0) == 0) | (raw.sum(axis=0) == raw.shape[0])
-        stable = batch[unanimous]
-        kept.append(stable)
-        total += stable.shape[0]
-    return np.vstack(kept)[:count]
+        kept.append(batch[unanimous])
+        bits.append(raw[0, unanimous])
+        total += int(unanimous.sum())
+    return np.vstack(kept)[:count], np.concatenate(bits)[:count]
 
 
 def fractional_hamming(a: np.ndarray, b: np.ndarray) -> float:

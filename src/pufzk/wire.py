@@ -8,7 +8,7 @@ Messages carry a leading tag byte.  Layouts:
     Certificate      u16 device_id | u16 pk | u16 role | u64 serial | u16 sig
     DeviceRecord     "PZDR" u8 ver | u16 device_id | u16 pk | u16 commitment
                      | u16 fingerprint | u16 cert | u32 challenges
-    SubsetRecord     u64 epoch | u16 count | u16 index each
+    SubsetRecord     u64 epoch
     TransactionRecord u32 payload | u16 device_id | u16 signature
                      | u16 proof | u16 chaincode | u16 nonce
     AuthRequest      0x01 | u16 device_id | u32 proof | u16 nonce
@@ -154,28 +154,19 @@ class DeviceRecord:
 
 @dataclass(frozen=True)
 class SubsetRecord:
-    """Active challenge-subset selection for one device."""
+    """Challenge epoch of one device: advanced by every successful
+    authentication, bound into each corrected-mode proof."""
 
     epoch: int
-    indices: tuple
 
     def to_bytes(self) -> bytes:
-        buf = bytearray(self.epoch.to_bytes(8, "big"))
-        buf += len(self.indices).to_bytes(2, "big")
-        for i in self.indices:
-            buf += int(i).to_bytes(2, "big")
-        return bytes(buf)
+        return self.epoch.to_bytes(8, "big")
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SubsetRecord":
         epoch, off = _get_int(data, 0, 8)
-        count, off = _get_int(data, off, 2)
-        indices = []
-        for _ in range(count):
-            i, off = _get_int(data, off, 2)
-            indices.append(i)
         _done(data, off)
-        return cls(epoch, tuple(indices))
+        return cls(epoch)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,6 @@ from pufzk.identity import (
     DeviceIdentity,
     KeyPair,
     RegistrationError,
-    ca_issue,
-    ca_revoke,
-    ca_verify,
     compute_device_id,
     device_fingerprint,
     register_device,
@@ -21,6 +18,7 @@ from pufzk.identity import (
 )
 from pufzk.ledger import bootstrap, ledger_new
 from pufzk.pairing import G1Element, G2Element
+from pufzk.protocol import Device
 from pufzk.puf import fractional_hamming, generate_challenges, puf_new, puf_respond
 from pufzk.wire import Certificate, WireError
 
@@ -112,6 +110,17 @@ class TestRegistration:
             imposter_responses = puf_respond(imposter, identity.challenge_set, 9)
             assert fractional_hamming(target_responses, imposter_responses) >= 0.4
 
+    @pytest.mark.parametrize("seed", [2850, 4181, 5399])
+    def test_enrolled_bits_are_the_noiseless_responses(self, env, seed):
+        # Nine-vote re-evaluation after screening stored a minority bit
+        # for these devices; the screened unanimous bits match the
+        # device's noiseless twin.
+        device = Device.enroll(puf_new(seed, 0.05), env["ca"], env["ledger"], env["rng"],
+                               np_rng=np.random.default_rng(seed))
+        identity = device.identity
+        twin = puf_respond(puf_new(seed, 0.0), identity.challenge_set, 1)
+        assert identity.response_commitment == G1Element.generator() ** response_scalar(twin)
+
     def test_fingerprint_stable_per_device(self):
         assert device_fingerprint(puf_new(1, 0.0), 9) == device_fingerprint(puf_new(1, 0.0), 9)
         assert device_fingerprint(puf_new(1, 0.0), 9) != device_fingerprint(puf_new(2, 0.0), 9)
@@ -121,29 +130,29 @@ class TestCertificates:
     def test_issue_then_verify(self, env):
         ca, rng = env["ca"], env["rng"]
         kp = KeyPair.generate(rng)
-        cert = ca_issue(ca, bytes(32), kp.pk)
-        assert ca_verify(ca, cert)
+        cert = ca.issue(bytes(32), kp.pk)
+        assert ca.verify(cert)
 
     def test_revoke_then_verify_fails(self, env):
         ca, rng = env["ca"], env["rng"]
         kp = KeyPair.generate(rng)
-        cert = ca_issue(ca, bytes(32), kp.pk, role="sensor")
-        assert ca_verify(ca, cert)
-        ca_revoke(ca, cert.serial)
-        assert not ca_verify(ca, cert)
+        cert = ca.issue(bytes(32), kp.pk, role="sensor")
+        assert ca.verify(cert)
+        ca.revoke(cert.serial)
+        assert not ca.verify(cert)
 
     def test_mutated_device_id_fails(self, env):
         import dataclasses
         ca, rng = env["ca"], env["rng"]
         kp = KeyPair.generate(rng)
-        cert = ca_issue(ca, bytes(32), kp.pk)
+        cert = ca.issue(bytes(32), kp.pk)
         mutated = dataclasses.replace(cert, device_id=bytes([1]) + bytes(31))
-        assert not ca_verify(ca, mutated)
+        assert not ca.verify(mutated)
 
     def test_payload_mutation_fuzz(self, env):
         ca, rng = env["ca"], env["rng"]
         kp = KeyPair.generate(rng)
-        cert = ca_issue(ca, bytes(32), kp.pk)
+        cert = ca.issue(bytes(32), kp.pk)
         raw = cert.to_bytes()
         accepted = 0
         for _ in range(50):
@@ -155,14 +164,14 @@ class TestCertificates:
                 continue
             if mutated == cert:
                 continue
-            accepted += int(ca_verify(ca, mutated))
+            accepted += int(ca.verify(mutated))
         assert accepted == 0
 
     def test_serials_increment(self, env):
         ca, rng = env["ca"], env["rng"]
         kp = KeyPair.generate(rng)
-        a = ca_issue(ca, bytes(32), kp.pk)
-        b = ca_issue(ca, bytes(32), kp.pk)
+        a = ca.issue(bytes(32), kp.pk)
+        b = ca.issue(bytes(32), kp.pk)
         assert b.serial == a.serial + 1
 
 

@@ -18,7 +18,7 @@ from pufzk.ledger import (
     rotate_challenges,
 )
 from pufzk.puf import puf_new
-from pufzk.wire import TransactionRecord
+from pufzk.wire import SubsetRecord, TransactionRecord, _put_field
 
 
 @pytest.fixture(scope="module")
@@ -202,14 +202,24 @@ class TestRotation:
         assert ledger.height == height_before + 1
         assert ledger.query_subset(device_id).epoch == new_epoch
 
-    def test_two_rotations_record_two_consumed_epochs(self, env):
+    def test_rotation_must_advance_epoch_by_one(self, env):
         ledger, rng = env["ledger"], env["rng"]
         device_id = env["identity"].device_id
-        start = ledger.query_subset(device_id).epoch
-        rotate_challenges(ledger, device_id, rng)
-        rotate_challenges(ledger, device_id, rng)
-        assert ledger.has_state(f"consumed-epoch/{device_id.hex()}/{start}")
-        assert ledger.has_state(f"consumed-epoch/{device_id.hex()}/{start + 1}")
+        current = ledger.query_subset(device_id).epoch
+        digest, height = ledger.state_digest(), ledger.height
+        for epoch in (current, current + 2):
+            buf = bytearray()
+            _put_field(buf, device_id)
+            _put_field(buf, SubsetRecord(epoch).to_bytes())
+            tx = TransactionRecord(
+                payload=bytes(buf), device_id=device_id, signature=b"", proof=b"",
+                chaincode="rotate", nonce=rng.getrandbits(128).to_bytes(16, "big"),
+            )
+            result = ledger.invoke("rotate", tx)
+            assert not result and "advance by one" in result.reason
+        assert ledger.state_digest() == digest
+        assert ledger.height == height
+        assert ledger.query_subset(device_id).epoch == current
 
     def test_rotation_of_unknown_device_fails(self, env):
         with pytest.raises(KeyError):

@@ -147,9 +147,10 @@ class TestChallengeGeneration:
 
     def test_stable_screening_keeps_reproducible_challenges(self):
         dev = puf_new(7, 0.05)
-        ch = generate_stable_challenges(dev, np.random.default_rng(2), 256)
+        ch, bits = generate_stable_challenges(dev, np.random.default_rng(2), 256)
         assert ch.shape == (256, CHALLENGE_BITS)
         ref = puf_respond(dev, ch, 9, np.random.default_rng(3))
+        assert np.array_equal(bits, ref)
         exact = sum(
             int(np.array_equal(ref, puf_respond(dev, ch, 9, np.random.default_rng(9000 + k))))
             for k in range(100)
@@ -158,8 +159,9 @@ class TestChallengeGeneration:
 
     def test_stable_screening_noiseless_passes_everything(self):
         dev = puf_new(12, 0.0)
-        ch = generate_stable_challenges(dev, np.random.default_rng(4), 64)
+        ch, bits = generate_stable_challenges(dev, np.random.default_rng(4), 64)
         assert ch.shape == (64, CHALLENGE_BITS)
+        assert np.array_equal(bits, puf_respond(dev, ch, 1))
 
 
 class TestPacking:

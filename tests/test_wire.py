@@ -47,8 +47,16 @@ class TestRecords:
             DeviceRecord.from_bytes(b"XXXX" + bytes(64))
 
     def test_subset_record_round_trip(self):
-        record = SubsetRecord(epoch=7, indices=(1, 5, 9, 200))
+        record = SubsetRecord(epoch=7)
+        assert record.to_bytes() == (7).to_bytes(8, "big")
         assert SubsetRecord.from_bytes(record.to_bytes()) == record
+
+    def test_subset_record_strict_decoding(self):
+        raw = SubsetRecord(epoch=7).to_bytes()
+        with pytest.raises(WireError):
+            SubsetRecord.from_bytes(raw[:-1])
+        with pytest.raises(WireError):
+            SubsetRecord.from_bytes(raw + b"\x00")
 
     def test_transaction_round_trip(self):
         tx = _sample_tx()
