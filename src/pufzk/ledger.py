@@ -316,12 +316,26 @@ def _cc_bootstrap(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     return {KEY_SETUP_PK: setup_pk, KEY_CA_PK: ca_pk}
 
 
+def _check_registration(record: DeviceRecord) -> None:
+    """Validate every stored field; the decodes run the subgroup checks."""
+    if len(record.device_id) != 32:
+        raise ValueError("device id must be 32 bytes")
+    if len(record.fingerprint) != 32:
+        raise ValueError("fingerprint must be 32 bytes")
+    if not record.challenge_bytes:
+        raise ValueError("empty challenge set")
+    challenges_from_bytes(record.challenge_bytes)
+    G2Element.from_bytes(record.pk_bytes)
+    G1Element.from_bytes(record.commitment_bytes)
+
+
 def _cc_register(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     """Store a registration tuple, enforcing identifier and device
     uniqueness and a valid CA certificate."""
     try:
         record = DeviceRecord.from_bytes(tx.payload)
-    except WireError as exc:
+        _check_registration(record)
+    except ValueError as exc:  # WireError and DecodeError included
         raise ChaincodeRejection(f"malformed registration: {exc}")
     id_key = f"identity/{record.device_id.hex()}"
     fp_key = f"fingerprint/{record.fingerprint.hex()}"

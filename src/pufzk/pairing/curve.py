@@ -11,11 +11,20 @@ Encodings are the widely used 48/96-byte compressed format: three flag
 bits (compressed, infinity, y-sign) folded into the top of big-endian x.
 Decoding is strict: non-canonical field values, off-curve x, wrong flag
 combinations and off-subgroup points are all rejected.
+
+The subgroup checks use endomorphisms rather than a 255-bit [r]P ladder
+(Bowe, ePrint 2019/814; Scott, ePrint 2021/1130).  A twist point is in G2
+iff psi(P) = [x]P, where psi is untwist-Frobenius-twist and x the
+(negative) curve parameter: a 64-bit multiplication of Hamming weight 6.
+A point of E is in G1 iff sigma(P) = (beta*x, y) equals [-x^2]P: a 128-bit
+multiplication.  Both are exact, not probabilistic: the kernel of
+sigma + [x^2] on E has exactly r points, and that of psi - [x] meets
+E'(Fq2) only in G2.
 """
 
 from .fields import (
-    P, R, mpz, fq_inv, fq_sqrt,
-    fq2_add, fq2_sub, fq2_neg, fq2_mul, fq2_sqr, fq2_scale, fq2_inv,
+    P, R, X_ABS, mpz, fq_inv, fq_sqrt,
+    fq2_add, fq2_sub, fq2_neg, fq2_conj, fq2_mul, fq2_sqr, fq2_scale, fq2_inv,
     fq2_sqrt, fq2_is_zero, FQ2_ONE,
 )
 
@@ -42,6 +51,21 @@ G2_GEN = (
 # Cofactors clearing E(Fq) -> G1 and E'(Fq2) -> G2.
 COFACTOR_G1 = 0x396C8C005555E1568C00AAAB0000AAAB
 COFACTOR_G2 = 0x5D543A95414E7F1091D50792876A202CD91DE4547085ABAA68A205B2E5A7DDFA628F1CB4D9E82EF21537E293A6691AE1616EC6E786F0C70CF1C38E31C7238E5
+
+# Endomorphism constants of the subgroup checks.  BETA is the cube root of
+# unity in Fq for which sigma(x, y) = (BETA*x, y) acts on G1 as [-x^2];
+# psi(x, y) = (conj(x)*PSI_CX, conj(y)*PSI_CY) with PSI_CX = 1/xi^((p-1)/3)
+# and PSI_CY = 1/xi^((p-1)/2), xi = 1 + u.
+BETA = mpz(0x5F19672FDF76CE51BA69C6076A0F77EADDB3A93BE6F89688DE17D813620A00022E01FFFFFFFEFFFE)
+PSI_CX = (
+    mpz(0),
+    mpz(0x1A0111EA397FE699EC02408663D4DE85AA0D857D89759AD4897D29650FB85F9B409427EB4F49FFFD8BFD00000000AAAD),
+)
+PSI_CY = (
+    mpz(0x135203E60180A68EE2E9C448D77A2CD91C3DEDD930B1CF60EF396489F61EB45E304466CF3E67FA0AF1EE7B04121BDEA2),
+    mpz(0x06AF0E0437FF400B6831E36D6BD17FFE48395DABC2D3435E77F76E17009241C5EE67992F72EC05F4C81084FBEDE3CC09),
+)
+_X_SQR = X_ABS * X_ABS
 
 
 class DecodeError(ValueError):
@@ -171,13 +195,14 @@ def _jac_add_g1(p, q):
 
 
 def g1_in_subgroup(pt):
+    """sigma(P) == [-x^2]P; see the module docstring."""
     if pt is None:
         return True
-    return g1_is_on_curve(pt) and g1_mul_unchecked(pt, R) is None
+    return g1_is_on_curve(pt) and g1_mul_unchecked(pt, _X_SQR) == (BETA * pt[0] % P, -pt[1] % P)
 
 
 def g1_mul_unchecked(pt, k):
-    """Scalar multiple without reduction mod R (for cofactor/order checks)."""
+    """Scalar multiple without reduction mod R (cofactor clearing, subgroup checks)."""
     if pt is None or k == 0:
         return None
     acc = None
@@ -324,10 +349,16 @@ def g2_mul_unchecked(pt, k):
     return _g2_to_affine(acc)
 
 
+def g2_psi(pt):
+    """Untwist-Frobenius-twist endomorphism of a finite twist point."""
+    return (fq2_mul(fq2_conj(pt[0]), PSI_CX), fq2_mul(fq2_conj(pt[1]), PSI_CY))
+
+
 def g2_in_subgroup(pt):
+    """psi(P) == [x]P == -[|x|]P; see the module docstring."""
     if pt is None:
         return True
-    return g2_is_on_curve(pt) and g2_mul_unchecked(pt, R) is None
+    return g2_is_on_curve(pt) and g2_mul_unchecked(pt, X_ABS) == g2_neg(g2_psi(pt))
 
 
 def _nibbles(k):

@@ -36,9 +36,9 @@ from .identity import (
     response_scalar,
 )
 from .ledger import KEY_SETUP_PK, Ledger, rotate_challenges
-from .pairing import DecodeError, G2Element, Scalar
+from .pairing import DecodeError, G1Element, G2Element, Scalar
 from .params import DEFAULT_PARAMS, ParamSet
-from .puf import PufDevice, puf_new, puf_respond
+from .puf import PufDevice, challenges_from_bytes, puf_new, puf_respond
 from .wire import (
     AuthDecision,
     AuthRequest,
@@ -106,7 +106,8 @@ class Device:
         the wrong network) falls back to its local identity copy; the
         verifier then rejects the request as unregistered."""
         try:
-            _, challenges, _ = ledger.query_identity(self.device_id)
+            record = ledger.query_device_record(self.device_id)
+            challenges = challenges_from_bytes(record.challenge_bytes)
             epoch = ledger.query_subset(self.device_id).epoch
         except KeyError:
             challenges = self.identity.challenge_set
@@ -228,10 +229,15 @@ class Verifier:
             return AuthDecision(False, "device does not match session")
         try:
             record = self.ledger.query_device_record(msg.device_id)
+            current_epoch = self.ledger.query_subset(msg.device_id).epoch
+            pk = G2Element.from_bytes(record.pk_bytes)
+            commitment = G1Element.from_bytes(record.commitment_bytes)
         except KeyError:
             self._consume(msg.nonce)
             return AuthDecision(False, "unregistered")
-        current_epoch = self.ledger.query_subset(msg.device_id).epoch
+        except ValueError:  # WireError and DecodeError included
+            self._consume(msg.nonce)
+            return AuthDecision(False, "malformed record")
         if session.epoch != current_epoch:
             self._consume(msg.nonce)
             return AuthDecision(False, "challenge epoch advanced")
@@ -240,11 +246,10 @@ class Verifier:
         except DecodeError:
             self._consume(msg.nonce)
             return AuthDecision(False, "malformed")
-        from .pairing import G1Element
         statement = zkp.AuthStatement(
             device_id=msg.device_id,
-            pk=G2Element.from_bytes(record.pk_bytes),
-            response_commitment=G1Element.from_bytes(record.commitment_bytes),
+            pk=pk,
+            response_commitment=commitment,
             challenge_epoch=current_epoch,
             session_nonce=session.nonce,
         )
@@ -377,7 +382,6 @@ def attack_impersonate(target_id: bytes, ledger: Ledger, verifier: Verifier, rng
     Witnesses are random guesses; with ``leaked_sk`` the secret-key
     clause is satisfied but the PUF response clause still fails."""
     record = ledger.query_device_record(target_id)
-    from .pairing import G1Element
     pk = G2Element.from_bytes(record.pk_bytes)
     commitment = G1Element.from_bytes(record.commitment_bytes)
     accepted = 0
@@ -414,15 +418,13 @@ def attack_clone_device(target_id: bytes, ledger: Ledger, verifier: Verifier, rn
     """Adversary with different physical hardware answers the target's
     public challenges and derives its witness from its own responses."""
     clone = puf_new(clone_seed, params.noise_ratio)
-    _, challenges, _ = ledger.query_identity(target_id)
+    pk, challenges, commitment = ledger.query_identity(target_id)
     responses = puf_respond(clone, challenges, params.repetitions, np.random.default_rng(clone_seed))
-    record = ledger.query_device_record(target_id)
-    from .pairing import G1Element
     session = verifier.begin_session(target_id)
     statement = zkp.AuthStatement(
         device_id=target_id,
-        pk=G2Element.from_bytes(record.pk_bytes),
-        response_commitment=G1Element.from_bytes(record.commitment_bytes),
+        pk=pk,
+        response_commitment=commitment,
         challenge_epoch=session.epoch,
         session_nonce=session.nonce,
     )

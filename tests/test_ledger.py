@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pufzk import zkp
-from pufzk.identity import CertificateAuthority, register_device
+from pufzk.identity import CertificateAuthority, KeyPair, register_device
 from pufzk.ledger import (
     GENESIS_PREV_HASH,
     ChaincodeRejection,
@@ -17,8 +17,9 @@ from pufzk.ledger import (
     ledger_new,
     rotate_challenges,
 )
+from pufzk.pairing import G1Element
 from pufzk.puf import puf_new
-from pufzk.wire import SubsetRecord, TransactionRecord, _put_field
+from pufzk.wire import DeviceRecord, SubsetRecord, TransactionRecord, _put_field
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +143,64 @@ class TestInvoke:
         assert ledger.get_state("echo/last") == b"hello"
         with pytest.raises(LedgerError):
             ledger.register_chaincode("echo", echo)
+
+
+def _registration(env, **changes):
+    """A CA-certified registration tuple for a fresh key, with fields
+    replaced by ``changes``."""
+    import dataclasses
+    rng = env["rng"]
+    keypair = KeyPair.generate(rng)
+    device_id = rng.getrandbits(256).to_bytes(32, "big")
+    record = DeviceRecord(
+        device_id=device_id,
+        pk_bytes=keypair.pk.to_bytes(),
+        commitment_bytes=(G1Element.generator() ** 99).to_bytes(),
+        fingerprint=rng.getrandbits(256).to_bytes(32, "big"),
+        cert_bytes=env["ca"].issue(device_id, keypair.pk).to_bytes(),
+        challenge_bytes=bytes(8 * 4),
+    )
+    record = dataclasses.replace(record, **changes)
+    return TransactionRecord(record.to_bytes(), record.device_id, b"", b"", "register",
+                             rng.getrandbits(128).to_bytes(16, "big"))
+
+
+class TestRegistrationValidation:
+    def test_well_formed_registration_commits(self, env):
+        assert env["ledger"].invoke("register", _registration(env))
+
+    @pytest.mark.parametrize("changes", [
+        # the probe from the ledger audit: both defects at once
+        {"commitment_bytes": bytes(48), "challenge_bytes": bytes(9)},
+        {"commitment_bytes": bytes(48)},
+        {"challenge_bytes": bytes(9)},
+        {"challenge_bytes": b""},
+        {"fingerprint": bytes(31)},
+        {"device_id": bytes(16)},
+        {"pk_bytes": bytes(96)},
+        {"commitment_bytes": (G1Element.generator() ** 5).to_bytes()[:47]},
+    ], ids=["probe", "zero-commitment", "challenges-9-bytes", "no-challenges",
+            "short-fingerprint", "short-device-id", "zero-pk", "short-commitment"])
+    def test_malformed_registration_rejected_without_trace(self, env, changes):
+        ledger = env["ledger"]
+        digest, height = ledger.state_digest(), ledger.height
+        result = ledger.invoke("register", _registration(env, **changes))
+        assert not result and result.reason.startswith("malformed registration: ")
+        assert ledger.state_digest() == digest and ledger.height == height
+
+    def test_off_subgroup_pk_rejected(self, env):
+        from pufzk.pairing import curve
+        # the twist point with the smallest real x lies outside G2
+        for x0 in range(1, 100):
+            x = (x0, 0)
+            y = curve.fq2_sqrt(curve.fq2_add(curve.fq2_mul(curve.fq2_sqr(x), x), curve.B_G2))
+            if y is not None:
+                break
+        assert y is not None and not curve.g2_in_subgroup((x, y))
+        pk_bytes = curve.g2_to_bytes((x, y))
+        result = env["ledger"].invoke("register", _registration(env, pk_bytes=pk_bytes))
+        assert not result and result.reason == (
+            "malformed registration: point not in the prime-order subgroup")
 
 
 class TestQueries:

@@ -19,9 +19,13 @@ from pufzk.pairing import (
     multi_pair,
     pair,
 )
-from pufzk.pairing.fields import fq12_cyclotomic_sqr, fq12_pow, fq12_sqr, P, R
+from pufzk.pairing import curve
+from pufzk.pairing.fields import (
+    FQ12_ONE, X_ABS, XI, fq12_cyclotomic_sqr, fq12_pow, fq12_sqr, fq2_add, fq2_inv,
+    fq2_mul, fq2_pow, fq2_sqr, fq2_sqrt, fq_sqrt, P, R,
+)
 from pufzk.pairing.pairing import final_exponentiation, miller_loop
-from pufzk.pairing.curve import G1_GEN, g1_mul
+from pufzk.pairing.curve import G1_GEN, g1_mul, g1_mul_unchecked, g2_mul_unchecked
 
 VECTORS = pathlib.Path(__file__).resolve().parent.parent / "vectors"
 
@@ -62,7 +66,9 @@ class TestPairing:
 
     def test_pairing_output_in_prime_order_subgroup(self):
         e = pair(G1 ** 5, G2 ** 9)
-        assert (e ** ORDER).is_identity()
+        # GtElement.__pow__ reduces the exponent mod ORDER, so raise the
+        # raw Fq12 value to R itself
+        assert fq12_pow(e._val, R) == FQ12_ONE
 
     def test_cyclotomic_squaring_matches_general(self):
         from pufzk.pairing.curve import G2_GEN
@@ -98,7 +104,7 @@ class TestHashToGroup:
     def test_subgroup_membership(self):
         for i in range(5):
             h = hash_to_g1(bytes([i]), DomainTag.SIGNATURE_MESSAGE)
-            assert (h ** ORDER).is_identity()
+            assert g1_mul_unchecked(h._pt, R) is None
             assert not h.is_identity()
 
     def test_scalar_hash_deterministic_and_pinned_empty_vector(self):
@@ -216,7 +222,7 @@ class TestSerialization:
                 continue
             # decoded: must be canonical and in the subgroup
             assert elem.to_bytes() == raw
-            assert (elem ** ORDER).is_identity()
+            assert g1_mul_unchecked(elem._pt, R) is None
             accepted_different += 1
         # sanity: some mutations do produce other valid points
         assert accepted_different >= 0
@@ -226,6 +232,89 @@ class TestSerialization:
         raw[-1] ^= 1
         with pytest.raises(DecodeError):
             GtElement.from_bytes(bytes(raw))
+
+
+def _random_e1_point(rng):
+    """Uniform-ish point of E(Fq); outside G1 except with odds 1/h."""
+    while True:
+        x = rng.randrange(P)
+        y = fq_sqrt((x * x * x + curve.B_G1) % P)
+        if y is not None:
+            return (x, y if rng.getrandbits(1) else -y % P)
+
+
+def _random_e2_point(rng):
+    """Uniform-ish point of the twist E'(Fq2)."""
+    while True:
+        x = (rng.randrange(P), rng.randrange(P))
+        y = fq2_sqrt(fq2_add(fq2_mul(fq2_sqr(x), x), curve.B_G2))
+        if y is not None:
+            return (x, y)
+
+
+class TestSubgroupChecks:
+    """The endomorphism checks against the plain [R]P = O oracle."""
+
+    @staticmethod
+    def _g1_oracle(pt):
+        return curve.g1_is_on_curve(pt) and g1_mul_unchecked(pt, R) is None
+
+    @staticmethod
+    def _g2_oracle(pt):
+        return curve.g2_is_on_curve(pt) and g2_mul_unchecked(pt, R) is None
+
+    def test_constants_recomputed(self):
+        assert curve.BETA != 1 and pow(curve.BETA, 3, P) == 1
+        # the other cube root of unity acts on G1 as x^2 - 1, not -x^2
+        expected = curve.g1_neg(g1_mul_unchecked(G1_GEN, X_ABS * X_ABS))
+        assert (curve.BETA * G1_GEN[0] % P, G1_GEN[1]) == expected
+        assert (curve.BETA ** 2 * G1_GEN[0] % P, G1_GEN[1]) != expected
+        assert curve.PSI_CX == fq2_inv(fq2_pow(XI, (P - 1) // 3))
+        assert curve.PSI_CY == fq2_inv(fq2_pow(XI, (P - 1) // 2))
+        assert curve.g2_psi(curve.G2_GEN) == curve.g2_neg(g2_mul_unchecked(curve.G2_GEN, X_ABS))
+
+    def test_g1_random_curve_points_agree_with_oracle(self):
+        rng = random.Random(1130)
+        points = [_random_e1_point(rng) for _ in range(200)]
+        # the two points of order 3, (0, +-2)
+        points += [(0, 2), (0, P - 2)]
+        for pt in points:
+            assert curve.g1_in_subgroup(pt) == self._g1_oracle(pt)
+
+    def test_g2_random_curve_points_agree_with_oracle(self):
+        rng = random.Random(814)
+        for _ in range(30):
+            pt = _random_e2_point(rng)
+            assert curve.g2_in_subgroup(pt) == self._g2_oracle(pt)
+
+    def test_subgroup_points_accepted(self):
+        rng = random.Random(2019)
+        for _ in range(20):
+            p1 = curve.g1_mul_gen(rng.randrange(1, R))
+            assert curve.g1_in_subgroup(p1) and self._g1_oracle(p1)
+            p2 = curve.g2_mul_gen(rng.randrange(1, R))
+            assert curve.g2_in_subgroup(p2) and self._g2_oracle(p2)
+
+    def test_subgroup_plus_torsion_rejected(self):
+        rng = random.Random(2021)
+        for _ in range(5):
+            torsion = g1_mul_unchecked(_random_e1_point(rng), R)
+            pt = curve.g1_add(curve.g1_mul_gen(rng.randrange(1, R)), torsion)
+            assert curve.g1_in_subgroup(pt) == self._g1_oracle(pt) == (torsion is None)
+            torsion = g2_mul_unchecked(_random_e2_point(rng), R)
+            pt = curve.g2_add(curve.g2_mul_gen(rng.randrange(1, R)), torsion)
+            assert curve.g2_in_subgroup(pt) == self._g2_oracle(pt) == (torsion is None)
+
+    def test_decoders_reject_off_subgroup_points(self):
+        rng = random.Random(7)
+        p1 = _random_e1_point(rng)
+        assert not self._g1_oracle(p1)
+        with pytest.raises(DecodeError, match="point not in the prime-order subgroup"):
+            G1Element.from_bytes(curve.g1_to_bytes(p1))
+        p2 = _random_e2_point(rng)
+        assert not self._g2_oracle(p2)
+        with pytest.raises(DecodeError, match="point not in the prime-order subgroup"):
+            G2Element.from_bytes(curve.g2_to_bytes(p2))
 
 
 class TestVectorFile:

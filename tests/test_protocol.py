@@ -24,7 +24,7 @@ from pufzk.protocol import (
     run_transaction,
 )
 from pufzk.puf import puf_new, puf_respond
-from pufzk.wire import AuthRequest, decode_message
+from pufzk.wire import AuthRequest, TransactionRecord, decode_message
 
 NOISELESS = ParamSet("noiseless-test", noise_ratio=0.0)
 
@@ -76,6 +76,24 @@ class TestAuthentication:
         raw = AuthRequest(env["device"].device_id, b"\x02garbage", session.nonce).to_bytes()
         decision = verifier.handle_auth_request(raw, zkp.MODE_CORRECTED)
         assert not decision.accept and decision.reason == "malformed"
+
+    @pytest.mark.parametrize("corrupt", ["garbage-record", "zero-commitment"])
+    def test_malformed_stored_record_rejected(self, env, corrupt):
+        ledger, verifier = env["ledger"], env["verifier"]
+        device_id = env["device"].device_id
+        record = ledger.query_device_record(device_id)
+        if corrupt == "garbage-record":
+            raw_record = b"garbage"
+        else:
+            raw_record = dataclasses.replace(record, commitment_bytes=bytes(48)).to_bytes()
+        # the register chaincode refuses such records, so write one directly
+        ledger.register_chaincode(
+            "overwrite", lambda state, tx: {f"identity/{device_id.hex()}": tx.payload})
+        assert ledger.invoke("overwrite", TransactionRecord(raw_record, b"", b"", b"", "overwrite", b"n"))
+        session = verifier.begin_session(device_id)
+        raw = AuthRequest(device_id, b"\x02garbage", session.nonce).to_bytes()
+        decision = verifier.handle_auth_request(raw, zkp.MODE_CORRECTED)
+        assert not decision.accept and decision.reason == "malformed record"
 
     def test_noisy_accept_rate_over_200_sessions(self, env):
         """With evaluation noise, screening plus majority voting keeps
