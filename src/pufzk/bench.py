@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import statistics
-import time
+from time import perf_counter as _now
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -150,10 +150,6 @@ def validate_report(report: Dict) -> List[str]:
     return problems
 
 
-def _now() -> float:
-    return time.perf_counter()
-
-
 def run_bench(iterations: int = 50, mode: str = zkp.MODE_CORRECTED, seed: int = 0,
               params: ParamSet = DEFAULT_PARAMS) -> MetricsReport:
     """Run timed enroll -> auth -> transact cycles and build the report.
@@ -207,7 +203,7 @@ def run_bench(iterations: int = 50, mode: str = zkp.MODE_CORRECTED, seed: int = 
                 device_id=identity.device_id,
                 pk=identity.pk,
                 response_commitment=identity.response_commitment,
-                challenge_epoch=ledger.query_subset(identity.device_id).epoch,
+                challenge_epoch=ledger.load_device(identity.device_id).epoch,
                 session_nonce=session.nonce,
             )
             witness = zkp.AuthWitness(sk=keypair.sk, response_scalar=response_scalar(responses))

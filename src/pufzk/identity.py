@@ -22,8 +22,8 @@ from typing import Set, Tuple
 
 import numpy as np
 
-from .ledger import Ledger
-from .pairing import DomainTag, G1Element, G2Element, Scalar, hash_to_scalar
+from .ledger import Ledger, decode_device_record
+from .pairing import DecodeError, DomainTag, G1Element, G2Element, Scalar, hash_to_scalar
 from .params import ParamSet, DEFAULT_PARAMS
 from .puf import (
     PufDevice,
@@ -33,10 +33,8 @@ from .puf import (
     challenges_to_bytes,
     responses_to_bytes,
 )
-from .wire import Certificate, DeviceRecord, TransactionRecord, WireError, _put_field
+from .wire import Certificate, DeviceRecord, TransactionRecord, WireError, _done, _get_field, _put_field
 from .zkp import Signature, sign, verify_sig
-
-DEVICE_ID_LEN = 32
 
 # Public probe used for duplicate-enrollment detection: every device
 # answers the same fixed challenges; the digest of those answers is a
@@ -88,19 +86,11 @@ class DeviceIdentity:
     def load(cls, data: bytes) -> "DeviceIdentity":
         if data[:5] != b"PZID\x01":
             raise WireError("bad identity export header")
-        from .wire import _get_field
         raw, off = _get_field(data, 5, width=4)
-        if off != len(data):
-            raise WireError("trailing bytes in identity export")
-        record = DeviceRecord.from_bytes(raw)
-        from .puf import challenges_from_bytes
-        return cls(
-            device_id=record.device_id,
-            pk=G2Element.from_bytes(record.pk_bytes),
-            challenge_set=challenges_from_bytes(record.challenge_bytes),
-            response_commitment=G1Element.from_bytes(record.commitment_bytes),
-            certificate=Certificate.from_bytes(record.cert_bytes),
-        )
+        _done(data, off)
+        record, pk, commitment, challenges = decode_device_record(raw)
+        return cls(record.device_id, pk, challenges, commitment,
+                   Certificate.from_bytes(record.cert_bytes))
 
 
 class CertificateAuthority:
@@ -139,7 +129,7 @@ class CertificateAuthority:
             return False
         try:
             sig = Signature.from_bytes(cert.sig_bytes)
-        except Exception:
+        except DecodeError:
             return False
         return verify_sig(self.pk, cert.signing_payload(), sig)
 

@@ -12,17 +12,21 @@ Chaincodes are in-process functions from (state view, transaction) to a
 write-set; the built-in ones cover bootstrap parameters, device
 registration, challenge-epoch rotation, and the guarded data-submit
 path that checks a signature and a mode-tagged proof before writing.
+
+Stored device state (``identity/<id>``, ``subset/<id>``) has one typed
+reader, :meth:`StateView.load_device`, shared by chaincodes and the
+ledger; the register chaincode checks records with the same decoder.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import zkp
 from .pairing import DecodeError, G1Element, G2Element
-from .puf import challenges_from_bytes
+from .puf import ChallengeSet, challenges_from_bytes
 from .wire import (
     Certificate,
     DeviceRecord,
@@ -45,6 +49,10 @@ def _digest(data: bytes) -> bytes:
 
 class LedgerError(Exception):
     """Structural misuse of the ledger (unknown chaincode, bad record)."""
+
+
+class RecordError(ValueError):
+    """Stored device state that does not decode or validate."""
 
 
 class ChaincodeRejection(Exception):
@@ -86,8 +94,37 @@ class Block:
         return cls(height, prev_hash, tx_digests, state_digest)
 
 
+def decode_device_record(raw: bytes) -> Tuple[DeviceRecord, G2Element, G1Element, ChallengeSet]:
+    """Decode DeviceRecord bytes into (record, pk, commitment, challenges),
+    checking every field but the fingerprint, which identity exports
+    leave empty.  The point decodes run the subgroup checks."""
+    try:
+        record = DeviceRecord.from_bytes(raw)
+        if len(record.device_id) != 32:
+            raise RecordError("device id must be 32 bytes")
+        if not record.challenge_bytes:
+            raise RecordError("empty challenge set")
+        challenges = challenges_from_bytes(record.challenge_bytes)
+        pk = G2Element.from_bytes(record.pk_bytes)
+        commitment = G1Element.from_bytes(record.commitment_bytes)
+    except ValueError as exc:  # WireError and DecodeError included
+        raise RecordError(str(exc)) from None
+    return record, pk, commitment, challenges
+
+
+class StoredDevice(NamedTuple):
+    """A registered device's stored state, decoded and validated."""
+
+    record: DeviceRecord
+    pk: G2Element
+    commitment: G1Element
+    challenges: ChallengeSet
+    epoch: int
+
+
 class StateView:
-    """Read-only view of committed world state, handed to chaincodes."""
+    """Read-only view of committed world state.  Chaincodes are handed
+    one, and the ledger is one."""
 
     def __init__(self, state: Dict[str, Tuple[bytes, int]]):
         self._state = state
@@ -98,6 +135,31 @@ class StateView:
 
     def has(self, key: str) -> bool:
         return key in self._state
+
+    def get_state(self, key: str) -> bytes:
+        return self._state[key][0]
+
+    def load_device(self, device_id: bytes) -> StoredDevice:
+        """A registered device's record, keys, challenges and epoch.
+        Raises ``KeyError`` if it is unregistered and
+        :class:`RecordError` if its stored state is malformed."""
+        raw = self.get(f"identity/{device_id.hex()}")
+        if raw is None:
+            raise KeyError(f"device {device_id.hex()} not registered")
+        record, pk, commitment, challenges = decode_device_record(raw)
+        if record.device_id != device_id:
+            raise RecordError("record stored under another device id")
+        try:
+            epoch = SubsetRecord.from_bytes(self.get(f"subset/{device_id.hex()}") or b"").epoch
+        except WireError as exc:
+            raise RecordError(f"epoch record: {exc}") from None
+        return StoredDevice(record, pk, commitment, challenges, epoch)
+
+    def published_setup(self) -> zkp.TrustSetup:
+        """The literal-mode setup as a verifier knows it: the published
+        key, no trapdoor.  Raises ``KeyError`` before bootstrap."""
+        pk_setup = G2Element.from_bytes(self.get_state(KEY_SETUP_PK))
+        return zkp.TrustSetup(alpha=None, pk_setup=pk_setup)
 
 
 Chaincode = Callable[[StateView, TransactionRecord], Dict[str, bytes]]
@@ -113,7 +175,7 @@ class CommitResult:
         return self.committed
 
 
-class Ledger:
+class Ledger(StateView):
     """Hash-chained block list plus versioned key-value world state.
 
     All commits flow through :meth:`invoke`, the single writer; reads
@@ -121,7 +183,7 @@ class Ledger:
     """
 
     def __init__(self):
-        self._state: Dict[str, Tuple[bytes, int]] = {}
+        super().__init__({})
         self._block_bytes: List[bytes] = []
         self._tx_log: List[TransactionRecord] = []
         self._chaincodes: Dict[str, Chaincode] = dict(_BUILTIN_CHAINCODES)
@@ -192,33 +254,11 @@ class Ledger:
 
     # -- queries --------------------------------------------------------------
 
-    def get_state(self, key: str) -> bytes:
-        entry = self._state.get(key)
-        if entry is None:
-            raise KeyError(key)
-        return entry[0]
-
-    def has_state(self, key: str) -> bool:
-        return key in self._state
-
-    def query_identity(self, device_id: bytes):
-        """Return (pk, challenge set, response commitment) for a device."""
-        record = self.query_device_record(device_id)
-        return (
-            G2Element.from_bytes(record.pk_bytes),
-            challenges_from_bytes(record.challenge_bytes),
-            G1Element.from_bytes(record.commitment_bytes),
-        )
-
     def query_device_record(self, device_id: bytes) -> DeviceRecord:
-        try:
-            raw = self.get_state(f"identity/{device_id.hex()}")
-        except KeyError:
-            raise KeyError(f"device {device_id.hex()} not registered") from None
-        return DeviceRecord.from_bytes(raw)
+        return self.load_device(device_id).record
 
     def query_subset(self, device_id: bytes) -> SubsetRecord:
-        return SubsetRecord.from_bytes(self.get_state(f"subset/{device_id.hex()}"))
+        return SubsetRecord(self.load_device(device_id).epoch)
 
     # -- chain verification ----------------------------------------------------
 
@@ -316,26 +356,14 @@ def _cc_bootstrap(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     return {KEY_SETUP_PK: setup_pk, KEY_CA_PK: ca_pk}
 
 
-def _check_registration(record: DeviceRecord) -> None:
-    """Validate every stored field; the decodes run the subgroup checks."""
-    if len(record.device_id) != 32:
-        raise ValueError("device id must be 32 bytes")
-    if len(record.fingerprint) != 32:
-        raise ValueError("fingerprint must be 32 bytes")
-    if not record.challenge_bytes:
-        raise ValueError("empty challenge set")
-    challenges_from_bytes(record.challenge_bytes)
-    G2Element.from_bytes(record.pk_bytes)
-    G1Element.from_bytes(record.commitment_bytes)
-
-
 def _cc_register(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     """Store a registration tuple, enforcing identifier and device
     uniqueness and a valid CA certificate."""
     try:
-        record = DeviceRecord.from_bytes(tx.payload)
-        _check_registration(record)
-    except ValueError as exc:  # WireError and DecodeError included
+        record = decode_device_record(tx.payload)[0]
+        if len(record.fingerprint) != 32:
+            raise RecordError("fingerprint must be 32 bytes")
+    except RecordError as exc:
         raise ChaincodeRejection(f"malformed registration: {exc}")
     id_key = f"identity/{record.device_id.hex()}"
     fp_key = f"fingerprint/{record.fingerprint.hex()}"
@@ -371,10 +399,7 @@ def _cc_rotate(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
         new_epoch = SubsetRecord.from_bytes(epoch_raw).epoch
     except WireError as exc:
         raise ChaincodeRejection(f"malformed rotation: {exc}")
-    if not state.has(f"identity/{device_id.hex()}"):
-        raise ChaincodeRejection("unknown device")
-    current = SubsetRecord.from_bytes(state.get(f"subset/{device_id.hex()}")).epoch
-    if new_epoch != current + 1:
+    if new_epoch != _stored_device(state, device_id).epoch + 1:
         raise ChaincodeRejection("rotation epoch must advance by one")
     return {f"subset/{device_id.hex()}": epoch_raw}
 
@@ -383,15 +408,11 @@ def _cc_submit(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     """The guarded transaction path: verify the submitter's signature
     against its on-ledger key and the mode-tagged proof, then apply the
     write."""
-    record_raw = state.get(f"identity/{tx.device_id.hex()}")
-    if record_raw is None:
-        raise ChaincodeRejection("unknown device")
-    record = DeviceRecord.from_bytes(record_raw)
+    pk = _stored_device(state, tx.device_id).pk
     nonce_key = f"txnonce/{tx.device_id.hex()}/{tx.nonce.hex()}"
     if state.has(nonce_key):
         raise ChaincodeRejection("transaction nonce already consumed")
     try:
-        pk = G2Element.from_bytes(record.pk_bytes)
         sig = zkp.Signature.from_bytes(tx.signature)
     except DecodeError as exc:
         raise ChaincodeRejection(f"malformed record: {exc}")
@@ -408,19 +429,25 @@ def _cc_submit(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     }
 
 
+def _stored_device(state: StateView, device_id: bytes) -> StoredDevice:
+    try:
+        return state.load_device(device_id)
+    except KeyError:
+        raise ChaincodeRejection("unknown device") from None
+    except RecordError as exc:
+        raise ChaincodeRejection(f"malformed record: {exc}") from None
+
+
 def _verify_tx_proof(state: StateView, tx: TransactionRecord, pk: G2Element) -> bool:
     try:
         proof = zkp.parse_proof(tx.proof)
     except DecodeError:
         return False
     if isinstance(proof, zkp.SigmaProof):
-        setup_pk_bytes = state.get(KEY_SETUP_PK)
-        if setup_pk_bytes is None:
+        try:
+            return zkp.auth_verify_literal(state.published_setup(), proof)
+        except KeyError:
             return False
-        setup = zkp.TrustSetup(
-            alpha=None, pk_setup=G2Element.from_bytes(setup_pk_bytes), setup_ms=0.0,
-        )
-        return zkp.tx_verify_literal(setup, proof)
     if isinstance(proof, zkp.CorrectedTxProof):
         statement = zkp.TxStatement(
             device_id=tx.device_id,
@@ -458,7 +485,7 @@ def bootstrap(ledger: Ledger, setup_pk: G2Element, ca_pk: G2Element) -> CommitRe
 def rotate_challenges(ledger: Ledger, device_id: bytes, rng) -> int:
     """Commit the device's next challenge epoch; returns the new epoch.
     Rotation is itself a committed, auditable transaction."""
-    new_epoch = ledger.query_subset(device_id).epoch + 1
+    new_epoch = ledger.load_device(device_id).epoch + 1
     buf = bytearray()
     _put_field(buf, device_id)
     _put_field(buf, SubsetRecord(new_epoch).to_bytes())

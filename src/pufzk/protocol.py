@@ -35,10 +35,10 @@ from .identity import (
     register_device,
     response_scalar,
 )
-from .ledger import KEY_SETUP_PK, Ledger, rotate_challenges
-from .pairing import DecodeError, G1Element, G2Element, Scalar
+from .ledger import Ledger, RecordError, StoredDevice, rotate_challenges
+from .pairing import DecodeError, Scalar
 from .params import DEFAULT_PARAMS, ParamSet
-from .puf import PufDevice, challenges_from_bytes, puf_new, puf_respond
+from .puf import PufDevice, puf_new, puf_respond, responses_to_bytes
 from .wire import (
     AuthDecision,
     AuthRequest,
@@ -103,13 +103,13 @@ class Device:
         build the mode's proof as wire bytes.
 
         A device missing from this ledger (deregistered, or talking to
-        the wrong network) falls back to its local identity copy; the
-        verifier then rejects the request as unregistered."""
+        the wrong network) or whose stored record does not load falls
+        back to its local identity copy; the verifier then rejects the
+        request as unregistered or as a malformed record."""
         try:
-            record = ledger.query_device_record(self.device_id)
-            challenges = challenges_from_bytes(record.challenge_bytes)
-            epoch = ledger.query_subset(self.device_id).epoch
-        except KeyError:
+            stored = ledger.load_device(self.device_id)
+            challenges, epoch = stored.challenges, stored.epoch
+        except (KeyError, RecordError):
             challenges = self.identity.challenge_set
             epoch = 0
         responses = puf_respond(self.puf, challenges, self.params.repetitions, np_rng)
@@ -124,7 +124,6 @@ class Device:
             witness = zkp.AuthWitness(sk=self.keypair.sk, response_scalar=response_scalar(responses))
             return zkp.auth_prove_corrected(statement, witness, rng).to_bytes()
         if mode == zkp.MODE_LITERAL:
-            from .puf import responses_to_bytes
             return zkp.auth_prove_literal(
                 setup, responses_to_bytes(responses), self.keypair.sk, rng,
             ).to_bytes()
@@ -169,8 +168,8 @@ class Verifier:
     def begin_session(self, device_id: bytes) -> Session:
         nonce = self.rng.getrandbits(128).to_bytes(NONCE_LEN, "big")
         try:
-            epoch = self.ledger.query_subset(device_id).epoch
-        except KeyError:
+            epoch = self.ledger.load_device(device_id).epoch
+        except (KeyError, RecordError):
             epoch = -1
         session = Session(
             session_id=self.rng.getrandbits(64).to_bytes(8, "big"),
@@ -202,71 +201,57 @@ class Verifier:
         # The printed scheme carries no session data: verify the pairing
         # equation against the published setup key, nothing else.
         try:
-            self.ledger.query_device_record(msg.device_id)
+            self.ledger.load_device(msg.device_id)
         except KeyError:
             return AuthDecision(False, "unregistered")
+        except RecordError:
+            return AuthDecision(False, "malformed record")
         try:
             proof = zkp.SigmaProof.from_bytes(msg.proof)
         except DecodeError:
             return AuthDecision(False, "malformed")
         try:
-            setup_pk = G2Element.from_bytes(self.ledger.get_state(KEY_SETUP_PK))
+            setup = self.ledger.published_setup()
         except KeyError:
             return AuthDecision(False, "no trust setup on ledger")
-        setup = zkp.TrustSetup(alpha=None, pk_setup=setup_pk, setup_ms=0.0)
         if zkp.auth_verify_literal(setup, proof):
-            self._note_success(msg)
+            self._authenticated[msg.device_id] = msg.nonce
             return AuthDecision(True, "ok")
         return AuthDecision(False, "proof invalid")
 
     def _decide_corrected(self, msg: AuthRequest) -> AuthDecision:
-        session = self._open.get(msg.nonce)
+        # any decision on an open session consumes its nonce
+        session = self._open.pop(msg.nonce, None)
         if session is None:
             reason = "stale nonce" if msg.nonce in self._consumed else "unknown nonce"
             return AuthDecision(False, reason)
+        self._consumed.add(msg.nonce)
         if session.device_id != msg.device_id:
-            self._consume(msg.nonce)
             return AuthDecision(False, "device does not match session")
         try:
-            record = self.ledger.query_device_record(msg.device_id)
-            current_epoch = self.ledger.query_subset(msg.device_id).epoch
-            pk = G2Element.from_bytes(record.pk_bytes)
-            commitment = G1Element.from_bytes(record.commitment_bytes)
+            stored = self.ledger.load_device(msg.device_id)
         except KeyError:
-            self._consume(msg.nonce)
             return AuthDecision(False, "unregistered")
-        except ValueError:  # WireError and DecodeError included
-            self._consume(msg.nonce)
+        except RecordError:
             return AuthDecision(False, "malformed record")
-        if session.epoch != current_epoch:
-            self._consume(msg.nonce)
+        if session.epoch != stored.epoch:
             return AuthDecision(False, "challenge epoch advanced")
         try:
             proof = zkp.CorrectedAuthProof.from_bytes(msg.proof)
         except DecodeError:
-            self._consume(msg.nonce)
             return AuthDecision(False, "malformed")
         statement = zkp.AuthStatement(
             device_id=msg.device_id,
-            pk=pk,
-            response_commitment=commitment,
-            challenge_epoch=current_epoch,
+            pk=stored.pk,
+            response_commitment=stored.commitment,
+            challenge_epoch=stored.epoch,
             session_nonce=session.nonce,
         )
-        ok = zkp.auth_verify_corrected(statement, proof)
-        self._consume(msg.nonce)
-        if not ok:
+        if not zkp.auth_verify_corrected(statement, proof):
             return AuthDecision(False, "proof invalid")
-        self._note_success(msg)
+        self._authenticated[msg.device_id] = msg.nonce
         rotate_challenges(self.ledger, msg.device_id, self.rng)
         return AuthDecision(True, "ok")
-
-    def _consume(self, nonce: bytes) -> None:
-        self._open.pop(nonce, None)
-        self._consumed.add(nonce)
-
-    def _note_success(self, msg: AuthRequest) -> None:
-        self._authenticated[msg.device_id] = msg.nonce
 
     def handle_tx_submit(self, data: bytes) -> TxDecision:
         """Gate and forward a transaction to the ledger chaincode."""
@@ -374,6 +359,18 @@ def attack_replay(recorded: Session, verifier: Verifier, ledger: Ledger,
     )
 
 
+def deliver_forged_proof(verifier: Verifier, stored: StoredDevice, prove) -> AuthDecision:
+    """Open a session for a registered device and deliver the
+    corrected-mode proof that ``prove(statement)`` builds from its
+    public record."""
+    device_id = stored.record.device_id
+    session = verifier.begin_session(device_id)
+    statement = zkp.AuthStatement(device_id, stored.pk, stored.commitment,
+                                  session.epoch, session.nonce)
+    raw = AuthRequest(device_id, prove(statement).to_bytes(), session.nonce).to_bytes()
+    return verifier.handle_auth_request(raw, zkp.MODE_CORRECTED)
+
+
 def attack_impersonate(target_id: bytes, ledger: Ledger, verifier: Verifier, rng,
                        trials: int = 1, leaked_sk: Optional[Scalar] = None,
                        ) -> AttackOutcome:
@@ -381,27 +378,19 @@ def attack_impersonate(target_id: bytes, ledger: Ledger, verifier: Verifier, rng
 
     Witnesses are random guesses; with ``leaked_sk`` the secret-key
     clause is satisfied but the PUF response clause still fails."""
-    record = ledger.query_device_record(target_id)
-    pk = G2Element.from_bytes(record.pk_bytes)
-    commitment = G1Element.from_bytes(record.commitment_bytes)
-    accepted = 0
-    last_reason = ""
-    for _ in range(trials):
-        session = verifier.begin_session(target_id)
-        statement = zkp.AuthStatement(
-            device_id=target_id,
-            pk=pk,
-            response_commitment=commitment,
-            challenge_epoch=session.epoch,
-            session_nonce=session.nonce,
-        )
+    stored = ledger.load_device(target_id)
+
+    def prove(statement):
         witness = zkp.AuthWitness(
             sk=leaked_sk if leaked_sk is not None else Scalar.random(rng),
             response_scalar=Scalar.random(rng),
         )
-        proof = zkp.auth_prove_corrected(statement, witness, rng)
-        raw = AuthRequest(target_id, proof.to_bytes(), session.nonce).to_bytes()
-        decision = verifier.handle_auth_request(raw, zkp.MODE_CORRECTED)
+        return zkp.auth_prove_corrected(statement, witness, rng)
+
+    accepted = 0
+    last_reason = ""
+    for _ in range(trials):
+        decision = deliver_forged_proof(verifier, stored, prove)
         accepted += int(decision.accept)
         last_reason = decision.reason
     return AttackOutcome(
@@ -418,20 +407,11 @@ def attack_clone_device(target_id: bytes, ledger: Ledger, verifier: Verifier, rn
     """Adversary with different physical hardware answers the target's
     public challenges and derives its witness from its own responses."""
     clone = puf_new(clone_seed, params.noise_ratio)
-    pk, challenges, commitment = ledger.query_identity(target_id)
-    responses = puf_respond(clone, challenges, params.repetitions, np.random.default_rng(clone_seed))
-    session = verifier.begin_session(target_id)
-    statement = zkp.AuthStatement(
-        device_id=target_id,
-        pk=pk,
-        response_commitment=commitment,
-        challenge_epoch=session.epoch,
-        session_nonce=session.nonce,
-    )
-    witness = zkp.AuthWitness(sk=Scalar.random(rng), response_scalar=response_scalar(responses))
-    proof = zkp.auth_prove_corrected(statement, witness, rng)
-    raw = AuthRequest(target_id, proof.to_bytes(), session.nonce).to_bytes()
-    decision = verifier.handle_auth_request(raw, zkp.MODE_CORRECTED)
+    stored = ledger.load_device(target_id)
+    responses = puf_respond(clone, stored.challenges, params.repetitions,
+                            np.random.default_rng(clone_seed))
+    decision = deliver_forged_proof(verifier, stored, lambda statement: zkp.auth_prove_corrected(
+        statement, zkp.AuthWitness(Scalar.random(rng), response_scalar(responses)), rng))
     return AttackOutcome("clone-device", 1, int(decision.accept), decision.reason)
 
 

@@ -18,9 +18,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import zkp
-from .identity import CertificateAuthority
-from .ledger import Ledger, bootstrap, ledger_new
-from .pairing import G1Element, G2Element
+from .identity import CertificateAuthority, DeviceIdentity, KeyPair
+from .ledger import Ledger, LedgerError, RecordError, bootstrap, ledger_new
+from .pairing import DecodeError, G1Element, G2Element
 from .params import DEFAULT_PARAMS, ParamSet
 from .protocol import (
     AttackOutcome,
@@ -32,11 +32,13 @@ from .protocol import (
     attack_replay,
     attack_swap_proofs,
     attack_tamper_payload,
+    deliver_forged_proof,
     run_authentication,
     run_transaction,
 )
 from .puf import puf_new
-from .wire import AuthRequest, TAG_AUTH_REQUEST, decode_message
+from .wire import (TAG_AUTH_REQUEST, AuthRequest, DeviceRecord, TransactionRecord, WireError,
+                   decode_message)
 
 SUITE_NAMES = ("replay", "impersonate", "mitm", "tamper", "literal-defects")
 
@@ -126,24 +128,37 @@ def _simulator_replay(device: Device, verifier: Verifier, ledger: Ledger, rng,
                       trials: int) -> AttackOutcome:
     """Simulator transcripts (valid sigma equations, no witness) pushed
     through the real verifier under fresh nonces."""
-    record = ledger.query_device_record(device.device_id)
-    pk = G2Element.from_bytes(record.pk_bytes)
-    commitment = G1Element.from_bytes(record.commitment_bytes)
-    accepted = 0
-    for _ in range(trials):
-        session = verifier.begin_session(device.device_id)
-        statement = zkp.AuthStatement(
-            device_id=device.device_id,
-            pk=pk,
-            response_commitment=commitment,
-            challenge_epoch=session.epoch,
-            session_nonce=session.nonce,
-        )
-        simulated = zkp.simulate_auth_transcript(statement, rng)
-        raw = AuthRequest(device.device_id, simulated.to_bytes(), session.nonce).to_bytes()
-        decision = verifier.handle_auth_request(raw, zkp.MODE_CORRECTED)
-        accepted += int(decision.accept)
+    stored = ledger.load_device(device.device_id)
+    accepted = sum(
+        deliver_forged_proof(verifier, stored,
+                             lambda statement: zkp.simulate_auth_transcript(statement, rng)).accept
+        for _ in range(trials))
     return AttackOutcome("simulator-replay", trials, accepted)
+
+
+def _malformed_registrations(ledger: Ledger, ca: CertificateAuthority, rng) -> AttackOutcome:
+    """Registrations the register chaincode must refuse, each a genuine
+    CA-certified tuple with one field broken.  A breach is one that
+    commits or moves the state digest or the height."""
+    pk = KeyPair.generate(rng).pk
+    device_id = rng.getrandbits(256).to_bytes(32, "big")
+    honest = DeviceRecord(device_id, pk.to_bytes(), G1Element.generator().to_bytes(),
+                          rng.getrandbits(256).to_bytes(32, "big"),
+                          ca.issue(device_id, pk).to_bytes(), bytes(8 * 4))
+    payloads = [dataclasses.replace(honest, **changes).to_bytes() for changes in (
+        {"commitment_bytes": bytes(48), "challenge_bytes": bytes(9)},
+        {"pk_bytes": b"\x80" + bytes(94) + b"\x02"},  # x = 2: on the twist, outside G2
+        {"device_id": bytes(16)},
+        {"fingerprint": bytes(31)},
+        {"challenge_bytes": b""},
+    )] + [b"garbage"]
+    accepted = 0
+    for payload in payloads:
+        before = (ledger.state_digest(), ledger.height)
+        result = ledger.invoke("register", TransactionRecord(
+            payload, b"", b"", b"", "register", rng.getrandbits(128).to_bytes(16, "big")))
+        accepted += int(bool(result) or (ledger.state_digest(), ledger.height) != before)
+    return AttackOutcome("malformed-registration", len(payloads), accepted, result.reason)
 
 
 def _literal_defect_demos(rng, np_rng, ca: CertificateAuthority,
@@ -259,6 +274,7 @@ def run_attack_suite(seed: int = 0, params: ParamSet = DEFAULT_PARAMS,
         if not auth.accepted:
             raise RuntimeError("honest session failed during suite setup")
         report.outcomes.append(attack_tamper_payload(device, verifier, ledger, rng, trials=n(100)))
+        report.outcomes.append(_malformed_registrations(ledger, ca, rng))
 
     if "literal-defects" in suites:
         report.literal_defects = _literal_defect_demos(rng, np_rng, ca, params)
@@ -271,6 +287,9 @@ def run_attack_suite(seed: int = 0, params: ParamSet = DEFAULT_PARAMS,
 # ---------------------------------------------------------------------------
 
 _TRANSCRIPT_HEADER = "pufzk-transcript v1"
+
+# Every way the bytes of a transcript can fail to decode or replay.
+_AUDIT_ERRORS = (WireError, DecodeError, RecordError, LedgerError, KeyError)
 
 
 def run_demo(seed: int = 0, params: ParamSet = DEFAULT_PARAMS) -> Tuple[str, Dict]:
@@ -392,7 +411,7 @@ def audit_transcript(text: str) -> Tuple[bool, List[str]]:
         return False, ["transcript carries no ledger log"]
     try:
         ledger = Ledger.replay_log(ledger_blob)
-    except Exception as exc:
+    except _AUDIT_ERRORS as exc:
         return False, [f"ledger replay failed: {exc}"]
     if not ledger.verify_chain():
         findings.append("replayed chain failed verification")
@@ -403,15 +422,13 @@ def audit_transcript(text: str) -> Tuple[bool, List[str]]:
     if chain_flag is not None and chain_flag != b"\x01":
         findings.append("transcript recorded a broken chain")
 
-    from .identity import DeviceIdentity
     for blob in identities:
         try:
             identity = DeviceIdentity.load(blob)
-            record = ledger.query_device_record(identity.device_id)
-            if (record.pk_bytes != identity.pk.to_bytes()
-                    or record.commitment_bytes != identity.response_commitment.to_bytes()):
+            stored = ledger.load_device(identity.device_id)
+            if stored.pk != identity.pk or stored.commitment != identity.response_commitment:
                 findings.append("exported identity disagrees with its ledger record")
-        except Exception as exc:
+        except _AUDIT_ERRORS as exc:
             findings.append(f"identity export failed to load: {exc}")
 
     for index, session in enumerate(sessions):
@@ -427,22 +444,22 @@ def audit_transcript(text: str) -> Tuple[bool, List[str]]:
         for raw in session["msgs"]:
             try:
                 msg = decode_message(raw)
-            except Exception as exc:
+            except _AUDIT_ERRORS as exc:
                 findings.append(f"session {index}: undecodable message: {exc}")
                 continue
             if raw and raw[0] == TAG_AUTH_REQUEST and accepted:
                 try:
-                    record = ledger.query_device_record(msg.device_id)
+                    stored = ledger.load_device(msg.device_id)
                     proof = zkp.CorrectedAuthProof.from_bytes(msg.proof)
                     statement = zkp.AuthStatement(
                         device_id=device_id,
-                        pk=G2Element.from_bytes(record.pk_bytes),
-                        response_commitment=G1Element.from_bytes(record.commitment_bytes),
+                        pk=stored.pk,
+                        response_commitment=stored.commitment,
                         challenge_epoch=epoch,
                         session_nonce=nonce,
                     )
                     if not zkp.auth_verify_corrected(statement, proof):
                         findings.append(f"session {index}: accepted proof fails re-verification")
-                except Exception as exc:
+                except _AUDIT_ERRORS as exc:
                     findings.append(f"session {index}: proof re-verification error: {exc}")
     return not findings, findings or ["audit clean"]

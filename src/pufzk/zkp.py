@@ -25,7 +25,6 @@ two-pairing product check.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .pairing import (
@@ -69,19 +68,15 @@ class TrustSetup:
 
     alpha: Scalar | None
     pk_setup: G2Element
-    setup_ms: float
 
 
 def trust_setup(rng, forced_alpha: int | None = None) -> TrustSetup:
     """Sample the setup trapdoor and publish its G2 image.
 
-    ``forced_alpha`` is a test hook; honest runs leave it None.  The
-    wall-clock duration is recorded for the benchmark report.
+    ``forced_alpha`` is a test hook; honest runs leave it None.
     """
-    t0 = time.perf_counter()
     alpha = Scalar(forced_alpha) if forced_alpha is not None else Scalar.random(rng)
-    pk_setup = _G2 ** alpha
-    return TrustSetup(alpha=alpha, pk_setup=pk_setup, setup_ms=(time.perf_counter() - t0) * 1000.0)
+    return TrustSetup(alpha=alpha, pk_setup=_G2 ** alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +139,8 @@ def tx_prove_literal(setup: TrustSetup, payload: bytes, rng) -> SigmaProof:
     return _prove_literal(base, rng)
 
 
-def _verify_literal(setup: TrustSetup, proof: SigmaProof) -> bool:
+def auth_verify_literal(setup: TrustSetup, proof: SigmaProof) -> bool:
+    """Check the printed pairing equation; transaction proofs share it."""
     challenge = _literal_challenge(proof.witness_commit, proof.rand_commit)
     # e(S, g2) * e(U, pk)^h == e(V, g2), checked as a pairing product.
     check = multi_pair([
@@ -153,14 +149,6 @@ def _verify_literal(setup: TrustSetup, proof: SigmaProof) -> bool:
         (proof.response.inverse(), _G2),
     ])
     return check.is_identity()
-
-
-def auth_verify_literal(setup: TrustSetup, proof: SigmaProof) -> bool:
-    return _verify_literal(setup, proof)
-
-
-def tx_verify_literal(setup: TrustSetup, proof: SigmaProof) -> bool:
-    return _verify_literal(setup, proof)
 
 
 def forge_literal_proof(rng) -> SigmaProof:

@@ -2,9 +2,19 @@
 
 import json
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from pufzk.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
-from pufzk.params import ENV_VAR
-from pufzk.scenarios import audit_transcript
+from pufzk.params import ENV_VAR, PRESETS
+from pufzk.scenarios import audit_transcript, run_attack_suite, run_demo
+
+HEX = "0123456789abcdef"
+
+
+@pytest.fixture(scope="module")
+def demo_lines():
+    return run_demo(seed=5, params=PRESETS["fast"])[0].splitlines()
 
 
 class TestDemoAndAudit:
@@ -42,6 +52,26 @@ class TestDemoAndAudit:
         corrupted = tmp_path / "bad.transcript"
         corrupted.write_text("\n".join(lines) + "\n")
         assert main(["audit", str(corrupted)]) == EXIT_FAILURE
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_mutated_transcript_never_raises(self, demo_lines, data):
+        """One hex digit changed or one line cut short: the audit returns
+        findings and never raises.  The ledger log and the digests are
+        fully bound, so a change there always fails the audit."""
+        index = data.draw(st.integers(1, len(demo_lines) - 1))
+        kind, _, payload = demo_lines[index].partition(" ")
+        pos = data.draw(st.integers(0, len(payload) - 1))
+        if data.draw(st.booleans()):
+            digit = data.draw(st.sampled_from(HEX.replace(payload[pos], "")))
+            payload = payload[:pos] + digit + payload[pos + 1:]
+        else:
+            payload = payload[:pos]
+        lines = demo_lines[:index] + [f"{kind} {payload}"] + demo_lines[index + 1:]
+        ok, findings = audit_transcript("\n".join(lines) + "\n")
+        assert findings and all(isinstance(f, str) for f in findings)
+        if kind in ("ledger", "state", "head", "chain"):
+            assert not ok
 
     def test_audit_missing_file_usage_error(self):
         assert main(["audit", "/no/such/file"]) == EXIT_USAGE
@@ -118,6 +148,12 @@ class TestAttackCommand:
         assert summary["passed"] is True
         assert summary["all_defended"] is True
         assert all(summary["literal_defects_reproduced"].values())
+
+    def test_malformed_registrations_rejected_without_trace(self):
+        report = run_attack_suite(seed=3, suites=("tamper",), scale=0.02)
+        outcome = next(o for o in report.outcomes if o.name == "malformed-registration")
+        assert outcome.attempts == 6 and outcome.defended
+        assert outcome.detail.startswith("malformed registration: ")
 
     def test_suite_selection(self):
         assert main(["attack", "--scale", "0.02", "--suite", "replay"]) == EXIT_OK

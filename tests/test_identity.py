@@ -66,10 +66,10 @@ class TestRegistration:
     def test_round_trip_of_stored_tuple(self, env):
         identity, keypair = register_device(
             puf_new(8100, 0.0), env["ca"], env["ledger"], env["rng"], env["np_rng"])
-        pk, challenges, commitment = env["ledger"].query_identity(identity.device_id)
-        assert pk == identity.pk == keypair.pk
-        assert np.array_equal(challenges, identity.challenge_set)
-        assert commitment == identity.response_commitment
+        stored = env["ledger"].load_device(identity.device_id)
+        assert stored.pk == identity.pk == keypair.pk
+        assert np.array_equal(stored.challenges, identity.challenge_set)
+        assert stored.commitment == identity.response_commitment
 
     def test_commitment_recomputable_from_responses(self, env):
         puf = puf_new(8101, 0.0)

@@ -1,9 +1,11 @@
 """Ledger mechanics: chaining, chaincode dispatch, atomicity, replay."""
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pufzk import zkp
 from pufzk.identity import CertificateAuthority, KeyPair, register_device
@@ -12,14 +14,15 @@ from pufzk.ledger import (
     ChaincodeRejection,
     Ledger,
     LedgerError,
+    RecordError,
     bootstrap,
     chain_prefix_valid,
     ledger_new,
     rotate_challenges,
 )
-from pufzk.pairing import G1Element
+from pufzk.pairing import DecodeError, G1Element
 from pufzk.puf import puf_new
-from pufzk.wire import DeviceRecord, SubsetRecord, TransactionRecord, _put_field
+from pufzk.wire import DeviceRecord, SubsetRecord, TransactionRecord, WireError, _put_field
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +213,44 @@ class TestQueries:
 
     def test_unknown_identity_not_found(self):
         with pytest.raises(KeyError):
-            ledger_new().query_identity(bytes(32))
+            ledger_new().load_device(bytes(32))
+
+    def test_load_device_matches_registration(self, env):
+        identity = env["identity"]
+        stored = env["ledger"].load_device(identity.device_id)
+        assert stored.record == env["ledger"].query_device_record(identity.device_id)
+        assert stored.pk == identity.pk and stored.commitment == identity.response_commitment
+        assert np.array_equal(stored.challenges, identity.challenge_set)
+        assert stored.epoch == env["ledger"].query_subset(identity.device_id).epoch
+
+    @pytest.mark.parametrize("case", [
+        "well-formed", "garbage-record", "garbage-epoch", "missing-epoch", "record-of-another-id"])
+    def test_malformed_device_state_raises_record_error(self, env, case):
+        """Device state planted by a foreign chaincode: every malformed
+        form of it is one typed error."""
+        record = env["ledger"].query_device_record(env["identity"].device_id)
+        device_id = bytes(range(32))
+        planted = {
+            "identity": dataclasses.replace(record, device_id=device_id).to_bytes(),
+            "subset": SubsetRecord(0).to_bytes(),
+        }
+        if case == "garbage-record":
+            planted["identity"] = b"garbage"
+        elif case == "garbage-epoch":
+            planted["subset"] = b"garbage"
+        elif case == "missing-epoch":
+            del planted["subset"]
+        elif case == "record-of-another-id":
+            planted["identity"] = record.to_bytes()
+        ledger = ledger_new()
+        ledger.register_chaincode("plant", lambda view, tx: {
+            f"{kind}/{device_id.hex()}": value for kind, value in planted.items()})
+        assert ledger.invoke("plant", TransactionRecord(b"", b"", b"", b"", "plant", b"n"))
+        if case == "well-formed":
+            assert ledger.load_device(device_id).epoch == 0
+        else:
+            with pytest.raises(RecordError):
+                ledger.load_device(device_id)
 
     def test_rejected_tx_writes_never_visible(self, env):
         ledger, rng = env["ledger"], env["rng"]
@@ -297,6 +337,24 @@ class TestReplayDeterminism:
         from pufzk.wire import WireError
         with pytest.raises(WireError):
             Ledger.replay_log(b"JUNK\x01\x00\x00\x00\x00")
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["bootstrap", "register", "rotate", "submit", "unknown"]),
+        st.binary(max_size=48), st.binary(max_size=40)), max_size=4),
+        st.binary(max_size=16))
+    @settings(max_examples=150, deadline=None)
+    def test_replay_of_any_log_raises_only_typed_errors(self, txs, tail):
+        """Well-framed logs of garbage transactions reach every chaincode;
+        a stray tail exercises the framing."""
+        buf = bytearray(b"PZLG\x01" + len(txs).to_bytes(4, "big"))
+        for chaincode, payload, device_id in txs:
+            tx = TransactionRecord(payload, device_id, payload[:48], payload, chaincode, b"n")
+            _put_field(buf, tx.to_bytes(), width=4)
+        for log in (bytes(buf), bytes(buf) + tail, bytes(buf[:len(buf) - len(tail)])):
+            try:
+                Ledger.replay_log(log)
+            except (WireError, DecodeError, LedgerError):
+                pass
 
     def test_bootstrap_only_once(self, env):
         setup, ca = env["setup"], env["ca"]

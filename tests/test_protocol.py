@@ -8,7 +8,7 @@ import pytest
 
 from pufzk import zkp
 from pufzk.identity import CertificateAuthority, response_scalar
-from pufzk.ledger import bootstrap, ledger_new
+from pufzk.ledger import RecordError, bootstrap, ledger_new, rotate_challenges
 from pufzk.pairing import Scalar
 from pufzk.params import ParamSet
 from pufzk.protocol import (
@@ -114,6 +114,50 @@ class TestAuthentication:
         assert len(session.transcript) == 2
         for raw in session.transcript:
             decode_message(raw)
+
+
+def _overwrite_with_garbage(ledger, device_id, kinds):
+    """Write b"garbage" over the device's stored state.  The register
+    chaincode refuses such records, so a custom chaincode writes them."""
+    ledger.register_chaincode(
+        "overwrite", lambda state, tx: {f"{kind}/{device_id.hex()}": b"garbage" for kind in kinds})
+    assert ledger.invoke("overwrite", TransactionRecord(b"", b"", b"", b"", "overwrite", b"n"))
+
+
+GARBAGE_KINDS = pytest.mark.parametrize(
+    "kinds", [("identity",), ("subset",), ("identity", "subset")], ids=["identity", "subset", "both"])
+
+
+class TestMalformedStoredState:
+    @GARBAGE_KINDS
+    def test_every_verifier_path_gives_a_typed_decision(self, env, kinds):
+        ledger, verifier, device, rng = env["ledger"], env["verifier"], env["device"], env["rng"]
+        # authenticated beforehand, so the transaction gate lets submits through
+        assert run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, env["np_rng"]).accepted
+        _overwrite_with_garbage(ledger, device.device_id, kinds)
+        assert verifier.begin_session(device.device_id).epoch == -1
+        for mode in (zkp.MODE_CORRECTED, zkp.MODE_LITERAL):
+            session = run_authentication(device, verifier, ledger, mode, rng, env["np_rng"],
+                                         setup=env["setup"])
+            assert not session.accepted and session.reason == "malformed record"
+        session = run_transaction(device, verifier, ledger, b"reading", zkp.MODE_CORRECTED, rng)
+        assert not session.accepted and session.reason.startswith("malformed record: ")
+        digest, height = ledger.state_digest(), ledger.height
+        result = ledger.invoke("submit", device.build_tx_submit(b"direct", zkp.MODE_CORRECTED, rng))
+        assert not result and result.reason.startswith("malformed record: ")
+        assert (ledger.state_digest(), ledger.height) == (digest, height)
+
+    @GARBAGE_KINDS
+    def test_ledger_side_readers_raise_record_error(self, env, kinds):
+        ledger, verifier, rng = env["ledger"], env["verifier"], env["rng"]
+        device_id = env["device"].device_id
+        _overwrite_with_garbage(ledger, device_id, kinds)
+        with pytest.raises(RecordError):
+            rotate_challenges(ledger, device_id, rng)
+        with pytest.raises(RecordError):
+            attack_impersonate(device_id, ledger, verifier, rng)
+        with pytest.raises(RecordError):
+            attack_clone_device(device_id, ledger, verifier, rng, clone_seed=3102, params=NOISELESS)
 
 
 class TestLiteralEndToEnd:

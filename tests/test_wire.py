@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pufzk.ledger import Block
+from pufzk.pairing import DecodeError
 from pufzk.wire import (
     AuthDecision,
     AuthRequest,
@@ -93,13 +95,18 @@ class TestMessages:
         with pytest.raises(WireError):
             decode_message(b"")
 
-    @given(st.binary(min_size=0, max_size=64))
-    @settings(max_examples=200)
-    def test_decode_never_crashes_unhandled(self, raw):
-        try:
-            decode_message(raw)
-        except WireError:
-            pass
+    @given(st.sampled_from([b"", b"PZDR\x01", b"\x01", b"\x02", b"\x03", b"\x04"]),
+           st.binary(min_size=0, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_decode_never_crashes_unhandled(self, prefix, body):
+        """Messages, records and blocks: any bytes give a value or a
+        typed rejection."""
+        for decode in (decode_message, Certificate.from_bytes, DeviceRecord.from_bytes,
+                       SubsetRecord.from_bytes, TransactionRecord.from_bytes, Block.from_bytes):
+            try:
+                decode(prefix + body)
+            except (WireError, DecodeError):
+                pass
 
     @given(st.binary(max_size=128), st.binary(max_size=32), st.binary(max_size=16))
     @settings(max_examples=100)
