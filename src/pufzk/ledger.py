@@ -12,6 +12,10 @@ Chaincodes are in-process functions from (state view, transaction) to a
 write-set; the built-in ones cover bootstrap parameters, device
 registration, challenge-epoch rotation, and the guarded data-submit
 path that checks a signature and a mode-tagged proof before writing.
+Registration checks the CA's Schnorr certificate over the whole tuple
+(id, key, commitment, challenges) against the G1 key published at
+bootstrap, so it runs no pairing; only submits check a pairing
+signature.
 
 Stored device state (``identity/<id>``, ``subset/<id>``) has one typed
 reader, :meth:`StateView.load_device`, shared by chaincodes and the
@@ -35,6 +39,7 @@ from .wire import (
     WireError,
     _get_field,
     _put_field,
+    registration_binding,
 )
 
 GENESIS_PREV_HASH = b"\x00" * 32
@@ -340,7 +345,8 @@ def chain_prefix_valid(block_bytes_list) -> Tuple[bool, int]:
 # ---------------------------------------------------------------------------
 
 def _cc_bootstrap(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
-    """Publish the one-time setup public key and the CA public key."""
+    """Publish the one-time setup public key (G2) and the CA public key
+    (G1)."""
     if state.has(KEY_SETUP_PK):
         raise ChaincodeRejection("already bootstrapped")
     try:
@@ -350,7 +356,8 @@ def _cc_bootstrap(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
         raise ChaincodeRejection(f"malformed bootstrap payload: {exc}")
     try:
         G2Element.from_bytes(setup_pk)
-        G2Element.from_bytes(ca_pk)
+        if G1Element.from_bytes(ca_pk).is_identity():
+            raise DecodeError("CA key is the identity")
     except DecodeError as exc:
         raise ChaincodeRejection(f"invalid bootstrap key: {exc}")
     return {KEY_SETUP_PK: setup_pk, KEY_CA_PK: ca_pk}
@@ -358,7 +365,7 @@ def _cc_bootstrap(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
 
 def _cc_register(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     """Store a registration tuple, enforcing identifier and device
-    uniqueness and a valid CA certificate."""
+    uniqueness and a valid CA certificate over the whole tuple."""
     try:
         record = decode_device_record(tx.payload)[0]
         if len(record.fingerprint) != 32:
@@ -376,13 +383,17 @@ def _cc_register(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
         raise ChaincodeRejection("ledger not bootstrapped")
     try:
         cert = Certificate.from_bytes(record.cert_bytes)
-        ca_pk = G2Element.from_bytes(ca_pk_bytes)
-        sig = zkp.Signature.from_bytes(cert.sig_bytes)
-    except (WireError, DecodeError) as exc:
+    except WireError as exc:
         raise ChaincodeRejection(f"malformed certificate: {exc}")
-    if cert.device_id != record.device_id or cert.pk_bytes != record.pk_bytes:
+    binding = registration_binding(record.commitment_bytes, record.challenge_bytes)
+    if (cert.device_id, cert.pk_bytes, cert.binding) != (record.device_id, record.pk_bytes, binding):
         raise ChaincodeRejection("certificate does not match registration")
-    if not zkp.verify_sig(ca_pk, cert.signing_payload(), sig):
+    try:
+        valid = zkp.schnorr_verify(G1Element.from_bytes(ca_pk_bytes),
+                                   cert.signing_payload(), cert.sig_bytes)
+    except DecodeError as exc:
+        raise ChaincodeRejection(f"malformed certificate: {exc}")
+    if not valid:
         raise ChaincodeRejection("certificate signature invalid")
     return {
         id_key: record.to_bytes(),
@@ -471,7 +482,7 @@ _BUILTIN_CHAINCODES: Dict[str, Chaincode] = {
 # Convenience wrappers used by the registry and protocol layers
 # ---------------------------------------------------------------------------
 
-def bootstrap(ledger: Ledger, setup_pk: G2Element, ca_pk: G2Element) -> CommitResult:
+def bootstrap(ledger: Ledger, setup_pk: G2Element, ca_pk: G1Element) -> CommitResult:
     buf = bytearray()
     _put_field(buf, setup_pk.to_bytes())
     _put_field(buf, ca_pk.to_bytes())

@@ -51,6 +51,10 @@ from .wire import (
 
 NONCE_LEN = 16
 
+# Cap on each verifier nonce memory (open sessions, answered nonces).
+# The oldest entry goes first; an evicted nonce reads "unknown nonce".
+VERIFIER_MEMORY_CAP = 1024
+
 TamperHook = Callable[[bytes], bytes]
 
 
@@ -161,8 +165,8 @@ class Verifier:
     def __init__(self, ledger: Ledger, rng):
         self.ledger = ledger
         self.rng = rng
-        self._open: dict = {}         # nonce -> Session
-        self._consumed: set = set()   # nonces with a delivered decision
+        self._open: dict = {}         # nonce -> Session, oldest first
+        self._consumed: dict = {}     # nonces with a delivered decision -> None
         self._authenticated: dict = {}  # device_id -> session_id
 
     def begin_session(self, device_id: bytes) -> Session:
@@ -177,7 +181,7 @@ class Verifier:
             nonce=nonce,
             epoch=epoch,
         )
-        self._open[nonce] = session
+        _remember(self._open, nonce, session)
         return session
 
     def is_authenticated(self, device_id: bytes) -> bool:
@@ -225,7 +229,7 @@ class Verifier:
         if session is None:
             reason = "stale nonce" if msg.nonce in self._consumed else "unknown nonce"
             return AuthDecision(False, reason)
-        self._consumed.add(msg.nonce)
+        _remember(self._consumed, msg.nonce, None)
         if session.device_id != msg.device_id:
             return AuthDecision(False, "device does not match session")
         try:
@@ -266,6 +270,13 @@ class Verifier:
             return TxDecision(False, "unauthenticated")
         result = self.ledger.invoke("submit", record)
         return TxDecision(bool(result), result.reason)
+
+
+def _remember(memory: dict, key, value) -> None:
+    """Insert into a bounded verifier memory, evicting the oldest entry."""
+    if len(memory) >= VERIFIER_MEMORY_CAP:
+        del memory[next(iter(memory))]
+    memory[key] = value
 
 
 # ---------------------------------------------------------------------------

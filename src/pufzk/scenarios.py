@@ -13,16 +13,18 @@ import dataclasses
 import json
 import random
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import zkp
-from .identity import CertificateAuthority, DeviceIdentity, KeyPair
+from .identity import CertificateAuthority, DeviceIdentity, KeyPair, RegistrationError, register_device
 from .ledger import Ledger, LedgerError, RecordError, bootstrap, ledger_new
-from .pairing import DecodeError, G1Element, G2Element
+from .pairing import DecodeError, G1Element, G2Element, Scalar
 from .params import DEFAULT_PARAMS, ParamSet
 from .protocol import (
+    VERIFIER_MEMORY_CAP,
     AttackOutcome,
     Device,
     Verifier,
@@ -142,9 +144,10 @@ def _malformed_registrations(ledger: Ledger, ca: CertificateAuthority, rng) -> A
     commits or moves the state digest or the height."""
     pk = KeyPair.generate(rng).pk
     device_id = rng.getrandbits(256).to_bytes(32, "big")
-    honest = DeviceRecord(device_id, pk.to_bytes(), G1Element.generator().to_bytes(),
+    commitment, challenges = G1Element.generator().to_bytes(), bytes(8 * 4)
+    honest = DeviceRecord(device_id, pk.to_bytes(), commitment,
                           rng.getrandbits(256).to_bytes(32, "big"),
-                          ca.issue(device_id, pk).to_bytes(), bytes(8 * 4))
+                          ca.issue(device_id, pk, commitment, challenges).to_bytes(), challenges)
     payloads = [dataclasses.replace(honest, **changes).to_bytes() for changes in (
         {"commitment_bytes": bytes(48), "challenge_bytes": bytes(9)},
         {"pk_bytes": b"\x80" + bytes(94) + b"\x02"},  # x = 2: on the twist, outside G2
@@ -159,6 +162,49 @@ def _malformed_registrations(ledger: Ledger, ca: CertificateAuthority, rng) -> A
             payload, b"", b"", b"", "register", rng.getrandbits(128).to_bytes(16, "big")))
         accepted += int(bool(result) or (ledger.state_digest(), ledger.height) != before)
     return AttackOutcome("malformed-registration", len(payloads), accepted, result.reason)
+
+
+def _registration_rewrite(ledger: Ledger, ca: CertificateAuthority, rng, np_rng,
+                          params: ParamSet) -> AttackOutcome:
+    """An attacker who holds a device's leaked sk intercepts its honest
+    registration and swaps in a commitment g1^rho' of their choosing,
+    which would let them pass both clauses of every later
+    authentication.  A breach is a commit or any move of the state
+    digest or the height."""
+    rho = Scalar.random(rng)
+
+    def intercept(name: str, tx: TransactionRecord):
+        record = DeviceRecord.from_bytes(tx.payload)
+        forged = dataclasses.replace(record, commitment_bytes=(G1Element.generator() ** rho).to_bytes())
+        return ledger.invoke(name, dataclasses.replace(tx, payload=forged.to_bytes()))
+
+    before = (ledger.state_digest(), ledger.height)
+    try:
+        register_device(puf_new(rng.getrandbits(32), 0.0), ca, SimpleNamespace(invoke=intercept),
+                        rng, np_rng, params)
+    except RegistrationError as exc:
+        moved = (ledger.state_digest(), ledger.height) != before
+        return AttackOutcome("registration-rewrite", 1, int(moved), str(exc))
+    return AttackOutcome("registration-rewrite", 1, 1, "rewritten registration committed")
+
+
+def _session_flood(device: Device, verifier: Verifier, ledger: Ledger, rng,
+                   np_rng) -> AttackOutcome:
+    """Open twice the verifier's memory cap in sessions, answering half
+    of them with an empty proof, so that both the open-session and the
+    consumed-nonce memories overflow.  A breach is either memory above
+    the cap or an honest session refused afterwards."""
+    for _ in range(VERIFIER_MEMORY_CAP):
+        answered = verifier.begin_session(device.device_id)
+        verifier.begin_session(device.device_id)
+        verifier.handle_auth_request(
+            AuthRequest(device.device_id, b"", answered.nonce).to_bytes(), zkp.MODE_CORRECTED)
+    sizes = (len(verifier._open), len(verifier._consumed))
+    honest = run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, np_rng)
+    breached = max(sizes) > VERIFIER_MEMORY_CAP or not honest.accepted
+    return AttackOutcome("session-flood", 2 * VERIFIER_MEMORY_CAP, int(breached),
+                         f"open {sizes[0]}, consumed {sizes[1]}, cap {VERIFIER_MEMORY_CAP}; "
+                         f"honest session: {honest.reason}")
 
 
 def _literal_defect_demos(rng, np_rng, ca: CertificateAuthority,
@@ -241,6 +287,7 @@ def run_attack_suite(seed: int = 0, params: ParamSet = DEFAULT_PARAMS,
         honest = run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, np_rng)
         forged = attack_replay(honest, verifier, ledger, forge_current_nonce=True)
         report.outcomes.append(AttackOutcome("replay-forged-nonce", 1, forged.accepted, forged.detail))
+        report.outcomes.append(_session_flood(device, verifier, ledger, rng, np_rng))
 
     if "impersonate" in suites:
         report.outcomes.append(
@@ -275,6 +322,7 @@ def run_attack_suite(seed: int = 0, params: ParamSet = DEFAULT_PARAMS,
             raise RuntimeError("honest session failed during suite setup")
         report.outcomes.append(attack_tamper_payload(device, verifier, ledger, rng, trials=n(100)))
         report.outcomes.append(_malformed_registrations(ledger, ca, rng))
+        report.outcomes.append(_registration_rewrite(ledger, ca, rng, np_rng, params))
 
     if "literal-defects" in suites:
         report.literal_defects = _literal_defect_demos(rng, np_rng, ca, params)

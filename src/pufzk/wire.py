@@ -5,7 +5,8 @@ encoding built from two primitives: fixed-width integers (big-endian)
 and length-prefixed fields (u16 or u32 length followed by the bytes).
 Messages carry a leading tag byte.  Layouts:
 
-    Certificate      u16 device_id | u16 pk | u16 role | u64 serial | u16 sig
+    Certificate      u16 device_id | u16 pk | u16 role | u64 serial
+                     | 32 binding | u16 sig (64: Schnorr e | s)
     DeviceRecord     "PZDR" u8 ver | u16 device_id | u16 pk | u16 commitment
                      | u16 fingerprint | u16 cert | u32 challenges
     SubsetRecord     u64 epoch
@@ -22,6 +23,7 @@ Decoding is strict: trailing bytes, truncation, or a wrong tag raise
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -70,14 +72,28 @@ def _utf8(raw: bytes) -> str:
 # On-ledger records
 # ---------------------------------------------------------------------------
 
+BINDING_LEN = 32
+
+
+def registration_binding(commitment_bytes: bytes, challenge_bytes: bytes) -> bytes:
+    """Digest of the registration fields a certificate covers besides
+    the id and key: the response commitment and the challenge set."""
+    buf = bytearray(b"binding")
+    _put_field(buf, commitment_bytes)
+    _put_field(buf, challenge_bytes, width=4)
+    return hashlib.sha256(buf).digest()
+
+
 @dataclass(frozen=True)
 class Certificate:
-    """CA-issued binding of a device id to its public key and role."""
+    """CA-issued binding of a device id to its public key, role and
+    the rest of its registration (see :func:`registration_binding`)."""
 
     device_id: bytes
     pk_bytes: bytes
     role: str
     serial: int
+    binding: bytes
     sig_bytes: bytes
 
     def signing_payload(self) -> bytes:
@@ -86,14 +102,14 @@ class Certificate:
         _put_field(buf, self.pk_bytes)
         _put_field(buf, self.role.encode())
         buf += self.serial.to_bytes(8, "big")
+        if len(self.binding) != BINDING_LEN:
+            raise WireError(f"certificate binding must be {BINDING_LEN} bytes")
+        buf += self.binding
         return bytes(buf)
 
     def to_bytes(self) -> bytes:
-        buf = bytearray()
-        _put_field(buf, self.device_id)
-        _put_field(buf, self.pk_bytes)
-        _put_field(buf, self.role.encode())
-        buf += self.serial.to_bytes(8, "big")
+        # the signed fields without the b"cert" prefix, then the signature
+        buf = bytearray(self.signing_payload()[4:])
         _put_field(buf, self.sig_bytes)
         return bytes(buf)
 
@@ -103,9 +119,10 @@ class Certificate:
         pk_bytes, off = _get_field(data, off)
         role, off = _get_field(data, off)
         serial, off = _get_int(data, off, 8)
+        binding, off = _take(data, off, BINDING_LEN)
         sig_bytes, off = _get_field(data, off)
         _done(data, off)
-        return cls(device_id, pk_bytes, _utf8(role), serial, sig_bytes)
+        return cls(device_id, pk_bytes, _utf8(role), serial, binding, sig_bytes)
 
 
 _DEVICE_RECORD_MAGIC = b"PZDR"

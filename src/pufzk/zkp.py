@@ -1,4 +1,4 @@
-"""Proof schemes and the pairing-based signature.
+"""Proof schemes, the device signature and the CA signature.
 
 Two proof modes ship side by side:
 
@@ -19,8 +19,11 @@ Two proof modes ship side by side:
     enrollment.  Challenges bind a protocol version tag, the full
     statement, and the per-session nonce.
 
-Signatures are the usual pairing scheme: sig = H(msg)^sk in G1 with a
-two-pairing product check.
+Two signature schemes sit beside the proofs.  Devices sign
+transactions with the usual pairing scheme: sig = H(msg)^sk in G1 with
+a two-pairing product check.  The certificate authority signs
+registrations with a pairing-free Schnorr signature in G1, (e, s) with
+a deterministic nonce, whose check costs two G1 multiplications.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .pairing import (
     DomainTag,
     G1Element,
     G2Element,
+    SCALAR_ENC_LEN,
     Scalar,
     hash_to_g1,
     hash_to_scalar,
@@ -52,6 +56,7 @@ LITERAL_PROOF_WIRE_BYTES = 1 + 3 * 48            # 145
 CORRECTED_AUTH_PROOF_WIRE_BYTES = 1 + 96 + 48 + 3 * 32 + NONCE_LEN   # 257
 CORRECTED_TX_PROOF_WIRE_BYTES = 1 + 96 + 2 * 32 + NONCE_LEN          # 177
 SIGNATURE_WIRE_BYTES = 48
+SCHNORR_SIGNATURE_WIRE_BYTES = 2 * SCALAR_ENC_LEN                      # 64
 
 _G1 = G1Element.generator()
 _G2 = G2Element.generator()
@@ -421,6 +426,37 @@ def verify_sig(pk: G2Element, message: bytes, signature: Signature) -> bool:
         (hash_to_g1(message, DomainTag.SIGNATURE_MESSAGE), pk),
     ])
     return check.is_identity()
+
+
+# ---------------------------------------------------------------------------
+# Pairing-free Schnorr signatures in G1 (certificate authority)
+# ---------------------------------------------------------------------------
+
+def _schnorr_challenge(commit: G1Element, pk: G1Element, message: bytes) -> Scalar:
+    return hash_to_scalar(commit.to_bytes() + pk.to_bytes() + message,
+                          DomainTag.SCHNORR_CHALLENGE)
+
+
+def schnorr_sign(sk: Scalar, pk: G1Element, message: bytes) -> bytes:
+    """(e, s) with k = H(sk || msg), R = g1^k, e = H(R || pk || msg) and
+    s = k + e * sk.  ``pk`` must be g1^sk; passing it saves a
+    multiplication.  The nonce is derived, so signing draws no
+    randomness and equal inputs give equal signatures."""
+    k = hash_to_scalar(sk.to_bytes() + message, DomainTag.SCHNORR_NONCE)
+    e = _schnorr_challenge(_G1 ** k, pk, message)
+    return e.to_bytes() + (k + e * sk).to_bytes()
+
+
+def schnorr_verify(pk: G1Element, message: bytes, signature: bytes) -> bool:
+    """Recompute R = g1^s * pk^-e and check e == H(R || pk || msg).
+
+    Raises ``DecodeError`` unless the signature is exactly two scalars
+    below the group order, so each signature has one encoding."""
+    if len(signature) != SCHNORR_SIGNATURE_WIRE_BYTES:
+        raise DecodeError("bad Schnorr signature length")
+    e = Scalar.from_bytes(signature[:SCALAR_ENC_LEN])
+    s = Scalar.from_bytes(signature[SCALAR_ENC_LEN:])
+    return e == _schnorr_challenge(_G1 ** s * (pk ** e).inverse(), pk, message)
 
 
 def parse_proof(data: bytes):

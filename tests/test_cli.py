@@ -155,6 +155,18 @@ class TestAttackCommand:
         assert outcome.attempts == 6 and outcome.defended
         assert outcome.detail.startswith("malformed registration: ")
 
+    def test_registration_rewrite_defended(self):
+        report = run_attack_suite(seed=4, suites=("tamper",), scale=0.02)
+        outcome = next(o for o in report.outcomes if o.name == "registration-rewrite")
+        assert outcome.defended and outcome.detail == "certificate does not match registration"
+
+    def test_session_flood_defended(self):
+        from pufzk.protocol import VERIFIER_MEMORY_CAP
+        report = run_attack_suite(seed=5, suites=("replay",), scale=0.02)
+        outcome = next(o for o in report.outcomes if o.name == "session-flood")
+        assert outcome.attempts == 2 * VERIFIER_MEMORY_CAP and outcome.defended
+        assert outcome.detail.endswith("honest session: ok")
+
     def test_suite_selection(self):
         assert main(["attack", "--scale", "0.02", "--suite", "replay"]) == EXIT_OK
 

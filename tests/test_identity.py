@@ -1,6 +1,8 @@
 """Enrollment, identifiers, and the certificate authority."""
 
+import dataclasses
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,10 +19,14 @@ from pufzk.identity import (
     response_scalar,
 )
 from pufzk.ledger import bootstrap, ledger_new
-from pufzk.pairing import G1Element, G2Element
+from pufzk.pairing import G1Element, G2Element, Scalar
 from pufzk.protocol import Device
 from pufzk.puf import fractional_hamming, generate_challenges, puf_new, puf_respond
-from pufzk.wire import Certificate, WireError
+from pufzk.wire import Certificate, DeviceRecord, WireError, registration_binding
+
+
+# (commitment bytes, challenge bytes) that test certificates bind
+_TUPLE = ((G1Element.generator() ** 7).to_bytes(), bytes(8 * 4))
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +97,40 @@ class TestRegistration:
             register_device(puf, env["ca"], env["ledger"], env["rng"], env["np_rng"])
         assert env["ledger"].state_digest() == digest
 
+    @pytest.mark.parametrize("field, rewrite", [
+        ("commitment_bytes", lambda raw: (G1Element.generator() ** 1234).to_bytes()),
+        ("challenge_bytes", lambda raw: raw[8:]),
+    ], ids=["commitment", "challenges"])
+    def test_rewritten_registration_rejected_without_trace(self, env, field, rewrite):
+        # an attacker with a leaked sk rewrites the honest registration
+        # in flight, e.g. to carry a commitment g1^rho' of their choosing
+        ledger = env["ledger"]
+
+        def intercept(name, tx):
+            record = DeviceRecord.from_bytes(tx.payload)
+            record = dataclasses.replace(record, **{field: rewrite(getattr(record, field))})
+            return ledger.invoke(name, dataclasses.replace(tx, payload=record.to_bytes()))
+
+        digest, height = ledger.state_digest(), ledger.height
+        with pytest.raises(RegistrationError, match="^certificate does not match registration$"):
+            register_device(puf_new(8106, 0.0), env["ca"], SimpleNamespace(invoke=intercept),
+                            env["rng"], env["np_rng"])
+        assert (ledger.state_digest(), ledger.height) == (digest, height)
+
+    def test_enrollment_runs_no_pairing(self, env, monkeypatch):
+        from pufzk.pairing import group
+        calls = {"_miller_loop": 0, "_final_exp": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(group, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(group, name, counted)
+        Device.enroll(puf_new(8107, 0.0), env["ca"], env["ledger"], env["rng"], env["np_rng"])
+        assert calls == {"_miller_loop": 0, "_final_exp": 0}
+        # the counters see the pairing a device signature check runs
+        assert zkp.verify_sig(G2Element.generator() ** 3, b"m", zkp.sign(Scalar(3), b"m"))
+        assert calls == {"_miller_loop": 1, "_final_exp": 1}
+
     def test_hundred_enrollments_unique_ids(self, env):
         ids = set()
         for i in range(100):
@@ -130,29 +170,28 @@ class TestCertificates:
     def test_issue_then_verify(self, env):
         ca, rng = env["ca"], env["rng"]
         kp = KeyPair.generate(rng)
-        cert = ca.issue(bytes(32), kp.pk)
+        cert = ca.issue(bytes(32), kp.pk, *_TUPLE)
         assert ca.verify(cert)
 
     def test_revoke_then_verify_fails(self, env):
         ca, rng = env["ca"], env["rng"]
         kp = KeyPair.generate(rng)
-        cert = ca.issue(bytes(32), kp.pk, role="sensor")
+        cert = ca.issue(bytes(32), kp.pk, *_TUPLE, role="sensor")
         assert ca.verify(cert)
         ca.revoke(cert.serial)
         assert not ca.verify(cert)
 
     def test_mutated_device_id_fails(self, env):
-        import dataclasses
         ca, rng = env["ca"], env["rng"]
         kp = KeyPair.generate(rng)
-        cert = ca.issue(bytes(32), kp.pk)
+        cert = ca.issue(bytes(32), kp.pk, *_TUPLE)
         mutated = dataclasses.replace(cert, device_id=bytes([1]) + bytes(31))
         assert not ca.verify(mutated)
 
     def test_payload_mutation_fuzz(self, env):
         ca, rng = env["ca"], env["rng"]
         kp = KeyPair.generate(rng)
-        cert = ca.issue(bytes(32), kp.pk)
+        cert = ca.issue(bytes(32), kp.pk, *_TUPLE)
         raw = cert.to_bytes()
         accepted = 0
         for _ in range(50):
@@ -167,11 +206,28 @@ class TestCertificates:
             accepted += int(ca.verify(mutated))
         assert accepted == 0
 
+    def test_mutated_binding_fails(self, env):
+        ca, rng = env["ca"], env["rng"]
+        cert = ca.issue(bytes(32), KeyPair.generate(rng).pk, *_TUPLE)
+        other = registration_binding(_TUPLE[0], bytes(8 * 5))
+        assert not ca.verify(dataclasses.replace(cert, binding=other))
+
+    def test_signing_is_deterministic(self, env):
+        ca = env["ca"]
+        cert = ca.issue(bytes(32), KeyPair.generate(env["rng"]).pk, *_TUPLE)
+        assert len(cert.sig_bytes) == zkp.SCHNORR_SIGNATURE_WIRE_BYTES
+        assert zkp.schnorr_sign(ca.sk, ca.pk, cert.signing_payload()) == cert.sig_bytes
+
+    def test_certificate_of_another_ca_fails(self, env):
+        cert = CertificateAuthority(random.Random(6)).issue(
+            bytes(32), KeyPair.generate(env["rng"]).pk, *_TUPLE)
+        assert not env["ca"].verify(cert)
+
     def test_serials_increment(self, env):
         ca, rng = env["ca"], env["rng"]
         kp = KeyPair.generate(rng)
-        a = ca.issue(bytes(32), kp.pk)
-        b = ca.issue(bytes(32), kp.pk)
+        a = ca.issue(bytes(32), kp.pk, *_TUPLE)
+        b = ca.issue(bytes(32), kp.pk, *_TUPLE)
         assert b.serial == a.serial + 1
 
 

@@ -20,9 +20,9 @@ from pufzk.ledger import (
     ledger_new,
     rotate_challenges,
 )
-from pufzk.pairing import DecodeError, G1Element
+from pufzk.pairing import ORDER, DecodeError, G1Element, G2Element
 from pufzk.puf import puf_new
-from pufzk.wire import DeviceRecord, SubsetRecord, TransactionRecord, WireError, _put_field
+from pufzk.wire import Certificate, DeviceRecord, SubsetRecord, TransactionRecord, WireError, _put_field
 
 
 @pytest.fixture(scope="module")
@@ -155,13 +155,14 @@ def _registration(env, **changes):
     rng = env["rng"]
     keypair = KeyPair.generate(rng)
     device_id = rng.getrandbits(256).to_bytes(32, "big")
+    commitment, challenges = (G1Element.generator() ** 99).to_bytes(), bytes(8 * 4)
     record = DeviceRecord(
         device_id=device_id,
         pk_bytes=keypair.pk.to_bytes(),
-        commitment_bytes=(G1Element.generator() ** 99).to_bytes(),
+        commitment_bytes=commitment,
         fingerprint=rng.getrandbits(256).to_bytes(32, "big"),
-        cert_bytes=env["ca"].issue(device_id, keypair.pk).to_bytes(),
-        challenge_bytes=bytes(8 * 4),
+        cert_bytes=env["ca"].issue(device_id, keypair.pk, commitment, challenges).to_bytes(),
+        challenge_bytes=challenges,
     )
     record = dataclasses.replace(record, **changes)
     return TransactionRecord(record.to_bytes(), record.device_id, b"", b"", "register",
@@ -204,6 +205,49 @@ class TestRegistrationValidation:
         result = env["ledger"].invoke("register", _registration(env, pk_bytes=pk_bytes))
         assert not result and result.reason == (
             "malformed registration: point not in the prime-order subgroup")
+
+
+def _with_cert_sig(tx, forge):
+    """The registration ``tx`` with its certificate signature (e, s)
+    replaced by ``forge(e, s)``."""
+    record = DeviceRecord.from_bytes(tx.payload)
+    cert = Certificate.from_bytes(record.cert_bytes)
+    e, s = (int.from_bytes(cert.sig_bytes[i:i + 32], "big") for i in (0, 32))
+    cert = dataclasses.replace(cert, sig_bytes=forge(e, s))
+    record = dataclasses.replace(record, cert_bytes=cert.to_bytes())
+    return dataclasses.replace(tx, payload=record.to_bytes())
+
+
+def _scalars(*values):
+    return b"".join(v.to_bytes(32, "big") for v in values)
+
+
+class TestCertificateCheck:
+    @pytest.mark.parametrize("forge", [
+        lambda e, s: _scalars(e, s + ORDER),   # g1^(s + r) = g1^s
+        lambda e, s: _scalars(e + ORDER, s),
+        lambda e, s: _scalars(e, s) + b"\x00",
+        lambda e, s: _scalars(e, s)[:63],
+        lambda e, s: b"",
+    ], ids=["s-plus-r", "e-plus-r", "65-bytes", "63-bytes", "empty"])
+    def test_non_canonical_signature_is_malformed(self, env, forge):
+        ledger = env["ledger"]
+        tx = _registration(env)
+        assert _with_cert_sig(tx, _scalars) == tx
+        digest, height = ledger.state_digest(), ledger.height
+        result = ledger.invoke("register", _with_cert_sig(tx, forge))
+        assert not result and result.reason.startswith("malformed certificate: ")
+        assert (ledger.state_digest(), ledger.height) == (digest, height)
+
+    def test_signature_of_another_ca_rejected(self, env):
+        other = dict(env, ca=CertificateAuthority(random.Random(501)))
+        result = env["ledger"].invoke("register", _registration(other))
+        assert not result and result.reason == "certificate signature invalid"
+
+    def test_altered_signature_rejected(self, env):
+        tx = _with_cert_sig(_registration(env), lambda e, s: _scalars(e, (s + 1) % ORDER))
+        result = env["ledger"].invoke("register", tx)
+        assert not result and result.reason == "certificate signature invalid"
 
 
 class TestQueries:
@@ -355,6 +399,21 @@ class TestReplayDeterminism:
                 Ledger.replay_log(log)
             except (WireError, DecodeError, LedgerError):
                 pass
+
+    @pytest.mark.parametrize("ca_pk", [
+        (G2Element.generator() ** 3).to_bytes(),
+        b"\x80" + bytes(47),  # (0, 2): a point of order 3, outside G1
+        b"\xc0" + bytes(47),  # the identity
+    ], ids=["g2-key", "off-subgroup", "identity"])
+    def test_bootstrap_rejects_bad_ca_key(self, env, ca_pk):
+        buf = bytearray()
+        _put_field(buf, env["setup"].pk_setup.to_bytes())
+        _put_field(buf, ca_pk)
+        ledger = ledger_new()
+        result = ledger.invoke("bootstrap", TransactionRecord(
+            bytes(buf), b"system", b"", b"", "bootstrap", b"genesis"))
+        assert not result and result.reason.startswith("invalid bootstrap key: ")
+        assert ledger.height == 0
 
     def test_bootstrap_only_once(self, env):
         setup, ca = env["setup"], env["ca"]

@@ -245,6 +245,30 @@ class TestReplay:
         outcome = attack_replay(honest, env["verifier"], env["ledger"], forge_current_nonce=True)
         assert outcome.defended
 
+    def test_nonce_memories_are_bounded(self, env, monkeypatch):
+        from pufzk import protocol
+        monkeypatch.setattr(protocol, "VERIFIER_MEMORY_CAP", 4)
+        device, verifier = env["device"], env["verifier"]
+
+        def answer(session):
+            raw = AuthRequest(device.device_id, b"", session.nonce).to_bytes()
+            return verifier.handle_auth_request(raw, zkp.MODE_CORRECTED).reason
+
+        sessions = [verifier.begin_session(device.device_id) for _ in range(8)]
+        assert len(verifier._open) == 4
+        assert answer(sessions[0]) == "unknown nonce"  # evicted before its answer
+        assert [answer(s) for s in sessions[4:]] == ["malformed"] * 4
+        assert len(verifier._open) == 0 and len(verifier._consumed) == 4
+        assert answer(sessions[4]) == "stale nonce"
+        for session in [verifier.begin_session(device.device_id) for _ in range(2)]:
+            answer(session)
+        assert len(verifier._consumed) == 4
+        assert answer(sessions[4]) == "unknown nonce"  # evicted, still rejected
+        assert answer(sessions[7]) == "stale nonce"
+        honest = run_authentication(device, verifier, env["ledger"], zkp.MODE_CORRECTED,
+                                    env["rng"], env["np_rng"])
+        assert honest.accepted
+
     def test_old_subset_proof_fails_after_rotation(self, env):
         """A proof bound to a stale epoch fails even with a fresh nonce."""
         device, verifier, ledger = env["device"], env["verifier"], env["ledger"]

@@ -16,6 +16,7 @@ from pufzk.wire import (
     TxSubmit,
     WireError,
     decode_message,
+    registration_binding,
 )
 
 
@@ -32,13 +33,30 @@ def _sample_tx():
 
 class TestRecords:
     def test_certificate_round_trip(self):
-        cert = Certificate(bytes(32), b"\x05" * 96, "device", 42, b"\x06" * 48)
+        cert = Certificate(bytes(32), b"\x05" * 96, "device", 42, b"\x08" * 32, b"\x06" * 64)
         assert Certificate.from_bytes(cert.to_bytes()) == cert
 
     def test_certificate_signing_payload_excludes_signature(self):
-        a = Certificate(bytes(32), b"\x05" * 96, "device", 42, b"\x06" * 48)
-        b = Certificate(bytes(32), b"\x05" * 96, "device", 42, b"\x07" * 48)
+        a = Certificate(bytes(32), b"\x05" * 96, "device", 42, b"\x08" * 32, b"\x06" * 64)
+        b = Certificate(bytes(32), b"\x05" * 96, "device", 42, b"\x08" * 32, b"\x07" * 64)
         assert a.signing_payload() == b.signing_payload()
+
+    def test_certificate_signing_payload_covers_binding(self):
+        a = Certificate(bytes(32), b"\x05" * 96, "device", 42, b"\x08" * 32, b"\x06" * 64)
+        b = Certificate(bytes(32), b"\x05" * 96, "device", 42, b"\x09" * 32, b"\x06" * 64)
+        assert a.signing_payload() != b.signing_payload()
+
+    def test_certificate_binding_is_32_bytes(self):
+        cert = Certificate(bytes(32), b"\x05" * 96, "device", 42, b"\x08" * 31, b"\x06" * 64)
+        with pytest.raises(WireError):
+            cert.to_bytes()
+        raw = Certificate(bytes(32), b"\x05" * 96, "device", 42, b"\x08" * 32, b"").to_bytes()
+        with pytest.raises(WireError):
+            Certificate.from_bytes(raw[:-3] + raw[-2:])
+
+    def test_registration_binding_frames_its_fields(self):
+        assert registration_binding(b"ab", b"c") != registration_binding(b"a", b"bc")
+        assert len(registration_binding(b"", b"")) == 32
 
     def test_device_record_round_trip(self):
         record = DeviceRecord(bytes(32), b"p" * 96, b"c" * 48, bytes(32), b"cert", b"ch" * 1024)

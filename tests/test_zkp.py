@@ -328,6 +328,33 @@ class TestSignature:
             Signature.from_bytes(b"\x01" * SIGNATURE_WIRE_BYTES)
 
 
+class TestSchnorrSignature:
+    def test_sign_then_verify(self):
+        from pufzk.zkp import SCHNORR_SIGNATURE_WIRE_BYTES, schnorr_sign, schnorr_verify
+        sk = Scalar.random(random.Random(30))
+        sig = schnorr_sign(sk, G1 ** sk, b"msg")
+        assert len(sig) == SCHNORR_SIGNATURE_WIRE_BYTES
+        assert schnorr_verify(G1 ** sk, b"msg", sig)
+
+    def test_wrong_key_and_mutation_rejected(self):
+        from pufzk.zkp import schnorr_sign, schnorr_verify
+        rng = random.Random(32)
+        sk = Scalar.random(rng)
+        message = b"base message for mutation fuzzing"
+        sig = schnorr_sign(sk, G1 ** sk, message)
+        assert not any(schnorr_verify(G1 ** Scalar.random(rng), message, sig) for _ in range(20))
+        accepted = 0
+        for _ in range(100):
+            mutated = bytearray(message + sig)
+            mutated[rng.randrange(len(mutated))] ^= rng.randrange(1, 256)
+            try:
+                accepted += int(schnorr_verify(G1 ** sk, bytes(mutated[:len(message)]),
+                                               bytes(mutated[len(message):])))
+            except DecodeError:
+                pass
+        assert accepted == 0
+
+
 class TestWireVectors:
     def test_committed_wire_vectors_match(self):
         import pathlib
