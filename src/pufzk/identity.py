@@ -8,8 +8,9 @@ registration transaction.
 
 The CA stands in for a Fabric MSP, which issues ECDSA certificates; here
 it signs with a pairing-free Schnorr signature in G1 over the device id,
-key, role, serial and a digest of the commitment and challenge set, so
-the register chaincode checks a certificate without a pairing.
+key, role, serial and a digest of the commitment, fingerprint and
+challenge set, so the register chaincode checks a certificate without a
+pairing.
 
 The response commitment stored alongside the identity is the G1 image
 of the hashed response bits; authentication later proves knowledge of
@@ -111,13 +112,13 @@ class CertificateAuthority:
         self._revoked: Set[int] = set()
 
     def issue(self, device_id: bytes, pk: G2Element, commitment_bytes: bytes,
-              challenge_bytes: bytes, role: str = "device") -> Certificate:
+              fingerprint: bytes, challenge_bytes: bytes, role: str = "device") -> Certificate:
         cert = Certificate(
             device_id=device_id,
             pk_bytes=pk.to_bytes(),
             role=role,
             serial=self._next_serial,
-            binding=registration_binding(commitment_bytes, challenge_bytes),
+            binding=registration_binding(commitment_bytes, fingerprint, challenge_bytes),
             sig_bytes=b"",
         )
         self._next_serial += 1
@@ -181,13 +182,14 @@ def register_device(puf: PufDevice, ca: CertificateAuthority, ledger: Ledger,
     commitment = G1Element.generator() ** response_scalar(responses)
     commitment_bytes = commitment.to_bytes()
     challenge_bytes = challenges_to_bytes(challenges)
-    cert = ca.issue(device_id, keypair.pk, commitment_bytes, challenge_bytes)
+    fingerprint = device_fingerprint(puf, params.repetitions)
+    cert = ca.issue(device_id, keypair.pk, commitment_bytes, fingerprint, challenge_bytes)
 
     record = DeviceRecord(
         device_id=device_id,
         pk_bytes=keypair.pk.to_bytes(),
         commitment_bytes=commitment_bytes,
-        fingerprint=device_fingerprint(puf, params.repetitions),
+        fingerprint=fingerprint,
         cert_bytes=cert.to_bytes(),
         challenge_bytes=challenge_bytes,
     )

@@ -385,7 +385,8 @@ def _cc_register(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
         cert = Certificate.from_bytes(record.cert_bytes)
     except WireError as exc:
         raise ChaincodeRejection(f"malformed certificate: {exc}")
-    binding = registration_binding(record.commitment_bytes, record.challenge_bytes)
+    binding = registration_binding(record.commitment_bytes, record.fingerprint,
+                                   record.challenge_bytes)
     if (cert.device_id, cert.pk_bytes, cert.binding) != (record.device_id, record.pk_bytes, binding):
         raise ChaincodeRejection("certificate does not match registration")
     try:

@@ -2,10 +2,14 @@
 
 G1 lives on E(Fq): y^2 = x^3 + 4, G2 on the sextic twist E'(Fq2):
 y^2 = x^3 + 4(1+u).  Affine points are (x, y) tuples, None is the point
-at infinity.  Scalar multiplication runs in Jacobian coordinates with a
-fixed 4-bit window; the group generators additionally get lazily built
-8-bit fixed-base tables since nearly every protocol exponentiation is
-against a generator.
+at infinity.  Variable-base scalar multiplication runs in Jacobian
+coordinates and splits the scalar with an endomorphism: GLV in G1
+(Gallant-Lambert-Vanstone, CRYPTO 2001), k = a + b*x^2 with a 2-way
+ladder of 128 doublings, and GLS in G2 (Galbraith-Lin-Scott, EUROCRYPT
+2009), k in base |x| with a 4-way ladder over psi of 64 doublings.  Both
+splits hold only in the prime-order subgroups.  The group generators
+additionally get lazily built 8-bit fixed-base tables since nearly every
+protocol exponentiation is against a generator.
 
 Encodings are the widely used 48/96-byte compressed format: three flag
 bits (compressed, infinity, y-sign) folded into the top of big-endian x.
@@ -24,8 +28,7 @@ E'(Fq2) only in G2.
 
 from .fields import (
     P, R, X_ABS, mpz, fq_inv, fq_sqrt,
-    fq2_add, fq2_sub, fq2_neg, fq2_conj, fq2_mul, fq2_sqr, fq2_scale, fq2_inv,
-    fq2_sqrt, fq2_is_zero, FQ2_ONE,
+    fq2_add, fq2_neg, fq2_conj, fq2_mul, fq2_sqr, fq2_inv, fq2_sqrt, FQ2_ONE,
 )
 
 # Curve coefficients: b = 4 on E, b' = 4(1+u) on the twist.
@@ -52,10 +55,10 @@ G2_GEN = (
 COFACTOR_G1 = 0x396C8C005555E1568C00AAAB0000AAAB
 COFACTOR_G2 = 0x5D543A95414E7F1091D50792876A202CD91DE4547085ABAA68A205B2E5A7DDFA628F1CB4D9E82EF21537E293A6691AE1616EC6E786F0C70CF1C38E31C7238E5
 
-# Endomorphism constants of the subgroup checks.  BETA is the cube root of
-# unity in Fq for which sigma(x, y) = (BETA*x, y) acts on G1 as [-x^2];
-# psi(x, y) = (conj(x)*PSI_CX, conj(y)*PSI_CY) with PSI_CX = 1/xi^((p-1)/3)
-# and PSI_CY = 1/xi^((p-1)/2), xi = 1 + u.
+# Endomorphism constants of the subgroup checks and of g1_mul/g2_mul.  BETA
+# is the cube root of unity in Fq for which sigma(x, y) = (BETA*x, y) acts
+# on G1 as [-x^2]; psi(x, y) = (conj(x)*PSI_CX, conj(y)*PSI_CY) with
+# PSI_CX = 1/xi^((p-1)/3) and PSI_CY = 1/xi^((p-1)/2), xi = 1 + u.
 BETA = mpz(0x5F19672FDF76CE51BA69C6076A0F77EADDB3A93BE6F89688DE17D813620A00022E01FFFFFFFEFFFE)
 PSI_CX = (
     mpz(0),
@@ -84,14 +87,16 @@ def g1_is_on_curve(pt):
 
 
 def _g1_dbl(p):
+    # dbl-2009-l; C = Y^4 and E = 3X^2 stay unreduced, as each only
+    # enters a sum that is reduced once
     X, Y, Z = p
     if Y == 0:
         return None
     A = X * X % P
     B = Y * Y % P
-    C = B * B % P
-    D = 2 * ((X + B) * (X + B) - A - C) % P
-    E = 3 * A % P
+    C = B * B
+    D = 4 * X * B % P
+    E = 3 * A
     X3 = (E * E - 2 * D) % P
     Y3 = (E * (D - X3) - 8 * C) % P
     Z3 = 2 * Y * Z % P
@@ -106,10 +111,8 @@ def _g1_add_mixed(p, q_aff):
     X1, Y1, Z1 = p
     x2, y2 = q_aff
     Z1Z1 = Z1 * Z1 % P
-    U2 = x2 * Z1Z1 % P
-    S2 = y2 * Z1 * Z1Z1 % P
-    H = (U2 - X1) % P
-    r = (S2 - Y1) % P
+    H = (x2 * Z1Z1 - X1) % P
+    r = (y2 * Z1 * Z1Z1 - Y1) % P
     if H == 0:
         if r == 0:
             return _g1_dbl(p)
@@ -149,49 +152,38 @@ def g1_add(a, b):
 
 
 def g1_mul(pt, k):
-    """Affine scalar multiple, 4-bit window."""
+    """[k]P for P in G1, the prime-order subgroup, by GLV.
+
+    On G1, [x^2]P = Q = (BETA*x_P, -y_P) (see g1_in_subgroup), so
+    k mod r = a + b*x^2 with a, b < x^2 < 2^128 gives [k]P = [a]P + [b]Q.
+    One ladder of 128 doublings walks a and b two bits at a time against
+    the affine table [i]P + [j]Q, i, j < 4.  The identity holds only on
+    G1: multiply other curve points with g1_mul_unchecked.
+    """
     k %= R
     if pt is None or k == 0:
         return None
-    table = [None, (pt[0], pt[1], mpz(1))]
-    for _ in range(14):
-        table.append(_g1_add_mixed(table[-1], pt))
+    b, a = divmod(k, _X_SQR)
+    q = (BETA * pt[0] % P, -pt[1] % P)
+    p1 = (pt[0], pt[1], mpz(1))
+    p2 = _g1_dbl(p1)
+    ps = [p1, p2, _g1_add_mixed(p2, pt)]
+    # table[4i + j] = [i]P + [j]Q, made affine with one inversion; the
+    # Jacobian map (X, Y, Z) -> (BETA*X, -Y, Z) takes [j]P to [j]Q
+    table = [None] + [(BETA * X % P, -Y % P, Z) for X, Y, Z in ps]
+    for p in ps:
+        table.append(p)
+        for _ in range(3):
+            table.append(_g1_add_mixed(table[-1], q))
+    table = _batch_affine_g1(table)
     acc = None
-    for nib in _nibbles(k):
+    for shift in range(126, -1, -2):
         if acc is not None:
-            for _ in range(4):
-                acc = _g1_dbl(acc)
-                if acc is None:
-                    break
-        if nib:
-            t = table[nib]
-            acc = t if acc is None else _jac_add_g1(acc, t)
+            acc = _g1_dbl(_g1_dbl(acc))
+        d = (a >> shift & 3) << 2 | b >> shift & 3
+        if d:
+            acc = _g1_add_mixed(acc, table[d])
     return _g1_to_affine(acc)
-
-
-def _jac_add_g1(p, q):
-    """General Jacobian + Jacobian for G1."""
-    X1, Y1, Z1 = p
-    X2, Y2, Z2 = q
-    Z1Z1 = Z1 * Z1 % P
-    Z2Z2 = Z2 * Z2 % P
-    U1 = X1 * Z2Z2 % P
-    U2 = X2 * Z1Z1 % P
-    S1 = Y1 * Z2 * Z2Z2 % P
-    S2 = Y2 * Z1 * Z1Z1 % P
-    H = (U2 - U1) % P
-    r = (S2 - S1) % P
-    if H == 0:
-        if r == 0:
-            return _g1_dbl(p)
-        return None
-    HH = H * H % P
-    HHH = H * HH % P
-    V = U1 * HH % P
-    X3 = (r * r - HHH - 2 * V) % P
-    Y3 = (r * (V - X3) - S1 * HHH) % P
-    Z3 = Z1 * Z2 * H % P
-    return (X3, Y3, Z3)
 
 
 def g1_in_subgroup(pt):
@@ -227,16 +219,14 @@ def g2_is_on_curve(pt):
 
 def _g2_dbl(p):
     # dbl-2009-l with the Fq2 arithmetic inlined (hot path of every
-    # variable-base G2 multiplication)
+    # variable-base G2 multiplication); C and E stay unreduced as in _g1_dbl
     (x0, x1), (y0, y1), (z0, z1) = p
     if y0 == 0 and y1 == 0:
         return None
     a0 = (x0 + x1) * (x0 - x1) % P; a1 = 2 * x0 * x1 % P          # X^2
     b0 = (y0 + y1) * (y0 - y1) % P; b1 = 2 * y0 * y1 % P          # Y^2
-    c0 = (b0 + b1) * (b0 - b1) % P; c1 = 2 * b0 * b1 % P          # B^2
-    s0 = x0 + b0; s1 = x1 + b1
-    t0 = (s0 + s1) * (s0 - s1) % P; t1 = 2 * s0 * s1 % P          # (X+B)^2
-    d0 = 2 * (t0 - a0 - c0) % P; d1 = 2 * (t1 - a1 - c1) % P
+    c0 = (b0 + b1) * (b0 - b1); c1 = 2 * b0 * b1                  # B^2
+    d0 = 4 * (x0 * b0 - x1 * b1) % P; d1 = 4 * (x0 * b1 + x1 * b0) % P  # 4XB
     e0 = 3 * a0; e1 = 3 * a1                                      # 3A
     X30 = ((e0 + e1) * (e0 - e1) - 2 * d0) % P
     X31 = (2 * e0 * e1 - 2 * d1) % P
@@ -249,50 +239,32 @@ def _g2_dbl(p):
 
 
 def _g2_add_mixed(p, q_aff):
+    """Jacobian p + affine q, with the Fq2 arithmetic inlined like _g2_dbl."""
     if p is None:
         return (q_aff[0], q_aff[1], FQ2_ONE)
-    X1, Y1, Z1 = p
-    x2, y2 = q_aff
-    Z1Z1 = fq2_sqr(Z1)
-    U2 = fq2_mul(x2, Z1Z1)
-    S2 = fq2_mul(fq2_mul(y2, Z1), Z1Z1)
-    H = fq2_sub(U2, X1)
-    r = fq2_sub(S2, Y1)
-    if fq2_is_zero(H):
-        if fq2_is_zero(r):
+    (X10, X11), (Y10, Y11), (Z10, Z11) = p
+    (x0, x1), (y0, y1) = q_aff
+    zz0 = (Z10 + Z11) * (Z10 - Z11) % P; zz1 = 2 * Z10 * Z11 % P  # Z1^2
+    t0 = (y0 * Z10 - y1 * Z11) % P; t1 = (y0 * Z11 + y1 * Z10) % P  # y2*Z1
+    h0 = (x0 * zz0 - x1 * zz1 - X10) % P                          # H = x2*Z1^2 - X1
+    h1 = (x0 * zz1 + x1 * zz0 - X11) % P
+    r0 = (t0 * zz0 - t1 * zz1 - Y10) % P                          # r = y2*Z1^3 - Y1
+    r1 = (t0 * zz1 + t1 * zz0 - Y11) % P
+    if h0 == 0 and h1 == 0:
+        if r0 == 0 and r1 == 0:
             return _g2_dbl(p)
         return None
-    HH = fq2_sqr(H)
-    HHH = fq2_mul(H, HH)
-    V = fq2_mul(X1, HH)
-    X3 = fq2_sub(fq2_sub(fq2_sqr(r), HHH), fq2_scale(V, 2))
-    Y3 = fq2_sub(fq2_mul(r, fq2_sub(V, X3)), fq2_mul(Y1, HHH))
-    Z3 = fq2_mul(Z1, H)
-    return (X3, Y3, Z3)
-
-
-def _jac_add_g2(p, q):
-    X1, Y1, Z1 = p
-    X2, Y2, Z2 = q
-    Z1Z1 = fq2_sqr(Z1)
-    Z2Z2 = fq2_sqr(Z2)
-    U1 = fq2_mul(X1, Z2Z2)
-    U2 = fq2_mul(X2, Z1Z1)
-    S1 = fq2_mul(fq2_mul(Y1, Z2), Z2Z2)
-    S2 = fq2_mul(fq2_mul(Y2, Z1), Z1Z1)
-    H = fq2_sub(U2, U1)
-    r = fq2_sub(S2, S1)
-    if fq2_is_zero(H):
-        if fq2_is_zero(r):
-            return _g2_dbl(p)
-        return None
-    HH = fq2_sqr(H)
-    HHH = fq2_mul(H, HH)
-    V = fq2_mul(U1, HH)
-    X3 = fq2_sub(fq2_sub(fq2_sqr(r), HHH), fq2_scale(V, 2))
-    Y3 = fq2_sub(fq2_mul(r, fq2_sub(V, X3)), fq2_mul(S1, HHH))
-    Z3 = fq2_mul(fq2_mul(Z1, Z2), H)
-    return (X3, Y3, Z3)
+    a0 = (h0 + h1) * (h0 - h1) % P; a1 = 2 * h0 * h1 % P          # H^2
+    b0 = (h0 * a0 - h1 * a1) % P; b1 = (h0 * a1 + h1 * a0) % P    # H^3
+    v0 = (X10 * a0 - X11 * a1) % P; v1 = (X10 * a1 + X11 * a0) % P  # V = X1*H^2
+    X30 = ((r0 + r1) * (r0 - r1) - b0 - 2 * v0) % P
+    X31 = (2 * r0 * r1 - b1 - 2 * v1) % P
+    f0 = v0 - X30; f1 = v1 - X31
+    Y30 = (r0 * f0 - r1 * f1 - Y10 * b0 + Y11 * b1) % P
+    Y31 = (r0 * f1 + r1 * f0 - Y10 * b1 - Y11 * b0) % P
+    Z30 = (Z10 * h0 - Z11 * h1) % P
+    Z31 = (Z10 * h1 + Z11 * h0) % P
+    return ((X30, X31), (Y30, Y31), (Z30, Z31))
 
 
 def _g2_to_affine(p):
@@ -319,23 +291,45 @@ def g2_add(a, b):
 
 
 def g2_mul(pt, k):
+    """[k]P for P in G2, the prime-order subgroup, by GLS.
+
+    On G2, psi acts as [x] = -[|x|], and r < |x|^4, so k mod r in base
+    |x| has four digits d0..d3 below 2^64 and
+    [k]P = [d0]P - [d1]psi(P) + [d2]psi^2(P) - [d3]psi^3(P).  One ladder
+    of 64 doublings walks the four digits a bit at a time against the 16
+    affine subset sums of those bases.  The identity holds only on G2:
+    multiply other twist points with g2_mul_unchecked.
+    """
     k %= R
     if pt is None or k == 0:
         return None
-    table = [None, (pt[0], pt[1], FQ2_ONE)]
-    for _ in range(14):
-        table.append(_g2_add_mixed(table[-1], pt))
+    d0, d1, d2, d3 = _base_x_digits(k)
+    bases = [pt]
+    for _ in range(3):
+        bases.append(g2_neg(g2_psi(bases[-1])))  # [|x|] of the previous base
+    # table[m] = sum of bases[i] over the set bits i of m
+    table = [None]
+    for m in range(1, 16):
+        low = m & -m
+        table.append(_g2_add_mixed(table[m ^ low], bases[low.bit_length() - 1]))
+    table = _batch_affine_g2(table)
     acc = None
-    for nib in _nibbles(k):
+    for i in range(63, -1, -1):
         if acc is not None:
-            for _ in range(4):
-                acc = _g2_dbl(acc)
-                if acc is None:
-                    break
-        if nib:
-            t = table[nib]
-            acc = t if acc is None else _jac_add_g2(acc, t)
+            acc = _g2_dbl(acc)
+        m = (d0 >> i & 1) | (d1 >> i & 1) << 1 | (d2 >> i & 1) << 2 | (d3 >> i & 1) << 3
+        if m:
+            acc = _g2_add_mixed(acc, table[m])
     return _g2_to_affine(acc)
+
+
+def _base_x_digits(k):
+    """The four base-|x| digits of k < r, least significant first."""
+    digits = []
+    for _ in range(4):
+        k, d = divmod(k, X_ABS)
+        digits.append(d)
+    return digits
 
 
 def g2_mul_unchecked(pt, k):
@@ -359,12 +353,6 @@ def g2_in_subgroup(pt):
     if pt is None:
         return True
     return g2_is_on_curve(pt) and g2_mul_unchecked(pt, X_ABS) == g2_neg(g2_psi(pt))
-
-
-def _nibbles(k):
-    """Big-endian 4-bit digits of k."""
-    h = f"{int(k):x}"
-    return [int(c, 16) for c in h]
 
 
 # ---------------------------------------------------------------------------
@@ -414,32 +402,40 @@ class FixedBaseTable:
         return self.to_affine(acc)
 
 
+def _batch_inv(values):
+    """Inverses of nonzero Fq values with one inversion (Montgomery's trick)."""
+    prefix = [mpz(1)]
+    for v in values:
+        prefix.append(prefix[-1] * v % P)
+    inv_all = fq_inv(prefix[-1])
+    invs = [None] * len(values)
+    for j in range(len(values) - 1, -1, -1):
+        invs[j] = prefix[j] * inv_all % P
+        inv_all = inv_all * values[j] % P
+    return invs
+
+
 def _batch_affine_g1(row_jac):
     out = [None] * len(row_jac)
-    # Montgomery batch inversion over the Z coordinates
     idx = [i for i, p in enumerate(row_jac) if p is not None]
-    zs = [row_jac[i][2] for i in idx]
-    prefix = [mpz(1)]
-    for z in zs:
-        prefix.append(prefix[-1] * z % P)
-    inv_all = fq_inv(prefix[-1])
-    invs = [None] * len(zs)
-    for j in range(len(zs) - 1, -1, -1):
-        invs[j] = prefix[j] * inv_all % P
-        inv_all = inv_all * zs[j] % P
-    for j, i in enumerate(idx):
+    for i, zi in zip(idx, _batch_inv([row_jac[i][2] for i in idx])):
         X, Y, _ = row_jac[i]
-        zi = invs[j]
         zi2 = zi * zi % P
         out[i] = (X * zi2 % P, Y * zi2 * zi % P)
     return out
 
 
 def _batch_affine_g2(row_jac):
+    # 1/z = conj(z)/N(z) with N(z0 + z1*u) = z0^2 + z1^2 in Fq, so one
+    # batch inversion of the norms covers the whole row
     out = [None] * len(row_jac)
-    for i, p in enumerate(row_jac):
-        if p is not None:
-            out[i] = _g2_to_affine(p)
+    idx = [i for i, p in enumerate(row_jac) if p is not None]
+    zs = [row_jac[i][2] for i in idx]
+    for i, (z0, z1), ni in zip(idx, zs, _batch_inv([(z0 * z0 + z1 * z1) % P for z0, z1 in zs])):
+        X, Y, _ = row_jac[i]
+        zinv = (z0 * ni % P, -z1 * ni % P)
+        zinv2 = fq2_sqr(zinv)
+        out[i] = (fq2_mul(X, zinv2), fq2_mul(fq2_mul(Y, zinv2), zinv))
     return out
 
 

@@ -124,7 +124,11 @@ def _sv(x) -> int:
 
 
 class G1Element:
-    """Element of the first source group (48-byte compressed encoding)."""
+    """Element of the first source group (48-byte compressed encoding).
+
+    Holds a point of the prime-order subgroup: decoded with a subgroup
+    check, hashed with cofactor clearing, or derived from such points.
+    ``**`` relies on it."""
 
     __slots__ = ("_pt",)
     ENC_LEN = G1_ENC_LEN
@@ -173,7 +177,10 @@ class G1Element:
 
 
 class G2Element:
-    """Element of the second source group (96-byte compressed encoding)."""
+    """Element of the second source group (96-byte compressed encoding).
+
+    Holds a point of the prime-order subgroup, decoded with a subgroup
+    check or derived from such points.  ``**`` relies on it."""
 
     __slots__ = ("_pt",)
     ENC_LEN = G2_ENC_LEN

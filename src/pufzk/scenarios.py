@@ -145,9 +145,10 @@ def _malformed_registrations(ledger: Ledger, ca: CertificateAuthority, rng) -> A
     pk = KeyPair.generate(rng).pk
     device_id = rng.getrandbits(256).to_bytes(32, "big")
     commitment, challenges = G1Element.generator().to_bytes(), bytes(8 * 4)
-    honest = DeviceRecord(device_id, pk.to_bytes(), commitment,
-                          rng.getrandbits(256).to_bytes(32, "big"),
-                          ca.issue(device_id, pk, commitment, challenges).to_bytes(), challenges)
+    fingerprint = rng.getrandbits(256).to_bytes(32, "big")
+    honest = DeviceRecord(device_id, pk.to_bytes(), commitment, fingerprint,
+                          ca.issue(device_id, pk, commitment, fingerprint, challenges).to_bytes(),
+                          challenges)
     payloads = [dataclasses.replace(honest, **changes).to_bytes() for changes in (
         {"commitment_bytes": bytes(48), "challenge_bytes": bytes(9)},
         {"pk_bytes": b"\x80" + bytes(94) + b"\x02"},  # x = 2: on the twist, outside G2
@@ -167,25 +168,33 @@ def _malformed_registrations(ledger: Ledger, ca: CertificateAuthority, rng) -> A
 def _registration_rewrite(ledger: Ledger, ca: CertificateAuthority, rng, np_rng,
                           params: ParamSet) -> AttackOutcome:
     """An attacker who holds a device's leaked sk intercepts its honest
-    registration and swaps in a commitment g1^rho' of their choosing,
-    which would let them pass both clauses of every later
-    authentication.  A breach is a commit or any move of the state
-    digest or the height."""
-    rho = Scalar.random(rng)
+    registration and rewrites one field: the commitment, to a g1^rho' of
+    their choosing that would let them pass both clauses of every later
+    authentication, or the fingerprint, which would let the same
+    physical device enroll again.  A breach is a commit or any move of
+    the state digest or the height."""
+    rewrites = (
+        {"commitment_bytes": (G1Element.generator() ** Scalar.random(rng)).to_bytes()},
+        {"fingerprint": rng.getrandbits(256).to_bytes(32, "big")},
+    )
+    breaches, reasons = 0, []
+    for changes in rewrites:
+        def intercept(name: str, tx: TransactionRecord, changes=changes):
+            forged = dataclasses.replace(DeviceRecord.from_bytes(tx.payload), **changes)
+            return ledger.invoke(name, dataclasses.replace(tx, payload=forged.to_bytes()))
 
-    def intercept(name: str, tx: TransactionRecord):
-        record = DeviceRecord.from_bytes(tx.payload)
-        forged = dataclasses.replace(record, commitment_bytes=(G1Element.generator() ** rho).to_bytes())
-        return ledger.invoke(name, dataclasses.replace(tx, payload=forged.to_bytes()))
-
-    before = (ledger.state_digest(), ledger.height)
-    try:
-        register_device(puf_new(rng.getrandbits(32), 0.0), ca, SimpleNamespace(invoke=intercept),
-                        rng, np_rng, params)
-    except RegistrationError as exc:
-        moved = (ledger.state_digest(), ledger.height) != before
-        return AttackOutcome("registration-rewrite", 1, int(moved), str(exc))
-    return AttackOutcome("registration-rewrite", 1, 1, "rewritten registration committed")
+        before = (ledger.state_digest(), ledger.height)
+        try:
+            register_device(puf_new(rng.getrandbits(32), 0.0), ca,
+                            SimpleNamespace(invoke=intercept), rng, np_rng, params)
+        except RegistrationError as exc:
+            breaches += int((ledger.state_digest(), ledger.height) != before)
+            reasons.append(str(exc))
+        else:
+            breaches += 1
+            reasons.append("rewritten registration committed")
+    return AttackOutcome("registration-rewrite", len(rewrites), breaches,
+                         "; ".join(dict.fromkeys(reasons)))
 
 
 def _session_flood(device: Device, verifier: Verifier, ledger: Ledger, rng,

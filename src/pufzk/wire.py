@@ -75,11 +75,14 @@ def _utf8(raw: bytes) -> str:
 BINDING_LEN = 32
 
 
-def registration_binding(commitment_bytes: bytes, challenge_bytes: bytes) -> bytes:
+def registration_binding(commitment_bytes: bytes, fingerprint: bytes,
+                         challenge_bytes: bytes) -> bytes:
     """Digest of the registration fields a certificate covers besides
-    the id and key: the response commitment and the challenge set."""
+    the id and key: the response commitment, the device fingerprint and
+    the challenge set."""
     buf = bytearray(b"binding")
     _put_field(buf, commitment_bytes)
+    _put_field(buf, fingerprint)
     _put_field(buf, challenge_bytes, width=4)
     return hashlib.sha256(buf).digest()
 

@@ -158,7 +158,8 @@ class TestAttackCommand:
     def test_registration_rewrite_defended(self):
         report = run_attack_suite(seed=4, suites=("tamper",), scale=0.02)
         outcome = next(o for o in report.outcomes if o.name == "registration-rewrite")
-        assert outcome.defended and outcome.detail == "certificate does not match registration"
+        assert outcome.attempts == 2 and outcome.defended
+        assert outcome.detail == "certificate does not match registration"
 
     def test_session_flood_defended(self):
         from pufzk.protocol import VERIFIER_MEMORY_CAP

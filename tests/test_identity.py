@@ -25,8 +25,8 @@ from pufzk.puf import fractional_hamming, generate_challenges, puf_new, puf_resp
 from pufzk.wire import Certificate, DeviceRecord, WireError, registration_binding
 
 
-# (commitment bytes, challenge bytes) that test certificates bind
-_TUPLE = ((G1Element.generator() ** 7).to_bytes(), bytes(8 * 4))
+# (commitment bytes, fingerprint, challenge bytes) that test certificates bind
+_TUPLE = ((G1Element.generator() ** 7).to_bytes(), bytes(32), bytes(8 * 4))
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +100,8 @@ class TestRegistration:
     @pytest.mark.parametrize("field, rewrite", [
         ("commitment_bytes", lambda raw: (G1Element.generator() ** 1234).to_bytes()),
         ("challenge_bytes", lambda raw: raw[8:]),
-    ], ids=["commitment", "challenges"])
+        ("fingerprint", lambda raw: bytes(32)),
+    ], ids=["commitment", "challenges", "fingerprint"])
     def test_rewritten_registration_rejected_without_trace(self, env, field, rewrite):
         # an attacker with a leaked sk rewrites the honest registration
         # in flight, e.g. to carry a commitment g1^rho' of their choosing
@@ -116,6 +117,24 @@ class TestRegistration:
             register_device(puf_new(8106, 0.0), env["ca"], SimpleNamespace(invoke=intercept),
                             env["rng"], env["np_rng"])
         assert (ledger.state_digest(), ledger.height) == (digest, height)
+
+    def test_rewritten_fingerprint_cannot_enroll_a_device_twice(self, env):
+        # a registration rewritten to carry another fingerprint must not
+        # commit, or the same physical device could enroll a second time
+        ledger, puf = env["ledger"], puf_new(8108, 0.0)
+
+        def intercept(name, tx):
+            record = dataclasses.replace(DeviceRecord.from_bytes(tx.payload), fingerprint=bytes(32))
+            return ledger.invoke(name, dataclasses.replace(tx, payload=record.to_bytes()))
+
+        digest, height = ledger.state_digest(), ledger.height
+        with pytest.raises(RegistrationError, match="^certificate does not match registration$"):
+            register_device(puf, env["ca"], SimpleNamespace(invoke=intercept),
+                            env["rng"], env["np_rng"])
+        assert (ledger.state_digest(), ledger.height) == (digest, height)
+        register_device(puf, env["ca"], ledger, env["rng"], env["np_rng"])
+        with pytest.raises(RegistrationError, match="^device already enrolled$"):
+            register_device(puf, env["ca"], ledger, env["rng"], env["np_rng"])
 
     def test_enrollment_runs_no_pairing(self, env, monkeypatch):
         from pufzk.pairing import group
@@ -209,8 +228,9 @@ class TestCertificates:
     def test_mutated_binding_fails(self, env):
         ca, rng = env["ca"], env["rng"]
         cert = ca.issue(bytes(32), KeyPair.generate(rng).pk, *_TUPLE)
-        other = registration_binding(_TUPLE[0], bytes(8 * 5))
-        assert not ca.verify(dataclasses.replace(cert, binding=other))
+        for other in (registration_binding(*_TUPLE[:2], bytes(8 * 5)),
+                      registration_binding(_TUPLE[0], b"\x01" * 32, _TUPLE[2])):
+            assert not ca.verify(dataclasses.replace(cert, binding=other))
 
     def test_signing_is_deterministic(self, env):
         ca = env["ca"]

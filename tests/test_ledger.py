@@ -156,12 +156,14 @@ def _registration(env, **changes):
     keypair = KeyPair.generate(rng)
     device_id = rng.getrandbits(256).to_bytes(32, "big")
     commitment, challenges = (G1Element.generator() ** 99).to_bytes(), bytes(8 * 4)
+    fingerprint = rng.getrandbits(256).to_bytes(32, "big")
     record = DeviceRecord(
         device_id=device_id,
         pk_bytes=keypair.pk.to_bytes(),
         commitment_bytes=commitment,
-        fingerprint=rng.getrandbits(256).to_bytes(32, "big"),
-        cert_bytes=env["ca"].issue(device_id, keypair.pk, commitment, challenges).to_bytes(),
+        fingerprint=fingerprint,
+        cert_bytes=env["ca"].issue(device_id, keypair.pk, commitment, fingerprint,
+                                   challenges).to_bytes(),
         challenge_bytes=challenges,
     )
     record = dataclasses.replace(record, **changes)

@@ -317,6 +317,82 @@ class TestSubgroupChecks:
             G2Element.from_bytes(curve.g2_to_bytes(p2))
 
 
+_X_SQR = X_ABS * X_ABS
+# scalars at the edges of the GLV (k = a + b*x^2) and GLS (base |x|)
+# splits.  No k < R has all four GLS digits at |x| - 1: R - 2 has three of
+# them there and the fourth at |x| - 2, and its GLV halves are x^2 - 1 and
+# x^2 - 2; |x|^3 - 1 has three GLS digits at |x| - 1 and a zero.
+_EDGE_SCALARS = [
+    0, 1, 2, R - 2, R - 1, R, R + 1, X_ABS - 1, X_ABS, X_ABS + 1, _X_SQR - 1, _X_SQR,
+    X_ABS ** 3 - 1, X_ABS ** 3, _X_SQR * _X_SQR - 1, (1 << 64) - 1, (1 << 128) - 1, (1 << 256) - 1,
+]
+
+
+def _check_decompositions(k):
+    digits = curve._base_x_digits(k)
+    assert sum(d * X_ABS ** i for i, d in enumerate(digits)) == k
+    assert all(0 <= d < 1 << 64 for d in digits)
+    b, a = divmod(k, _X_SQR)
+    assert 0 <= a < 1 << 128 and 0 <= b < 1 << 128
+
+
+class TestEndomorphismMultiplication:
+    """g1_mul (GLV) and g2_mul (GLS) against the unreduced double-and-add
+    ladders, which use no endomorphism."""
+
+    @given(st.integers(min_value=1, max_value=R - 1), st.integers(min_value=0, max_value=1 << 256))
+    @settings(max_examples=25, deadline=None)
+    def test_g1_matches_unchecked_ladder(self, s, k):
+        pt = curve.g1_mul_gen(s)
+        assert curve.g1_mul(pt, k) == g1_mul_unchecked(pt, k % R)
+
+    @given(st.integers(min_value=1, max_value=R - 1), st.integers(min_value=0, max_value=1 << 256))
+    @settings(max_examples=15, deadline=None)
+    def test_g2_matches_unchecked_ladder(self, s, k):
+        pt = curve.g2_mul_gen(s)
+        assert curve.g2_mul(pt, k) == g2_mul_unchecked(pt, k % R)
+
+    @pytest.mark.parametrize("k", _EDGE_SCALARS)
+    def test_edge_scalars(self, k):
+        p1 = hash_to_g1(b"edge", DomainTag.GENERIC_SCALAR)._pt
+        assert curve.g1_mul(p1, k) == g1_mul_unchecked(p1, k % R)
+        p2 = curve.g2_mul_gen(0x1234567)
+        assert curve.g2_mul(p2, k) == g2_mul_unchecked(p2, k % R)
+        _check_decompositions(k % R)
+
+    @given(st.integers(min_value=0, max_value=R - 1))
+    @settings(max_examples=200)
+    def test_decompositions_recombine_within_bounds(self, k):
+        _check_decompositions(k)
+
+    def test_doubling_counts(self, monkeypatch):
+        # exact operation counts, independent of host speed; the 4-bit
+        # window these ladders replaced ran 255 doublings in either group
+        rng = random.Random(31)
+        pk, commitment = G2 ** rng.randrange(1, ORDER), G1 ** rng.randrange(1, ORDER)
+        c = Scalar.random(rng)
+        expected = (pk ** c, commitment ** c)
+        counts = {"_g1_dbl": 0, "_g2_dbl": 0}
+        for name in counts:
+            def counted(p, _name=name, _fn=getattr(curve, name)):
+                counts[_name] += 1
+                return _fn(p)
+            monkeypatch.setattr(curve, name, counted)
+        assert pk ** c == expected[0]
+        assert 0 < counts["_g2_dbl"] <= 64 and counts["_g1_dbl"] == 0
+        counts["_g2_dbl"] = 0
+        assert commitment ** c == expected[1]
+        assert 0 < counts["_g1_dbl"] <= 128 and counts["_g2_dbl"] == 0
+
+    def test_g2_batch_affine_matches_per_point(self):
+        args = (curve.G2_GEN, curve._g2_dbl, curve._g2_add_mixed, curve._g2_to_affine)
+        batched = curve.FixedBaseTable(*args, curve._batch_affine_g2, windows=2)
+        per_point = curve.FixedBaseTable(
+            *args, lambda row: [curve._g2_to_affine(p) for p in row], windows=2)
+        assert batched.rows == per_point.rows
+        assert batched.rows[1][1] == g2_mul_unchecked(curve.G2_GEN, 256)
+
+
 class TestVectorFile:
     def test_committed_vectors_match_regeneration(self):
         text = (VECTORS / "pairing_vectors.txt").read_text()

@@ -55,8 +55,9 @@ class TestRecords:
             Certificate.from_bytes(raw[:-3] + raw[-2:])
 
     def test_registration_binding_frames_its_fields(self):
-        assert registration_binding(b"ab", b"c") != registration_binding(b"a", b"bc")
-        assert len(registration_binding(b"", b"")) == 32
+        assert registration_binding(b"ab", b"c", b"") != registration_binding(b"a", b"bc", b"")
+        assert registration_binding(b"", b"ab", b"c") != registration_binding(b"", b"a", b"bc")
+        assert len(registration_binding(b"", b"", b"")) == 32
 
     def test_device_record_round_trip(self):
         record = DeviceRecord(bytes(32), b"p" * 96, b"c" * 48, bytes(32), b"cert", b"ch" * 1024)
