@@ -2,10 +2,15 @@
 
 Each iteration runs one complete enroll -> authenticate -> transact
 cycle with a fresh device, bracketing the named stages with a monotonic
-clock.  A warm-up iteration runs first and is excluded from the records
-and aggregates.  The proof pipeline here has no circuit compilation or
-witness-file generation, so those stages are listed as absent rather
-than reported as zero.
+clock.  The authentication stages time the device's own steps, the
+same code ``Device.build_auth_proof`` runs: ``input_prep_ms`` is the
+ledger read of the challenges and epoch (``Device.auth_inputs``),
+``puf_response_ms`` the PUF evaluation, and ``proof_gen_ms`` the
+statement building and proving (``Device.prove_auth``).  A warm-up
+iteration runs first and is excluded from the records and aggregates.
+The proof pipeline here has no circuit compilation or witness-file
+generation, so those stages are listed as absent rather than reported
+as zero.
 
 Published reference measurements from the original prototype (obtained
 on desktop hardware with a circuit-based proving pipeline) ride in the
@@ -17,17 +22,17 @@ from __future__ import annotations
 import json
 import statistics
 from time import perf_counter as _now
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List
 
 import numpy as np
 
 from . import zkp
-from .identity import CertificateAuthority, register_device, response_scalar
+from .identity import CertificateAuthority, register_device
 from .ledger import bootstrap, ledger_new
 from .params import DEFAULT_PARAMS, ParamSet
 from .protocol import Device, Verifier, run_transaction
-from .puf import generate_stable_challenges, puf_new, puf_respond, responses_to_bytes
+from .puf import generate_stable_challenges, puf_new, puf_respond
 from .wire import AuthRequest
 
 SCHEMA_VERSION = 1
@@ -180,42 +185,26 @@ def run_bench(iterations: int = 50, mode: str = zkp.MODE_CORRECTED, seed: int = 
         cycle_start = _now()
 
         t = _now()
-        screened = generate_stable_challenges(
-            puf, np_rng, params.challenge_count, params.repetitions, params.screen_rounds,
-        )
+        screened = generate_stable_challenges(puf, np_rng, params.challenge_count)
         challenge_gen_ms = (_now() - t) * 1000.0
 
         identity, keypair = register_device(
             puf, ca, ledger, rng, np_rng, params, challenges=screened,
         )
-        challenges = identity.challenge_set
-        device = Device(puf=puf, identity=identity, keypair=keypair, params=params)
+        device = Device(puf=puf, identity=identity, keypair=keypair)
 
         session = verifier.begin_session(identity.device_id)
 
         t = _now()
-        responses = puf_respond(puf, challenges, params.repetitions, np_rng)
-        puf_response_ms = (_now() - t) * 1000.0
-
-        t = _now()
-        if mode == zkp.MODE_CORRECTED:
-            statement = zkp.AuthStatement(
-                device_id=identity.device_id,
-                pk=identity.pk,
-                response_commitment=identity.response_commitment,
-                challenge_epoch=ledger.load_device(identity.device_id).epoch,
-                session_nonce=session.nonce,
-            )
-            witness = zkp.AuthWitness(sk=keypair.sk, response_scalar=response_scalar(responses))
-        else:
-            response_bytes = responses_to_bytes(responses)
+        challenges, epoch = device.auth_inputs(ledger)
         input_prep_ms = (_now() - t) * 1000.0
 
         t = _now()
-        if mode == zkp.MODE_CORRECTED:
-            proof_bytes = zkp.auth_prove_corrected(statement, witness, rng).to_bytes()
-        else:
-            proof_bytes = zkp.auth_prove_literal(setup, response_bytes, keypair.sk, rng).to_bytes()
+        responses = puf_respond(puf, challenges, eval_rng=np_rng)
+        puf_response_ms = (_now() - t) * 1000.0
+
+        t = _now()
+        proof_bytes = device.prove_auth(responses, epoch, session.nonce, mode, rng)
         proof_gen_ms = (_now() - t) * 1000.0
 
         request = AuthRequest(identity.device_id, proof_bytes, session.nonce).to_bytes()
@@ -227,7 +216,7 @@ def run_bench(iterations: int = 50, mode: str = zkp.MODE_CORRECTED, seed: int = 
 
         tx_session = run_transaction(
             device, verifier, ledger, b"bench-payload-" + iteration.to_bytes(4, "big"),
-            mode, rng, setup=setup,
+            mode, rng,
         )
         if not tx_session.accepted:
             raise RuntimeError(f"benchmark cycle failed transaction: {tx_session.reason}")
@@ -250,7 +239,7 @@ def run_bench(iterations: int = 50, mode: str = zkp.MODE_CORRECTED, seed: int = 
         mode=mode,
         iterations=iterations,
         seed=seed,
-        params=params.describe(),
+        params=asdict(params),
         trust_setup_ms=trust_setup_ms,
         records=records,
     )

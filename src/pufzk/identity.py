@@ -74,6 +74,7 @@ class DeviceIdentity:
     pk: G2Element
     challenge_set: np.ndarray
     response_commitment: G1Element
+    fingerprint: bytes
     certificate: Certificate
 
     def export(self) -> bytes:
@@ -82,7 +83,7 @@ class DeviceIdentity:
             device_id=self.device_id,
             pk_bytes=self.pk.to_bytes(),
             commitment_bytes=self.response_commitment.to_bytes(),
-            fingerprint=b"",
+            fingerprint=self.fingerprint,
             cert_bytes=self.certificate.to_bytes(),
             challenge_bytes=challenges_to_bytes(self.challenge_set),
         )
@@ -97,7 +98,7 @@ class DeviceIdentity:
         raw, off = _get_field(data, 5, width=4)
         _done(data, off)
         record, pk, commitment, challenges = decode_device_record(raw)
-        return cls(record.device_id, pk, challenges, commitment,
+        return cls(record.device_id, pk, challenges, commitment, record.fingerprint,
                    Certificate.from_bytes(record.cert_bytes))
 
 
@@ -149,10 +150,10 @@ def response_scalar(responses: np.ndarray) -> Scalar:
     return hash_to_scalar(responses_to_bytes(responses), DomainTag.RESPONSE_SCALAR)
 
 
-def device_fingerprint(puf: PufDevice, repetitions: int) -> bytes:
+def device_fingerprint(puf: PufDevice) -> bytes:
     """Digest of the device's responses to the fixed public probe set."""
     probe = generate_challenges(np.random.default_rng(_FINGERPRINT_SEED), _FINGERPRINT_COUNT)
-    responses = puf_respond(puf, probe, repetitions, np.random.default_rng(_FINGERPRINT_SEED + 1))
+    responses = puf_respond(puf, probe, eval_rng=np.random.default_rng(_FINGERPRINT_SEED + 1))
     return hashlib.sha256(b"fingerprint" + responses_to_bytes(responses)).digest()
 
 
@@ -173,16 +174,14 @@ def register_device(puf: PufDevice, ca: CertificateAuthority, ledger: Ledger,
     if np_rng is None:
         np_rng = np.random.default_rng(rng.getrandbits(64))
     if challenges is None:
-        challenges = generate_stable_challenges(
-            puf, np_rng, params.challenge_count, params.repetitions, params.screen_rounds,
-        )
+        challenges = generate_stable_challenges(puf, np_rng, params.challenge_count)
     challenges, responses = challenges
     keypair = KeyPair.generate(rng)
     device_id = compute_device_id(keypair.pk, responses)
     commitment = G1Element.generator() ** response_scalar(responses)
     commitment_bytes = commitment.to_bytes()
     challenge_bytes = challenges_to_bytes(challenges)
-    fingerprint = device_fingerprint(puf, params.repetitions)
+    fingerprint = device_fingerprint(puf)
     cert = ca.issue(device_id, keypair.pk, commitment_bytes, fingerprint, challenge_bytes)
 
     record = DeviceRecord(
@@ -209,6 +208,7 @@ def register_device(puf: PufDevice, ca: CertificateAuthority, ledger: Ledger,
         pk=keypair.pk,
         challenge_set=challenges,
         response_commitment=commitment,
+        fingerprint=fingerprint,
         certificate=cert,
     )
     return identity, keypair

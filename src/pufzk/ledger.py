@@ -101,12 +101,13 @@ class Block:
 
 def decode_device_record(raw: bytes) -> Tuple[DeviceRecord, G2Element, G1Element, ChallengeSet]:
     """Decode DeviceRecord bytes into (record, pk, commitment, challenges),
-    checking every field but the fingerprint, which identity exports
-    leave empty.  The point decodes run the subgroup checks."""
+    checking every field.  The point decodes run the subgroup checks."""
     try:
         record = DeviceRecord.from_bytes(raw)
         if len(record.device_id) != 32:
             raise RecordError("device id must be 32 bytes")
+        if len(record.fingerprint) != 32:
+            raise RecordError("fingerprint must be 32 bytes")
         if not record.challenge_bytes:
             raise RecordError("empty challenge set")
         challenges = challenges_from_bytes(record.challenge_bytes)
@@ -210,6 +211,10 @@ class Ledger(StateView):
 
     def head_digest(self) -> bytes:
         return self._head_digest
+
+    def transactions(self) -> Tuple[TransactionRecord, ...]:
+        """The committed transactions, in commit order."""
+        return tuple(self._tx_log)
 
     def state_digest(self) -> bytes:
         """Digest over sorted (key, value, version) triples."""
@@ -368,8 +373,6 @@ def _cc_register(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     uniqueness and a valid CA certificate over the whole tuple."""
     try:
         record = decode_device_record(tx.payload)[0]
-        if len(record.fingerprint) != 32:
-            raise RecordError("fingerprint must be 32 bytes")
     except RecordError as exc:
         raise ChaincodeRejection(f"malformed registration: {exc}")
     id_key = f"identity/{record.device_id.hex()}"

@@ -27,27 +27,27 @@ E'(Fq2) only in G2.
 """
 
 from .fields import (
-    P, R, X_ABS, mpz, fq_inv, fq_sqrt,
+    P, R, X_ABS, fq_inv, fq_sqrt,
     fq2_add, fq2_neg, fq2_conj, fq2_mul, fq2_sqr, fq2_inv, fq2_sqrt, FQ2_ONE,
 )
 
 # Curve coefficients: b = 4 on E, b' = 4(1+u) on the twist.
-B_G1 = mpz(4)
-B_G2 = (mpz(4), mpz(4))
+B_G1 = 4
+B_G2 = (4, 4)
 
 # Standard generators.
 G1_GEN = (
-    mpz(0x17F1D3A73197D7942695638C4FA9AC0FC3688C4F9774B905A14E3A3F171BAC586C55E83FF97A1AEFFB3AF00ADB22C6BB),
-    mpz(0x08B3F481E3AAA0F1A09E30ED741D8AE4FCF5E095D5D00AF600DB18CB2C04B3EDD03CC744A2888AE40CAA232946C5E7E1),
+    0x17F1D3A73197D7942695638C4FA9AC0FC3688C4F9774B905A14E3A3F171BAC586C55E83FF97A1AEFFB3AF00ADB22C6BB,
+    0x08B3F481E3AAA0F1A09E30ED741D8AE4FCF5E095D5D00AF600DB18CB2C04B3EDD03CC744A2888AE40CAA232946C5E7E1,
 )
 G2_GEN = (
     (
-        mpz(0x024AA2B2F08F0A91260805272DC51051C6E47AD4FA403B02B4510B647AE3D1770BAC0326A805BBEFD48056C8C121BDB8),
-        mpz(0x13E02B6052719F607DACD3A088274F65596BD0D09920B61AB5DA61BBDC7F5049334CF11213945D57E5AC7D055D042B7E),
+        0x024AA2B2F08F0A91260805272DC51051C6E47AD4FA403B02B4510B647AE3D1770BAC0326A805BBEFD48056C8C121BDB8,
+        0x13E02B6052719F607DACD3A088274F65596BD0D09920B61AB5DA61BBDC7F5049334CF11213945D57E5AC7D055D042B7E,
     ),
     (
-        mpz(0x0CE5D527727D6E118CC9CDC6DA2E351AADFD9BAA8CBDD3A76D429A695160D12C923AC9CC3BACA289E193548608B82801),
-        mpz(0x0606C4A02EA734CC32ACD2B02BC28B99CB3E287E85A763AF267492AB572E99AB3F370D275CEC1DA1AAA9075FF05F79BE),
+        0x0CE5D527727D6E118CC9CDC6DA2E351AADFD9BAA8CBDD3A76D429A695160D12C923AC9CC3BACA289E193548608B82801,
+        0x0606C4A02EA734CC32ACD2B02BC28B99CB3E287E85A763AF267492AB572E99AB3F370D275CEC1DA1AAA9075FF05F79BE,
     ),
 )
 
@@ -59,14 +59,14 @@ COFACTOR_G2 = 0x5D543A95414E7F1091D50792876A202CD91DE4547085ABAA68A205B2E5A7DDFA
 # is the cube root of unity in Fq for which sigma(x, y) = (BETA*x, y) acts
 # on G1 as [-x^2]; psi(x, y) = (conj(x)*PSI_CX, conj(y)*PSI_CY) with
 # PSI_CX = 1/xi^((p-1)/3) and PSI_CY = 1/xi^((p-1)/2), xi = 1 + u.
-BETA = mpz(0x5F19672FDF76CE51BA69C6076A0F77EADDB3A93BE6F89688DE17D813620A00022E01FFFFFFFEFFFE)
+BETA = 0x5F19672FDF76CE51BA69C6076A0F77EADDB3A93BE6F89688DE17D813620A00022E01FFFFFFFEFFFE
 PSI_CX = (
-    mpz(0),
-    mpz(0x1A0111EA397FE699EC02408663D4DE85AA0D857D89759AD4897D29650FB85F9B409427EB4F49FFFD8BFD00000000AAAD),
+    0,
+    0x1A0111EA397FE699EC02408663D4DE85AA0D857D89759AD4897D29650FB85F9B409427EB4F49FFFD8BFD00000000AAAD,
 )
 PSI_CY = (
-    mpz(0x135203E60180A68EE2E9C448D77A2CD91C3DEDD930B1CF60EF396489F61EB45E304466CF3E67FA0AF1EE7B04121BDEA2),
-    mpz(0x06AF0E0437FF400B6831E36D6BD17FFE48395DABC2D3435E77F76E17009241C5EE67992F72EC05F4C81084FBEDE3CC09),
+    0x135203E60180A68EE2E9C448D77A2CD91C3DEDD930B1CF60EF396489F61EB45E304466CF3E67FA0AF1EE7B04121BDEA2,
+    0x06AF0E0437FF400B6831E36D6BD17FFE48395DABC2D3435E77F76E17009241C5EE67992F72EC05F4C81084FBEDE3CC09,
 )
 _X_SQR = X_ABS * X_ABS
 
@@ -107,7 +107,7 @@ def _g1_add_mixed(p, q_aff):
     """Jacobian p + affine q."""
     if p is None:
         qx, qy = q_aff
-        return (qx, qy, mpz(1))
+        return (qx, qy, 1)
     X1, Y1, Z1 = p
     x2, y2 = q_aff
     Z1Z1 = Z1 * Z1 % P
@@ -147,7 +147,7 @@ def g1_add(a, b):
         return b
     if b is None:
         return a
-    j = _g1_add_mixed((a[0], a[1], mpz(1)), b)
+    j = _g1_add_mixed((a[0], a[1], 1), b)
     return _g1_to_affine(j)
 
 
@@ -165,7 +165,7 @@ def g1_mul(pt, k):
         return None
     b, a = divmod(k, _X_SQR)
     q = (BETA * pt[0] % P, -pt[1] % P)
-    p1 = (pt[0], pt[1], mpz(1))
+    p1 = (pt[0], pt[1], 1)
     p2 = _g1_dbl(p1)
     ps = [p1, p2, _g1_add_mixed(p2, pt)]
     # table[4i + j] = [i]P + [j]Q, made affine with one inversion; the
@@ -198,7 +198,7 @@ def g1_mul_unchecked(pt, k):
     if pt is None or k == 0:
         return None
     acc = None
-    add = (pt[0], pt[1], mpz(1))
+    add = (pt[0], pt[1], 1)
     for bit in bin(k)[2:]:
         acc = _g1_dbl(acc) if acc is not None else None
         if bit == "1":
@@ -366,7 +366,7 @@ class FixedBaseTable:
     scalar multiple costs at most 32 mixed additions.
     """
 
-    def __init__(self, base, dbl, add_mixed, to_affine, batch_affine, windows=32):
+    def __init__(self, base, add_mixed, to_affine, batch_affine, windows=32):
         self.windows = windows
         rows = []
         running = base
@@ -404,7 +404,7 @@ class FixedBaseTable:
 
 def _batch_inv(values):
     """Inverses of nonzero Fq values with one inversion (Montgomery's trick)."""
-    prefix = [mpz(1)]
+    prefix = [1]
     for v in values:
         prefix.append(prefix[-1] * v % P)
     inv_all = fq_inv(prefix[-1])
@@ -447,14 +447,14 @@ def g1_mul_gen(k):
     """k * G1 generator via the fixed-base table."""
     global _G1_TABLE
     if _G1_TABLE is None:
-        _G1_TABLE = FixedBaseTable(G1_GEN, _g1_dbl, _g1_add_mixed, _g1_to_affine, _batch_affine_g1)
+        _G1_TABLE = FixedBaseTable(G1_GEN, _g1_add_mixed, _g1_to_affine, _batch_affine_g1)
     return _G1_TABLE.mul(k)
 
 
 def g2_mul_gen(k):
     global _G2_TABLE
     if _G2_TABLE is None:
-        _G2_TABLE = FixedBaseTable(G2_GEN, _g2_dbl, _g2_add_mixed, _g2_to_affine, _batch_affine_g2)
+        _G2_TABLE = FixedBaseTable(G2_GEN, _g2_add_mixed, _g2_to_affine, _batch_affine_g2)
     return _G2_TABLE.mul(k)
 
 
@@ -486,7 +486,7 @@ def g1_to_bytes(pt) -> bytes:
         return bytes([_FLAG_COMPRESSED | _FLAG_INFINITY]) + b"\x00" * 47
     x, y = pt
     flags = _FLAG_COMPRESSED | (_FLAG_SIGN if _y_is_large_fq(y) else 0)
-    buf = bytearray(int(x).to_bytes(48, "big"))
+    buf = bytearray(x.to_bytes(48, "big"))
     buf[0] |= flags
     return bytes(buf)
 
@@ -510,7 +510,7 @@ def g1_from_bytes(data: bytes):
         raise DecodeError("x is not on the curve")
     if _y_is_large_fq(y) != bool(flags & _FLAG_SIGN):
         y = -y % P
-    pt = (mpz(x), mpz(y))
+    pt = (x, y)
     if not g1_in_subgroup(pt):
         raise DecodeError("point not in the prime-order subgroup")
     return pt
@@ -521,7 +521,7 @@ def g2_to_bytes(pt) -> bytes:
         return bytes([_FLAG_COMPRESSED | _FLAG_INFINITY]) + b"\x00" * 95
     (x0, x1), y = pt
     flags = _FLAG_COMPRESSED | (_FLAG_SIGN if _y_is_large_fq2(y) else 0)
-    buf = bytearray(int(x1).to_bytes(48, "big") + int(x0).to_bytes(48, "big"))
+    buf = bytearray(x1.to_bytes(48, "big") + x0.to_bytes(48, "big"))
     buf[0] |= flags
     return bytes(buf)
 
@@ -541,7 +541,7 @@ def g2_from_bytes(data: bytes):
         return None
     if x0 >= P or x1 >= P:
         raise DecodeError("x coordinate out of range")
-    x = (mpz(x0), mpz(x1))
+    x = (x0, x1)
     y = fq2_sqrt(fq2_add(fq2_mul(fq2_sqr(x), x), B_G2))
     if y is None:
         raise DecodeError("x is not on the curve")

@@ -7,45 +7,30 @@ The extension tower is the conventional one:
     Fq12 = Fq6[w] / (w^2 - v)
 
 Elements are plain tuples (no classes) so the hot loops in the curve and
-pairing modules stay close to raw integer arithmetic.  Fq values are ints
-(gmpy2.mpz when available), Fq2 is a pair, Fq6 a triple of Fq2, Fq12 a
-pair of Fq6.
+pairing modules stay close to raw integer arithmetic.  Fq values are
+Python ints, Fq2 is a pair, Fq6 a triple of Fq2, Fq12 a pair of Fq6.
 """
 
-try:
-    from gmpy2 import mpz, invert as _gmpy_invert
-
-    def _inv_mod_p(a: int) -> int:
-        return int(_gmpy_invert(a, P))
-
-except ImportError:  # pure-int fallback, ~3x slower
-    def mpz(x):  # type: ignore[misc]
-        return x
-
-    def _inv_mod_p(a: int) -> int:
-        return pow(a, -1, P)
-
-
 # Base field modulus and subgroup order of BLS12-381.
-P = mpz(0x1A0111EA397FE69A4B1BA7B6434BACD764774B84F38512BF6730D2A0F6B0F6241EABFFFEB153FFFFB9FEFFFFFFFFAAAB)
-R = mpz(0x73EDA753299D7D483339D80809A1D80553BDA402FFFE5BFEFFFFFFFF00000001)
+P = 0x1A0111EA397FE69A4B1BA7B6434BACD764774B84F38512BF6730D2A0F6B0F6241EABFFFEB153FFFFB9FEFFFFFFFFAAAB
+R = 0x73EDA753299D7D483339D80809A1D80553BDA402FFFE5BFEFFFFFFFF00000001
 
 # Absolute value of the (negative) curve parameter; drives the Miller loop
 # and the final exponentiation.
 X_ABS = 0xD201000000010000
 
-FQ2_ONE = (mpz(1), mpz(0))
-FQ2_ZERO = (mpz(0), mpz(0))
+FQ2_ONE = (1, 0)
+FQ2_ZERO = (0, 0)
 FQ6_ZERO = (FQ2_ZERO, FQ2_ZERO, FQ2_ZERO)
 FQ6_ONE = (FQ2_ONE, FQ2_ZERO, FQ2_ZERO)
 FQ12_ONE = (FQ6_ONE, FQ6_ZERO)
 
 # xi = 1 + u, the Fq6 non-residue.
-XI = (mpz(1), mpz(1))
+XI = (1, 1)
 
 
 def fq_inv(a):
-    return _inv_mod_p(a)
+    return pow(a, -1, P)
 
 
 def fq_sqrt(a):
@@ -100,7 +85,7 @@ def fq2_scale(a, k):
 
 def fq2_inv(a):
     a0, a1 = a
-    norm_inv = _inv_mod_p((a0 * a0 + a1 * a1) % P)
+    norm_inv = fq_inv((a0 * a0 + a1 * a1) % P)
     return (a0 * norm_inv % P, -a1 * norm_inv % P)
 
 
@@ -121,21 +106,17 @@ def fq2_pow(a, e):
     return out
 
 
-def fq2_is_zero(a):
-    return a[0] == 0 and a[1] == 0
-
-
 def fq2_sqrt(a):
     """Square root in Fq2 via the complex method, or None for non-residues."""
     a0, a1 = a
     if a1 == 0:
         r = fq_sqrt(a0)
         if r is not None:
-            return (mpz(r), mpz(0))
+            return (r, 0)
         r = fq_sqrt(-a0 % P)
         if r is None:
             return None
-        return (mpz(0), mpz(r))
+        return (0, r)
     lam = fq_sqrt((a0 * a0 + a1 * a1) % P)
     if lam is None:
         return None
@@ -147,8 +128,8 @@ def fq2_sqrt(a):
         x0 = fq_sqrt(delta)
         if x0 is None:
             return None
-    x1 = a1 * _inv_mod_p(2 * x0 % P) % P
-    cand = (mpz(x0), mpz(x1))
+    x1 = a1 * fq_inv(2 * x0 % P) % P
+    cand = (x0, x1)
     if fq2_sqr(cand) != (a0 % P, a1 % P):
         return None
     return cand

@@ -17,7 +17,7 @@ import hashlib
 from functools import lru_cache
 from typing import Iterable, Tuple
 
-from .fields import P, R, mpz, FQ12_ONE, fq12_mul, fq12_inv, fq12_pow
+from .fields import P, R, FQ12_ONE, fq12_mul, fq12_inv, fq12_pow
 from .curve import (
     DecodeError,
     G1_ENC_LEN, G2_ENC_LEN,
@@ -32,7 +32,7 @@ from .pairing import (
     precompute_g2_lines as _precompute_g2_lines,
 )
 
-ORDER = int(R)
+ORDER = R
 SCALAR_ENC_LEN = 32
 GT_ENC_LEN = 576
 
@@ -72,10 +72,6 @@ class Scalar:
     def random(cls, rng) -> "Scalar":
         """Uniform nonzero scalar from ``rng.randrange``."""
         return cls(rng.randrange(1, ORDER))
-
-    @classmethod
-    def hash(cls, data: bytes, tag: bytes) -> "Scalar":
-        return hash_to_scalar(data, tag)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Scalar":
@@ -250,7 +246,7 @@ class GtElement:
             v = int.from_bytes(data[i * 48:(i + 1) * 48], "big")
             if v >= P:
                 raise DecodeError("Gt coefficient out of range")
-            coeffs.append(mpz(v))
+            coeffs.append(v)
         val = (
             ((coeffs[0], coeffs[1]), (coeffs[2], coeffs[3]), (coeffs[4], coeffs[5])),
             ((coeffs[6], coeffs[7]), (coeffs[8], coeffs[9]), (coeffs[10], coeffs[11])),
@@ -263,8 +259,8 @@ class GtElement:
         out = bytearray()
         for half in self._val:
             for c in half:
-                out += int(c[0]).to_bytes(48, "big")
-                out += int(c[1]).to_bytes(48, "big")
+                out += c[0].to_bytes(48, "big")
+                out += c[1].to_bytes(48, "big")
         return bytes(out)
 
     def __mul__(self, other: "GtElement") -> "GtElement":
@@ -316,13 +312,12 @@ _LINE_CACHE_MAX = 128
 def _g2_lines(pt):
     if pt is None:
         return None
-    key = (int(pt[0][0]), int(pt[0][1]), int(pt[1][0]), int(pt[1][1]))
-    lines = _LINE_CACHE.get(key)
+    lines = _LINE_CACHE.get(pt)
     if lines is None:
         if len(_LINE_CACHE) >= _LINE_CACHE_MAX:
             _LINE_CACHE.clear()
         lines = _precompute_g2_lines(pt)
-        _LINE_CACHE[key] = lines
+        _LINE_CACHE[pt] = lines
     return lines
 
 
@@ -354,13 +349,13 @@ def hash_to_g1(data: bytes, tag: bytes) -> G1Element:
     ctr = 0
     while True:
         digest = hashlib.shake_256(framed + ctr.to_bytes(4, "big")).digest(49)
-        x = int.from_bytes(digest[:48], "big") % int(P)
+        x = int.from_bytes(digest[:48], "big") % P
         rhs = (x * x * x + B_G1) % P
         y = fq_sqrt(rhs)
         if y is not None:
             if digest[48] & 1:
                 y = -y % P
-            pt = g1_mul_unchecked((mpz(x), mpz(y)), COFACTOR_G1)
+            pt = g1_mul_unchecked((x, y), COFACTOR_G1)
             if pt is not None:
                 return G1Element(pt)
         ctr += 1

@@ -13,12 +13,12 @@ the parameter-driven addition chain for three times the hard part,
 shared by every output, so all bilinearity and product identities hold
 exactly; this is the usual trade made by production pairing code.
 
-``miller_loop`` accepts several (G1, G2) pairs and shares one final
-exponentiation across them, which is what every verifier here wants.
+``miller_loop`` accepts several (G1, G2 line table) pairs and shares one
+final exponentiation across them, which is what every verifier wants.
 """
 
 from .fields import (
-    P, X_ABS, mpz, FQ12_ONE,
+    P, X_ABS, FQ12_ONE,
     fq2_sub, fq2_mul, fq2_sqr, fq2_scale, fq2_inv,
     FQ2_ZERO,
     fq12_mul, fq12_sqr, fq12_inv, fq12_conj, fq12_frobenius, fq12_frobenius2,
@@ -34,7 +34,7 @@ def _line_eval(slope, point, xp_neg, yp):
     px, py = point
     a = fq2_sub(fq2_mul(slope, px), py)        # w^0 slot
     b = fq2_scale(slope, xp_neg)               # w^2 slot
-    c = (yp, mpz(0))                           # w^3 slot
+    c = (yp, 0)                                # w^3 slot
     return ((a, b, FQ2_ZERO), (FQ2_ZERO, c, FQ2_ZERO))
 
 
@@ -63,18 +63,17 @@ def precompute_g2_lines(q):
 
 
 def miller_loop(pairs):
-    """Product of Miller loops over (g1_point, g2_point_or_lines) pairs.
+    """Product of Miller loops over (g1_point, g2_lines) pairs.
 
-    The second member of each pair is either an affine G2 point or a
-    line table from :func:`precompute_g2_lines`.  Pairs containing the
-    point at infinity contribute the identity and are skipped.  Returns
-    an un-exponentiated Fq12 value.
+    The second member of each pair is the G2 argument's line table from
+    :func:`precompute_g2_lines`, or None for the point at infinity.
+    Pairs containing the point at infinity contribute the identity and
+    are skipped.  Returns an un-exponentiated Fq12 value.
     """
     work = []
-    for p1, p2 in pairs:
-        if p1 is None or p2 is None:
+    for p1, lines in pairs:
+        if p1 is None or lines is None:
             continue
-        lines = p2 if isinstance(p2, list) else precompute_g2_lines(p2)
         work.append((iter(lines), -p1[0] % P, p1[1]))
     f = FQ12_ONE
     if not work:

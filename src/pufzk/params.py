@@ -14,18 +14,7 @@ from dataclasses import dataclass
 class ParamSet:
     name: str
     challenge_count: int = 256
-    repetitions: int = 9
     noise_ratio: float = 0.05
-    screen_rounds: int = 2
-
-    def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "challenge_count": self.challenge_count,
-            "repetitions": self.repetitions,
-            "noise_ratio": self.noise_ratio,
-            "screen_rounds": self.screen_rounds,
-        }
 
 
 PRESETS = {

@@ -49,8 +49,6 @@ from .wire import (
     decode_message,
 )
 
-NONCE_LEN = 16
-
 # Cap on each verifier nonce memory (open sessions, answered nonces).
 # The oldest entry goes first; an evicted nonce reads "unknown nonce".
 VERIFIER_MEMORY_CAP = 1024
@@ -89,22 +87,27 @@ class Device:
     puf: PufDevice
     identity: DeviceIdentity
     keypair: KeyPair
-    params: ParamSet = DEFAULT_PARAMS
 
     @classmethod
     def enroll(cls, puf: PufDevice, ca: CertificateAuthority, ledger: Ledger, rng,
                np_rng=None, params: ParamSet = DEFAULT_PARAMS) -> "Device":
         identity, keypair = register_device(puf, ca, ledger, rng, np_rng, params)
-        return cls(puf=puf, identity=identity, keypair=keypair, params=params)
+        return cls(puf=puf, identity=identity, keypair=keypair)
 
     @property
     def device_id(self) -> bytes:
         return self.identity.device_id
 
     def build_auth_proof(self, ledger: Ledger, nonce: bytes, mode: str, rng,
-                         np_rng=None, setup: Optional[zkp.TrustSetup] = None) -> bytes:
+                         np_rng=None) -> bytes:
         """Fetch challenges from the ledger, regenerate responses, and
-        build the mode's proof as wire bytes.
+        build the mode's proof as wire bytes."""
+        challenges, epoch = self.auth_inputs(ledger)
+        responses = puf_respond(self.puf, challenges, eval_rng=np_rng)
+        return self.prove_auth(responses, epoch, nonce, mode, rng)
+
+    def auth_inputs(self, ledger: Ledger):
+        """The challenges to answer and their epoch, read from the ledger.
 
         A device missing from this ledger (deregistered, or talking to
         the wrong network) or whose stored record does not load falls
@@ -112,11 +115,13 @@ class Device:
         request as unregistered or as a malformed record."""
         try:
             stored = ledger.load_device(self.device_id)
-            challenges, epoch = stored.challenges, stored.epoch
         except (KeyError, RecordError):
-            challenges = self.identity.challenge_set
-            epoch = 0
-        responses = puf_respond(self.puf, challenges, self.params.repetitions, np_rng)
+            return self.identity.challenge_set, 0
+        return stored.challenges, stored.epoch
+
+    def prove_auth(self, responses, epoch: int, nonce: bytes, mode: str, rng) -> bytes:
+        """The mode's authentication proof over the PUF responses, as
+        wire bytes."""
         if mode == zkp.MODE_CORRECTED:
             statement = zkp.AuthStatement(
                 device_id=self.device_id,
@@ -129,13 +134,12 @@ class Device:
             return zkp.auth_prove_corrected(statement, witness, rng).to_bytes()
         if mode == zkp.MODE_LITERAL:
             return zkp.auth_prove_literal(
-                setup, responses_to_bytes(responses), self.keypair.sk, rng,
+                None, responses_to_bytes(responses), self.keypair.sk, rng,
             ).to_bytes()
         raise ValueError(f"unknown mode {mode!r}")
 
-    def build_tx_submit(self, payload: bytes, mode: str, rng,
-                        setup: Optional[zkp.TrustSetup] = None) -> TransactionRecord:
-        nonce = rng.getrandbits(128).to_bytes(NONCE_LEN, "big")
+    def build_tx_submit(self, payload: bytes, mode: str, rng) -> TransactionRecord:
+        nonce = rng.getrandbits(128).to_bytes(zkp.NONCE_LEN, "big")
         if mode == zkp.MODE_CORRECTED:
             statement = zkp.TxStatement(
                 device_id=self.device_id,
@@ -145,7 +149,7 @@ class Device:
             )
             proof = zkp.tx_prove_corrected(statement, self.keypair.sk, rng).to_bytes()
         elif mode == zkp.MODE_LITERAL:
-            proof = zkp.tx_prove_literal(setup, payload, rng).to_bytes()
+            proof = zkp.tx_prove_literal(None, payload, rng).to_bytes()
         else:
             raise ValueError(f"unknown mode {mode!r}")
         signature = zkp.sign(self.keypair.sk, payload).to_bytes()
@@ -170,7 +174,7 @@ class Verifier:
         self._authenticated: dict = {}  # device_id -> session_id
 
     def begin_session(self, device_id: bytes) -> Session:
-        nonce = self.rng.getrandbits(128).to_bytes(NONCE_LEN, "big")
+        nonce = self.rng.getrandbits(128).to_bytes(zkp.NONCE_LEN, "big")
         try:
             epoch = self.ledger.load_device(device_id).epoch
         except (KeyError, RecordError):
@@ -284,15 +288,14 @@ def _remember(memory: dict, key, value) -> None:
 # ---------------------------------------------------------------------------
 
 def run_authentication(device: Device, verifier: Verifier, ledger: Ledger, mode: str,
-                       rng, np_rng=None, setup: Optional[zkp.TrustSetup] = None,
-                       tamper: Optional[TamperHook] = None) -> Session:
+                       rng, np_rng=None, tamper: Optional[TamperHook] = None) -> Session:
     """Drive one authentication: session begin, proof build, decision.
 
     ``tamper``, when given, may rewrite the request bytes in flight
     (the man-in-the-middle surface).
     """
     session = verifier.begin_session(device.device_id)
-    proof_bytes = device.build_auth_proof(ledger, session.nonce, mode, rng, np_rng, setup)
+    proof_bytes = device.build_auth_proof(ledger, session.nonce, mode, rng, np_rng)
     request = AuthRequest(device_id=device.device_id, proof=proof_bytes, nonce=session.nonce)
     raw = request.to_bytes()
     if tamper is not None:
@@ -306,8 +309,7 @@ def run_authentication(device: Device, verifier: Verifier, ledger: Ledger, mode:
 
 
 def run_transaction(device: Device, verifier: Verifier, ledger: Ledger, payload: bytes,
-                    mode: str, rng, setup: Optional[zkp.TrustSetup] = None,
-                    tamper: Optional[TamperHook] = None) -> Session:
+                    mode: str, rng, tamper: Optional[TamperHook] = None) -> Session:
     """Drive one transaction submit through the verifier gate and the
     ledger's guarded chaincode."""
     session = Session(
@@ -316,7 +318,7 @@ def run_transaction(device: Device, verifier: Verifier, ledger: Ledger, payload:
         nonce=b"",
         epoch=-1,
     )
-    record = device.build_tx_submit(payload, mode, rng, setup)
+    record = device.build_tx_submit(payload, mode, rng)
     raw = TxSubmit(record).to_bytes()
     if tamper is not None:
         raw = tamper(raw)
@@ -419,15 +421,14 @@ def attack_clone_device(target_id: bytes, ledger: Ledger, verifier: Verifier, rn
     public challenges and derives its witness from its own responses."""
     clone = puf_new(clone_seed, params.noise_ratio)
     stored = ledger.load_device(target_id)
-    responses = puf_respond(clone, stored.challenges, params.repetitions,
-                            np.random.default_rng(clone_seed))
+    responses = puf_respond(clone, stored.challenges, eval_rng=np.random.default_rng(clone_seed))
     decision = deliver_forged_proof(verifier, stored, lambda statement: zkp.auth_prove_corrected(
         statement, zkp.AuthWitness(Scalar.random(rng), response_scalar(responses)), rng))
     return AttackOutcome("clone-device", 1, int(decision.accept), decision.reason)
 
 
 def attack_mitm_bitflip(device: Device, verifier: Verifier, ledger: Ledger, mode: str,
-                        rng, np_rng=None, setup=None, flips: int = 100) -> AttackOutcome:
+                        rng, np_rng=None, flips: int = 100) -> AttackOutcome:
     """Flip one random byte of the request in flight, many times."""
     accepted = 0
     for _ in range(flips):
@@ -439,7 +440,7 @@ def attack_mitm_bitflip(device: Device, verifier: Verifier, ledger: Ledger, mode
             buf[position % len(buf)] ^= mask
             return bytes(buf)
 
-        session = run_authentication(device, verifier, ledger, mode, rng, np_rng, setup, tamper=mutate)
+        session = run_authentication(device, verifier, ledger, mode, rng, np_rng, tamper=mutate)
         accepted += int(session.accepted)
     return AttackOutcome("mitm-bitflip", flips, accepted)
 
@@ -461,15 +462,14 @@ def attack_swap_proofs(device_a: Device, device_b: Device, verifier: Verifier,
 
 
 def attack_tamper_payload(device: Device, verifier: Verifier, ledger: Ledger, rng,
-                          trials: int = 100, mode: str = zkp.MODE_CORRECTED,
-                          setup=None) -> AttackOutcome:
+                          trials: int = 100, mode: str = zkp.MODE_CORRECTED) -> AttackOutcome:
     """Mutate one byte of the signed transaction payload in flight and
     verify the ledger state digest never changes on rejection."""
     accepted = 0
     digest_changes = 0
     for i in range(trials):
         payload = b"reading:" + i.to_bytes(4, "big") + rng.getrandbits(64).to_bytes(8, "big")
-        record = device.build_tx_submit(payload, mode, rng, setup)
+        record = device.build_tx_submit(payload, mode, rng)
         mutated_payload = bytearray(record.payload)
         mutated_payload[rng.randrange(len(mutated_payload))] ^= rng.randrange(1, 256)
         tampered = replace(record, payload=bytes(mutated_payload))

@@ -22,9 +22,8 @@ from typing import Tuple
 import numpy as np
 
 CHALLENGE_BITS = 64
-DEFAULT_CHALLENGE_COUNT = 256
-DEFAULT_NOISE_RATIO = 0.05
 DEFAULT_REPETITIONS = 9
+SCREEN_ROUNDS = 2
 
 # A challenge set is a (count, CHALLENGE_BITS) uint8 array of 0/1 bits;
 # a response set is a (count,) uint8 array of 0/1 bits.
@@ -110,23 +109,21 @@ def generate_challenges(rng, count: int) -> ChallengeSet:
     return rng.integers(0, 2, size=(count, CHALLENGE_BITS), dtype=np.uint8)
 
 
-def generate_stable_challenges(device: PufDevice, rng, count: int,
-                               repetitions: int = DEFAULT_REPETITIONS,
-                               screen_rounds: int = 2) -> Tuple[ChallengeSet, ResponseSet]:
+def generate_stable_challenges(device: PufDevice, rng, count: int) -> Tuple[ChallengeSet, ResponseSet]:
     """Random challenges screened for reproducible responses.
 
-    Candidates are evaluated ``screen_rounds * repetitions`` times; only
-    challenges whose raw evaluations are unanimous survive, and each is
-    returned with that unanimous bit.  Exact response reproduction at
-    authentication needs every enrolled bit to be stable, which plain
-    majority voting cannot guarantee for challenges near the arbiter
-    decision boundary.
+    Candidates are evaluated ``SCREEN_ROUNDS * DEFAULT_REPETITIONS``
+    times; only challenges whose raw evaluations are unanimous survive,
+    and each is returned with that unanimous bit.  Exact response
+    reproduction at authentication needs every enrolled bit to be
+    stable, which plain majority voting cannot guarantee for challenges
+    near the arbiter decision boundary.
     """
     kept, bits = [], []
     total = 0
     while total < count:
         batch = generate_challenges(rng, max(count - total + 8, 16))
-        raw = _eval_many(device, batch, screen_rounds * repetitions, rng)
+        raw = _eval_many(device, batch, SCREEN_ROUNDS * DEFAULT_REPETITIONS, rng)
         unanimous = (raw.sum(axis=0) == 0) | (raw.sum(axis=0) == raw.shape[0])
         kept.append(batch[unanimous])
         bits.append(raw[0, unanimous])

@@ -10,8 +10,10 @@ recorded proofs.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
@@ -38,9 +40,9 @@ from .protocol import (
     run_authentication,
     run_transaction,
 )
-from .puf import puf_new
-from .wire import (TAG_AUTH_REQUEST, AuthRequest, DeviceRecord, TransactionRecord, WireError,
-                   decode_message)
+from .puf import challenges_to_bytes, puf_new
+from .wire import (AuthDecision, AuthRequest, DeviceRecord, TransactionRecord, TxDecision,
+                   TxSubmit, WireError, decode_message, registration_binding)
 
 SUITE_NAMES = ("replay", "impersonate", "mitm", "tamper", "literal-defects")
 
@@ -226,8 +228,7 @@ def _literal_defect_demos(rng, np_rng, ca: CertificateAuthority,
     bootstrap(ledger_one, setup_one.pk_setup, ca.pk)
     verifier_one = Verifier(ledger_one, rng)
     device = Device.enroll(puf_new(rng.getrandbits(32), 0.0), ca, ledger_one, rng, np_rng, params)
-    honest = run_authentication(device, verifier_one, ledger_one, zkp.MODE_LITERAL,
-                                rng, np_rng, setup=setup_one)
+    honest = run_authentication(device, verifier_one, ledger_one, zkp.MODE_LITERAL, rng, np_rng)
     results["honest-accepted-at-alpha-1"] = bool(honest.accepted)
 
     forged = zkp.forge_literal_proof(rng)
@@ -246,7 +247,7 @@ def _literal_defect_demos(rng, np_rng, ca: CertificateAuthority,
     device_rand = Device.enroll(puf_new(rng.getrandbits(32), 0.0), ca, ledger_rand,
                                 rng, np_rng, params)
     honest_rand = run_authentication(device_rand, verifier_rand, ledger_rand,
-                                     zkp.MODE_LITERAL, rng, np_rng, setup=setup_rand)
+                                     zkp.MODE_LITERAL, rng, np_rng)
     results["honest-rejected-at-random-alpha"] = not honest_rand.accepted
     return results
 
@@ -422,7 +423,15 @@ def run_demo(seed: int = 0, params: ParamSet = DEFAULT_PARAMS) -> Tuple[str, Dic
 
 def audit_transcript(text: str) -> Tuple[bool, List[str]]:
     """Replay a demo transcript: re-execute the ledger log, re-verify
-    the chain and digests, and re-check every accepted proof."""
+    the chain and digests, and re-check every accepted proof.
+
+    Every recorded decision is bound to the replayed ledger: each
+    outcome line must equal its session's decision message, each
+    device's accepted authentications must equal its rotations, each
+    transaction must be committed exactly as often as sessions record
+    it accepted, and an accepted request must carry its session's
+    device id and nonce.  The ``meta`` line is not bound; only running
+    the demo again could check it."""
     findings: List[str] = []
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _TRANSCRIPT_HEADER:
@@ -483,11 +492,21 @@ def audit_transcript(text: str) -> Tuple[bool, List[str]]:
         try:
             identity = DeviceIdentity.load(blob)
             stored = ledger.load_device(identity.device_id)
-            if stored.pk != identity.pk or stored.commitment != identity.response_commitment:
+            if (stored.pk, stored.commitment, stored.record.cert_bytes) != (
+                    identity.pk, identity.response_commitment, identity.certificate.to_bytes()):
                 findings.append("exported identity disagrees with its ledger record")
+            binding = registration_binding(identity.response_commitment.to_bytes(),
+                                           identity.fingerprint,
+                                           challenges_to_bytes(identity.challenge_set))
+            if binding != identity.certificate.binding:
+                findings.append("exported identity does not match its certificate binding")
         except _AUDIT_ERRORS as exc:
             findings.append(f"identity export failed to load: {exc}")
 
+    committed = Counter(d for h in range(1, ledger.height + 1) for d in ledger.block(h).tx_digests)
+    rotations = Counter(tx.device_id for tx in ledger.transactions() if tx.chaincode == "rotate")
+    authentications: Counter = Counter()
+    submitted: Counter = Counter()  # record digest -> sessions that recorded it accepted
     for index, session in enumerate(sessions):
         header = session["header"]
         device_len = int.from_bytes(header[8:10], "big")
@@ -498,13 +517,24 @@ def audit_transcript(text: str) -> Tuple[bool, List[str]]:
         epoch = int.from_bytes(header[off + 2 + nonce_len:off + 10 + nonce_len], "big")
         outcome = session["outcome"]
         accepted = bool(outcome and outcome[0] == 1)
+        decisions = []
         for raw in session["msgs"]:
             try:
                 msg = decode_message(raw)
             except _AUDIT_ERRORS as exc:
                 findings.append(f"session {index}: undecodable message: {exc}")
                 continue
-            if raw and raw[0] == TAG_AUTH_REQUEST and accepted:
+            if isinstance(msg, (AuthDecision, TxDecision)):
+                decisions.append(bytes([msg.accept]) + msg.reason.encode())
+            elif isinstance(msg, TxSubmit):
+                digest = hashlib.sha256(msg.record.to_bytes()).digest()
+                submitted[digest] += accepted
+                if accepted and msg.record.device_id != device_id:
+                    findings.append(f"session {index}: accepted request is not the session's")
+            elif isinstance(msg, AuthRequest) and accepted:
+                authentications[device_id] += 1
+                if (msg.device_id, msg.nonce) != (device_id, nonce):
+                    findings.append(f"session {index}: accepted request is not the session's")
                 try:
                     stored = ledger.load_device(msg.device_id)
                     proof = zkp.CorrectedAuthProof.from_bytes(msg.proof)
@@ -519,4 +549,10 @@ def audit_transcript(text: str) -> Tuple[bool, List[str]]:
                         findings.append(f"session {index}: accepted proof fails re-verification")
                 except _AUDIT_ERRORS as exc:
                     findings.append(f"session {index}: proof re-verification error: {exc}")
+        if decisions != [outcome]:
+            findings.append(f"session {index}: outcome differs from the decision message")
+    if authentications != rotations:
+        findings.append("accepted authentications differ from the ledger's rotations")
+    if any(committed[digest] != count for digest, count in submitted.items()):
+        findings.append("recorded transaction outcomes differ from the committed blocks")
     return not findings, findings or ["audit clean"]

@@ -12,6 +12,7 @@ from pufzk.bench import (
     validate_report,
 )
 from pufzk.params import PRESETS
+from pufzk.protocol import Device
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +76,24 @@ class TestLiteralBench:
         assert validate_report(report.to_dict()) == []
         sizes = {rec["proof_size_bytes"] for rec in report.records}
         assert sizes == {zkp.LITERAL_PROOF_WIRE_BYTES}
+
+
+class TestDeviceProver:
+    @pytest.mark.parametrize("mode", zkp.MODES)
+    def test_bench_proves_through_the_device(self, monkeypatch, mode):
+        """The timed proof is the device's own ``prove_auth``, once per
+        iteration and once for the warm-up."""
+        calls = []
+        real = Device.prove_auth
+
+        def counted(self, *args, **kwargs):
+            calls.append(mode)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Device, "prove_auth", counted)
+        report = run_bench(iterations=2, mode=mode, seed=5, params=PRESETS["fast"])
+        assert len(calls) == 3
+        assert validate_report(report.to_dict()) == []
 
 
 class TestValidator:

@@ -1,20 +1,63 @@
 """CLI surface: subcommands, exit codes, artifacts."""
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pufzk.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from pufzk.identity import DeviceIdentity
 from pufzk.params import ENV_VAR, PRESETS
 from pufzk.scenarios import audit_transcript, run_attack_suite, run_demo
 
 HEX = "0123456789abcdef"
 
+# SHA-256 of the `demo --seed 7` transcript.  A change that means to
+# alter transcripts updates this digest and says so.
+DEMO_SEED_7_SHA256 = "bc8db927e939b92ff29c0d781d025e41e297dea75eb267937ccc6e375e16ed68"
+
 
 @pytest.fixture(scope="module")
 def demo_lines():
     return run_demo(seed=5, params=PRESETS["fast"])[0].splitlines()
+
+
+@pytest.fixture(scope="module")
+def demo_seed_7():
+    return run_demo(seed=7)[0]
+
+
+def _flip_bit(payload_hex: str, index: int) -> str:
+    raw = bytearray(bytes.fromhex(payload_hex))
+    raw[index] ^= 1
+    return raw.hex()
+
+
+def _flip_accepted_outcome(lines):
+    """The first session's outcome (an accepted authentication) flipped
+    to rejected; the proof is then no longer re-verified."""
+    i = next(i for i, line in enumerate(lines) if line.startswith("outcome 01"))
+    lines[i] = "outcome 00" + lines[i][len("outcome 01"):]
+
+
+def _flip_outcome_and_decision(lines):
+    _flip_accepted_outcome(lines)
+    i = next(i for i, line in enumerate(lines) if line.startswith("msg 0201"))
+    lines[i] = "msg 0200" + lines[i][len("msg 0201"):]
+
+
+def _flip_request_nonce_bit(lines):
+    # the nonce is the last field of an auth request
+    i = next(i for i, line in enumerate(lines) if line.startswith("msg 01"))
+    lines[i] = "msg " + _flip_bit(lines[i][4:], -1)
+
+
+def _replace_exported_fingerprint(lines):
+    i = next(i for i, line in enumerate(lines) if line.startswith("identity "))
+    identity = DeviceIdentity.load(bytes.fromhex(lines[i][len("identity "):]))
+    lines[i] = "identity " + dataclasses.replace(identity, fingerprint=bytes(32)).export().hex()
 
 
 class TestDemoAndAudit:
@@ -73,6 +116,21 @@ class TestDemoAndAudit:
         if kind in ("ledger", "state", "head", "chain"):
             assert not ok
 
+    def test_demo_seed_7_transcript_is_pinned(self, demo_seed_7):
+        assert hashlib.sha256(demo_seed_7.encode()).hexdigest() == DEMO_SEED_7_SHA256
+        ok, findings = audit_transcript(demo_seed_7)
+        assert ok, findings
+
+    @pytest.mark.parametrize("mutate", [
+        _flip_accepted_outcome, _flip_outcome_and_decision, _flip_request_nonce_bit,
+        _replace_exported_fingerprint,
+    ], ids=["outcome", "outcome-and-decision", "request-nonce", "identity-fingerprint"])
+    def test_audit_binds_recorded_decisions(self, demo_seed_7, mutate):
+        lines = demo_seed_7.splitlines()
+        mutate(lines)
+        ok, findings = audit_transcript("\n".join(lines) + "\n")
+        assert not ok, findings
+
     def test_audit_missing_file_usage_error(self):
         assert main(["audit", "/no/such/file"]) == EXIT_USAGE
 
@@ -82,7 +140,6 @@ class TestDemoAndAudit:
         assert main(["audit", str(bad)]) == EXIT_FAILURE
 
     def test_transcript_carries_loadable_identity_exports(self, tmp_path):
-        from pufzk.identity import DeviceIdentity
         out = tmp_path / "demo.transcript"
         main(["demo", "--seed", "6", "--out", str(out), "--params", "fast"])
         blobs = [line.split()[1] for line in out.read_text().splitlines()

@@ -21,7 +21,7 @@ from pufzk.identity import (
 from pufzk.ledger import bootstrap, ledger_new
 from pufzk.pairing import G1Element, G2Element, Scalar
 from pufzk.protocol import Device
-from pufzk.puf import fractional_hamming, generate_challenges, puf_new, puf_respond
+from pufzk.puf import challenges_to_bytes, fractional_hamming, generate_challenges, puf_new, puf_respond
 from pufzk.wire import Certificate, DeviceRecord, WireError, registration_binding
 
 
@@ -181,8 +181,8 @@ class TestRegistration:
         assert identity.response_commitment == G1Element.generator() ** response_scalar(twin)
 
     def test_fingerprint_stable_per_device(self):
-        assert device_fingerprint(puf_new(1, 0.0), 9) == device_fingerprint(puf_new(1, 0.0), 9)
-        assert device_fingerprint(puf_new(1, 0.0), 9) != device_fingerprint(puf_new(2, 0.0), 9)
+        assert device_fingerprint(puf_new(1, 0.0)) == device_fingerprint(puf_new(1, 0.0))
+        assert device_fingerprint(puf_new(1, 0.0)) != device_fingerprint(puf_new(2, 0.0))
 
 
 class TestCertificates:
@@ -261,6 +261,15 @@ class TestIdentityExport:
         assert np.array_equal(loaded.challenge_set, identity.challenge_set)
         assert loaded.response_commitment == identity.response_commitment
         assert loaded.certificate == identity.certificate
+
+    def test_binding_recomputes_after_export(self, env):
+        identity, _ = register_device(
+            puf_new(8106, 0.0), env["ca"], env["ledger"], env["rng"], env["np_rng"])
+        loaded = DeviceIdentity.load(identity.export())
+        assert loaded.fingerprint == identity.fingerprint
+        binding = registration_binding(loaded.response_commitment.to_bytes(), loaded.fingerprint,
+                                       challenges_to_bytes(loaded.challenge_set))
+        assert binding == loaded.certificate.binding
 
     def test_bad_header_rejected(self):
         with pytest.raises(WireError):

@@ -137,8 +137,7 @@ class TestMalformedStoredState:
         _overwrite_with_garbage(ledger, device.device_id, kinds)
         assert verifier.begin_session(device.device_id).epoch == -1
         for mode in (zkp.MODE_CORRECTED, zkp.MODE_LITERAL):
-            session = run_authentication(device, verifier, ledger, mode, rng, env["np_rng"],
-                                         setup=env["setup"])
+            session = run_authentication(device, verifier, ledger, mode, rng, env["np_rng"])
             assert not session.accepted and session.reason == "malformed record"
         session = run_transaction(device, verifier, ledger, b"reading", zkp.MODE_CORRECTED, rng)
         assert not session.accepted and session.reason.startswith("malformed record: ")
@@ -168,8 +167,7 @@ class TestLiteralEndToEnd:
         bootstrap(ledger, setup_one.pk_setup, ca.pk)
         verifier = Verifier(ledger, rng)
         device = Device.enroll(puf_new(3103, 0.0), ca, ledger, rng, np_rng, NOISELESS)
-        session = run_authentication(device, verifier, ledger, zkp.MODE_LITERAL,
-                                     rng, np_rng, setup=setup_one)
+        session = run_authentication(device, verifier, ledger, zkp.MODE_LITERAL, rng, np_rng)
         assert session.accepted
         replayed = attack_replay(session, verifier, ledger, mode=zkp.MODE_LITERAL)
         assert replayed.accepted == 1  # the printed scheme binds no session data
@@ -181,8 +179,7 @@ class TestLiteralEndToEnd:
         bootstrap(ledger, setup_rand.pk_setup, ca.pk)
         verifier = Verifier(ledger, rng)
         device = Device.enroll(puf_new(3104, 0.0), ca, ledger, rng, np_rng, NOISELESS)
-        session = run_authentication(device, verifier, ledger, zkp.MODE_LITERAL,
-                                     rng, np_rng, setup=setup_rand)
+        session = run_authentication(device, verifier, ledger, zkp.MODE_LITERAL, rng, np_rng)
         assert not session.accepted
 
 
