@@ -120,16 +120,14 @@ def fq2_sqrt(a):
     lam = fq_sqrt((a0 * a0 + a1 * a1) % P)
     if lam is None:
         return None
-    inv2 = (P + 1) // 2
-    delta = (a0 + lam) * inv2 % P
-    x0 = fq_sqrt(delta)
-    if x0 is None:
-        delta = (a0 - lam) * inv2 % P
-        x0 = fq_sqrt(delta)
-        if x0 is None:
-            return None
-    x1 = a1 * fq_inv(2 * x0 % P) % P
-    cand = (x0, x1)
+    delta = (a0 + lam) * ((P + 1) // 2) % P
+    r = pow(delta, (P + 1) // 4, P)
+    # r^2 = delta for a residue; else r^2 = -delta, and since
+    # (a0 + lam)(a0 - lam) = -a1^2 the root's imaginary part is r
+    if r * r % P == delta:
+        cand = (r, a1 * fq_inv(2 * r % P) % P)
+    else:
+        cand = (a1 * fq_inv(2 * r % P) % P, r)
     if fq2_sqr(cand) != (a0 % P, a1 % P):
         return None
     return cand

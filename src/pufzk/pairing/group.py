@@ -144,6 +144,13 @@ class G1Element:
     def from_bytes(cls, data: bytes) -> "G1Element":
         return cls(_g1_decode_cached(bytes(data)))
 
+    @staticmethod
+    def deferred(data: bytes) -> "G1Element":
+        """The element encoded by ``data``, decoded only when it is first
+        used as a point; ``to_bytes`` returns ``data`` as received.  For
+        commitments that a verifier only compares as bytes."""
+        return _DeferredG1(data)
+
     def to_bytes(self) -> bytes:
         return g1_to_bytes(self._pt)
 
@@ -195,6 +202,11 @@ class G2Element:
     @classmethod
     def from_bytes(cls, data: bytes) -> "G2Element":
         return cls(_g2_decode_cached(bytes(data)))
+
+    @staticmethod
+    def deferred(data: bytes) -> "G2Element":
+        """See :meth:`G1Element.deferred`."""
+        return _DeferredG2(data)
 
     def to_bytes(self) -> bytes:
         return g2_to_bytes(self._pt)
@@ -301,6 +313,38 @@ def _g1_decode_cached(data: bytes):
 @lru_cache(maxsize=4096)
 def _g2_decode_cached(data: bytes):
     return g2_from_bytes(data)
+
+
+class _Deferred:
+    """A group element known by its received encoding and decoded, with
+    the subgroup check, on first use as a point.  ``to_bytes`` returns
+    the encoding without decoding; a bad encoding raises ``DecodeError``
+    from the first arithmetic or comparison instead."""
+
+    __slots__ = ()
+
+    def __init__(self, data: bytes):
+        self._enc = bytes(data)
+
+    def __getattr__(self, name):
+        # reached only while the ``_pt`` slot is still unset
+        if name != "_pt":
+            raise AttributeError(name)
+        self._pt = self._decode(self._enc)
+        return self._pt
+
+    def to_bytes(self) -> bytes:
+        return self._enc
+
+
+class _DeferredG1(_Deferred, G1Element):
+    __slots__ = ("_enc",)
+    _decode = staticmethod(_g1_decode_cached)
+
+
+class _DeferredG2(_Deferred, G2Element):
+    __slots__ = ("_enc",)
+    _decode = staticmethod(_g2_decode_cached)
 
 
 # Miller-loop line tables for G2 points that keep being paired

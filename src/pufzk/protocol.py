@@ -36,7 +36,7 @@ from .identity import (
     response_scalar,
 )
 from .ledger import Ledger, RecordError, StoredDevice, rotate_challenges
-from .pairing import DecodeError, Scalar
+from .pairing import DecodeError, G1Element, G2Element, Scalar
 from .params import DEFAULT_PARAMS, ParamSet
 from .puf import PufDevice, puf_new, puf_respond, responses_to_bytes
 from .wire import (
@@ -256,6 +256,13 @@ class Verifier:
             session_nonce=session.nonce,
         )
         if not zkp.auth_verify_corrected(statement, proof):
+            # the verifier compares commitments as bytes; only a
+            # rejection pays to tell an undecodable one apart
+            try:
+                G2Element.from_bytes(proof.commit_sk.to_bytes())
+                G1Element.from_bytes(proof.commit_puf.to_bytes())
+            except DecodeError:
+                return AuthDecision(False, "malformed")
             return AuthDecision(False, "proof invalid")
         self._authenticated[msg.device_id] = msg.nonce
         rotate_challenges(self.ledger, msg.device_id, self.rng)

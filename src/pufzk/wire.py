@@ -17,8 +17,8 @@ Messages carry a leading tag byte.  Layouts:
     TxSubmit         0x03 | u32 transaction record
     TxDecision       0x04 | u8 accept | u16 reason (utf-8)
 
-Decoding is strict: trailing bytes, truncation, or a wrong tag raise
-``WireError``.
+Decoding is strict: trailing bytes, truncation, a wrong tag, or an
+accept flag other than 0x00 or 0x01 raise ``WireError``.
 """
 
 from __future__ import annotations
@@ -54,6 +54,13 @@ def _get_field(data: bytes, off: int, width: int = 2) -> Tuple[bytes, int]:
 def _get_int(data: bytes, off: int, width: int) -> Tuple[int, int]:
     raw, off = _take(data, off, width)
     return int.from_bytes(raw, "big"), off
+
+
+def _get_flag(data: bytes, off: int) -> Tuple[bool, int]:
+    flag, off = _get_int(data, off, 1)
+    if flag > 1:
+        raise WireError(f"flag byte must be 0x00 or 0x01, got 0x{flag:02x}")
+    return flag == 1, off
 
 
 def _done(data: bytes, off: int) -> None:
@@ -294,17 +301,17 @@ def decode_message(data: bytes) -> ProtocolMessage:
         _done(data, off)
         return AuthRequest(device_id, proof, nonce)
     if tag == TAG_AUTH_DECISION:
-        flag, off = _get_int(data, 1, 1)
+        flag, off = _get_flag(data, 1)
         reason, off = _get_field(data, off)
         _done(data, off)
-        return AuthDecision(bool(flag), _utf8(reason))
+        return AuthDecision(flag, _utf8(reason))
     if tag == TAG_TX_SUBMIT:
         rec, off = _get_field(data, 1, width=4)
         _done(data, off)
         return TxSubmit(TransactionRecord.from_bytes(rec))
     if tag == TAG_TX_DECISION:
-        flag, off = _get_int(data, 1, 1)
+        flag, off = _get_flag(data, 1)
         reason, off = _get_field(data, off)
         _done(data, off)
-        return TxDecision(bool(flag), _utf8(reason))
+        return TxDecision(flag, _utf8(reason))
     raise WireError(f"unknown message tag 0x{tag:02x}")

@@ -17,7 +17,10 @@ Two proof modes ship side by side:
     the secret key against the device public key and one for the PUF
     response scalar against the response commitment registered at
     enrollment.  Challenges bind a protocol version tag, the full
-    statement, and the per-session nonce.
+    statement, and the per-session nonce.  The verifier recomputes each
+    commitment from the responses and compares encodings, as a Schnorr
+    (e, s) verifier recomputes R, so an accepted proof's commitments
+    are never decoded: the proof codecs keep them as received bytes.
 
 Two signature schemes sit beside the proofs.  Devices sign
 transactions with the usual pairing scheme: sig = H(msg)^sk in G1 with
@@ -234,8 +237,8 @@ class CorrectedAuthProof:
         if len(data) != CORRECTED_AUTH_PROOF_WIRE_BYTES or data[0] != WIRE_TAG_CORRECTED:
             raise DecodeError("not a corrected-mode auth proof")
         return cls(
-            commit_sk=G2Element.from_bytes(data[1:97]),
-            commit_puf=G1Element.from_bytes(data[97:145]),
+            commit_sk=G2Element.deferred(data[1:97]),
+            commit_puf=G1Element.deferred(data[97:145]),
             challenge=Scalar.from_bytes(data[145:177]),
             resp_sk=Scalar.from_bytes(data[177:209]),
             resp_puf=Scalar.from_bytes(data[209:241]),
@@ -275,18 +278,29 @@ def auth_prove_corrected(statement: AuthStatement, witness: AuthWitness, rng) ->
     )
 
 
+def _commits_to(commit, base, resp: Scalar, pk, challenge: Scalar) -> bool:
+    """Whether ``commit`` is base^resp * pk^-challenge, compared as
+    encodings: the one point the sigma equation allows is recomputed
+    and encoded, so the received commitment is never decoded."""
+    return (base ** resp * (pk ** challenge).inverse()).to_bytes() == commit.to_bytes()
+
+
 def verify_sigma_equations(statement: AuthStatement, proof: CorrectedAuthProof) -> bool:
     """The two group-equation checks alone, with the proof's own
     challenge.  This is the interactive-verifier view used by the
     honest-verifier zero-knowledge test; it deliberately skips the
-    Fiat-Shamir challenge recomputation."""
-    lhs_sk = _G2 ** proof.resp_sk
-    rhs_sk = proof.commit_sk * statement.pk ** proof.challenge
-    if lhs_sk != rhs_sk:
-        return False
-    lhs_puf = _G1 ** proof.resp_puf
-    rhs_puf = proof.commit_puf * statement.response_commitment ** proof.challenge
-    return lhs_puf == rhs_puf
+    Fiat-Shamir challenge recomputation.
+
+    Each check recomputes the commitment C = g^s * X^-c and compares
+    its encoding with the received one.  Encodings are canonical and C
+    lies in the subgroup, so the bytes match exactly when the
+    commitment decodes (subgroup check included) and satisfies
+    g^s == C * X^c."""
+    return (
+        _commits_to(proof.commit_sk, _G2, proof.resp_sk, statement.pk, proof.challenge)
+        and _commits_to(proof.commit_puf, _G1, proof.resp_puf,
+                        statement.response_commitment, proof.challenge)
+    )
 
 
 def auth_verify_corrected(statement: AuthStatement, proof: CorrectedAuthProof) -> bool:
@@ -362,7 +376,7 @@ class CorrectedTxProof:
         if len(data) != CORRECTED_TX_PROOF_WIRE_BYTES or data[0] != WIRE_TAG_CORRECTED:
             raise DecodeError("not a corrected-mode tx proof")
         return cls(
-            commit_sk=G2Element.from_bytes(data[1:97]),
+            commit_sk=G2Element.deferred(data[1:97]),
             challenge=Scalar.from_bytes(data[97:129]),
             resp_sk=Scalar.from_bytes(data[129:161]),
             tx_nonce=data[161:161 + NONCE_LEN],
@@ -396,7 +410,7 @@ def tx_verify_corrected(statement: TxStatement, proof: CorrectedTxProof) -> bool
         return False
     if proof.challenge != _corrected_tx_challenge(statement, proof.commit_sk):
         return False
-    return _G2 ** proof.resp_sk == proof.commit_sk * statement.pk ** proof.challenge
+    return _commits_to(proof.commit_sk, _G2, proof.resp_sk, statement.pk, proof.challenge)
 
 
 # ---------------------------------------------------------------------------

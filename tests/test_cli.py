@@ -54,6 +54,12 @@ def _flip_request_nonce_bit(lines):
     lines[i] = "msg " + _flip_bit(lines[i][4:], -1)
 
 
+def _set_decision_flag_3(lines):
+    # an accepted authentication's decision, its flag 0x01 read as 0x03
+    i = next(i for i, line in enumerate(lines) if line.startswith("msg 0201"))
+    lines[i] = "msg 0203" + lines[i][len("msg 0201"):]
+
+
 def _replace_exported_fingerprint(lines):
     i = next(i for i, line in enumerate(lines) if line.startswith("identity "))
     identity = DeviceIdentity.load(bytes.fromhex(lines[i][len("identity "):]))
@@ -123,8 +129,9 @@ class TestDemoAndAudit:
 
     @pytest.mark.parametrize("mutate", [
         _flip_accepted_outcome, _flip_outcome_and_decision, _flip_request_nonce_bit,
-        _replace_exported_fingerprint,
-    ], ids=["outcome", "outcome-and-decision", "request-nonce", "identity-fingerprint"])
+        _replace_exported_fingerprint, _set_decision_flag_3,
+    ], ids=["outcome", "outcome-and-decision", "request-nonce", "identity-fingerprint",
+            "decision-flag"])
     def test_audit_binds_recorded_decisions(self, demo_seed_7, mutate):
         lines = demo_seed_7.splitlines()
         mutate(lines)

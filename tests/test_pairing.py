@@ -182,6 +182,21 @@ class TestSerialization:
         b = G1 ** 42
         assert a == b and a.to_bytes() == b.to_bytes()
 
+    @pytest.mark.parametrize("element", [G1Element, G2Element], ids=["g1", "g2"])
+    def test_deferred_decodes_on_first_use(self, element):
+        point = element.generator() ** 42
+        deferred = element.deferred(point.to_bytes())
+        assert deferred.to_bytes() == point.to_bytes()
+        assert deferred == point and deferred * point == point ** 2
+        bad = bytearray(element.identity().to_bytes())
+        bad[-1] = 1
+        deferred = element.deferred(bytes(bad))
+        assert deferred.to_bytes() == bytes(bad)
+        with pytest.raises(DecodeError):
+            deferred * point
+        with pytest.raises(DecodeError):
+            element.from_bytes(bytes(bad))
+
     def test_truncated_buffers_rejected(self):
         with pytest.raises(DecodeError):
             G1Element.from_bytes(G1.to_bytes()[:-1])
@@ -232,6 +247,43 @@ class TestSerialization:
         raw[-1] ^= 1
         with pytest.raises(DecodeError):
             GtElement.from_bytes(bytes(raw))
+
+
+_FQ = st.integers(0, P - 1)
+
+
+class TestFq2Sqrt:
+    """Roots square back; non-residues have none.  Norms decide: a is a
+    square in Fq2 iff a0^2 + a1^2 is one in Fq, and xi = 1 + u has norm
+    2, a non-residue for p = 3 mod 8."""
+
+    @given(_FQ, _FQ)
+    @settings(max_examples=60, deadline=None)
+    def test_roots_of_squares_square_back(self, x0, x1):
+        a = fq2_sqr((x0, x1))
+        root = fq2_sqrt(a)
+        assert root is not None and fq2_sqr(root) == a
+
+    @given(st.integers(1, P - 1), _FQ)
+    @settings(max_examples=40, deadline=None)
+    def test_non_residues_have_no_root(self, x0, x1):
+        assert P % 8 == 3
+        assert fq2_sqrt(fq2_mul(fq2_sqr((x0, x1)), XI)) is None
+
+    @given(_FQ, _FQ)
+    @settings(max_examples=60, deadline=None)
+    def test_root_exists_exactly_for_squares(self, a0, a1):
+        root = fq2_sqrt((a0, a1))
+        if fq_sqrt((a0 * a0 + a1 * a1) % P) is None:
+            assert root is None
+        else:
+            assert fq2_sqr(root) == (a0, a1)
+
+    @given(_FQ)
+    @settings(max_examples=40, deadline=None)
+    def test_base_field_elements_all_have_roots(self, a0):
+        root = fq2_sqrt((a0, 0))
+        assert root is not None and fq2_sqr(root) == (a0, 0)
 
 
 def _random_e1_point(rng):

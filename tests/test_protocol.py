@@ -1,6 +1,7 @@
 """End-to-end protocol behaviour and the adversary scripts."""
 
 import dataclasses
+import hashlib
 import random
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from pufzk import zkp
 from pufzk.identity import CertificateAuthority, response_scalar
 from pufzk.ledger import RecordError, bootstrap, ledger_new, rotate_challenges
-from pufzk.pairing import Scalar
+from pufzk.pairing import DecodeError, G1Element, G2Element, Scalar, curve, group
 from pufzk.params import ParamSet
 from pufzk.protocol import (
     Device,
@@ -378,3 +379,172 @@ class TestAcceptanceConditions:
     def test_wrong_epoch_rejects(self, env):
         current = env["ledger"].query_subset(env["device"].device_id).epoch
         assert not self._handcrafted_attempt(env, epoch=current + 5).accept
+
+
+def _off_subgroup_encoding(group_name: str) -> bytes:
+    """The compressed encoding of the curve point with the smallest x
+    that lies outside the prime-order subgroup."""
+    for x0 in range(1, 100):
+        if group_name == "g1":
+            y = curve.fq_sqrt((x0 ** 3 + curve.B_G1) % curve.P)
+            pt = (x0, y)
+            if y is not None and not curve.g1_in_subgroup(pt):
+                return curve.g1_to_bytes(pt)
+        else:
+            x = (x0, 0)
+            y = curve.fq2_sqrt(curve.fq2_add(curve.fq2_mul(curve.fq2_sqr(x), x), curve.B_G2))
+            if y is not None and not curve.g2_in_subgroup((x, y)):
+                return curve.g2_to_bytes((x, y))
+    raise AssertionError("no off-subgroup point found")
+
+
+def _alter(enc: bytes, how: str, rng) -> bytes:
+    """A commitment encoding altered one of the ways a sender could."""
+    group_name = "g1" if len(enc) == 48 else "g2"
+    if how == "xor-sign-flag":
+        return bytes([enc[0] ^ 0x20]) + enc[1:]
+    if how == "xor-last-byte":
+        return enc[:-1] + bytes([enc[-1] ^ 0x01])
+    if how == "random-bytes":
+        return rng.getrandbits(8 * len(enc)).to_bytes(len(enc), "big")
+    if how == "off-subgroup":
+        return _off_subgroup_encoding(group_name)
+    if how == "x-out-of-range":
+        x = bytearray(curve.P.to_bytes(48, "big"))
+        x[0] |= 0x80
+        return bytes(x) + bytes(len(enc) - 48)
+    if how == "noncanonical-infinity":
+        return b"\xc0" + bytes(len(enc) - 2) + b"\x01"
+    if how == "other-point":
+        element = G1Element if group_name == "g1" else G2Element
+        return (element.generator() ** Scalar.random(rng)).to_bytes()
+    assert how == "unaltered"
+    return enc
+
+
+ALTERATIONS = ["unaltered", "xor-sign-flag", "xor-last-byte", "random-bytes", "off-subgroup",
+               "x-out-of-range", "noncanonical-infinity", "other-point"]
+
+
+# Decisions the reference must reach; the other alterations may give
+# either rejection reason, depending on the bytes they produce.
+_EXPECTED_AUTH = {
+    "unaltered": (True, "ok"),
+    "xor-sign-flag": (False, "proof invalid"),
+    "off-subgroup": (False, "malformed"),
+    "x-out-of-range": (False, "malformed"),
+    "noncanonical-infinity": (False, "malformed"),
+    "other-point": (False, "proof invalid"),
+}
+
+
+def _reference_auth_decision(statement, raw):
+    """The decision as made by decoding both commitments up front (with
+    the subgroup check) and checking the sigma equations on points."""
+    try:
+        commit_sk = G2Element.from_bytes(raw[1:97])
+        commit_puf = G1Element.from_bytes(raw[97:145])
+        proof = zkp.CorrectedAuthProof.from_bytes(raw)
+    except DecodeError:
+        return False, "malformed"
+    g1, g2, c = G1Element.generator(), G2Element.generator(), proof.challenge
+    ok = (proof.session_nonce == statement.session_nonce
+          and c == zkp._corrected_auth_challenge(statement, commit_sk, commit_puf)
+          and g2 ** proof.resp_sk == commit_sk * statement.pk ** c
+          and g1 ** proof.resp_puf == commit_puf * statement.response_commitment ** c)
+    return (True, "ok") if ok else (False, "proof invalid")
+
+
+def _reference_tx_accepts(statement, raw) -> bool:
+    try:
+        commit_sk = G2Element.from_bytes(raw[1:97])
+        proof = zkp.CorrectedTxProof.from_bytes(raw)
+    except DecodeError:
+        return False
+    c = proof.challenge
+    return (proof.tx_nonce == statement.tx_nonce
+            and c == zkp._corrected_tx_challenge(statement, commit_sk)
+            and G2Element.generator() ** proof.resp_sk == commit_sk * statement.pk ** c)
+
+
+class TestCommitmentsComparedAsBytes:
+    """The verifier recomputes each commitment and compares encodings;
+    its decisions match decoding the commitments first."""
+
+    @pytest.mark.parametrize("field", ["commit_sk", "commit_puf"])
+    @pytest.mark.parametrize("how", ALTERATIONS)
+    def test_auth_decision_matches_decoding_first(self, env, field, how):
+        device, verifier, ledger, rng = env["device"], env["verifier"], env["ledger"], env["rng"]
+        session = verifier.begin_session(device.device_id)
+        raw = device.build_auth_proof(ledger, session.nonce, zkp.MODE_CORRECTED, rng, env["np_rng"])
+        span = slice(1, 97) if field == "commit_sk" else slice(97, 145)
+        raw = raw[:span.start] + _alter(raw[span], how, rng) + raw[span.stop:]
+        stored = ledger.load_device(device.device_id)
+        statement = zkp.AuthStatement(device.device_id, stored.pk, stored.commitment,
+                                      stored.epoch, session.nonce)
+        expected = _reference_auth_decision(statement, raw)
+        assert expected == _EXPECTED_AUTH.get(how, expected)
+        if expected[1] != "malformed":
+            assert zkp.auth_verify_corrected(
+                statement, zkp.CorrectedAuthProof.from_bytes(raw)) == expected[0]
+        decision = verifier.handle_auth_request(
+            AuthRequest(device.device_id, raw, session.nonce).to_bytes(), zkp.MODE_CORRECTED)
+        assert (decision.accept, decision.reason) == expected
+
+    @pytest.mark.parametrize("how", ALTERATIONS)
+    def test_submit_result_matches_decoding_first(self, env, how):
+        device, ledger, rng = env["device"], env["ledger"], env["rng"]
+        record = device.build_tx_submit(b"reading", zkp.MODE_CORRECTED, rng)
+        proof = record.proof[:1] + _alter(record.proof[1:97], how, rng) + record.proof[97:]
+        record = dataclasses.replace(record, proof=proof)
+        statement = zkp.TxStatement(device.device_id, device.identity.pk,
+                                    hashlib.sha256(record.payload).digest(), record.nonce)
+        accepts = _reference_tx_accepts(statement, proof)
+        assert accepts == (how == "unaltered")
+        digest, height = ledger.state_digest(), ledger.height
+        result = ledger.invoke("submit", record)
+        assert (result.committed, result.reason) == (
+            (True, "committed") if accepts else (False, "proof invalid"))
+        if not accepts:
+            assert (ledger.state_digest(), ledger.height) == (digest, height)
+
+
+@pytest.fixture()
+def decode_counts(monkeypatch):
+    """Calls to the point decoders behind the decode caches, which start
+    empty: seeded tests repeat their proofs, so a cache could hold one."""
+    group._g1_decode_cached.cache_clear()
+    group._g2_decode_cached.cache_clear()
+    counts = {"g1": 0, "g2": 0}
+    for name in counts:
+        decode = getattr(group, f"{name}_from_bytes")
+
+        def counted(data, name=name, decode=decode):
+            counts[name] += 1
+            return decode(data)
+
+        monkeypatch.setattr(group, f"{name}_from_bytes", counted)
+    return counts
+
+
+class TestAcceptDecodesNoCommitment:
+    """Once a device's stored keys are decoded, accepting its proofs
+    decodes nothing the prover sent."""
+
+    def test_accepted_auth_request_decodes_no_point(self, env, decode_counts):
+        device, verifier, ledger = env["device"], env["verifier"], env["ledger"]
+        session = verifier.begin_session(device.device_id)
+        raw = device.build_auth_proof(ledger, session.nonce, zkp.MODE_CORRECTED,
+                                      env["rng"], env["np_rng"])
+        request = AuthRequest(device.device_id, raw, session.nonce).to_bytes()
+        ledger.load_device(device.device_id)
+        decode_counts.update(g1=0, g2=0)
+        assert verifier.handle_auth_request(request, zkp.MODE_CORRECTED).accept
+        assert decode_counts == {"g1": 0, "g2": 0}
+
+    def test_accepted_submit_decodes_no_g2_point(self, env, decode_counts):
+        record = env["device"].build_tx_submit(b"reading", zkp.MODE_CORRECTED, env["rng"])
+        env["ledger"].load_device(env["device"].device_id)
+        decode_counts.update(g1=0, g2=0)
+        assert env["ledger"].invoke("submit", record)
+        assert decode_counts["g2"] == 0

@@ -106,6 +106,14 @@ class TestMessages:
         for msg in messages:
             assert decode_message(msg.to_bytes()) == msg
 
+    @pytest.mark.parametrize("decision", [AuthDecision(True, "ok"), TxDecision(False, "x")])
+    @pytest.mark.parametrize("flag", [0x02, 0x03, 0x80, 0xFF])
+    def test_decision_flag_is_strict(self, decision, flag):
+        raw = bytearray(decision.to_bytes())
+        raw[1] = flag
+        with pytest.raises(WireError):
+            decode_message(bytes(raw))
+
     def test_unknown_tag(self):
         with pytest.raises(WireError):
             decode_message(b"\xEE\x00")
