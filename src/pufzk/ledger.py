@@ -8,6 +8,26 @@ digest, the transaction digest, and a digest of the post-state, so both
 tampering and non-determinism are detectable.  Rejected transactions
 leave no trace in state or chain.
 
+The state digest is LtHash (Lewi et al., "Securing update propagation
+with homomorphic hashing", ePrint 2019/227), a multiset hash in the
+Bellare-Micciancio paradigm (EUROCRYPT 1997).  Each key has a leaf: the
+SHA-256 of its length-framed (key, value, version), expanded by
+SHAKE-128 to 1,024 16-bit lanes.  The accumulator is the lane-wise sum
+of all leaves mod 2^16, and the digest is the SHA-256 of its bytes.  A
+commit subtracts each written key's old leaf and adds its new one, so it
+costs O(write-set) however large the state is.  Finding two states with
+the same accumulator, with leaves modelled as random, reduces to a
+short-integer-solution problem over Z/2^16 in dimension 1,024, which
+Lewi et al. estimate at about 200 bits of security for these
+parameters.
+
+Committed bytes live in an anonymous temporary file, as a peer keeps
+its block files: each committed transaction is appended as its
+``export_log`` frame, followed by the values of its write-set.  The
+heap keeps only (offset, length) references, read back with
+``os.pread``, and each key's 32-byte leaf seed, so the log and the
+state's values grow on disk, not in the Python heap.
+
 Chaincodes are in-process functions from (state view, transaction) to a
 write-set; the built-in ones cover bootstrap parameters, device
 registration, challenge-epoch rotation, and the guarded data-submit
@@ -25,8 +45,13 @@ ledger; the register chaincode checks records with the same decoder.
 from __future__ import annotations
 
 import hashlib
+import os
+import tempfile
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from . import zkp
 from .pairing import DecodeError, G1Element, G2Element
@@ -47,9 +72,28 @@ GENESIS_PREV_HASH = b"\x00" * 32
 KEY_SETUP_PK = "setup/pk"
 KEY_CA_PK = "ca/pk"
 
+LTHASH_LANES = 1024
+
 
 def _digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
+
+
+def _leaf_seed(key: str, value: bytes, version: int) -> bytes:
+    """SHA-256 over the length-framed (key, value, version)."""
+    kb = key.encode()
+    h = hashlib.sha256(len(kb).to_bytes(4, "big"))
+    h.update(kb)
+    h.update(len(value).to_bytes(4, "big"))
+    h.update(value)
+    h.update(version.to_bytes(8, "big"))
+    return h.digest()
+
+
+def _leaf(seed: bytes) -> np.ndarray:
+    """A key's LtHash leaf: its seed expanded by SHAKE-128 to
+    :data:`LTHASH_LANES` little-endian 16-bit lanes."""
+    return np.frombuffer(hashlib.shake_128(seed).digest(2 * LTHASH_LANES), dtype="<u2")
 
 
 class LedgerError(Exception):
@@ -128,22 +172,43 @@ class StoredDevice(NamedTuple):
     epoch: int
 
 
+class _Stored:
+    """A committed value: where its bytes sit in the ledger's file, and
+    the leaf seed of its (key, value, version).  ``len()`` is the
+    value's byte length."""
+
+    __slots__ = ("offset", "length", "seed")
+
+    def __init__(self, offset: int, length: int, seed: bytes):
+        self.offset = offset
+        self.length = length
+        self.seed = seed
+
+    def __len__(self) -> int:
+        return self.length
+
+
 class StateView:
     """Read-only view of committed world state.  Chaincodes are handed
-    one, and the ledger is one."""
+    one, and the ledger is one.  ``state`` maps each key to its
+    (stored value, version); the bytes are read from ``file``."""
 
-    def __init__(self, state: Dict[str, Tuple[bytes, int]]):
+    def __init__(self, state: Dict[str, Tuple[_Stored, int]], file):
         self._state = state
+        self._file = file
+
+    def _read(self, stored: _Stored) -> bytes:
+        return os.pread(self._file.fileno(), stored.length, stored.offset)
 
     def get(self, key: str) -> Optional[bytes]:
         entry = self._state.get(key)
-        return entry[0] if entry is not None else None
+        return self._read(entry[0]) if entry is not None else None
 
     def has(self, key: str) -> bool:
         return key in self._state
 
     def get_state(self, key: str) -> bytes:
-        return self._state[key][0]
+        return self._read(self._state[key][0])
 
     def load_device(self, device_id: bytes) -> StoredDevice:
         """A registered device's record, keys, challenges and epoch.
@@ -185,13 +250,17 @@ class Ledger(StateView):
     """Hash-chained block list plus versioned key-value world state.
 
     All commits flow through :meth:`invoke`, the single writer; reads
-    against committed state are safe at any time.
+    against committed state are safe at any time.  Committed
+    transactions and values are kept in a temporary file, closed by
+    :meth:`close` or when the ledger is dropped.
     """
 
     def __init__(self):
-        super().__init__({})
+        super().__init__({}, tempfile.TemporaryFile())
+        self._finalizer = weakref.finalize(self, self._file.close)
+        self._lthash = np.zeros(LTHASH_LANES, dtype="<u2")
         self._block_bytes: List[bytes] = []
-        self._tx_log: List[TransactionRecord] = []
+        self._tx_log: List[Tuple[int, int]] = []  # (offset, length) of each log frame
         self._chaincodes: Dict[str, Chaincode] = dict(_BUILTIN_CHAINCODES)
         genesis = Block(0, GENESIS_PREV_HASH, (), self.state_digest())
         self._block_bytes.append(genesis.to_bytes())
@@ -214,20 +283,17 @@ class Ledger(StateView):
 
     def transactions(self) -> Tuple[TransactionRecord, ...]:
         """The committed transactions, in commit order."""
-        return tuple(self._tx_log)
+        return tuple(TransactionRecord.from_bytes(_get_field(frame, 0, width=4)[0])
+                     for frame in self._frames())
 
     def state_digest(self) -> bytes:
-        """Digest over sorted (key, value, version) triples."""
-        h = hashlib.sha256()
-        for key in sorted(self._state):
-            value, version = self._state[key]
-            kb = key.encode()
-            h.update(len(kb).to_bytes(4, "big"))
-            h.update(kb)
-            h.update(len(value).to_bytes(4, "big"))
-            h.update(value)
-            h.update(version.to_bytes(8, "big"))
-        return h.digest()
+        """SHA-256 of the LtHash accumulator over every (key, value,
+        version) in the state."""
+        return _digest(self._lthash.tobytes())
+
+    def close(self) -> None:
+        """Close the ledger's file.  The ledger cannot be read after."""
+        self._finalizer()
 
     # -- chaincode dispatch --------------------------------------------------
 
@@ -245,17 +311,34 @@ class Ledger(StateView):
         if tx.chaincode != chaincode_name:
             raise LedgerError("transaction chaincode field does not match invocation")
         try:
-            writes = fn(StateView(self._state), tx)
+            writes = fn(StateView(self._state, self._file), tx)
         except ChaincodeRejection as rej:
             return CommitResult(False, rej.reason)
-        for key, value in sorted(writes.items()):
-            _, version = self._state.get(key, (b"", 0))
-            self._state[key] = (value, version + 1)
-        self._tx_log.append(tx)
+        raw = tx.to_bytes()
+        frame = bytearray()
+        _put_field(frame, raw, width=4)
+        writes = sorted(writes.items())
+        offset = self._file.tell()
+        self._file.write(frame)
+        for _, value in writes:
+            self._file.write(value)
+        self._file.flush()
+        self._tx_log.append((offset, len(frame)))
+        offset += len(frame)
+        for key, value in writes:
+            old = self._state.get(key)
+            version = 1
+            if old is not None:
+                self._lthash -= _leaf(old[0].seed)
+                version = old[1] + 1
+            seed = _leaf_seed(key, value, version)
+            self._lthash += _leaf(seed)
+            self._state[key] = (_Stored(offset, len(value), seed), version)
+            offset += len(value)
         block = Block(
             height=self.height + 1,
             prev_hash=self._head_digest,
-            tx_digests=(_digest(tx.to_bytes()),),
+            tx_digests=(_digest(raw),),
             state_digest=self.state_digest(),
         )
         self._block_bytes.append(block.to_bytes())
@@ -280,13 +363,14 @@ class Ledger(StateView):
 
     # -- export / replay --------------------------------------------------------
 
+    def _frames(self):
+        """Each committed transaction's length-prefixed log frame."""
+        for offset, length in self._tx_log:
+            yield os.pread(self._file.fileno(), length, offset)
+
     def export_log(self) -> bytes:
         """Length-prefixed binary log of all committed transactions."""
-        buf = bytearray(b"PZLG\x01")
-        buf += len(self._tx_log).to_bytes(4, "big")
-        for tx in self._tx_log:
-            _put_field(buf, tx.to_bytes(), width=4)
-        return bytes(buf)
+        return b"".join([b"PZLG\x01", len(self._tx_log).to_bytes(4, "big"), *self._frames()])
 
     @classmethod
     def replay_log(cls, data: bytes) -> "Ledger":

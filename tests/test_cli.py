@@ -16,7 +16,12 @@ HEX = "0123456789abcdef"
 
 # SHA-256 of the `demo --seed 7` transcript.  A change that means to
 # alter transcripts updates this digest and says so.
-DEMO_SEED_7_SHA256 = "bc8db927e939b92ff29c0d781d025e41e297dea75eb267937ccc6e375e16ed68"
+DEMO_SEED_7_SHA256 = "99ccc3aeb9694c443eeca5465edab05e1685f9c018ee548f304d126c568a5e7f"
+
+# SHA-256 of that transcript's `ledger` line, the exported transaction
+# log.  It depends on the committed transactions alone, not on how the
+# state is digested.
+DEMO_SEED_7_LEDGER_LINE_SHA256 = "b597d7ad8fdf6a7cae55f96fc8cffe13763248c4310ad61bf957cd822b5d416a"
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +131,10 @@ class TestDemoAndAudit:
         assert hashlib.sha256(demo_seed_7.encode()).hexdigest() == DEMO_SEED_7_SHA256
         ok, findings = audit_transcript(demo_seed_7)
         assert ok, findings
+
+    def test_demo_seed_7_ledger_line_is_pinned(self, demo_seed_7):
+        line = next(line for line in demo_seed_7.splitlines() if line.startswith("ledger "))
+        assert hashlib.sha256(line.encode()).hexdigest() == DEMO_SEED_7_LEDGER_LINE_SHA256
 
     @pytest.mark.parametrize("mutate", [
         _flip_accepted_outcome, _flip_outcome_and_decision, _flip_request_nonce_bit,

@@ -1,7 +1,13 @@
 """Ledger mechanics: chaining, chaincode dispatch, atomicity, replay."""
 
 import dataclasses
+import hashlib
+import os
 import random
+import statistics
+import struct
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +28,15 @@ from pufzk.ledger import (
 )
 from pufzk.pairing import ORDER, DecodeError, G1Element, G2Element
 from pufzk.puf import puf_new
-from pufzk.wire import Certificate, DeviceRecord, SubsetRecord, TransactionRecord, WireError, _put_field
+from pufzk.wire import (
+    Certificate,
+    DeviceRecord,
+    SubsetRecord,
+    TransactionRecord,
+    WireError,
+    _get_field,
+    _put_field,
+)
 
 
 @pytest.fixture(scope="module")
@@ -423,3 +437,200 @@ class TestReplayDeterminism:
         assert bootstrap(ledger, setup.pk_setup, ca.pk)
         result = bootstrap(ledger, setup.pk_setup, ca.pk)
         assert not result and "bootstrapped" in result.reason
+
+
+def _cc_put(view, tx):
+    """Test chaincode: the payload is a reject flag byte, then (key,
+    value) fields to write."""
+    writes, off = {}, 1
+    while off < len(tx.payload):
+        key, off = _get_field(tx.payload, off)
+        value, off = _get_field(tx.payload, off, width=4)
+        writes[key.decode()] = value
+    if tx.payload[:1] == b"\x01":
+        raise ChaincodeRejection("rejected on request")
+    return writes
+
+
+def _cc_fill(view, tx):
+    """Test chaincode: writes as many 8-byte keys as the payload says."""
+    return {f"fill/{i}": i.to_bytes(8, "big") for i in range(int.from_bytes(tx.payload, "big"))}
+
+
+class _PutLedger(Ledger):
+    """A ledger with the ``put`` chaincode, so that its logs replay."""
+
+    def __init__(self):
+        super().__init__()
+        self.register_chaincode("put", _cc_put)
+
+
+def _put_tx(writes, reject=False, nonce=b"n"):
+    buf = bytearray(b"\x01" if reject else b"\x00")
+    for key, value in writes.items():
+        _put_field(buf, key.encode())
+        _put_field(buf, value, width=4)
+    return TransactionRecord(bytes(buf), b"", b"", b"", "put", nonce)
+
+
+def _lthash_from_scratch(state):
+    """The state digest recomputed in plain Python over ``state``,
+    {key: (value, version)}: SHA-256 of the lane-wise sum mod 2^16 of
+    each key's SHAKE-128 leaf."""
+    lanes = [0] * 1024
+    for key, (value, version) in state.items():
+        kb = key.encode()
+        seed = hashlib.sha256(len(kb).to_bytes(4, "big") + kb + len(value).to_bytes(4, "big")
+                              + value + version.to_bytes(8, "big")).digest()
+        leaf = struct.unpack("<1024H", hashlib.shake_128(seed).digest(2048))
+        lanes = [(a + b) % 65536 for a, b in zip(lanes, leaf)]
+    return hashlib.sha256(struct.pack("<1024H", *lanes)).digest()
+
+
+_KEYS = st.sampled_from(["", "a", "b", "data/0", "k" * 300]) | st.text(max_size=6)
+_VALUES = st.sampled_from([b"", b"v", bytes(5000)]) | st.binary(max_size=64)
+
+
+class TestStateDigest:
+    @given(st.lists(st.tuples(st.booleans(), st.dictionaries(_KEYS, _VALUES, min_size=1,
+                                                             max_size=4)), max_size=10))
+    @settings(max_examples=60, deadline=None)
+    def test_digest_matches_lthash_from_scratch(self, steps):
+        """Committed and rejected writes of new keys, overwrites and
+        identical rewrites: after each, the digest equals the one
+        recomputed over the whole state, and the log, its export and
+        its replay agree."""
+        ledger, model, committed = _PutLedger(), {}, []
+        assert ledger.state_digest() == _lthash_from_scratch(model)
+        for i, (reject, writes) in enumerate(steps):
+            tx = _put_tx(writes, reject, nonce=i.to_bytes(4, "big"))
+            assert bool(ledger.invoke("put", tx)) is not reject
+            if not reject:
+                committed.append(tx)
+                for key, value in writes.items():
+                    model[key] = (value, model.get(key, (b"", 0))[1] + 1)
+            assert ledger.state_digest() == _lthash_from_scratch(model)
+            assert ledger.block(ledger.height).state_digest == ledger.state_digest()
+        assert {key: (ledger.get_state(key), version)
+                for key, (_, version) in ledger._state.items()} == model
+        assert ledger.transactions() == tuple(committed)
+        log = bytearray(b"PZLG\x01" + len(committed).to_bytes(4, "big"))
+        for tx in committed:
+            _put_field(log, tx.to_bytes(), width=4)
+        assert ledger.export_log() == bytes(log)
+        replayed = _PutLedger.replay_log(ledger.export_log())
+        assert replayed.state_digest() == ledger.state_digest()
+        assert replayed.head_digest() == ledger.head_digest()
+
+    @given(st.dictionaries(st.text(max_size=8), _VALUES, min_size=2, max_size=6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_same_state_in_any_write_order_same_digest(self, writes, data):
+        order = data.draw(st.permutations(sorted(writes)))
+        digests = set()
+        for keys in (sorted(writes), order):
+            ledger = _PutLedger()
+            for key in keys:
+                assert ledger.invoke("put", _put_tx({key: writes[key]}))
+            digests.add(ledger.state_digest())
+        ledger = _PutLedger()
+        assert ledger.invoke("put", _put_tx(writes))
+        digests.add(ledger.state_digest())
+        assert len(digests) == 1
+
+    @given(st.text(max_size=8), st.binary(min_size=1, max_size=64), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_one_byte_or_a_version_changes_the_digest(self, key, value, data):
+        i = data.draw(st.integers(0, len(value) - 1))
+        flipped = bytearray(value)
+        flipped[i] ^= data.draw(st.integers(1, 255))
+        digests = set()
+        for values in ([value], [bytes(flipped)], [value, value]):
+            ledger = _PutLedger()
+            assert ledger.invoke("put", _put_tx({"other": b"x"}))
+            for v in values:
+                assert ledger.invoke("put", _put_tx({key: v}))
+            digests.add(ledger.state_digest())
+        assert len(digests) == 3
+
+
+class TestCommitCost:
+    def test_commit_time_does_not_grow_with_state(self):
+        """The median commit of a 3-key write-set at 10,000 keys costs
+        within 2x of the same commit at 1,000 keys."""
+        ledgers = []
+        for count in (1_000, 10_000):
+            ledger = _PutLedger()
+            ledger.register_chaincode("fill", _cc_fill)
+            assert ledger.invoke("fill", TransactionRecord(
+                count.to_bytes(4, "big"), b"", b"", b"", "fill", b"f"))
+            ledgers.append(ledger)
+        times = ([], [])
+        for i in range(61):
+            tx = _put_tx({f"new/{i}/{j}": bytes(64) for j in range(3)}, nonce=i.to_bytes(4, "big"))
+            for ledger, out in zip(ledgers, times):
+                t0 = time.perf_counter()
+                assert ledger.invoke("put", tx)
+                out.append(time.perf_counter() - t0)
+        small, large = (statistics.median(t) for t in times)
+        assert large < 2 * small, (small, large)
+
+
+class TestCommittedBytesOffHeap:
+    def test_committed_payloads_leave_the_heap(self):
+        """200 commits of 64 KiB payloads grow the Python heap by less
+        than 8 KiB each."""
+        ledger, rng = _PutLedger(), random.Random(7)
+
+        def commit(i):
+            tx = _put_tx({f"data/{i}": rng.randbytes(65536)}, nonce=i.to_bytes(4, "big"))
+            assert ledger.invoke("put", tx)
+
+        for i in range(5):
+            commit(i)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(5, 205):
+                commit(i)
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert growth / 200 < 8 * 1024, growth
+
+    def test_values_read_back_byte_exact(self):
+        """Every value reads back as written, from the ledger and from a
+        chaincode's view, and ``len()`` of a stored value is its byte
+        length, as state-size gauges read it."""
+        rng = random.Random(11)
+        values = {f"v/{n}": rng.randbytes(n) for n in (0, 1, 4095, 4096, 4097, 65536)}
+        ledger = _PutLedger()
+        for i, (key, value) in enumerate(values.items()):
+            assert ledger.invoke("put", _put_tx({key: value}, nonce=bytes([i])))
+        assert ledger.invoke("put", _put_tx({"v/1": b"rewritten"}, nonce=b"r"))
+        values["v/1"] = b"rewritten"
+        ledger.register_chaincode("copy", lambda view, tx: {"copy": view.get("v/65536")})
+        assert ledger.invoke("copy", TransactionRecord(b"", b"", b"", b"", "copy", b"c"))
+        values["copy"] = values["v/65536"]
+        for key, value in values.items():
+            assert ledger.get_state(key) == value
+            assert len(ledger._state[key][0]) == len(value)
+        assert (sum(len(k) + len(v) for k, (v, _) in ledger._state.items())
+                == sum(len(k) + len(v) for k, v in values.items()))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open fds in /proc")
+    def test_dropped_or_closed_ledgers_release_their_files(self):
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        before = open_fds()
+        for i in range(500):
+            ledger = _PutLedger()
+            assert ledger.invoke("put", _put_tx({"k": bytes(i)}))
+        del ledger
+        assert open_fds() == before
+        ledger = _PutLedger()
+        assert ledger.invoke("put", _put_tx({"k": b"v"}))
+        ledger.close()
+        assert open_fds() == before
+        with pytest.raises(ValueError):
+            ledger.get_state("k")
