@@ -8,6 +8,10 @@ ledger read of the challenges and epoch (``Device.auth_inputs``),
 ``puf_response_ms`` the PUF evaluation, and ``proof_gen_ms`` the
 statement building and proving (``Device.prove_auth``).  A warm-up
 iteration runs first and is excluded from the records and aggregates.
+One-time costs are timed on their own: ``precompute_ms`` is the build of
+the two generator tables, which every later exponentiation of a
+generator reads (near zero when this process built them earlier), and
+``trust_setup_ms`` is the trust set-up alone.
 The proof pipeline here has no circuit compilation or witness-file
 generation, so those stages are listed as absent rather than reported
 as zero.
@@ -30,6 +34,7 @@ import numpy as np
 from . import zkp
 from .identity import CertificateAuthority, register_device
 from .ledger import bootstrap, ledger_new
+from .pairing import G1Element, G2Element
 from .params import DEFAULT_PARAMS, ParamSet
 from .protocol import Device, Verifier, run_transaction
 from .puf import generate_stable_challenges, puf_new, puf_respond
@@ -68,6 +73,7 @@ class MetricsReport:
     iterations: int
     seed: int
     params: Dict
+    precompute_ms: float
     trust_setup_ms: float
     records: List[Dict] = field(default_factory=list)
 
@@ -90,6 +96,7 @@ class MetricsReport:
             "iterations": self.iterations,
             "seed": self.seed,
             "params": self.params,
+            "precompute_ms": self.precompute_ms,
             "trust_setup_ms": self.trust_setup_ms,
             "stages_absent": list(ABSENT_STAGES),
             "reference_baseline": dict(REFERENCE_BASELINE),
@@ -106,6 +113,7 @@ class MetricsReport:
             f"benchmark report (schema v{SCHEMA_VERSION})",
             f"  mode={self.mode} iterations={self.iterations} seed={self.seed} "
             f"params={self.params.get('name', '?')}",
+            f"  precompute_ms={self.precompute_ms:.2f}  (generator tables, built once per process)",
             f"  trust_setup_ms={self.trust_setup_ms:.2f}"
             f"  (reference prototype: {REFERENCE_BASELINE['trust_setup_ms']} ms, non-binding)",
             f"  proof_size_bytes={self.records[0]['proof_size_bytes']}"
@@ -126,7 +134,7 @@ def validate_report(report: Dict) -> List[str]:
     """Schema and invariant check; returns a list of violations."""
     problems = []
     for key in ("schema_version", "mode", "iterations", "seed", "params",
-                "trust_setup_ms", "stages_absent", "reference_baseline",
+                "precompute_ms", "trust_setup_ms", "stages_absent", "reference_baseline",
                 "records", "aggregates"):
         if key not in report:
             problems.append(f"missing key {key!r}")
@@ -169,6 +177,11 @@ def run_bench(iterations: int = 50, mode: str = zkp.MODE_CORRECTED, seed: int = 
     import random
     rng = random.Random(seed)
     np_rng = np.random.default_rng(seed)
+
+    t0 = _now()
+    G1Element.generator() ** 1
+    G2Element.generator() ** 1
+    precompute_ms = (_now() - t0) * 1000.0
 
     t0 = _now()
     setup = zkp.trust_setup(rng, forced_alpha=1 if mode == zkp.MODE_LITERAL else None)
@@ -240,6 +253,7 @@ def run_bench(iterations: int = 50, mode: str = zkp.MODE_CORRECTED, seed: int = 
         iterations=iterations,
         seed=seed,
         params=asdict(params),
+        precompute_ms=precompute_ms,
         trust_setup_ms=trust_setup_ms,
         records=records,
     )

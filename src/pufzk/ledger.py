@@ -23,8 +23,9 @@ parameters.
 
 Committed bytes live in an anonymous temporary file, as a peer keeps
 its block files: each committed transaction is appended as its
-``export_log`` frame, followed by the values of its write-set.  The
-heap keeps only (offset, length) references, read back with
+``export_log`` frame, followed by the values of its write-set.  A value
+equal to the payload is not written twice but read from inside the
+frame.  The heap keeps only (offset, length) references, read back with
 ``os.pread``, and each key's 32-byte leaf seed, so the log and the
 state's values grow on disk, not in the Python heap.
 
@@ -57,6 +58,7 @@ from . import zkp
 from .pairing import DecodeError, G1Element, G2Element
 from .puf import ChallengeSet, challenges_from_bytes
 from .wire import (
+    TX_PAYLOAD_WIDTH,
     Certificate,
     DeviceRecord,
     SubsetRecord,
@@ -73,6 +75,9 @@ KEY_SETUP_PK = "setup/pk"
 KEY_CA_PK = "ca/pk"
 
 LTHASH_LANES = 1024
+
+# width of the length prefix of each transaction's log frame
+_FRAME_WIDTH = 4
 
 
 def _digest(data: bytes) -> bytes:
@@ -283,7 +288,7 @@ class Ledger(StateView):
 
     def transactions(self) -> Tuple[TransactionRecord, ...]:
         """The committed transactions, in commit order."""
-        return tuple(TransactionRecord.from_bytes(_get_field(frame, 0, width=4)[0])
+        return tuple(TransactionRecord.from_bytes(_get_field(frame, 0, width=_FRAME_WIDTH)[0])
                      for frame in self._frames())
 
     def state_digest(self) -> bytes:
@@ -316,16 +321,25 @@ class Ledger(StateView):
             return CommitResult(False, rej.reason)
         raw = tx.to_bytes()
         frame = bytearray()
-        _put_field(frame, raw, width=4)
+        _put_field(frame, raw, width=_FRAME_WIDTH)
         writes = sorted(writes.items())
         offset = self._file.tell()
         self._file.write(frame)
+        # a value equal to the payload is read from the frame, where it
+        # sits behind the frame's length prefix and its own
+        payload_at = offset + _FRAME_WIDTH + TX_PAYLOAD_WIDTH
+        end = offset + len(frame)
+        value_at = []
         for _, value in writes:
-            self._file.write(value)
+            if value == tx.payload:
+                value_at.append(payload_at)
+            else:
+                value_at.append(end)
+                self._file.write(value)
+                end += len(value)
         self._file.flush()
         self._tx_log.append((offset, len(frame)))
-        offset += len(frame)
-        for key, value in writes:
+        for (key, value), at in zip(writes, value_at):
             old = self._state.get(key)
             version = 1
             if old is not None:
@@ -333,8 +347,7 @@ class Ledger(StateView):
                 version = old[1] + 1
             seed = _leaf_seed(key, value, version)
             self._lthash += _leaf(seed)
-            self._state[key] = (_Stored(offset, len(value), seed), version)
-            offset += len(value)
+            self._state[key] = (_Stored(at, len(value), seed), version)
         block = Block(
             height=self.height + 1,
             prev_hash=self._head_digest,
@@ -381,7 +394,7 @@ class Ledger(StateView):
         off = 9
         ledger = cls()
         for _ in range(count):
-            raw, off = _get_field(data, off, width=4)
+            raw, off = _get_field(data, off, width=_FRAME_WIDTH)
             tx = TransactionRecord.from_bytes(raw)
             result = ledger.invoke(tx.chaincode, tx)
             if not result:

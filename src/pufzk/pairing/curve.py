@@ -7,9 +7,13 @@ coordinates and splits the scalar with an endomorphism: GLV in G1
 (Gallant-Lambert-Vanstone, CRYPTO 2001), k = a + b*x^2 with a 2-way
 ladder of 128 doublings, and GLS in G2 (Galbraith-Lin-Scott, EUROCRYPT
 2009), k in base |x| with a 4-way ladder over psi of 64 doublings.  Both
-splits hold only in the prime-order subgroups.  The group generators
-additionally get lazily built 8-bit fixed-base tables since nearly every
-protocol exponentiation is against a generator.
+splits hold only in the prime-order subgroups.  Nearly every protocol
+exponentiation is against a generator, so each generator additionally
+gets a lazily built fixed-base table in signed 8-bit windows (Brickell,
+Gordon, McCurley and Wilson, EUROCRYPT 1992): 32 rows of 128 affine
+points, for at most 32 mixed additions per multiplication.  The rows are
+built by affine additions, one level of doublings and sums at a time,
+sharing one inversion per level (Montgomery, Math. Comp. 1987).
 
 Encodings are the widely used 48/96-byte compressed format: three flag
 bits (compressed, infinity, y-sign) folded into the top of big-endian x.
@@ -359,47 +363,37 @@ def g2_in_subgroup(pt):
 # Fixed-base tables for the generators
 # ---------------------------------------------------------------------------
 
-class FixedBaseTable:
-    """8-bit windowed precomputation over a fixed affine base point.
+def _fixed_base_rows(base, dbl, batch_affine, affine_sums, windows=32):
+    """Signed 8-bit windows over a fixed base point B, given in Jacobian form.
 
-    tables[i][d] holds (d << 8i) * base in affine form, so a 255-bit
-    scalar multiple costs at most 32 mixed additions.
+    rows[i][d] holds d * 256^i * B in affine form for d = 1..128, and
+    rows[i][0] is None.  The row bases 256^i * B take 8 Jacobian
+    doublings each and one batch conversion to affine.  Then each of
+    seven levels fills entries h+1..2h of every row (h = 1, 2, .., 64)
+    with one batch inversion across all rows: 2h is the affine doubling
+    of h, and h + e, 0 < e < h, the affine sum of entries h and e.  No
+    exceptional case can arise: B has prime order r > 128, so e*B and
+    h*B are distinct and not each other's negatives, and no multiple of B
+    but the identity has y = 0.
     """
-
-    def __init__(self, base, add_mixed, to_affine, batch_affine, windows=32):
-        self.windows = windows
-        rows = []
-        running = base
-        for _ in range(windows):
-            row_jac = [None] * 256
-            acc = None
-            for d in range(1, 256):
-                acc = add_mixed(acc, running)
-                row_jac[d] = acc
-            rows.append(row_jac)
-            # advance running <- (256) * running
-            j = row_jac[255]
-            j = add_mixed(j, running)
-            running = to_affine(j)
-            if running is None:
-                break
-        self.rows = [batch_affine(row) for row in rows]
-        self.add_mixed = add_mixed
-        self.to_affine = to_affine
-
-    def mul(self, k):
-        k %= R
-        if k == 0:
-            return None
-        acc = None
-        i = 0
-        while k:
-            d = k & 0xFF
-            if d:
-                acc = self.add_mixed(acc, self.rows[i][d])
-            k >>= 8
-            i += 1
-        return self.to_affine(acc)
+    jac = [base]
+    for _ in range(windows - 1):
+        for _ in range(8):
+            base = dbl(base)
+        jac.append(base)
+    rows = [[None, b] for b in batch_affine(jac)]
+    h = 1
+    while h < 128:
+        pairs = []
+        for row in rows:
+            top = row[h]
+            pairs += [(top, row[e]) for e in range(1, h)]
+            pairs.append((top, None))
+        sums = iter(affine_sums(pairs))
+        for row in rows:
+            row += [next(sums) for _ in range(h)]
+        h *= 2
+    return rows
 
 
 def _batch_inv(values):
@@ -439,23 +433,95 @@ def _batch_affine_g2(row_jac):
     return out
 
 
-_G1_TABLE = None
-_G2_TABLE = None
+def _g1_affine_sums(pairs):
+    """p + q for each pair (p, q) of affine G1 points, or 2p where q is
+    None, sharing one inversion.  The caller ensures p != +-q."""
+    dens = [2 * p[1] if q is None else q[0] - p[0] for p, q in pairs]
+    out = []
+    for ((x1, y1), q), inv in zip(pairs, _batch_inv(dens)):
+        x2, num = (x1, 3 * x1 * x1) if q is None else (q[0], q[1] - y1)
+        lam = num * inv % P
+        x3 = (lam * lam - x1 - x2) % P
+        out.append((x3, (lam * (x1 - x3) - y1) % P))
+    return out
+
+
+def _g2_affine_sums(pairs):
+    """_g1_affine_sums over Fq2.  The slope's denominator d is inverted
+    as conj(d)/N(d), so one batch inversion of Fq norms serves all pairs."""
+    dens = []
+    for ((x0, x1), (y0, y1)), q in pairs:
+        dens.append((2 * y0, 2 * y1) if q is None else (q[0][0] - x0, q[0][1] - x1))
+    norm_invs = _batch_inv([(d0 * d0 + d1 * d1) % P for d0, d1 in dens])
+    out = []
+    for (((x0, x1), (y0, y1)), q), (d0, d1), ni in zip(pairs, dens, norm_invs):
+        if q is None:
+            u0, u1, n0, n1 = x0, x1, 3 * (x0 + x1) * (x0 - x1), 6 * x0 * x1  # n = 3x^2
+        else:
+            (u0, u1), (v0, v1) = q
+            n0, n1 = v0 - y0, v1 - y1
+        # lambda = n * conj(d) / N(d)
+        l0 = (n0 * d0 + n1 * d1) % P * ni % P
+        l1 = (n1 * d0 - n0 * d1) % P * ni % P
+        s0 = ((l0 + l1) * (l0 - l1) - x0 - u0) % P
+        s1 = (2 * l0 * l1 - x1 - u1) % P
+        f0 = x0 - s0
+        f1 = x1 - s1
+        out.append(((s0, s1), ((l0 * f0 - l1 * f1 - y0) % P, (l0 * f1 + l1 * f0 - y1) % P)))
+    return out
+
+
+_G1_ROWS = None
+_G2_ROWS = None
 
 
 def g1_mul_gen(k):
-    """k * G1 generator via the fixed-base table."""
-    global _G1_TABLE
-    if _G1_TABLE is None:
-        _G1_TABLE = FixedBaseTable(G1_GEN, _g1_add_mixed, _g1_to_affine, _batch_affine_g1)
-    return _G1_TABLE.mul(k)
+    """k * G1 generator from the fixed-base rows.
+
+    k mod r is recoded into signed base-256 digits in [-127, 128]: a byte
+    above 128 becomes byte - 256 and carries one into the next window.
+    As r < 2^255 has top byte 0x73, 32 windows suffice, for at most 32
+    mixed additions and no doubling.  A negative digit adds the entry
+    with y replaced by P - y, which the addition reduces mod P.
+    """
+    global _G1_ROWS
+    if _G1_ROWS is None:
+        _G1_ROWS = _fixed_base_rows((*G1_GEN, 1), _g1_dbl, _batch_affine_g1, _g1_affine_sums)
+    k %= R
+    acc = None
+    for row in _G1_ROWS:
+        if not k:
+            break
+        d = k & 0xFF
+        k >>= 8
+        if d > 128:
+            k += 1
+            x, y = row[256 - d]
+            acc = _g1_add_mixed(acc, (x, P - y))
+        elif d:
+            acc = _g1_add_mixed(acc, row[d])
+    return _g1_to_affine(acc)
 
 
 def g2_mul_gen(k):
-    global _G2_TABLE
-    if _G2_TABLE is None:
-        _G2_TABLE = FixedBaseTable(G2_GEN, _g2_add_mixed, _g2_to_affine, _batch_affine_g2)
-    return _G2_TABLE.mul(k)
+    """k * G2 generator; see g1_mul_gen."""
+    global _G2_ROWS
+    if _G2_ROWS is None:
+        _G2_ROWS = _fixed_base_rows((*G2_GEN, FQ2_ONE), _g2_dbl, _batch_affine_g2, _g2_affine_sums)
+    k %= R
+    acc = None
+    for row in _G2_ROWS:
+        if not k:
+            break
+        d = k & 0xFF
+        k >>= 8
+        if d > 128:
+            k += 1
+            x, (y0, y1) = row[256 - d]
+            acc = _g2_add_mixed(acc, (x, (P - y0, P - y1)))
+        elif d:
+            acc = _g2_add_mixed(acc, row[d])
+    return _g2_to_affine(acc)
 
 
 # ---------------------------------------------------------------------------

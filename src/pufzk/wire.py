@@ -196,10 +196,14 @@ class SubsetRecord:
         return cls(epoch)
 
 
+TX_PAYLOAD_WIDTH = 4
+
+
 @dataclass(frozen=True)
 class TransactionRecord:
     """One submitted transaction: opaque payload plus authentication
-    material, immutable once committed."""
+    material, immutable once committed.  The encoding opens with the
+    payload behind a length prefix of ``TX_PAYLOAD_WIDTH`` bytes."""
 
     payload: bytes
     device_id: bytes
@@ -210,7 +214,7 @@ class TransactionRecord:
 
     def to_bytes(self) -> bytes:
         buf = bytearray()
-        _put_field(buf, self.payload, width=4)
+        _put_field(buf, self.payload, width=TX_PAYLOAD_WIDTH)
         _put_field(buf, self.device_id)
         _put_field(buf, self.signature)
         _put_field(buf, self.proof)
@@ -220,7 +224,7 @@ class TransactionRecord:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "TransactionRecord":
-        payload, off = _get_field(data, 0, width=4)
+        payload, off = _get_field(data, 0, width=TX_PAYLOAD_WIDTH)
         device_id, off = _get_field(data, off)
         signature, off = _get_field(data, off)
         proof, off = _get_field(data, off)

@@ -11,6 +11,7 @@ from pufzk.bench import (
     run_bench,
     validate_report,
 )
+from pufzk.pairing import curve
 from pufzk.params import PRESETS
 from pufzk.protocol import Device
 
@@ -68,6 +69,31 @@ class TestReportStructure:
     def test_json_round_trip(self, small_report):
         import json
         assert json.loads(small_report.to_json())["iterations"] == 3
+
+
+class TestPrecompute:
+    def test_table_build_is_timed_apart_from_trust_setup(self, monkeypatch):
+        """With the generator tables unbuilt, run_bench builds both before
+        its trust-setup timer starts and reports the build as
+        ``precompute_ms``, which the validator requires and the text
+        prints on its own line."""
+        monkeypatch.setattr(curve, "_G1_ROWS", None)
+        monkeypatch.setattr(curve, "_G2_ROWS", None)
+        real = zkp.trust_setup
+
+        def checked(*args, **kwargs):
+            assert curve._G1_ROWS is not None and curve._G2_ROWS is not None
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(zkp, "trust_setup", checked)
+        report = run_bench(iterations=1, mode=zkp.MODE_CORRECTED, seed=2, params=PRESETS["fast"])
+        d = report.to_dict()
+        assert d["precompute_ms"] == report.precompute_ms > 0
+        assert validate_report(d) == []
+        del d["precompute_ms"]
+        assert "missing key 'precompute_ms'" in validate_report(d)
+        lines = report.to_text().splitlines()
+        assert sum(line.strip().startswith("precompute_ms=") for line in lines) == 1
 
 
 class TestLiteralBench:

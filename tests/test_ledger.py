@@ -634,3 +634,36 @@ class TestCommittedBytesOffHeap:
         assert open_fds() == before
         with pytest.raises(ValueError):
             ledger.get_state("k")
+
+
+class TestPayloadStoredOnce:
+    def test_submitted_payload_is_written_once(self, env):
+        """A 64 KiB submit grows the ledger file by one copy of its
+        payload, not two.  The stored reading is the payload, the digest
+        is the one recomputed over the values read back, and the export
+        and its replay hold the same transactions, values and digests."""
+        rng, np_rng = random.Random(64), np.random.default_rng(64)
+        ledger = ledger_new()
+        assert bootstrap(ledger, env["setup"].pk_setup, env["ca"].pk)
+        identity, keypair = register_device(puf_new(7064, 0.0), env["ca"], ledger, rng, np_rng)
+        payload = rng.randbytes(65536)
+        tx = _submit_record(identity, keypair, payload, rng)
+        before = os.fstat(ledger._file.fileno()).st_size
+        assert ledger.invoke("submit", tx)
+        assert os.fstat(ledger._file.fileno()).st_size - before < 70 * 1024
+        assert ledger.get_state(f"data/{identity.device_id.hex()}/0") == payload
+        assert ledger.get_state(f"dataseq/{identity.device_id.hex()}") == (1).to_bytes(8, "big")
+        values = {key: ledger.get_state(key) for key in ledger._state}
+        model = {key: (values[key], version) for key, (_, version) in ledger._state.items()}
+        assert ledger.state_digest() == _lthash_from_scratch(model)
+        committed = ledger.transactions()
+        assert len(committed) == 3 and committed[-1] == tx
+        log = bytearray(b"PZLG\x01" + len(committed).to_bytes(4, "big"))
+        for record in committed:
+            _put_field(log, record.to_bytes(), width=4)
+        assert ledger.export_log() == bytes(log)
+        replayed = Ledger.replay_log(ledger.export_log())
+        assert replayed.export_log() == ledger.export_log()
+        assert {key: replayed.get_state(key) for key in replayed._state} == values
+        assert replayed.state_digest() == ledger.state_digest()
+        assert replayed.head_digest() == ledger.head_digest()

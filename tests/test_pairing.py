@@ -436,13 +436,80 @@ class TestEndomorphismMultiplication:
         assert commitment ** c == expected[1]
         assert 0 < counts["_g1_dbl"] <= 128 and counts["_g2_dbl"] == 0
 
-    def test_g2_batch_affine_matches_per_point(self):
-        args = (curve.G2_GEN, curve._g2_add_mixed, curve._g2_to_affine)
-        batched = curve.FixedBaseTable(*args, curve._batch_affine_g2, windows=2)
-        per_point = curve.FixedBaseTable(
-            *args, lambda row: [curve._g2_to_affine(p) for p in row], windows=2)
-        assert batched.rows == per_point.rows
-        assert batched.rows[1][1] == g2_mul_unchecked(curve.G2_GEN, 256)
+# scalars at the edges of the signed base-256 recoding: digits at and
+# around the sign boundary 128, r and its neighbours, and bytes of 0x80, 0x81
+# and 0xFF below the top byte, which carry through every window
+_SIGNED_EDGE_SCALARS = [
+    0, 1, 127, 128, 129, 255, 256, 383, R - 1, R, R + 1, (1 << 255) - 1, (1 << 256) - 1,
+    0x70 << 248 | int("80" * 31, 16), 0x70 << 248 | int("81" * 31, 16),
+    0x70 << 248 | int("FF" * 31, 16),
+]
+_GENERATORS = [
+    (curve.g1_mul_gen, g1_mul_unchecked, curve.G1_GEN),
+    (curve.g2_mul_gen, g2_mul_unchecked, curve.G2_GEN),
+]
+
+
+def _fixed_base_rows(group, windows):
+    """A fresh fixed-base table over the generator of "g1" or "g2"."""
+    base = (*curve.G1_GEN, 1) if group == "g1" else (*curve.G2_GEN, curve.FQ2_ONE)
+    return curve._fixed_base_rows(
+        base, getattr(curve, f"_{group}_dbl"), getattr(curve, f"_batch_affine_{group}"),
+        getattr(curve, f"_{group}_affine_sums"), windows=windows)
+
+
+class TestFixedBaseMultiplication:
+    """g1_mul_gen and g2_mul_gen against the unreduced double-and-add
+    ladders."""
+
+    @pytest.mark.parametrize("k", _SIGNED_EDGE_SCALARS)
+    def test_signed_edge_scalars(self, k):
+        for mul_gen, ladder, gen in _GENERATORS:
+            assert mul_gen(k) == ladder(gen, k % R)
+
+    @given(st.integers(min_value=0, max_value=1 << 256))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_unchecked_ladder(self, k):
+        for mul_gen, ladder, gen in _GENERATORS:
+            assert mul_gen(k) == ladder(gen, k % R)
+
+    @pytest.mark.parametrize("group", ["g1", "g2"])
+    def test_rows_hold_signed_window_multiples(self, group):
+        rows = _fixed_base_rows(group, windows=2)
+        gen = curve.G1_GEN if group == "g1" else curve.G2_GEN
+        ladder = g1_mul_unchecked if group == "g1" else g2_mul_unchecked
+        assert [len(row) for row in rows] == [129, 129] and rows[0][0] is rows[1][0] is None
+        for i, row in enumerate(rows):
+            for d in range(1, 129):
+                assert row[d] == ladder(gen, d << 8 * i)
+
+    def test_operation_counts(self, monkeypatch):
+        # exact counts, independent of host speed: a table holds 32 rows
+        # of 128 points, its build runs a fixed number of inversions
+        # whatever the row count, and a multiplication no doubling
+        counts = {"fq_inv": 0, "_g1_dbl": 0, "_g2_dbl": 0, "_g1_add_mixed": 0, "_g2_add_mixed": 0}
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(curve, name)):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(curve, name, counted)
+        for group in ("g1", "g2"):
+            inversions = []
+            for windows in (2, 32):
+                counts["fq_inv"] = 0
+                rows = _fixed_base_rows(group, windows)
+                inversions.append(counts["fq_inv"])
+            assert len(rows) == 32 and sum(len(row) - 1 for row in rows) == 32 * 128
+            assert inversions[0] == inversions[1] <= 2 * 7 + 1
+        rng = random.Random(12)
+        for mul_gen, _, _ in _GENERATORS:
+            mul_gen(1)  # build the table outside the count
+            for k in [R - 1, (1 << 256) - 1] + [rng.randrange(R) for _ in range(20)]:
+                for name in counts:
+                    counts[name] = 0
+                mul_gen(k)
+                assert counts["_g1_dbl"] == counts["_g2_dbl"] == 0
+                assert counts["_g1_add_mixed"] + counts["_g2_add_mixed"] <= 32
 
 
 class TestVectorFile:
