@@ -7,7 +7,8 @@ Layering, bottom up:
 ``pufzk.puf``       simulated delay-based arbiter devices
 ``pufzk.zkp``       literal and corrected proof modes, signatures
 ``pufzk.wire``      record and message codecs
-``pufzk.ledger``    hash-chained ledger with chaincode dispatch
+``pufzk.ledger``    hash-chained ledger with chaincode dispatch; its
+                    rotate chaincode verifies each authentication
 ``pufzk.identity``  enrollment and the certificate authority
 ``pufzk.protocol``  authentication/transaction drivers and adversaries
 ``pufzk.bench``     staged benchmark harness

@@ -36,7 +36,8 @@ path that checks a signature and a mode-tagged proof before writing.
 Registration checks the CA's Schnorr certificate over the whole tuple
 (id, key, commitment, challenges) against the G1 key published at
 bootstrap, so it runs no pairing; only submits check a pairing
-signature.
+signature.  A rotation commits only if the device's authentication
+proof it carries verifies, and every replay of the log re-verifies it.
 
 Stored device state (``identity/<id>``, ``subset/<id>``) has one typed
 reader, :meth:`StateView.load_device`, shared by chaincodes and the
@@ -358,14 +359,6 @@ class Ledger(StateView):
         self._head_digest = _digest(self._block_bytes[-1])
         return CommitResult(True, "committed", block.height)
 
-    # -- queries --------------------------------------------------------------
-
-    def query_device_record(self, device_id: bytes) -> DeviceRecord:
-        return self.load_device(device_id).record
-
-    def query_subset(self, device_id: bytes) -> SubsetRecord:
-        return SubsetRecord(self.load_device(device_id).epoch)
-
     # -- chain verification ----------------------------------------------------
 
     def verify_chain(self) -> bool:
@@ -504,16 +497,25 @@ def _cc_register(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
 
 
 def _cc_rotate(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
-    """Advance a device's challenge epoch by exactly one."""
+    """Advance a device's challenge epoch by one for a corrected-mode
+    authentication proof that verifies against the stored key,
+    commitment and epoch, with the transaction nonce as the session
+    nonce.  The proof binds the epoch, so it cannot rotate twice."""
+    stored = _stored_device(state, tx.device_id)
+    if tx.payload or tx.signature:
+        raise ChaincodeRejection("malformed rotation: payload and signature must be empty")
+    statement = zkp.AuthStatement(tx.device_id, stored.pk, stored.commitment, stored.epoch, tx.nonce)
     try:
-        device_id, off = _get_field(tx.payload, 0)
-        epoch_raw, off = _get_field(tx.payload, off)
-        new_epoch = SubsetRecord.from_bytes(epoch_raw).epoch
-    except WireError as exc:
-        raise ChaincodeRejection(f"malformed rotation: {exc}")
-    if new_epoch != _stored_device(state, device_id).epoch + 1:
-        raise ChaincodeRejection("rotation epoch must advance by one")
-    return {f"subset/{device_id.hex()}": epoch_raw}
+        proof = zkp.CorrectedAuthProof.from_bytes(tx.proof)
+        if zkp.auth_verify_corrected(statement, proof):
+            return {f"subset/{tx.device_id.hex()}": SubsetRecord(stored.epoch + 1).to_bytes()}
+        # verification compares the commitments as bytes; only a
+        # rejection pays to tell an undecodable one apart
+        G2Element.from_bytes(proof.commit_sk.to_bytes())
+        G1Element.from_bytes(proof.commit_puf.to_bytes())
+    except DecodeError:
+        raise ChaincodeRejection("malformed")
+    raise ChaincodeRejection("proof invalid")
 
 
 def _cc_submit(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
@@ -594,18 +596,7 @@ def bootstrap(ledger: Ledger, setup_pk: G2Element, ca_pk: G1Element) -> CommitRe
     return ledger.invoke("bootstrap", tx)
 
 
-def rotate_challenges(ledger: Ledger, device_id: bytes, rng) -> int:
-    """Commit the device's next challenge epoch; returns the new epoch.
-    Rotation is itself a committed, auditable transaction."""
-    new_epoch = ledger.load_device(device_id).epoch + 1
-    buf = bytearray()
-    _put_field(buf, device_id)
-    _put_field(buf, SubsetRecord(new_epoch).to_bytes())
-    tx = TransactionRecord(
-        payload=bytes(buf), device_id=device_id, signature=b"", proof=b"",
-        chaincode="rotate", nonce=rng.getrandbits(128).to_bytes(16, "big"),
-    )
-    result = ledger.invoke("rotate", tx)
-    if not result:
-        raise LedgerError(f"rotation rejected: {result.reason}")
-    return new_epoch
+def rotate_challenges(ledger: Ledger, device_id: bytes, nonce: bytes, proof: bytes) -> CommitResult:
+    """Commit the rotation that a device's authentication proof for
+    session ``nonce`` earns; the rotate chaincode verifies the proof."""
+    return ledger.invoke("rotate", TransactionRecord(b"", device_id, b"", proof, "rotate", nonce))

@@ -5,9 +5,11 @@ to the tagged byte format before the receiving side parses it, so a
 man-in-the-middle mutator operates on real message bytes.
 
 The verifier role is distinct from the ledger: it mints one 16-byte
-nonce per session, checks proofs against ledger state only, and on
-success advances the device's challenge epoch.  Corrected-mode decisions
-enforce nonce freshness and the current challenge epoch; literal mode
+nonce per session and checks requests against ledger state only.
+Corrected-mode decisions enforce nonce freshness and the current
+challenge epoch, then hand the proof to the ledger's rotate chaincode,
+which verifies it and advances the device's challenge epoch; the
+request is accepted only if that rotation commits.  Literal mode
 verifies exactly the printed pairing equation and binds no session
 data, which is precisely the replay defect the attack suite
 demonstrates.
@@ -36,7 +38,7 @@ from .identity import (
     response_scalar,
 )
 from .ledger import Ledger, RecordError, StoredDevice, rotate_challenges
-from .pairing import DecodeError, G1Element, G2Element, Scalar
+from .pairing import DecodeError, Scalar
 from .params import DEFAULT_PARAMS, ParamSet
 from .puf import PufDevice, puf_new, puf_respond, responses_to_bytes
 from .wire import (
@@ -171,7 +173,7 @@ class Verifier:
         self.rng = rng
         self._open: dict = {}         # nonce -> Session, oldest first
         self._consumed: dict = {}     # nonces with a delivered decision -> None
-        self._authenticated: dict = {}  # device_id -> session_id
+        self._authenticated: dict = {}  # device_id -> nonce of its accepted session
 
     def begin_session(self, device_id: bytes) -> Session:
         nonce = self.rng.getrandbits(128).to_bytes(zkp.NONCE_LEN, "big")
@@ -244,28 +246,12 @@ class Verifier:
             return AuthDecision(False, "malformed record")
         if session.epoch != stored.epoch:
             return AuthDecision(False, "challenge epoch advanced")
-        try:
-            proof = zkp.CorrectedAuthProof.from_bytes(msg.proof)
-        except DecodeError:
-            return AuthDecision(False, "malformed")
-        statement = zkp.AuthStatement(
-            device_id=msg.device_id,
-            pk=stored.pk,
-            response_commitment=stored.commitment,
-            challenge_epoch=stored.epoch,
-            session_nonce=session.nonce,
-        )
-        if not zkp.auth_verify_corrected(statement, proof):
-            # the verifier compares commitments as bytes; only a
-            # rejection pays to tell an undecodable one apart
-            try:
-                G2Element.from_bytes(proof.commit_sk.to_bytes())
-                G1Element.from_bytes(proof.commit_puf.to_bytes())
-            except DecodeError:
-                return AuthDecision(False, "malformed")
-            return AuthDecision(False, "proof invalid")
+        # the rotate chaincode verifies the proof; its rejection reasons
+        # are this decision's
+        result = rotate_challenges(self.ledger, msg.device_id, msg.nonce, msg.proof)
+        if not result:
+            return AuthDecision(False, result.reason)
         self._authenticated[msg.device_id] = msg.nonce
-        rotate_challenges(self.ledger, msg.device_id, self.rng)
         return AuthDecision(True, "ok")
 
     def handle_tx_submit(self, data: bytes) -> TxDecision:

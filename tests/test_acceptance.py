@@ -87,7 +87,7 @@ def test_criterion_2_corrected_soundness(stack):
     """No forgery among >= 1,000 attempts verifies."""
     rng = stack["rng"]
     device, ledger, verifier = stack["device"], stack["ledger"], stack["verifier"]
-    record = ledger.query_device_record(device.device_id)
+    record = ledger.load_device(device.device_id).record
     pk = G2Element.from_bytes(record.pk_bytes)
     commitment = G1Element.from_bytes(record.commitment_bytes)
 
@@ -96,7 +96,7 @@ def test_criterion_2_corrected_soundness(stack):
             device_id=device.device_id,
             pk=pk,
             response_commitment=commitment,
-            challenge_epoch=ledger.query_subset(device.device_id).epoch,
+            challenge_epoch=ledger.load_device(device.device_id).epoch,
             session_nonce=rng.getrandbits(128).to_bytes(16, "big"),
         )
 

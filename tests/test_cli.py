@@ -16,12 +16,12 @@ HEX = "0123456789abcdef"
 
 # SHA-256 of the `demo --seed 7` transcript.  A change that means to
 # alter transcripts updates this digest and says so.
-DEMO_SEED_7_SHA256 = "99ccc3aeb9694c443eeca5465edab05e1685f9c018ee548f304d126c568a5e7f"
+DEMO_SEED_7_SHA256 = "12233f78774a01625b45bec4488d48001229d6545364c263a6743471f44a718e"
 
 # SHA-256 of that transcript's `ledger` line, the exported transaction
 # log.  It depends on the committed transactions alone, not on how the
 # state is digested.
-DEMO_SEED_7_LEDGER_LINE_SHA256 = "b597d7ad8fdf6a7cae55f96fc8cffe13763248c4310ad61bf957cd822b5d416a"
+DEMO_SEED_7_LEDGER_LINE_SHA256 = "b03b5c2ad874251867023c3e60a68420b95d2be82fe9ae461ed626f639a300c5"
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,7 @@ def _flip_bit(payload_hex: str, index: int) -> str:
 
 def _flip_accepted_outcome(lines):
     """The first session's outcome (an accepted authentication) flipped
-    to rejected; the proof is then no longer re-verified."""
+    to rejected."""
     i = next(i for i, line in enumerate(lines) if line.startswith("outcome 01"))
     lines[i] = "outcome 00" + lines[i][len("outcome 01"):]
 
@@ -63,6 +63,23 @@ def _set_decision_flag_3(lines):
     # an accepted authentication's decision, its flag 0x01 read as 0x03
     i = next(i for i, line in enumerate(lines) if line.startswith("msg 0201"))
     lines[i] = "msg 0203" + lines[i][len("msg 0201"):]
+
+
+def _flip_accepted_session_header_bit(index):
+    """Flip one bit of the accepted authentication's session header:
+    byte 44 is the first of its nonce, byte -1 the last of its epoch."""
+    def mutate(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith("session "))
+        assert lines[i + 3].startswith("outcome 01")
+        lines[i] = "session " + _flip_bit(lines[i][len("session "):], index)
+    return mutate
+
+
+def _flip_request_proof_bit(lines):
+    # the proof of the accepted auth request starts at byte 39, after
+    # the tag, the id field and the proof's 4-byte length
+    i = next(i for i, line in enumerate(lines) if line.startswith("msg 01"))
+    lines[i] = "msg " + _flip_bit(lines[i][4:], 39 + 200)
 
 
 def _replace_exported_fingerprint(lines):
@@ -138,9 +155,10 @@ class TestDemoAndAudit:
 
     @pytest.mark.parametrize("mutate", [
         _flip_accepted_outcome, _flip_outcome_and_decision, _flip_request_nonce_bit,
-        _replace_exported_fingerprint, _set_decision_flag_3,
+        _replace_exported_fingerprint, _set_decision_flag_3, _flip_accepted_session_header_bit(-1),
+        _flip_accepted_session_header_bit(44), _flip_request_proof_bit,
     ], ids=["outcome", "outcome-and-decision", "request-nonce", "identity-fingerprint",
-            "decision-flag"])
+            "decision-flag", "session-epoch", "session-nonce", "request-proof"])
     def test_audit_binds_recorded_decisions(self, demo_seed_7, mutate):
         lines = demo_seed_7.splitlines()
         mutate(lines)
@@ -233,6 +251,13 @@ class TestAttackCommand:
         outcome = next(o for o in report.outcomes if o.name == "registration-rewrite")
         assert outcome.attempts == 2 and outcome.defended
         assert outcome.detail == "certificate does not match registration"
+
+    def test_anonymous_rotate_defended(self):
+        report = run_attack_suite(seed=6, suites=("tamper",), scale=0.02)
+        outcome = next(o for o in report.outcomes if o.name == "anonymous-rotate")
+        assert outcome.attempts == 5 and outcome.defended
+        assert outcome.detail == ("malformed; proof invalid; "
+                                  "malformed rotation: payload and signature must be empty")
 
     def test_session_flood_defended(self):
         from pufzk.protocol import VERIFIER_MEMORY_CAP

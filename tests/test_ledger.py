@@ -27,7 +27,8 @@ from pufzk.ledger import (
     rotate_challenges,
 )
 from pufzk.pairing import ORDER, DecodeError, G1Element, G2Element
-from pufzk.puf import puf_new
+from pufzk.protocol import Device
+from pufzk.puf import puf_new, puf_respond
 from pufzk.wire import (
     Certificate,
     DeviceRecord,
@@ -278,17 +279,18 @@ class TestQueries:
     def test_load_device_matches_registration(self, env):
         identity = env["identity"]
         stored = env["ledger"].load_device(identity.device_id)
-        assert stored.record == env["ledger"].query_device_record(identity.device_id)
+        key = identity.device_id.hex()
+        assert stored.record == DeviceRecord.from_bytes(env["ledger"].get_state(f"identity/{key}"))
         assert stored.pk == identity.pk and stored.commitment == identity.response_commitment
         assert np.array_equal(stored.challenges, identity.challenge_set)
-        assert stored.epoch == env["ledger"].query_subset(identity.device_id).epoch
+        assert stored.epoch == SubsetRecord.from_bytes(env["ledger"].get_state(f"subset/{key}")).epoch
 
     @pytest.mark.parametrize("case", [
         "well-formed", "garbage-record", "garbage-epoch", "missing-epoch", "record-of-another-id"])
     def test_malformed_device_state_raises_record_error(self, env, case):
         """Device state planted by a foreign chaincode: every malformed
         form of it is one typed error."""
-        record = env["ledger"].query_device_record(env["identity"].device_id)
+        record = env["ledger"].load_device(env["identity"].device_id).record
         device_id = bytes(range(32))
         planted = {
             "identity": dataclasses.replace(record, device_id=device_id).to_bytes(),
@@ -350,39 +352,73 @@ class TestChainVerification:
         assert valid and height == ledger.height
 
 
+def _auth_proof(env, nonce, epoch=None):
+    """The env device's corrected-mode authentication proof for session
+    ``nonce`` at ``epoch`` (by default its stored one), as wire bytes."""
+    device = Device(puf_new(7000, 0.0), env["identity"], env["keypair"])
+    challenges, stored_epoch = device.auth_inputs(env["ledger"])
+    return device.prove_auth(puf_respond(device.puf, challenges), stored_epoch if epoch is None else epoch,
+                             nonce, zkp.MODE_CORRECTED, env["rng"])
+
+
 class TestRotation:
     def test_rotation_is_committed_and_advances_epoch(self, env):
+        """A rotation carrying the device's proof for its current epoch
+        commits once; sent again, the proof no longer verifies."""
         ledger, rng = env["ledger"], env["rng"]
         device_id = env["identity"].device_id
-        before = ledger.query_subset(device_id)
+        before = ledger.load_device(device_id).epoch
         height_before = ledger.height
-        new_epoch = rotate_challenges(ledger, device_id, rng)
-        assert new_epoch == before.epoch + 1
+        nonce = rng.randbytes(16)
+        proof = _auth_proof(env, nonce)
+        result = rotate_challenges(ledger, device_id, nonce, proof)
+        assert result and result.block_height == height_before + 1
         assert ledger.height == height_before + 1
-        assert ledger.query_subset(device_id).epoch == new_epoch
+        assert ledger.load_device(device_id).epoch == before + 1
+        assert ledger.transactions()[-1] == TransactionRecord(b"", device_id, b"", proof, "rotate", nonce)
+        again = rotate_challenges(ledger, device_id, nonce, proof)
+        assert not again and again.reason == "proof invalid"
+        assert ledger.height == height_before + 1
 
-    def test_rotation_must_advance_epoch_by_one(self, env):
+    @pytest.mark.parametrize("case, reason", [
+        ("empty-proof", "malformed"),
+        ("garbage-proof", "malformed"),
+        ("off-subgroup-commitment", "malformed"),
+        ("next-epoch", "proof invalid"),
+        ("other-nonce", "proof invalid"),
+        ("payload", "malformed rotation: payload and signature must be empty"),
+        ("signature", "malformed rotation: payload and signature must be empty"),
+    ])
+    def test_rotation_without_a_valid_current_proof_rejected(self, env, case, reason):
         ledger, rng = env["ledger"], env["rng"]
         device_id = env["identity"].device_id
-        current = ledger.query_subset(device_id).epoch
+        current = ledger.load_device(device_id).epoch
+        nonce = rng.randbytes(16)
+        honest = _auth_proof(env, nonce)
+        tx = TransactionRecord(b"", device_id, b"", honest, "rotate", nonce)
+        tx = {
+            "empty-proof": dataclasses.replace(tx, proof=b""),
+            "garbage-proof": dataclasses.replace(tx, proof=b"\x02garbage"),
+            # (0, 2), a point of order 3 outside G1, as the PUF commitment
+            "off-subgroup-commitment": dataclasses.replace(
+                tx, proof=honest[:97] + b"\x80" + bytes(47) + honest[145:]),
+            "next-epoch": dataclasses.replace(tx, proof=_auth_proof(env, nonce, current + 1)),
+            "other-nonce": dataclasses.replace(tx, nonce=rng.randbytes(16)),
+            "payload": dataclasses.replace(tx, payload=b"reading"),
+            "signature": dataclasses.replace(tx, signature=bytes(48)),
+        }[case]
         digest, height = ledger.state_digest(), ledger.height
-        for epoch in (current, current + 2):
-            buf = bytearray()
-            _put_field(buf, device_id)
-            _put_field(buf, SubsetRecord(epoch).to_bytes())
-            tx = TransactionRecord(
-                payload=bytes(buf), device_id=device_id, signature=b"", proof=b"",
-                chaincode="rotate", nonce=rng.getrandbits(128).to_bytes(16, "big"),
-            )
-            result = ledger.invoke("rotate", tx)
-            assert not result and "advance by one" in result.reason
-        assert ledger.state_digest() == digest
-        assert ledger.height == height
-        assert ledger.query_subset(device_id).epoch == current
+        result = ledger.invoke("rotate", tx)
+        assert not result and result.reason == reason
+        assert (ledger.state_digest(), ledger.height) == (digest, height)
+        assert ledger.load_device(device_id).epoch == current
 
     def test_rotation_of_unknown_device_fails(self, env):
-        with pytest.raises(KeyError):
-            rotate_challenges(env["ledger"], bytes(32), env["rng"])
+        ledger, nonce = env["ledger"], env["rng"].randbytes(16)
+        height = ledger.height
+        result = rotate_challenges(ledger, bytes(32), nonce, _auth_proof(env, nonce))
+        assert not result and result.reason == "unknown device"
+        assert ledger.height == height
 
 
 class TestReplayDeterminism:
@@ -392,6 +428,18 @@ class TestReplayDeterminism:
         assert replayed.state_digest() == ledger.state_digest()
         assert replayed.head_digest() == ledger.head_digest()
         assert replayed.height == ledger.height
+
+    def test_replay_reverifies_rotation_proofs(self, env):
+        """One byte of a committed rotation's proof flipped inside the
+        exported log: the rotate chaincode rejects it on replay."""
+        ledger, rng = env["ledger"], env["rng"]
+        nonce = rng.randbytes(16)
+        proof = _auth_proof(env, nonce)
+        assert rotate_challenges(ledger, env["identity"].device_id, nonce, proof)
+        log = bytearray(ledger.export_log())
+        log[log.rindex(proof) + 200] ^= 0x01  # inside resp_sk
+        with pytest.raises(LedgerError, match="^replay diverged: "):
+            Ledger.replay_log(bytes(log))
 
     def test_bad_log_header_rejected(self):
         from pufzk.wire import WireError

@@ -56,10 +56,10 @@ class TestAuthentication:
 
     def test_success_rotates_challenge_subset(self, env):
         device_id = env["device"].device_id
-        before = env["ledger"].query_subset(device_id).epoch
+        before = env["ledger"].load_device(device_id).epoch
         run_authentication(env["device"], env["verifier"], env["ledger"],
                            zkp.MODE_CORRECTED, env["rng"], env["np_rng"])
-        assert env["ledger"].query_subset(device_id).epoch == before + 1
+        assert env["ledger"].load_device(device_id).epoch == before + 1
 
     def test_unregistered_device_rejected(self, env):
         ghost_puf = puf_new(3101, 0.0)
@@ -82,7 +82,7 @@ class TestAuthentication:
     def test_malformed_stored_record_rejected(self, env, corrupt):
         ledger, verifier = env["ledger"], env["verifier"]
         device_id = env["device"].device_id
-        record = ledger.query_device_record(device_id)
+        record = ledger.load_device(device_id).record
         if corrupt == "garbage-record":
             raw_record = b"garbage"
         else:
@@ -152,8 +152,10 @@ class TestMalformedStoredState:
         ledger, verifier, rng = env["ledger"], env["verifier"], env["rng"]
         device_id = env["device"].device_id
         _overwrite_with_garbage(ledger, device_id, kinds)
-        with pytest.raises(RecordError):
-            rotate_challenges(ledger, device_id, rng)
+        digest, height = ledger.state_digest(), ledger.height
+        result = rotate_challenges(ledger, device_id, bytes(16), b"")
+        assert not result and result.reason.startswith("malformed record: ")
+        assert (ledger.state_digest(), ledger.height) == (digest, height)
         with pytest.raises(RecordError):
             attack_impersonate(device_id, ledger, verifier, rng)
         with pytest.raises(RecordError):
@@ -274,7 +276,7 @@ class TestReplay:
                                    env["rng"], env["np_rng"])
         assert first.accepted  # rotation happened, epoch now >= 1
         session = verifier.begin_session(device.device_id)
-        stale_epoch = ledger.query_subset(device.device_id).epoch - 1
+        stale_epoch = ledger.load_device(device.device_id).epoch - 1
         responses = puf_respond(device.puf, device.identity.challenge_set, 9, env["np_rng"])
         statement = zkp.AuthStatement(
             device_id=device.device_id,
@@ -350,7 +352,7 @@ class TestAcceptanceConditions:
             device_id=device.device_id,
             pk=device.identity.pk,
             response_commitment=device.identity.response_commitment,
-            challenge_epoch=ledger.query_subset(device.device_id).epoch if epoch is None else epoch,
+            challenge_epoch=ledger.load_device(device.device_id).epoch if epoch is None else epoch,
             session_nonce=session.nonce if nonce is None else nonce,
         )
         witness = zkp.AuthWitness(
@@ -377,7 +379,7 @@ class TestAcceptanceConditions:
         assert not self._handcrafted_attempt(env, nonce=first.nonce).accept
 
     def test_wrong_epoch_rejects(self, env):
-        current = env["ledger"].query_subset(env["device"].device_id).epoch
+        current = env["ledger"].load_device(env["device"].device_id).epoch
         assert not self._handcrafted_attempt(env, epoch=current + 5).accept
 
 
