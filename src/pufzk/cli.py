@@ -5,7 +5,7 @@ Subcommands:
     bench   timed enroll/auth/transact cycles, JSON report + text table
     attack  the full adversary suite plus literal-mode defect demos
     demo    deterministic end-to-end walkthrough, transcript to a file
-    audit   replay and re-verify a demo transcript
+    audit   run a demo transcript's demo again and compare the bytes
 
 Exit codes: 0 success, 1 usage error, 2 acceptance failure.
 """
@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 acceptance failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import zkp
@@ -34,6 +35,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _seed(text: str) -> int:
+    """A non-negative integer, as ``random.Random`` and numpy accept."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _scale(text: str) -> float:
+    """A finite positive number."""
+    try:
+        scale = float(text)
+    except ValueError:
+        scale = math.nan
+    if not 0 < scale < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return scale
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pufzk", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -42,7 +61,7 @@ def _build_parser() -> _Parser:
     bench = sub.add_parser("bench", help="run the benchmark harness")
     bench.add_argument("--iterations", type=int, default=50)
     bench.add_argument("--mode", choices=list(zkp.MODES), default=zkp.MODE_CORRECTED)
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=_seed, default=0)
     bench.add_argument("--out", default=None, help="path for the JSON report")
     bench.add_argument("--params", default=None,
                        help=f"parameter preset ({', '.join(sorted(PRESETS))}); "
@@ -50,21 +69,22 @@ def _build_parser() -> _Parser:
 
     attack = sub.add_parser("attack", help="run the adversary suite")
     attack.add_argument("--out", default=None, help="path for the JSON summary")
-    attack.add_argument("--seed", type=int, default=0)
+    attack.add_argument("--seed", type=_seed, default=0)
     attack.add_argument("--suite", default=None,
                         help=f"comma-separated subset of: {', '.join(SUITE_NAMES)}")
-    attack.add_argument("--scale", type=float, default=1.0,
+    attack.add_argument("--scale", type=_scale, default=1.0,
                         help="scale factor for trial counts (quick runs)")
     attack.add_argument("--params", default=None)
 
     demo = sub.add_parser("demo", help="deterministic protocol walkthrough")
-    demo.add_argument("--seed", type=int, default=0)
+    demo.add_argument("--seed", type=_seed, default=0)
     demo.add_argument("--out", default="demo.transcript",
                       help="transcript output path (line-delimited hex)")
     demo.add_argument("--params", default=None)
 
-    audit = sub.add_parser("audit", help="replay and re-verify a transcript")
-    audit.add_argument("path", help="transcript file produced by demo")
+    audit = sub.add_parser("audit", help="run a transcript's demo again and compare the bytes")
+    audit.add_argument("path", help="transcript file produced by demo, whose meta line "
+                                    "names a seed and a preset")
 
     return parser
 

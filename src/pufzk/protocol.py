@@ -51,10 +51,6 @@ from .wire import (
     decode_message,
 )
 
-# Cap on each verifier nonce memory (open sessions, answered nonces).
-# The oldest entry goes first; an evicted nonce reads "unknown nonce".
-VERIFIER_MEMORY_CAP = 1024
-
 TamperHook = Callable[[bytes], bytes]
 
 
@@ -171,11 +167,16 @@ class Verifier:
     def __init__(self, ledger: Ledger, rng):
         self.ledger = ledger
         self.rng = rng
-        self._open: dict = {}         # nonce -> Session, oldest first
-        self._consumed: dict = {}     # nonces with a delivered decision -> None
+        # one entry per registered device, so memory is bounded by the
+        # devices on the ledger, whatever unregistered callers send
+        self._open: dict = {}           # device_id -> its open Session
+        self._answered: dict = {}       # device_id -> nonce of its last decided session
         self._authenticated: dict = {}  # device_id -> nonce of its accepted session
 
     def begin_session(self, device_id: bytes) -> Session:
+        """Open a session, replacing the device's open one.  An id that
+        does not load as a registered device gets a session with epoch
+        -1 that is not kept, so any answer to it is refused."""
         nonce = self.rng.getrandbits(128).to_bytes(zkp.NONCE_LEN, "big")
         try:
             epoch = self.ledger.load_device(device_id).epoch
@@ -187,7 +188,8 @@ class Verifier:
             nonce=nonce,
             epoch=epoch,
         )
-        _remember(self._open, nonce, session)
+        if epoch >= 0:
+            self._open[device_id] = session
         return session
 
     def is_authenticated(self, device_id: bytes) -> bool:
@@ -230,20 +232,19 @@ class Verifier:
         return AuthDecision(False, "proof invalid")
 
     def _decide_corrected(self, msg: AuthRequest) -> AuthDecision:
-        # any decision on an open session consumes its nonce
-        session = self._open.pop(msg.nonce, None)
-        if session is None:
-            reason = "stale nonce" if msg.nonce in self._consumed else "unknown nonce"
-            return AuthDecision(False, reason)
-        _remember(self._consumed, msg.nonce, None)
-        if session.device_id != msg.device_id:
-            return AuthDecision(False, "device does not match session")
         try:
             stored = self.ledger.load_device(msg.device_id)
         except KeyError:
             return AuthDecision(False, "unregistered")
         except RecordError:
             return AuthDecision(False, "malformed record")
+        session = self._open.get(msg.device_id)
+        if session is None or session.nonce != msg.nonce:
+            stale = self._answered.get(msg.device_id) == msg.nonce
+            return AuthDecision(False, "stale nonce" if stale else "unknown nonce")
+        # any decision on the open session consumes it
+        del self._open[msg.device_id]
+        self._answered[msg.device_id] = msg.nonce
         if session.epoch != stored.epoch:
             return AuthDecision(False, "challenge epoch advanced")
         # the rotate chaincode verifies the proof; its rejection reasons
@@ -267,13 +268,6 @@ class Verifier:
             return TxDecision(False, "unauthenticated")
         result = self.ledger.invoke("submit", record)
         return TxDecision(bool(result), result.reason)
-
-
-def _remember(memory: dict, key, value) -> None:
-    """Insert into a bounded verifier memory, evicting the oldest entry."""
-    if len(memory) >= VERIFIER_MEMORY_CAP:
-        del memory[next(iter(memory))]
-    memory[key] = value
 
 
 # ---------------------------------------------------------------------------

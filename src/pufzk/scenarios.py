@@ -2,18 +2,16 @@
 
 These are the scenario drivers behind the CLI: the attack suite runs
 every adversary script at volume and summarises defence rates; the demo
-produces a deterministic end-to-end transcript file; the audit replays
-a transcript and re-executes the embedded ledger log, which re-verifies
-the recorded proofs.
+produces a deterministic end-to-end transcript file; the audit runs the
+demo again with the seed and preset a transcript's ``meta`` line
+records and compares the two transcripts byte for byte.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
@@ -21,12 +19,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import zkp
-from .identity import CertificateAuthority, DeviceIdentity, KeyPair, RegistrationError, register_device
-from .ledger import Ledger, LedgerError, RecordError, bootstrap, ledger_new
-from .pairing import DecodeError, G1Element, G2Element, Scalar
-from .params import DEFAULT_PARAMS, ParamSet
+from .identity import CertificateAuthority, KeyPair, RegistrationError, register_device
+from .ledger import Ledger, bootstrap, ledger_new
+from .pairing import G1Element, G2Element, Scalar
+from .params import DEFAULT_PARAMS, PRESETS, ParamSet
 from .protocol import (
-    VERIFIER_MEMORY_CAP,
     AttackOutcome,
     Device,
     Verifier,
@@ -40,9 +37,8 @@ from .protocol import (
     run_authentication,
     run_transaction,
 )
-from .puf import challenges_to_bytes, puf_new
-from .wire import (AuthDecision, AuthRequest, DeviceRecord, TransactionRecord, TxDecision,
-                   TxSubmit, WireError, decode_message, registration_binding)
+from .puf import puf_new
+from .wire import AuthRequest, DeviceRecord, TransactionRecord, decode_message
 
 SUITE_NAMES = ("replay", "impersonate", "mitm", "tamper", "literal-defects")
 
@@ -228,23 +224,45 @@ def _anonymous_rotations(device: Device, other: Device, honest: AuthRequest, led
                          "; ".join(dict.fromkeys(reasons)))
 
 
-def _session_flood(device: Device, verifier: Verifier, ledger: Ledger, rng,
+# Rounds in each flood scenario.
+_FLOOD = 1024
+
+
+def _session_flood(devices: Tuple[Device, ...], verifier: Verifier, ledger: Ledger, rng,
                    np_rng) -> AttackOutcome:
-    """Open twice the verifier's memory cap in sessions, answering half
-    of them with an empty proof, so that both the open-session and the
-    consumed-nonce memories overflow.  A breach is either memory above
-    the cap or an honest session refused afterwards."""
-    for _ in range(VERIFIER_MEMORY_CAP):
-        answered = verifier.begin_session(device.device_id)
-        verifier.begin_session(device.device_id)
+    """Open twice ``_FLOOD`` sessions across the registered devices,
+    answering half of them with an empty proof, so that both the
+    open-session and the answered-nonce memories fill.  The verifier
+    keeps at most one of each per registered device: a breach is either
+    memory above that or an honest session refused afterwards."""
+    for i in range(_FLOOD):
+        device_id = devices[i % len(devices)].device_id
+        answered = verifier.begin_session(device_id)
         verifier.handle_auth_request(
-            AuthRequest(device.device_id, b"", answered.nonce).to_bytes(), zkp.MODE_CORRECTED)
-    sizes = (len(verifier._open), len(verifier._consumed))
-    honest = run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, np_rng)
-    breached = max(sizes) > VERIFIER_MEMORY_CAP or not honest.accepted
-    return AttackOutcome("session-flood", 2 * VERIFIER_MEMORY_CAP, int(breached),
-                         f"open {sizes[0]}, consumed {sizes[1]}, cap {VERIFIER_MEMORY_CAP}; "
+            AuthRequest(device_id, b"", answered.nonce).to_bytes(), zkp.MODE_CORRECTED)
+        verifier.begin_session(device_id)
+    sizes = (len(verifier._open), len(verifier._answered))
+    honest = run_authentication(devices[0], verifier, ledger, zkp.MODE_CORRECTED, rng, np_rng)
+    breached = max(sizes) > len(devices) or not honest.accepted
+    return AttackOutcome("session-flood", 2 * _FLOOD, int(breached),
+                         f"open {sizes[0]}, answered {sizes[1]}, registered {len(devices)}; "
                          f"honest session: {honest.reason}")
+
+
+def _session_eviction(device: Device, verifier: Verifier, ledger: Ledger, rng,
+                      np_rng) -> AttackOutcome:
+    """Open an honest session, then ``_FLOOD`` sessions for random
+    unregistered ids, then answer the honest one.  A breach is the
+    honest answer refused: anonymous callers must not push a registered
+    device's session out of the verifier's memory."""
+    session = verifier.begin_session(device.device_id)
+    for _ in range(_FLOOD):
+        verifier.begin_session(rng.randbytes(32))
+    proof = device.build_auth_proof(ledger, session.nonce, zkp.MODE_CORRECTED, rng, np_rng)
+    decision = verifier.handle_auth_request(
+        AuthRequest(device.device_id, proof, session.nonce).to_bytes(), zkp.MODE_CORRECTED)
+    return AttackOutcome("session-eviction", _FLOOD, int(not decision.accept),
+                         f"honest session: {decision.reason}")
 
 
 def _literal_defect_demos(rng, np_rng, ca: CertificateAuthority,
@@ -326,7 +344,8 @@ def run_attack_suite(seed: int = 0, params: ParamSet = DEFAULT_PARAMS,
         honest = run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, np_rng)
         forged = attack_replay(honest, verifier, ledger, forge_current_nonce=True)
         report.outcomes.append(AttackOutcome("replay-forged-nonce", 1, forged.accepted, forged.detail))
-        report.outcomes.append(_session_flood(device, verifier, ledger, rng, np_rng))
+        report.outcomes.append(_session_flood((device, device_b), verifier, ledger, rng, np_rng))
+        report.outcomes.append(_session_eviction(device, verifier, ledger, rng, np_rng))
 
     if "impersonate" in suites:
         report.outcomes.append(
@@ -376,9 +395,6 @@ def run_attack_suite(seed: int = 0, params: ParamSet = DEFAULT_PARAMS,
 # ---------------------------------------------------------------------------
 
 _TRANSCRIPT_HEADER = "pufzk-transcript v1"
-
-# Every way the bytes of a transcript can fail to decode or replay.
-_AUDIT_ERRORS = (WireError, DecodeError, RecordError, LedgerError, KeyError)
 
 
 def run_demo(seed: int = 0, params: ParamSet = DEFAULT_PARAMS) -> Tuple[str, Dict]:
@@ -449,132 +465,29 @@ def run_demo(seed: int = 0, params: ParamSet = DEFAULT_PARAMS) -> Tuple[str, Dic
 
 
 def audit_transcript(text: str) -> Tuple[bool, List[str]]:
-    """Replay a demo transcript: re-execute the ledger log, whose rotate
-    chaincode re-verifies every authentication proof, and re-verify the
-    chain and digests.
+    """Audit a demo transcript by running the demo again with the seed
+    and preset its ``meta`` line records, and comparing the two
+    transcripts line by line.
 
-    Every recorded decision is bound to the replayed ledger: each
-    outcome line must equal its session's decision message, each
-    accepted authentication must be exactly one committed rotation (the
-    same device id, nonce and proof, at its session header's epoch) and
-    each rotation one accepted authentication, each transaction must be
-    committed exactly as often as sessions record it accepted, and an
-    accepted request must carry its session's device id and nonce.  The
-    ``meta`` line is not bound; only running the demo again could check
-    it."""
-    findings: List[str] = []
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != _TRANSCRIPT_HEADER:
+    The re-run's ledger verified every proof as it committed it, and its
+    ``chain`` line records ``verify_chain``, so a transcript equal to it
+    byte for byte carries all of those checks, and every byte, ``meta``
+    included, is bound.  Each differing line is reported by number and
+    by the kind of line the re-run has there."""
+    lines = text.splitlines(keepends=True)
+    if not lines or lines[0] != _TRANSCRIPT_HEADER + "\n":
         return False, ["not a transcript file"]
-
-    entries = []
-    for ln in lines[1:]:
-        kind, _, payload = ln.partition(" ")
-        try:
-            entries.append((kind, bytes.fromhex(payload)))
-        except ValueError:
-            return False, [f"bad hex on a {kind!r} line"]
-
-    ledger_blob = state_digest = head_digest = None
-    sessions: List[Dict] = []
-    identities: List[bytes] = []
-    current: Optional[Dict] = None
-    chain_flag = None
-    for kind, payload in entries:
-        if kind == "ledger":
-            ledger_blob = payload
-        elif kind == "state":
-            state_digest = payload
-        elif kind == "head":
-            head_digest = payload
-        elif kind == "identity":
-            identities.append(payload)
-        elif kind == "session":
-            current = {"header": payload, "msgs": [], "outcome": None}
-            sessions.append(current)
-        elif kind == "msg" and current is not None:
-            current["msgs"].append(payload)
-        elif kind == "outcome" and current is not None:
-            current["outcome"] = payload
-        elif kind == "chain":
-            chain_flag = payload
-        elif kind == "meta":
-            pass
-        else:
-            findings.append(f"unexpected line kind {kind!r}")
-
-    if ledger_blob is None:
-        return False, ["transcript carries no ledger log"]
+    kind, _, payload = "".join(lines[1:2]).partition(" ")
     try:
-        ledger = Ledger.replay_log(ledger_blob)
-    except _AUDIT_ERRORS as exc:
-        return False, [f"ledger replay failed: {exc}"]
-    if not ledger.verify_chain():
-        findings.append("replayed chain failed verification")
-    if state_digest is not None and ledger.state_digest() != state_digest:
-        findings.append("replayed state digest differs from recorded digest")
-    if head_digest is not None and ledger.head_digest() != head_digest:
-        findings.append("replayed head digest differs from recorded digest")
-    if chain_flag is not None and chain_flag != b"\x01":
-        findings.append("transcript recorded a broken chain")
-
-    for blob in identities:
-        try:
-            identity = DeviceIdentity.load(blob)
-            stored = ledger.load_device(identity.device_id)
-            if (stored.pk, stored.commitment, stored.record.cert_bytes) != (
-                    identity.pk, identity.response_commitment, identity.certificate.to_bytes()):
-                findings.append("exported identity disagrees with its ledger record")
-            binding = registration_binding(identity.response_commitment.to_bytes(),
-                                           identity.fingerprint,
-                                           challenges_to_bytes(identity.challenge_set))
-            if binding != identity.certificate.binding:
-                findings.append("exported identity does not match its certificate binding")
-        except _AUDIT_ERRORS as exc:
-            findings.append(f"identity export failed to load: {exc}")
-
-    committed = Counter(d for h in range(1, ledger.height + 1) for d in ledger.block(h).tx_digests)
-    # each replayed rotation as (device id, nonce, proof, epoch it verified at)
-    epochs: Counter = Counter()
-    rotations: Counter = Counter()
-    for tx in ledger.transactions():
-        if tx.chaincode == "rotate":
-            rotations[tx.device_id, tx.nonce, tx.proof, epochs[tx.device_id]] += 1
-            epochs[tx.device_id] += 1
-    authentications: Counter = Counter()
-    submitted: Counter = Counter()  # record digest -> sessions that recorded it accepted
-    for index, session in enumerate(sessions):
-        header = session["header"]
-        device_len = int.from_bytes(header[8:10], "big")
-        device_id = header[10:10 + device_len]
-        off = 10 + device_len
-        nonce_len = int.from_bytes(header[off:off + 2], "big")
-        nonce = header[off + 2:off + 2 + nonce_len]
-        epoch = int.from_bytes(header[off + 2 + nonce_len:off + 10 + nonce_len], "big")
-        outcome = session["outcome"]
-        accepted = bool(outcome and outcome[0] == 1)
-        decisions = []
-        for raw in session["msgs"]:
-            try:
-                msg = decode_message(raw)
-            except _AUDIT_ERRORS as exc:
-                findings.append(f"session {index}: undecodable message: {exc}")
-                continue
-            if isinstance(msg, (AuthDecision, TxDecision)):
-                decisions.append(bytes([msg.accept]) + msg.reason.encode())
-            elif isinstance(msg, TxSubmit):
-                digest = hashlib.sha256(msg.record.to_bytes()).digest()
-                submitted[digest] += accepted
-                if accepted and msg.record.device_id != device_id:
-                    findings.append(f"session {index}: accepted request is not the session's")
-            elif isinstance(msg, AuthRequest) and accepted:
-                authentications[device_id, nonce, msg.proof, epoch] += 1
-                if (msg.device_id, msg.nonce) != (device_id, nonce):
-                    findings.append(f"session {index}: accepted request is not the session's")
-        if decisions != [outcome]:
-            findings.append(f"session {index}: outcome differs from the decision message")
-    if authentications != rotations:
-        findings.append("accepted authentications differ from the ledger's rotations")
-    if any(committed[digest] != count for digest, count in submitted.items()):
-        findings.append("recorded transaction outcomes differ from the committed blocks")
+        meta = json.loads(bytes.fromhex(payload)) if kind == "meta" else {}
+    except (ValueError, RecursionError):
+        meta = {}
+    seed, name = (meta.get("seed"), meta.get("params")) if isinstance(meta, dict) else (None, None)
+    if type(seed) is not int or seed < 0 or not isinstance(name, str) or name not in PRESETS:
+        return False, ["the meta line records no non-negative seed and preset"]
+    expected = run_demo(seed, PRESETS[name])[0].splitlines(keepends=True)
+    findings = [f"line {number}: {want.partition(' ')[0]} line differs from the re-run"
+                for number, (got, want) in enumerate(zip(lines, expected), 1) if got != want]
+    if len(lines) != len(expected):
+        findings.append(f"{len(lines)} lines where the re-run has {len(expected)}")
     return not findings, findings or ["audit clean"]

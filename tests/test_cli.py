@@ -82,6 +82,38 @@ def _flip_request_proof_bit(lines):
     lines[i] = "msg " + _flip_bit(lines[i][4:], 39 + 200)
 
 
+def _flip_session_id_bit(lines):
+    # the first 8 bytes of a session header are its session id
+    i = next(i for i, line in enumerate(lines) if line.startswith("session "))
+    lines[i] = "session " + _flip_bit(lines[i][len("session "):], 0)
+
+
+def _flip_tx_session_epoch_bit(lines):
+    # the second session is the transaction: its header's nonce is empty
+    # and its last byte is the epoch placeholder
+    i = [i for i, line in enumerate(lines) if line.startswith("session ")][1]
+    assert lines[i + 1].startswith("msg 03")
+    lines[i] = "session " + _flip_bit(lines[i][len("session "):], -1)
+
+
+def _flip_rejected_request_bit(lines):
+    # the third session is the rejected replay; its first message is the
+    # replayed request
+    i = [i for i, line in enumerate(lines) if line.startswith("session ")][2]
+    assert lines[i + 3].startswith("outcome 00")
+    lines[i + 1] = "msg " + _flip_bit(lines[i + 1][4:], 223)
+
+
+def _meta(seed, params="default"):
+    meta = {"mode": "corrected", "params": params, "seed": seed}
+    return "meta " + json.dumps(meta, sort_keys=True).encode().hex()
+
+
+def _reencode_meta_seed(lines):
+    assert lines[1] == _meta(7)
+    lines[1] = _meta(8)
+
+
 def _replace_exported_fingerprint(lines):
     i = next(i for i, line in enumerate(lines) if line.startswith("identity "))
     identity = DeviceIdentity.load(bytes.fromhex(lines[i][len("identity "):]))
@@ -128,8 +160,7 @@ class TestDemoAndAudit:
     @settings(max_examples=30, deadline=None)
     def test_mutated_transcript_never_raises(self, demo_lines, data):
         """One hex digit changed or one line cut short: the audit returns
-        findings and never raises.  The ledger log and the digests are
-        fully bound, so a change there always fails the audit."""
+        findings, never raises, and fails, whatever the line's kind."""
         index = data.draw(st.integers(1, len(demo_lines) - 1))
         kind, _, payload = demo_lines[index].partition(" ")
         pos = data.draw(st.integers(0, len(payload) - 1))
@@ -141,8 +172,7 @@ class TestDemoAndAudit:
         lines = demo_lines[:index] + [f"{kind} {payload}"] + demo_lines[index + 1:]
         ok, findings = audit_transcript("\n".join(lines) + "\n")
         assert findings and all(isinstance(f, str) for f in findings)
-        if kind in ("ledger", "state", "head", "chain"):
-            assert not ok
+        assert not ok, (kind, findings)
 
     def test_demo_seed_7_transcript_is_pinned(self, demo_seed_7):
         assert hashlib.sha256(demo_seed_7.encode()).hexdigest() == DEMO_SEED_7_SHA256
@@ -156,14 +186,36 @@ class TestDemoAndAudit:
     @pytest.mark.parametrize("mutate", [
         _flip_accepted_outcome, _flip_outcome_and_decision, _flip_request_nonce_bit,
         _replace_exported_fingerprint, _set_decision_flag_3, _flip_accepted_session_header_bit(-1),
-        _flip_accepted_session_header_bit(44), _flip_request_proof_bit,
+        _flip_accepted_session_header_bit(44), _flip_request_proof_bit, _flip_session_id_bit,
+        _flip_tx_session_epoch_bit, _flip_rejected_request_bit, _reencode_meta_seed,
     ], ids=["outcome", "outcome-and-decision", "request-nonce", "identity-fingerprint",
-            "decision-flag", "session-epoch", "session-nonce", "request-proof"])
+            "decision-flag", "session-epoch", "session-nonce", "request-proof", "session-id",
+            "tx-session-epoch", "rejected-request", "meta-seed"])
     def test_audit_binds_recorded_decisions(self, demo_seed_7, mutate):
         lines = demo_seed_7.splitlines()
         mutate(lines)
         ok, findings = audit_transcript("\n".join(lines) + "\n")
         assert not ok, findings
+
+    @pytest.mark.parametrize("meta", [
+        _meta(-1), _meta(7, "warp-speed"), _meta(7, ["default"]), _meta(True), _meta("7"),
+        "meta " + b"[7]".hex(), "meta " + b"{not json".hex(), "meta zz", "meta",
+        "ledger 00",
+    ], ids=["negative-seed", "no-preset", "unhashable-preset", "bool-seed", "string-seed",
+            "not-an-object", "not-json", "not-hex", "empty", "no-meta"])
+    def test_audit_of_unrunnable_meta_is_a_finding(self, demo_seed_7, meta):
+        lines = demo_seed_7.splitlines()
+        lines[1] = meta
+        ok, findings = audit_transcript("\n".join(lines) + "\n")
+        assert not ok and findings == ["the meta line records no non-negative seed and preset"]
+
+    def test_audit_reports_lines_by_number_and_kind(self, demo_seed_7):
+        lines = demo_seed_7.splitlines()
+        lines[3] = "state " + _flip_bit(lines[3][len("state "):], 0)
+        ok, findings = audit_transcript("\n".join(lines[:-1]) + "\n")
+        assert not ok
+        assert findings == ["line 4: state line differs from the re-run",
+                            f"{len(lines) - 1} lines where the re-run has {len(lines)}"]
 
     def test_audit_missing_file_usage_error(self):
         assert main(["audit", "/no/such/file"]) == EXIT_USAGE
@@ -260,11 +312,16 @@ class TestAttackCommand:
                                   "malformed rotation: payload and signature must be empty")
 
     def test_session_flood_defended(self):
-        from pufzk.protocol import VERIFIER_MEMORY_CAP
         report = run_attack_suite(seed=5, suites=("replay",), scale=0.02)
         outcome = next(o for o in report.outcomes if o.name == "session-flood")
-        assert outcome.attempts == 2 * VERIFIER_MEMORY_CAP and outcome.defended
-        assert outcome.detail.endswith("honest session: ok")
+        assert outcome.attempts == 2048 and outcome.defended
+        assert outcome.detail == "open 2, answered 2, registered 2; honest session: ok"
+
+    def test_session_eviction_defended(self):
+        report = run_attack_suite(seed=5, suites=("replay",), scale=0.02)
+        outcome = next(o for o in report.outcomes if o.name == "session-eviction")
+        assert outcome.attempts == 1024 and outcome.defended
+        assert outcome.detail == "honest session: ok"
 
     def test_suite_selection(self):
         assert main(["attack", "--scale", "0.02", "--suite", "replay"]) == EXIT_OK
@@ -277,6 +334,14 @@ class TestAttackCommand:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["demo", "--seed", "-1"], ["bench", "--seed", "-1"], ["attack", "--seed", "-1"],
+        ["attack", "--scale", "nan"], ["attack", "--scale", "inf"], ["attack", "--scale", "0"],
+    ], ids=["demo-seed", "bench-seed", "attack-seed", "scale-nan", "scale-inf", "scale-zero"])
+    def test_bad_value_usage_error(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert "error: argument" in capsys.readouterr().err
+
     def test_no_command_usage_error(self):
         assert main([]) == EXIT_USAGE
 

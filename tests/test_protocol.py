@@ -245,27 +245,28 @@ class TestReplay:
         outcome = attack_replay(honest, env["verifier"], env["ledger"], forge_current_nonce=True)
         assert outcome.defended
 
-    def test_nonce_memories_are_bounded(self, env, monkeypatch):
-        from pufzk import protocol
-        monkeypatch.setattr(protocol, "VERIFIER_MEMORY_CAP", 4)
-        device, verifier = env["device"], env["verifier"]
+    def test_verifier_keeps_one_session_per_registered_device(self, env):
+        device, verifier, ledger = env["device"], env["verifier"], env["ledger"]
 
-        def answer(session):
-            raw = AuthRequest(device.device_id, b"", session.nonce).to_bytes()
+        def answer(session, device_id=device.device_id):
+            raw = AuthRequest(device_id, b"", session.nonce).to_bytes()
             return verifier.handle_auth_request(raw, zkp.MODE_CORRECTED).reason
 
+        strangers = [verifier.begin_session(env["rng"].randbytes(32)) for _ in range(8)]
+        assert [s.epoch for s in strangers] == [-1] * 8 and len(verifier._open) == 0
+        assert answer(strangers[0], strangers[0].device_id) == "unregistered"
         sessions = [verifier.begin_session(device.device_id) for _ in range(8)]
-        assert len(verifier._open) == 4
-        assert answer(sessions[0]) == "unknown nonce"  # evicted before its answer
-        assert [answer(s) for s in sessions[4:]] == ["malformed"] * 4
-        assert len(verifier._open) == 0 and len(verifier._consumed) == 4
-        assert answer(sessions[4]) == "stale nonce"
-        for session in [verifier.begin_session(device.device_id) for _ in range(2)]:
-            answer(session)
-        assert len(verifier._consumed) == 4
-        assert answer(sessions[4]) == "unknown nonce"  # evicted, still rejected
+        assert len(verifier._open) == 1  # each session replaced the one before
+        assert [answer(s) for s in sessions[:7]] == ["unknown nonce"] * 7
+        assert answer(sessions[7]) == "malformed"
+        assert (len(verifier._open), len(verifier._answered)) == (0, 1)
         assert answer(sessions[7]) == "stale nonce"
-        honest = run_authentication(device, verifier, env["ledger"], zkp.MODE_CORRECTED,
+        later = verifier.begin_session(device.device_id)
+        assert answer(later, strangers[1].device_id) == "unregistered"
+        assert answer(later) == "malformed"
+        assert answer(sessions[7]) == "unknown nonce"  # only the last answer is remembered
+        assert (len(verifier._open), len(verifier._answered)) == (0, 1)
+        honest = run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED,
                                     env["rng"], env["np_rng"])
         assert honest.accepted
 
