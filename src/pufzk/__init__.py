@@ -5,7 +5,8 @@ Layering, bottom up:
 
 ``pufzk.pairing``   bilinear groups, hashing, canonical encodings
 ``pufzk.puf``       simulated delay-based arbiter devices
-``pufzk.zkp``       literal and corrected proof modes, signatures
+``pufzk.zkp``       the corrected proof scheme, which the protocol runs;
+                    the printed (literal) scheme as an exhibit; signatures
 ``pufzk.wire``      record and message codecs
 ``pufzk.ledger``    hash-chained ledger with chaincode dispatch; its
                     rotate chaincode verifies each authentication

@@ -67,9 +67,9 @@ REFERENCE_BASELINE = {
 
 @dataclass
 class MetricsReport:
-    """Schema-stable benchmark output; one record per iteration."""
+    """Schema-stable benchmark output; one record per iteration.  Its
+    ``mode`` is always the corrected scheme, the only one that runs."""
 
-    mode: str
     iterations: int
     seed: int
     params: Dict
@@ -92,7 +92,7 @@ class MetricsReport:
     def to_dict(self) -> Dict:
         return {
             "schema_version": SCHEMA_VERSION,
-            "mode": self.mode,
+            "mode": zkp.MODE_CORRECTED,
             "iterations": self.iterations,
             "seed": self.seed,
             "params": self.params,
@@ -111,7 +111,7 @@ class MetricsReport:
     def to_text(self) -> str:
         lines = [
             f"benchmark report (schema v{SCHEMA_VERSION})",
-            f"  mode={self.mode} iterations={self.iterations} seed={self.seed} "
+            f"  mode={zkp.MODE_CORRECTED} iterations={self.iterations} seed={self.seed} "
             f"params={self.params.get('name', '?')}",
             f"  precompute_ms={self.precompute_ms:.2f}  (generator tables, built once per process)",
             f"  trust_setup_ms={self.trust_setup_ms:.2f}"
@@ -163,17 +163,11 @@ def validate_report(report: Dict) -> List[str]:
     return problems
 
 
-def run_bench(iterations: int = 50, mode: str = zkp.MODE_CORRECTED, seed: int = 0,
+def run_bench(iterations: int = 50, seed: int = 0,
               params: ParamSet = DEFAULT_PARAMS) -> MetricsReport:
-    """Run timed enroll -> auth -> transact cycles and build the report.
-
-    Literal mode runs against a setup forced to alpha = 1 so that the
-    printed equations accept honest proofs and full cycles complete.
-    """
+    """Run timed enroll -> auth -> transact cycles and build the report."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if mode not in zkp.MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     import random
     rng = random.Random(seed)
     np_rng = np.random.default_rng(seed)
@@ -184,7 +178,7 @@ def run_bench(iterations: int = 50, mode: str = zkp.MODE_CORRECTED, seed: int = 
     precompute_ms = (_now() - t0) * 1000.0
 
     t0 = _now()
-    setup = zkp.trust_setup(rng, forced_alpha=1 if mode == zkp.MODE_LITERAL else None)
+    setup = zkp.trust_setup(rng)
     trust_setup_ms = (_now() - t0) * 1000.0
 
     ca = CertificateAuthority(rng)
@@ -217,19 +211,19 @@ def run_bench(iterations: int = 50, mode: str = zkp.MODE_CORRECTED, seed: int = 
         puf_response_ms = (_now() - t) * 1000.0
 
         t = _now()
-        proof_bytes = device.prove_auth(responses, epoch, session.nonce, mode, rng)
+        proof_bytes = device.prove_auth(responses, epoch, session.nonce, rng)
         proof_gen_ms = (_now() - t) * 1000.0
 
         request = AuthRequest(identity.device_id, proof_bytes, session.nonce).to_bytes()
         t = _now()
-        decision = verifier.handle_auth_request(request, mode)
+        decision = verifier.handle_auth_request(request)
         verify_ms = (_now() - t) * 1000.0
         if not decision.accept:
             raise RuntimeError(f"benchmark cycle failed authentication: {decision.reason}")
 
         tx_session = run_transaction(
             device, verifier, ledger, b"bench-payload-" + iteration.to_bytes(4, "big"),
-            mode, rng,
+            zkp.MODE_CORRECTED, rng,
         )
         if not tx_session.accepted:
             raise RuntimeError(f"benchmark cycle failed transaction: {tx_session.reason}")
@@ -249,7 +243,6 @@ def run_bench(iterations: int = 50, mode: str = zkp.MODE_CORRECTED, seed: int = 
         })
 
     return MetricsReport(
-        mode=mode,
         iterations=iterations,
         seed=seed,
         params=asdict(params),

@@ -16,10 +16,9 @@ import argparse
 import math
 import sys
 
-from . import zkp
 from .bench import run_bench, validate_report
 from .params import ENV_VAR, PRESETS, resolve_params
-from .scenarios import SUITE_NAMES, audit_transcript, run_attack_suite, run_demo
+from .scenarios import MAX_SCALE, SUITE_NAMES, audit_transcript, run_attack_suite, run_demo
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,13 +42,14 @@ def _seed(text: str) -> int:
 
 
 def _scale(text: str) -> float:
-    """A finite positive number."""
+    """A number with 0 < scale <= :data:`MAX_SCALE`."""
     try:
         scale = float(text)
     except ValueError:
         scale = math.nan
-    if not 0 < scale < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    if not 0 < scale <= MAX_SCALE:
+        raise argparse.ArgumentTypeError(f"must be a number above 0 and at most {MAX_SCALE:g}, "
+                                         f"got {text!r}")
     return scale
 
 
@@ -60,7 +60,6 @@ def _build_parser() -> _Parser:
 
     bench = sub.add_parser("bench", help="run the benchmark harness")
     bench.add_argument("--iterations", type=int, default=50)
-    bench.add_argument("--mode", choices=list(zkp.MODES), default=zkp.MODE_CORRECTED)
     bench.add_argument("--seed", type=_seed, default=0)
     bench.add_argument("--out", default=None, help="path for the JSON report")
     bench.add_argument("--params", default=None,
@@ -73,7 +72,8 @@ def _build_parser() -> _Parser:
     attack.add_argument("--suite", default=None,
                         help=f"comma-separated subset of: {', '.join(SUITE_NAMES)}")
     attack.add_argument("--scale", type=_scale, default=1.0,
-                        help="scale factor for trial counts (quick runs)")
+                        help=f"scale factor for trial counts, above 0 and at most "
+                             f"{MAX_SCALE:g} (below 1 for quick runs)")
     attack.add_argument("--params", default=None)
 
     demo = sub.add_parser("demo", help="deterministic protocol walkthrough")
@@ -98,8 +98,7 @@ def _cmd_bench(args) -> int:
     if args.iterations < 1:
         print("error: --iterations must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    report = run_bench(iterations=args.iterations, mode=args.mode,
-                       seed=args.seed, params=params)
+    report = run_bench(iterations=args.iterations, seed=args.seed, params=params)
     problems = validate_report(report.to_dict())
     if args.out:
         try:

@@ -32,7 +32,8 @@ state's values grow on disk, not in the Python heap.
 Chaincodes are in-process functions from (state view, transaction) to a
 write-set; the built-in ones cover bootstrap parameters, device
 registration, challenge-epoch rotation, and the guarded data-submit
-path that checks a signature and a mode-tagged proof before writing.
+path that checks a signature and a corrected-mode transaction proof
+before writing.
 Registration checks the CA's Schnorr certificate over the whole tuple
 (id, key, commitment, challenges) against the G1 key published at
 bootstrap, so it runs no pairing; only submits check a pairing
@@ -233,8 +234,10 @@ class StateView:
         return StoredDevice(record, pk, commitment, challenges, epoch)
 
     def published_setup(self) -> zkp.TrustSetup:
-        """The literal-mode setup as a verifier knows it: the published
-        key, no trapdoor.  Raises ``KeyError`` before bootstrap."""
+        """The printed scheme's setup as a verifier knows it: the
+        published key, no trapdoor.  No chaincode reads it; the attack
+        suite's defect demonstrations verify against it.  Raises
+        ``KeyError`` before bootstrap."""
         pk_setup = G2Element.from_bytes(self.get_state(KEY_SETUP_PK))
         return zkp.TrustSetup(alpha=None, pk_setup=pk_setup)
 
@@ -520,8 +523,9 @@ def _cc_rotate(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
 
 def _cc_submit(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     """The guarded transaction path: verify the submitter's signature
-    against its on-ledger key and the mode-tagged proof, then apply the
-    write."""
+    against its on-ledger key and the corrected-mode transaction proof,
+    then apply the write.  Any other proof, the printed scheme's
+    included, is "proof invalid"."""
     pk = _stored_device(state, tx.device_id).pk
     nonce_key = f"txnonce/{tx.device_id.hex()}/{tx.nonce.hex()}"
     if state.has(nonce_key):
@@ -532,7 +536,12 @@ def _cc_submit(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
         raise ChaincodeRejection(f"malformed record: {exc}")
     if not zkp.verify_sig(pk, tx.payload, sig):
         raise ChaincodeRejection("signature invalid")
-    if not _verify_tx_proof(state, tx, pk):
+    try:
+        proof = zkp.CorrectedTxProof.from_bytes(tx.proof)
+    except DecodeError:
+        raise ChaincodeRejection("proof invalid") from None
+    statement = zkp.TxStatement(tx.device_id, pk, _digest(tx.payload), tx.nonce)
+    if not zkp.tx_verify_corrected(statement, proof):
         raise ChaincodeRejection("proof invalid")
     seq_raw = state.get(f"dataseq/{tx.device_id.hex()}")
     seq = int.from_bytes(seq_raw, "big") if seq_raw else 0
@@ -550,27 +559,6 @@ def _stored_device(state: StateView, device_id: bytes) -> StoredDevice:
         raise ChaincodeRejection("unknown device") from None
     except RecordError as exc:
         raise ChaincodeRejection(f"malformed record: {exc}") from None
-
-
-def _verify_tx_proof(state: StateView, tx: TransactionRecord, pk: G2Element) -> bool:
-    try:
-        proof = zkp.parse_proof(tx.proof)
-    except DecodeError:
-        return False
-    if isinstance(proof, zkp.SigmaProof):
-        try:
-            return zkp.auth_verify_literal(state.published_setup(), proof)
-        except KeyError:
-            return False
-    if isinstance(proof, zkp.CorrectedTxProof):
-        statement = zkp.TxStatement(
-            device_id=tx.device_id,
-            pk=pk,
-            payload_digest=_digest(tx.payload),
-            tx_nonce=tx.nonce,
-        )
-        return zkp.tx_verify_corrected(statement, proof)
-    return False
 
 
 _BUILTIN_CHAINCODES: Dict[str, Chaincode] = {

@@ -6,13 +6,12 @@ man-in-the-middle mutator operates on real message bytes.
 
 The verifier role is distinct from the ledger: it mints one 16-byte
 nonce per session and checks requests against ledger state only.
-Corrected-mode decisions enforce nonce freshness and the current
-challenge epoch, then hand the proof to the ledger's rotate chaincode,
-which verifies it and advances the device's challenge epoch; the
-request is accepted only if that rotation commits.  Literal mode
-verifies exactly the printed pairing equation and binds no session
-data, which is precisely the replay defect the attack suite
-demonstrates.
+Its decisions enforce nonce freshness and the current challenge epoch,
+then hand the proof to the ledger's rotate chaincode, which verifies it
+and advances the device's challenge epoch; the request is accepted only
+if that rotation commits.  Every proof here is a corrected-mode proof:
+the printed scheme lives in :mod:`pufzk.zkp` alone, whose functions the
+attack suite calls to demonstrate its defects.
 
 Adversary scripts receive public data only: ledger handles, recorded
 transcripts, and identifiers.  None of them touch a device's secret
@@ -38,9 +37,9 @@ from .identity import (
     response_scalar,
 )
 from .ledger import Ledger, RecordError, StoredDevice, rotate_challenges
-from .pairing import DecodeError, Scalar
+from .pairing import Scalar
 from .params import DEFAULT_PARAMS, ParamSet
-from .puf import PufDevice, puf_new, puf_respond, responses_to_bytes
+from .puf import PufDevice, puf_new, puf_respond
 from .wire import (
     AuthDecision,
     AuthRequest,
@@ -96,13 +95,12 @@ class Device:
     def device_id(self) -> bytes:
         return self.identity.device_id
 
-    def build_auth_proof(self, ledger: Ledger, nonce: bytes, mode: str, rng,
-                         np_rng=None) -> bytes:
+    def build_auth_proof(self, ledger: Ledger, nonce: bytes, rng, np_rng=None) -> bytes:
         """Fetch challenges from the ledger, regenerate responses, and
-        build the mode's proof as wire bytes."""
+        build the authentication proof as wire bytes."""
         challenges, epoch = self.auth_inputs(ledger)
         responses = puf_respond(self.puf, challenges, eval_rng=np_rng)
-        return self.prove_auth(responses, epoch, nonce, mode, rng)
+        return self.prove_auth(responses, epoch, nonce, rng)
 
     def auth_inputs(self, ledger: Ledger):
         """The challenges to answer and their epoch, read from the ledger.
@@ -117,39 +115,28 @@ class Device:
             return self.identity.challenge_set, 0
         return stored.challenges, stored.epoch
 
-    def prove_auth(self, responses, epoch: int, nonce: bytes, mode: str, rng) -> bytes:
-        """The mode's authentication proof over the PUF responses, as
-        wire bytes."""
-        if mode == zkp.MODE_CORRECTED:
-            statement = zkp.AuthStatement(
-                device_id=self.device_id,
-                pk=self.identity.pk,
-                response_commitment=self.identity.response_commitment,
-                challenge_epoch=epoch,
-                session_nonce=nonce,
-            )
-            witness = zkp.AuthWitness(sk=self.keypair.sk, response_scalar=response_scalar(responses))
-            return zkp.auth_prove_corrected(statement, witness, rng).to_bytes()
-        if mode == zkp.MODE_LITERAL:
-            return zkp.auth_prove_literal(
-                None, responses_to_bytes(responses), self.keypair.sk, rng,
-            ).to_bytes()
-        raise ValueError(f"unknown mode {mode!r}")
+    def prove_auth(self, responses, epoch: int, nonce: bytes, rng) -> bytes:
+        """The authentication proof over the PUF responses, as wire
+        bytes."""
+        statement = zkp.AuthStatement(
+            device_id=self.device_id,
+            pk=self.identity.pk,
+            response_commitment=self.identity.response_commitment,
+            challenge_epoch=epoch,
+            session_nonce=nonce,
+        )
+        witness = zkp.AuthWitness(sk=self.keypair.sk, response_scalar=response_scalar(responses))
+        return zkp.auth_prove_corrected(statement, witness, rng).to_bytes()
 
-    def build_tx_submit(self, payload: bytes, mode: str, rng) -> TransactionRecord:
+    def build_tx_submit(self, payload: bytes, rng) -> TransactionRecord:
         nonce = rng.getrandbits(128).to_bytes(zkp.NONCE_LEN, "big")
-        if mode == zkp.MODE_CORRECTED:
-            statement = zkp.TxStatement(
-                device_id=self.device_id,
-                pk=self.identity.pk,
-                payload_digest=hashlib.sha256(payload).digest(),
-                tx_nonce=nonce,
-            )
-            proof = zkp.tx_prove_corrected(statement, self.keypair.sk, rng).to_bytes()
-        elif mode == zkp.MODE_LITERAL:
-            proof = zkp.tx_prove_literal(None, payload, rng).to_bytes()
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        statement = zkp.TxStatement(
+            device_id=self.device_id,
+            pk=self.identity.pk,
+            payload_digest=hashlib.sha256(payload).digest(),
+            tx_nonce=nonce,
+        )
+        proof = zkp.tx_prove_corrected(statement, self.keypair.sk, rng).to_bytes()
         signature = zkp.sign(self.keypair.sk, payload).to_bytes()
         return TransactionRecord(
             payload=payload,
@@ -171,7 +158,7 @@ class Verifier:
         # devices on the ledger, whatever unregistered callers send
         self._open: dict = {}           # device_id -> its open Session
         self._answered: dict = {}       # device_id -> nonce of its last decided session
-        self._authenticated: dict = {}  # device_id -> nonce of its accepted session
+        self._authenticated: set = set()  # device ids with an accepted session
 
     def begin_session(self, device_id: bytes) -> Session:
         """Open a session, replacing the device's open one.  An id that
@@ -195,7 +182,7 @@ class Verifier:
     def is_authenticated(self, device_id: bytes) -> bool:
         return device_id in self._authenticated
 
-    def handle_auth_request(self, data: bytes, mode: str) -> AuthDecision:
+    def handle_auth_request(self, data: bytes) -> AuthDecision:
         """Parse and decide one authentication request."""
         try:
             msg = decode_message(data)
@@ -203,35 +190,6 @@ class Verifier:
             return AuthDecision(False, "malformed")
         if not isinstance(msg, AuthRequest):
             return AuthDecision(False, "malformed")
-        if mode == zkp.MODE_LITERAL:
-            return self._decide_literal(msg)
-        if mode == zkp.MODE_CORRECTED:
-            return self._decide_corrected(msg)
-        return AuthDecision(False, f"unknown mode {mode!r}")
-
-    def _decide_literal(self, msg: AuthRequest) -> AuthDecision:
-        # The printed scheme carries no session data: verify the pairing
-        # equation against the published setup key, nothing else.
-        try:
-            self.ledger.load_device(msg.device_id)
-        except KeyError:
-            return AuthDecision(False, "unregistered")
-        except RecordError:
-            return AuthDecision(False, "malformed record")
-        try:
-            proof = zkp.SigmaProof.from_bytes(msg.proof)
-        except DecodeError:
-            return AuthDecision(False, "malformed")
-        try:
-            setup = self.ledger.published_setup()
-        except KeyError:
-            return AuthDecision(False, "no trust setup on ledger")
-        if zkp.auth_verify_literal(setup, proof):
-            self._authenticated[msg.device_id] = msg.nonce
-            return AuthDecision(True, "ok")
-        return AuthDecision(False, "proof invalid")
-
-    def _decide_corrected(self, msg: AuthRequest) -> AuthDecision:
         try:
             stored = self.ledger.load_device(msg.device_id)
         except KeyError:
@@ -252,7 +210,7 @@ class Verifier:
         result = rotate_challenges(self.ledger, msg.device_id, msg.nonce, msg.proof)
         if not result:
             return AuthDecision(False, result.reason)
-        self._authenticated[msg.device_id] = msg.nonce
+        self._authenticated.add(msg.device_id)
         return AuthDecision(True, "ok")
 
     def handle_tx_submit(self, data: bytes) -> TxDecision:
@@ -274,21 +232,28 @@ class Verifier:
 # Protocol drivers
 # ---------------------------------------------------------------------------
 
+def _check_mode(mode: str) -> None:
+    if mode != zkp.MODE_CORRECTED:
+        raise ValueError(f"unknown mode {mode!r}: only {zkp.MODE_CORRECTED!r} runs end to end")
+
+
 def run_authentication(device: Device, verifier: Verifier, ledger: Ledger, mode: str,
                        rng, np_rng=None, tamper: Optional[TamperHook] = None) -> Session:
     """Drive one authentication: session begin, proof build, decision.
 
-    ``tamper``, when given, may rewrite the request bytes in flight
-    (the man-in-the-middle surface).
+    ``mode`` must be ``zkp.MODE_CORRECTED``.  ``tamper``, when given,
+    may rewrite the request bytes in flight (the man-in-the-middle
+    surface).
     """
+    _check_mode(mode)
     session = verifier.begin_session(device.device_id)
-    proof_bytes = device.build_auth_proof(ledger, session.nonce, mode, rng, np_rng)
+    proof_bytes = device.build_auth_proof(ledger, session.nonce, rng, np_rng)
     request = AuthRequest(device_id=device.device_id, proof=proof_bytes, nonce=session.nonce)
     raw = request.to_bytes()
     if tamper is not None:
         raw = tamper(raw)
     session.record(raw)
-    decision = verifier.handle_auth_request(raw, mode)
+    decision = verifier.handle_auth_request(raw)
     session.record(decision.to_bytes())
     session.accepted = decision.accept
     session.reason = decision.reason
@@ -298,14 +263,15 @@ def run_authentication(device: Device, verifier: Verifier, ledger: Ledger, mode:
 def run_transaction(device: Device, verifier: Verifier, ledger: Ledger, payload: bytes,
                     mode: str, rng, tamper: Optional[TamperHook] = None) -> Session:
     """Drive one transaction submit through the verifier gate and the
-    ledger's guarded chaincode."""
+    ledger's guarded chaincode.  ``mode`` must be ``zkp.MODE_CORRECTED``."""
+    _check_mode(mode)
     session = Session(
         session_id=rng.getrandbits(64).to_bytes(8, "big"),
         device_id=device.device_id,
         nonce=b"",
         epoch=-1,
     )
-    record = device.build_tx_submit(payload, mode, rng)
+    record = device.build_tx_submit(payload, rng)
     raw = TxSubmit(record).to_bytes()
     if tamper is not None:
         raw = tamper(raw)
@@ -336,8 +302,7 @@ class AttackOutcome:
 
 
 def attack_replay(recorded: Session, verifier: Verifier, ledger: Ledger,
-                  mode: str = zkp.MODE_CORRECTED, forge_current_nonce: bool = False,
-                  ) -> AttackOutcome:
+                  forge_current_nonce: bool = False) -> AttackOutcome:
     """Resend a recorded authentication request in a fresh session.
 
     With ``forge_current_nonce`` the adversary rewrites the message's
@@ -350,7 +315,7 @@ def attack_replay(recorded: Session, verifier: Verifier, ledger: Ledger,
     if forge_current_nonce:
         msg = decode_message(raw)
         raw = AuthRequest(msg.device_id, msg.proof, new_session.nonce).to_bytes()
-    decision = verifier.handle_auth_request(raw, mode)
+    decision = verifier.handle_auth_request(raw)
     return AttackOutcome(
         name="replay" + ("-forged-nonce" if forge_current_nonce else ""),
         attempts=1,
@@ -368,7 +333,7 @@ def deliver_forged_proof(verifier: Verifier, stored: StoredDevice, prove) -> Aut
     statement = zkp.AuthStatement(device_id, stored.pk, stored.commitment,
                                   session.epoch, session.nonce)
     raw = AuthRequest(device_id, prove(statement).to_bytes(), session.nonce).to_bytes()
-    return verifier.handle_auth_request(raw, zkp.MODE_CORRECTED)
+    return verifier.handle_auth_request(raw)
 
 
 def attack_impersonate(target_id: bytes, ledger: Ledger, verifier: Verifier, rng,
@@ -414,8 +379,8 @@ def attack_clone_device(target_id: bytes, ledger: Ledger, verifier: Verifier, rn
     return AttackOutcome("clone-device", 1, int(decision.accept), decision.reason)
 
 
-def attack_mitm_bitflip(device: Device, verifier: Verifier, ledger: Ledger, mode: str,
-                        rng, np_rng=None, flips: int = 100) -> AttackOutcome:
+def attack_mitm_bitflip(device: Device, verifier: Verifier, ledger: Ledger, rng,
+                        np_rng=None, flips: int = 100) -> AttackOutcome:
     """Flip one random byte of the request in flight, many times."""
     accepted = 0
     for _ in range(flips):
@@ -427,7 +392,8 @@ def attack_mitm_bitflip(device: Device, verifier: Verifier, ledger: Ledger, mode
             buf[position % len(buf)] ^= mask
             return bytes(buf)
 
-        session = run_authentication(device, verifier, ledger, mode, rng, np_rng, tamper=mutate)
+        session = run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, np_rng,
+                                     tamper=mutate)
         accepted += int(session.accepted)
     return AttackOutcome("mitm-bitflip", flips, accepted)
 
@@ -437,26 +403,26 @@ def attack_swap_proofs(device_a: Device, device_b: Device, verifier: Verifier,
     """Deliver each of two concurrent sessions' proofs to the other."""
     sess_a = verifier.begin_session(device_a.device_id)
     sess_b = verifier.begin_session(device_b.device_id)
-    proof_a = device_a.build_auth_proof(ledger, sess_a.nonce, zkp.MODE_CORRECTED, rng, np_rng)
-    proof_b = device_b.build_auth_proof(ledger, sess_b.nonce, zkp.MODE_CORRECTED, rng, np_rng)
+    proof_a = device_a.build_auth_proof(ledger, sess_a.nonce, rng, np_rng)
+    proof_b = device_b.build_auth_proof(ledger, sess_b.nonce, rng, np_rng)
     swapped_a = AuthRequest(device_a.device_id, proof_b, sess_a.nonce).to_bytes()
     swapped_b = AuthRequest(device_b.device_id, proof_a, sess_b.nonce).to_bytes()
     accepted = 0
     for raw in (swapped_a, swapped_b):
-        decision = verifier.handle_auth_request(raw, zkp.MODE_CORRECTED)
+        decision = verifier.handle_auth_request(raw)
         accepted += int(decision.accept)
     return AttackOutcome("mitm-swap", 2, accepted)
 
 
 def attack_tamper_payload(device: Device, verifier: Verifier, ledger: Ledger, rng,
-                          trials: int = 100, mode: str = zkp.MODE_CORRECTED) -> AttackOutcome:
+                          trials: int = 100) -> AttackOutcome:
     """Mutate one byte of the signed transaction payload in flight and
     verify the ledger state digest never changes on rejection."""
     accepted = 0
     digest_changes = 0
     for i in range(trials):
         payload = b"reading:" + i.to_bytes(4, "big") + rng.getrandbits(64).to_bytes(8, "big")
-        record = device.build_tx_submit(payload, mode, rng)
+        record = device.build_tx_submit(payload, rng)
         mutated_payload = bytearray(record.payload)
         mutated_payload[rng.randrange(len(mutated_payload))] ^= rng.randrange(1, 256)
         tampered = replace(record, payload=bytes(mutated_payload))

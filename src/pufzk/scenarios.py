@@ -37,10 +37,13 @@ from .protocol import (
     run_authentication,
     run_transaction,
 )
-from .puf import puf_new
-from .wire import AuthRequest, DeviceRecord, TransactionRecord, decode_message
+from .puf import puf_new, puf_respond, responses_to_bytes
+from .wire import AuthRequest, DeviceRecord, TransactionRecord, TxSubmit, decode_message
 
 SUITE_NAMES = ("replay", "impersonate", "mitm", "tamper", "literal-defects")
+
+# The largest trial-count scale: ten times the full suite.
+MAX_SCALE = 10.0
 
 
 @dataclass
@@ -209,9 +212,9 @@ def _anonymous_rotations(device: Device, other: Device, honest: AuthRequest, led
     attempts = [  # (payload, proof, nonce)
         (b"", b"", nonce),
         (b"", rng.randbytes(zkp.CORRECTED_AUTH_PROOF_WIRE_BYTES), nonce),
-        (b"", other.build_auth_proof(ledger, nonce, zkp.MODE_CORRECTED, rng, np_rng), nonce),
+        (b"", other.build_auth_proof(ledger, nonce, rng, np_rng), nonce),
         (b"", honest.proof, honest.nonce),
-        (b"reading", device.build_auth_proof(ledger, nonce, zkp.MODE_CORRECTED, rng, np_rng), nonce),
+        (b"reading", device.build_auth_proof(ledger, nonce, rng, np_rng), nonce),
     ]
     breaches, reasons = 0, []
     for payload, proof, tx_nonce in attempts:
@@ -238,8 +241,7 @@ def _session_flood(devices: Tuple[Device, ...], verifier: Verifier, ledger: Ledg
     for i in range(_FLOOD):
         device_id = devices[i % len(devices)].device_id
         answered = verifier.begin_session(device_id)
-        verifier.handle_auth_request(
-            AuthRequest(device_id, b"", answered.nonce).to_bytes(), zkp.MODE_CORRECTED)
+        verifier.handle_auth_request(AuthRequest(device_id, b"", answered.nonce).to_bytes())
         verifier.begin_session(device_id)
     sizes = (len(verifier._open), len(verifier._answered))
     honest = run_authentication(devices[0], verifier, ledger, zkp.MODE_CORRECTED, rng, np_rng)
@@ -258,45 +260,76 @@ def _session_eviction(device: Device, verifier: Verifier, ledger: Ledger, rng,
     session = verifier.begin_session(device.device_id)
     for _ in range(_FLOOD):
         verifier.begin_session(rng.randbytes(32))
-    proof = device.build_auth_proof(ledger, session.nonce, zkp.MODE_CORRECTED, rng, np_rng)
+    proof = device.build_auth_proof(ledger, session.nonce, rng, np_rng)
     decision = verifier.handle_auth_request(
-        AuthRequest(device.device_id, proof, session.nonce).to_bytes(), zkp.MODE_CORRECTED)
+        AuthRequest(device.device_id, proof, session.nonce).to_bytes())
     return AttackOutcome("session-eviction", _FLOOD, int(not decision.accept),
                          f"honest session: {decision.reason}")
 
 
-def _literal_defect_demos(rng, np_rng, ca: CertificateAuthority,
-                          params: ParamSet) -> Dict[str, bool]:
-    """The three printed-scheme behaviours, demonstrated end to end."""
-    results = {}
-    # alpha = 1: honest proofs accepted, public forgeries accepted too
-    setup_one = zkp.trust_setup(rng, forced_alpha=1)
+def _mode_downgrade(device: Device, verifier: Verifier, ledger: Ledger, auth_proof: bytes,
+                    rng) -> AttackOutcome:
+    """A committed submit of the authenticated device, sent again
+    through the verifier under fresh nonces with the payload and
+    signature it carried and, each time, a proof of another kind: the
+    printed scheme's identity forgery (S, 1, S), which verifies at every
+    setup key, its public forgery, its honest transaction proof, and the
+    device's valid authentication proof.  The signature covers the
+    payload alone, so only the transaction proof binds the nonce.  A
+    breach is a commit or any move of the state digest, the height or
+    the device's data sequence number."""
+    sent = run_transaction(device, verifier, ledger, b"reading", zkp.MODE_CORRECTED, rng)
+    if not sent.accepted:
+        raise RuntimeError("honest submit failed during suite setup")
+    record = decode_message(sent.transcript[0]).record
+    witness_commit = G1Element.generator() ** Scalar.random(rng)
+    proofs = [
+        zkp.SigmaProof(witness_commit, G1Element.identity(), witness_commit).to_bytes(),
+        zkp.forge_literal_proof(rng).to_bytes(),
+        zkp.tx_prove_literal(None, record.payload, rng).to_bytes(),
+        auth_proof,
+    ]
+
+    def observed():
+        return ledger.state_digest(), ledger.height, ledger.get(f"dataseq/{device.device_id.hex()}")
+
+    breaches, reasons = 0, []
+    for proof in proofs:
+        before = observed()
+        resent = dataclasses.replace(record, proof=proof, nonce=rng.randbytes(zkp.NONCE_LEN))
+        decision = verifier.handle_tx_submit(TxSubmit(resent).to_bytes())
+        breaches += int(decision.accept or observed() != before)
+        reasons.append(decision.reason)
+    return AttackOutcome("mode-downgrade", len(proofs), breaches,
+                         "; ".join(dict.fromkeys(reasons)))
+
+
+def _literal_defect_demos(device: Device, ledger: Ledger, ca: CertificateAuthority,
+                          rng) -> Dict[str, bool]:
+    """The printed scheme's defects, shown with its functions against
+    the setup key a ledger publishes: the suite's, whose trapdoor is
+    random, and one bootstrapped with the trapdoor forced to 1.  The
+    honest prover is the suite's device, answering its stored
+    challenges with its PUF and key."""
     ledger_one = ledger_new()
-    bootstrap(ledger_one, setup_one.pk_setup, ca.pk)
-    verifier_one = Verifier(ledger_one, rng)
-    device = Device.enroll(puf_new(rng.getrandbits(32), 0.0), ca, ledger_one, rng, np_rng, params)
-    honest = run_authentication(device, verifier_one, ledger_one, zkp.MODE_LITERAL, rng, np_rng)
-    results["honest-accepted-at-alpha-1"] = bool(honest.accepted)
-
-    forged = zkp.forge_literal_proof(rng)
-    raw = AuthRequest(device.device_id, forged.to_bytes(), b"\x00" * 16).to_bytes()
-    decision = verifier_one.handle_auth_request(raw, zkp.MODE_LITERAL)
-    results["public-forgery-accepted-at-alpha-1"] = bool(decision.accept)
-
-    replayed = attack_replay(honest, verifier_one, ledger_one, mode=zkp.MODE_LITERAL)
-    results["replay-accepted"] = not replayed.defended
-
-    # random alpha: honest proofs rejected (completeness defect)
-    setup_rand = zkp.trust_setup(rng)
-    ledger_rand = ledger_new()
-    bootstrap(ledger_rand, setup_rand.pk_setup, ca.pk)
-    verifier_rand = Verifier(ledger_rand, rng)
-    device_rand = Device.enroll(puf_new(rng.getrandbits(32), 0.0), ca, ledger_rand,
-                                rng, np_rng, params)
-    honest_rand = run_authentication(device_rand, verifier_rand, ledger_rand,
-                                     zkp.MODE_LITERAL, rng, np_rng)
-    results["honest-rejected-at-random-alpha"] = not honest_rand.accepted
-    return results
+    bootstrap(ledger_one, zkp.trust_setup(rng, forced_alpha=1).pk_setup, ca.pk)
+    setup_one, setup_rand = ledger_one.published_setup(), ledger.published_setup()
+    responses = responses_to_bytes(puf_respond(device.puf, device.auth_inputs(ledger)[0]))
+    recorded = zkp.auth_prove_literal(None, responses, device.keypair.sk, rng)
+    witness_commit = G1Element.generator() ** Scalar.random(rng)
+    return {
+        "honest-accepted-at-alpha-1": zkp.auth_verify_literal(setup_one, recorded),
+        "public-forgery-accepted-at-alpha-1":
+            zkp.auth_verify_literal(setup_one, zkp.forge_literal_proof(rng)),
+        # the verifier takes no session input: a recorded proof, sent
+        # again, verifies again
+        "replay-accepted": zkp.auth_verify_literal(
+            setup_one, zkp.SigmaProof.from_bytes(recorded.to_bytes())),
+        "honest-rejected-at-random-alpha": not zkp.auth_verify_literal(
+            setup_rand, zkp.auth_prove_literal(None, responses, device.keypair.sk, rng)),
+        "identity-forgery-accepted-at-random-alpha": zkp.auth_verify_literal(
+            setup_rand, zkp.SigmaProof(witness_commit, G1Element.identity(), witness_commit)),
+    }
 
 
 def run_attack_suite(seed: int = 0, params: ParamSet = DEFAULT_PARAMS,
@@ -304,9 +337,13 @@ def run_attack_suite(seed: int = 0, params: ParamSet = DEFAULT_PARAMS,
                      scale: float = 1.0) -> AttackSuiteReport:
     """Run the adversary scripts and the literal-defect demonstrations.
 
-    ``suites`` selects scenario groups (default: all); ``scale`` shrinks
-    trial counts for quick runs while keeping every scenario exercised.
+    ``suites`` selects scenario groups (default: all); ``scale``, above
+    0 and at most :data:`MAX_SCALE`, multiplies trial counts, and below
+    1 shrinks them for quick runs while keeping every scenario
+    exercised.
     """
+    if not 0 < scale <= MAX_SCALE:
+        raise ValueError(f"scale must be above 0 and at most {MAX_SCALE:g}, got {scale!r}")
     if suites is None:
         suites = SUITE_NAMES
     unknown = set(suites) - set(SUITE_NAMES)
@@ -364,8 +401,7 @@ def run_attack_suite(seed: int = 0, params: ParamSet = DEFAULT_PARAMS,
 
     if "mitm" in suites:
         report.outcomes.append(
-            attack_mitm_bitflip(device, verifier, ledger, zkp.MODE_CORRECTED, rng,
-                                np_rng, flips=n(100)))
+            attack_mitm_bitflip(device, verifier, ledger, rng, np_rng, flips=n(100)))
         report.outcomes.append(attack_swap_proofs(device, device_b, verifier, ledger, rng, np_rng))
         report.outcomes.append(
             _perturb_proof_fields(device, verifier, ledger, rng, np_rng, rounds=n(60)))
@@ -381,11 +417,12 @@ def run_attack_suite(seed: int = 0, params: ParamSet = DEFAULT_PARAMS,
         report.outcomes.append(attack_tamper_payload(device, verifier, ledger, rng, trials=n(100)))
         report.outcomes.append(_malformed_registrations(ledger, ca, rng))
         report.outcomes.append(_registration_rewrite(ledger, ca, rng, np_rng, params))
-        report.outcomes.append(_anonymous_rotations(
-            device, device_b, decode_message(auth.auth_request_bytes()), ledger, rng, np_rng))
+        request = decode_message(auth.auth_request_bytes())
+        report.outcomes.append(_anonymous_rotations(device, device_b, request, ledger, rng, np_rng))
+        report.outcomes.append(_mode_downgrade(device, verifier, ledger, request.proof, rng))
 
     if "literal-defects" in suites:
-        report.literal_defects = _literal_defect_demos(rng, np_rng, ca, params)
+        report.literal_defects = _literal_defect_demos(device, ledger, ca, rng)
 
     return report
 

@@ -1,6 +1,6 @@
 """Proof schemes, the device signature and the CA signature.
 
-Two proof modes ship side by side:
+Two proof schemes are defined here:
 
 ``literal``
     The three-element pairing-checked proof exactly as its source
@@ -8,15 +8,17 @@ Two proof modes ship side by side:
     the setup public key into the check, so honest proofs only verify
     when the setup trapdoor equals one, and the response element is
     publicly recomputable from the first two elements, so the scheme
-    has no soundness.  It exists to demonstrate this behaviour and is
+    has no soundness.  It is an exhibit: the acceptance suite and the
+    attack suite's defect demonstrations call these functions
+    directly, and no device, verifier or chaincode runs them.  It is
     excluded from every security guarantee.
 
 ``corrected``
-    A sound Fiat-Shamir sigma protocol for the same statement shape:
-    an AND-composition of two discrete-log knowledge proofs, one for
-    the secret key against the device public key and one for the PUF
-    response scalar against the response commitment registered at
-    enrollment.  Challenges bind a protocol version tag, the full
+    The one scheme the protocol runs: a sound Fiat-Shamir sigma
+    protocol for the same statement shape, an AND-composition of two
+    discrete-log knowledge proofs, one for the secret key against the
+    device public key and one for the PUF response scalar against the
+    response commitment registered at enrollment.  Challenges bind a protocol version tag, the full
     statement, and the per-session nonce.  The verifier recomputes each
     commitment from the responses and compares encodings, as a Schnorr
     (e, s) verifier recomputes R, so an accepted proof's commitments
@@ -47,7 +49,6 @@ from .pairing import (
 
 MODE_LITERAL = "literal"
 MODE_CORRECTED = "corrected"
-MODES = (MODE_LITERAL, MODE_CORRECTED)
 
 WIRE_TAG_LITERAL = 0x01
 WIRE_TAG_CORRECTED = 0x02
@@ -473,18 +474,3 @@ def schnorr_verify(pk: G1Element, message: bytes, signature: bytes) -> bool:
     e = Scalar.from_bytes(signature[:SCALAR_ENC_LEN])
     s = Scalar.from_bytes(signature[SCALAR_ENC_LEN:])
     return e == _schnorr_challenge(_G1 ** s * (pk ** e).inverse(), pk, message)
-
-
-def parse_proof(data: bytes):
-    """Decode a mode-tagged proof wire blob to the right proof type."""
-    if not data:
-        raise DecodeError("empty proof")
-    if data[0] == WIRE_TAG_LITERAL:
-        return SigmaProof.from_bytes(data)
-    if data[0] == WIRE_TAG_CORRECTED:
-        if len(data) == CORRECTED_AUTH_PROOF_WIRE_BYTES:
-            return CorrectedAuthProof.from_bytes(data)
-        if len(data) == CORRECTED_TX_PROOF_WIRE_BYTES:
-            return CorrectedTxProof.from_bytes(data)
-        raise DecodeError("bad corrected-mode proof length")
-    raise DecodeError(f"unknown proof mode tag 0x{data[0]:02x}")

@@ -18,12 +18,13 @@ from pufzk.protocol import Device
 
 @pytest.fixture(scope="module")
 def small_report():
-    return run_bench(iterations=3, mode=zkp.MODE_CORRECTED, seed=7, params=PRESETS["fast"])
+    return run_bench(iterations=3, seed=7, params=PRESETS["fast"])
 
 
 class TestReportStructure:
     def test_schema_valid(self, small_report):
         assert validate_report(small_report.to_dict()) == []
+        assert small_report.to_dict()["mode"] == zkp.MODE_CORRECTED
 
     def test_record_count_matches_iterations(self, small_report):
         assert len(small_report.records) == 3
@@ -54,7 +55,7 @@ class TestReportStructure:
         assert validate_report(d) == []
 
     def test_single_iteration_aggregates_equal_record(self):
-        report = run_bench(iterations=1, mode=zkp.MODE_CORRECTED, seed=1, params=PRESETS["fast"])
+        report = run_bench(iterations=1, seed=1, params=PRESETS["fast"])
         agg = report.aggregates()
         rec = report.records[0]
         for stage in STAGE_FIELDS:
@@ -86,7 +87,7 @@ class TestPrecompute:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(zkp, "trust_setup", checked)
-        report = run_bench(iterations=1, mode=zkp.MODE_CORRECTED, seed=2, params=PRESETS["fast"])
+        report = run_bench(iterations=1, seed=2, params=PRESETS["fast"])
         d = report.to_dict()
         assert d["precompute_ms"] == report.precompute_ms > 0
         assert validate_report(d) == []
@@ -96,28 +97,19 @@ class TestPrecompute:
         assert sum(line.strip().startswith("precompute_ms=") for line in lines) == 1
 
 
-class TestLiteralBench:
-    def test_literal_mode_completes_with_forced_setup(self):
-        report = run_bench(iterations=2, mode=zkp.MODE_LITERAL, seed=3, params=PRESETS["fast"])
-        assert validate_report(report.to_dict()) == []
-        sizes = {rec["proof_size_bytes"] for rec in report.records}
-        assert sizes == {zkp.LITERAL_PROOF_WIRE_BYTES}
-
-
 class TestDeviceProver:
-    @pytest.mark.parametrize("mode", zkp.MODES)
-    def test_bench_proves_through_the_device(self, monkeypatch, mode):
+    def test_bench_proves_through_the_device(self, monkeypatch):
         """The timed proof is the device's own ``prove_auth``, once per
         iteration and once for the warm-up."""
         calls = []
         real = Device.prove_auth
 
         def counted(self, *args, **kwargs):
-            calls.append(mode)
+            calls.append(args)
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(Device, "prove_auth", counted)
-        report = run_bench(iterations=2, mode=mode, seed=5, params=PRESETS["fast"])
+        report = run_bench(iterations=2, seed=5, params=PRESETS["fast"])
         assert len(calls) == 3
         assert validate_report(report.to_dict()) == []
 
@@ -148,7 +140,3 @@ class TestArguments:
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError):
             run_bench(iterations=0)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            run_bench(iterations=1, mode="no-such-mode")

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from pufzk.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from pufzk.identity import DeviceIdentity
 from pufzk.params import ENV_VAR, PRESETS
-from pufzk.scenarios import audit_transcript, run_attack_suite, run_demo
+from pufzk.scenarios import MAX_SCALE, audit_transcript, run_attack_suite, run_demo
 
 HEX = "0123456789abcdef"
 
@@ -274,8 +275,11 @@ class TestBenchCommand:
     def test_bad_iterations_usage_error(self):
         assert main(["bench", "--iterations", "0"]) == EXIT_USAGE
 
-    def test_bad_mode_usage_error(self):
-        assert main(["bench", "--mode", "no-such-mode"]) == EXIT_USAGE
+    @pytest.mark.parametrize("mode", ["no-such-mode", "literal"])
+    def test_bad_mode_usage_error(self, mode, capsys):
+        """The bench runs the corrected scheme only and has no --mode."""
+        assert main(["bench", "--mode", mode]) == EXIT_USAGE
+        assert f"unrecognized arguments: --mode {mode}" in capsys.readouterr().err
 
     def test_unwritable_out_path_usage_error(self):
         assert main(["bench", "--iterations", "1", "--params", "fast",
@@ -311,6 +315,12 @@ class TestAttackCommand:
         assert outcome.detail == ("malformed; proof invalid; "
                                   "malformed rotation: payload and signature must be empty")
 
+    def test_mode_downgrade_defended(self):
+        report = run_attack_suite(seed=7, suites=("tamper",), scale=0.02)
+        outcome = next(o for o in report.outcomes if o.name == "mode-downgrade")
+        assert outcome.attempts == 4 and outcome.defended
+        assert outcome.detail == "proof invalid"
+
     def test_session_flood_defended(self):
         report = run_attack_suite(seed=5, suites=("replay",), scale=0.02)
         outcome = next(o for o in report.outcomes if o.name == "session-flood")
@@ -337,10 +347,17 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["demo", "--seed", "-1"], ["bench", "--seed", "-1"], ["attack", "--seed", "-1"],
         ["attack", "--scale", "nan"], ["attack", "--scale", "inf"], ["attack", "--scale", "0"],
-    ], ids=["demo-seed", "bench-seed", "attack-seed", "scale-nan", "scale-inf", "scale-zero"])
+        ["attack", "--scale", "1e308"], ["attack", "--scale", "10.001"],
+    ], ids=["demo-seed", "bench-seed", "attack-seed", "scale-nan", "scale-inf", "scale-zero",
+            "scale-1e308", "scale-above-bound"])
     def test_bad_value_usage_error(self, argv, capsys):
         assert main(argv) == EXIT_USAGE
         assert "error: argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, 1e308, MAX_SCALE * 1.001])
+    def test_suite_refuses_scale_outside_bound(self, scale):
+        with pytest.raises(ValueError):
+            run_attack_suite(suites=("replay",), scale=scale)
 
     def test_no_command_usage_error(self):
         assert main([]) == EXIT_USAGE

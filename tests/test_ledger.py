@@ -358,7 +358,7 @@ def _auth_proof(env, nonce, epoch=None):
     device = Device(puf_new(7000, 0.0), env["identity"], env["keypair"])
     challenges, stored_epoch = device.auth_inputs(env["ledger"])
     return device.prove_auth(puf_respond(device.puf, challenges), stored_epoch if epoch is None else epoch,
-                             nonce, zkp.MODE_CORRECTED, env["rng"])
+                             nonce, env["rng"])
 
 
 class TestRotation:

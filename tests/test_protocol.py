@@ -75,7 +75,7 @@ class TestAuthentication:
         verifier = env["verifier"]
         session = verifier.begin_session(env["device"].device_id)
         raw = AuthRequest(env["device"].device_id, b"\x02garbage", session.nonce).to_bytes()
-        decision = verifier.handle_auth_request(raw, zkp.MODE_CORRECTED)
+        decision = verifier.handle_auth_request(raw)
         assert not decision.accept and decision.reason == "malformed"
 
     @pytest.mark.parametrize("corrupt", ["garbage-record", "zero-commitment"])
@@ -93,7 +93,7 @@ class TestAuthentication:
         assert ledger.invoke("overwrite", TransactionRecord(raw_record, b"", b"", b"", "overwrite", b"n"))
         session = verifier.begin_session(device_id)
         raw = AuthRequest(device_id, b"\x02garbage", session.nonce).to_bytes()
-        decision = verifier.handle_auth_request(raw, zkp.MODE_CORRECTED)
+        decision = verifier.handle_auth_request(raw)
         assert not decision.accept and decision.reason == "malformed record"
 
     def test_noisy_accept_rate_over_200_sessions(self, env):
@@ -108,6 +108,17 @@ class TestAuthentication:
             for _ in range(200)
         )
         assert accepted >= 198  # >= 99%
+
+    def test_literal_mode_is_refused(self, env):
+        """The printed scheme is an exhibit in ``pufzk.zkp``: both drivers
+        refuse its mode before opening a session or drawing randomness."""
+        device, verifier, ledger, rng = env["device"], env["verifier"], env["ledger"], env["rng"]
+        state, height = rng.getstate(), ledger.height
+        with pytest.raises(ValueError):
+            run_authentication(device, verifier, ledger, zkp.MODE_LITERAL, rng, env["np_rng"])
+        with pytest.raises(ValueError):
+            run_transaction(device, verifier, ledger, b"reading", zkp.MODE_LITERAL, rng)
+        assert (rng.getstate(), ledger.height, verifier._open) == (state, height, {})
 
     def test_transcript_messages_decode(self, env):
         session = run_authentication(env["device"], env["verifier"], env["ledger"],
@@ -137,13 +148,12 @@ class TestMalformedStoredState:
         assert run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, env["np_rng"]).accepted
         _overwrite_with_garbage(ledger, device.device_id, kinds)
         assert verifier.begin_session(device.device_id).epoch == -1
-        for mode in (zkp.MODE_CORRECTED, zkp.MODE_LITERAL):
-            session = run_authentication(device, verifier, ledger, mode, rng, env["np_rng"])
-            assert not session.accepted and session.reason == "malformed record"
+        session = run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, env["np_rng"])
+        assert not session.accepted and session.reason == "malformed record"
         session = run_transaction(device, verifier, ledger, b"reading", zkp.MODE_CORRECTED, rng)
         assert not session.accepted and session.reason.startswith("malformed record: ")
         digest, height = ledger.state_digest(), ledger.height
-        result = ledger.invoke("submit", device.build_tx_submit(b"direct", zkp.MODE_CORRECTED, rng))
+        result = ledger.invoke("submit", device.build_tx_submit(b"direct", rng))
         assert not result and result.reason.startswith("malformed record: ")
         assert (ledger.state_digest(), ledger.height) == (digest, height)
 
@@ -160,30 +170,6 @@ class TestMalformedStoredState:
             attack_impersonate(device_id, ledger, verifier, rng)
         with pytest.raises(RecordError):
             attack_clone_device(device_id, ledger, verifier, rng, clone_seed=3102, params=NOISELESS)
-
-
-class TestLiteralEndToEnd:
-    def test_alpha_one_accepts_and_replay_accepted(self, env):
-        rng, np_rng, ca = env["rng"], env["np_rng"], env["ca"]
-        setup_one = zkp.trust_setup(rng, forced_alpha=1)
-        ledger = ledger_new()
-        bootstrap(ledger, setup_one.pk_setup, ca.pk)
-        verifier = Verifier(ledger, rng)
-        device = Device.enroll(puf_new(3103, 0.0), ca, ledger, rng, np_rng, NOISELESS)
-        session = run_authentication(device, verifier, ledger, zkp.MODE_LITERAL, rng, np_rng)
-        assert session.accepted
-        replayed = attack_replay(session, verifier, ledger, mode=zkp.MODE_LITERAL)
-        assert replayed.accepted == 1  # the printed scheme binds no session data
-
-    def test_random_alpha_rejects_honest_device(self, env):
-        rng, np_rng, ca = env["rng"], env["np_rng"], env["ca"]
-        setup_rand = zkp.trust_setup(rng)
-        ledger = ledger_new()
-        bootstrap(ledger, setup_rand.pk_setup, ca.pk)
-        verifier = Verifier(ledger, rng)
-        device = Device.enroll(puf_new(3104, 0.0), ca, ledger, rng, np_rng, NOISELESS)
-        session = run_authentication(device, verifier, ledger, zkp.MODE_LITERAL, rng, np_rng)
-        assert not session.accepted
 
 
 class TestTransactions:
@@ -222,7 +208,7 @@ class TestTransactions:
     def test_resubmission_of_committed_record_rejected(self, env):
         run_authentication(env["device"], env["verifier"], env["ledger"],
                            zkp.MODE_CORRECTED, env["rng"], env["np_rng"])
-        record = env["device"].build_tx_submit(b"once-only", zkp.MODE_CORRECTED, env["rng"])
+        record = env["device"].build_tx_submit(b"once-only", env["rng"])
         assert env["ledger"].invoke("submit", record)
         result = env["ledger"].invoke("submit", record)
         assert not result and "nonce" in result.reason
@@ -250,7 +236,7 @@ class TestReplay:
 
         def answer(session, device_id=device.device_id):
             raw = AuthRequest(device_id, b"", session.nonce).to_bytes()
-            return verifier.handle_auth_request(raw, zkp.MODE_CORRECTED).reason
+            return verifier.handle_auth_request(raw).reason
 
         strangers = [verifier.begin_session(env["rng"].randbytes(32)) for _ in range(8)]
         assert [s.epoch for s in strangers] == [-1] * 8 and len(verifier._open) == 0
@@ -289,7 +275,7 @@ class TestReplay:
         witness = zkp.AuthWitness(sk=device.keypair.sk, response_scalar=response_scalar(responses))
         proof = zkp.auth_prove_corrected(statement, witness, env["rng"])
         raw = AuthRequest(device.device_id, proof.to_bytes(), session.nonce).to_bytes()
-        decision = verifier.handle_auth_request(raw, zkp.MODE_CORRECTED)
+        decision = verifier.handle_auth_request(raw)
         assert not decision.accept
 
 
@@ -316,7 +302,7 @@ class TestImpersonation:
 class TestMitm:
     def test_bitflip_fuzz_1000(self, env):
         outcome = attack_mitm_bitflip(env["device"], env["verifier"], env["ledger"],
-                                      zkp.MODE_CORRECTED, env["rng"], env["np_rng"], flips=1000)
+                                      env["rng"], env["np_rng"], flips=1000)
         assert outcome.defended and outcome.attempts == 1000
 
     def test_swapped_proofs_both_rejected(self, env):
@@ -363,7 +349,7 @@ class TestAcceptanceConditions:
         proof = zkp.auth_prove_corrected(statement, witness, env["rng"])
         raw = AuthRequest(device.device_id, proof.to_bytes(),
                           session.nonce if nonce is None else nonce).to_bytes()
-        return verifier.handle_auth_request(raw, zkp.MODE_CORRECTED)
+        return verifier.handle_auth_request(raw)
 
     def test_all_conditions_honest_accepts(self, env):
         assert self._handcrafted_attempt(env).accept
@@ -479,7 +465,7 @@ class TestCommitmentsComparedAsBytes:
     def test_auth_decision_matches_decoding_first(self, env, field, how):
         device, verifier, ledger, rng = env["device"], env["verifier"], env["ledger"], env["rng"]
         session = verifier.begin_session(device.device_id)
-        raw = device.build_auth_proof(ledger, session.nonce, zkp.MODE_CORRECTED, rng, env["np_rng"])
+        raw = device.build_auth_proof(ledger, session.nonce, rng, env["np_rng"])
         span = slice(1, 97) if field == "commit_sk" else slice(97, 145)
         raw = raw[:span.start] + _alter(raw[span], how, rng) + raw[span.stop:]
         stored = ledger.load_device(device.device_id)
@@ -491,13 +477,13 @@ class TestCommitmentsComparedAsBytes:
             assert zkp.auth_verify_corrected(
                 statement, zkp.CorrectedAuthProof.from_bytes(raw)) == expected[0]
         decision = verifier.handle_auth_request(
-            AuthRequest(device.device_id, raw, session.nonce).to_bytes(), zkp.MODE_CORRECTED)
+            AuthRequest(device.device_id, raw, session.nonce).to_bytes())
         assert (decision.accept, decision.reason) == expected
 
     @pytest.mark.parametrize("how", ALTERATIONS)
     def test_submit_result_matches_decoding_first(self, env, how):
         device, ledger, rng = env["device"], env["ledger"], env["rng"]
-        record = device.build_tx_submit(b"reading", zkp.MODE_CORRECTED, rng)
+        record = device.build_tx_submit(b"reading", rng)
         proof = record.proof[:1] + _alter(record.proof[1:97], how, rng) + record.proof[97:]
         record = dataclasses.replace(record, proof=proof)
         statement = zkp.TxStatement(device.device_id, device.identity.pk,
@@ -537,16 +523,15 @@ class TestAcceptDecodesNoCommitment:
     def test_accepted_auth_request_decodes_no_point(self, env, decode_counts):
         device, verifier, ledger = env["device"], env["verifier"], env["ledger"]
         session = verifier.begin_session(device.device_id)
-        raw = device.build_auth_proof(ledger, session.nonce, zkp.MODE_CORRECTED,
-                                      env["rng"], env["np_rng"])
+        raw = device.build_auth_proof(ledger, session.nonce, env["rng"], env["np_rng"])
         request = AuthRequest(device.device_id, raw, session.nonce).to_bytes()
         ledger.load_device(device.device_id)
         decode_counts.update(g1=0, g2=0)
-        assert verifier.handle_auth_request(request, zkp.MODE_CORRECTED).accept
+        assert verifier.handle_auth_request(request).accept
         assert decode_counts == {"g1": 0, "g2": 0}
 
     def test_accepted_submit_decodes_no_g2_point(self, env, decode_counts):
-        record = env["device"].build_tx_submit(b"reading", zkp.MODE_CORRECTED, env["rng"])
+        record = env["device"].build_tx_submit(b"reading", env["rng"])
         env["ledger"].load_device(env["device"].device_id)
         decode_counts.update(g1=0, g2=0)
         assert env["ledger"].invoke("submit", record)

@@ -31,7 +31,6 @@ from pufzk.zkp import (
     auth_verify_corrected,
     auth_verify_literal,
     forge_literal_proof,
-    parse_proof,
     sign,
     simulate_auth_transcript,
     trust_setup,
@@ -44,6 +43,18 @@ from pufzk.zkp import _literal_challenge
 
 G1 = G1Element.generator()
 G2 = G2Element.generator()
+
+PROOF_TYPES = (SigmaProof, CorrectedAuthProof, CorrectedTxProof)
+
+
+def _decodes_only_as(raw, proof_type):
+    """``raw`` decodes as ``proof_type`` and as no other proof type."""
+    for other in PROOF_TYPES:
+        if other is proof_type:
+            other.from_bytes(raw)
+        else:
+            with pytest.raises(DecodeError):
+                other.from_bytes(raw)
 
 
 def _statement_and_witness(rng, nonce=b"\xAA" * 16, epoch=1):
@@ -141,6 +152,16 @@ class TestLiteralMode:
             assert auth_verify_literal(setup_one, forged)
             assert not auth_verify_literal(setup_rand, forged)
 
+    def test_identity_forgery_accepted_at_random_alpha(self):
+        """(S, 1, S) passes the printed equation whatever the setup key:
+        the setup-key term vanishes and e(S, g2) cancels."""
+        rng = random.Random(33)
+        for setup in (trust_setup(rng), trust_setup(rng, forced_alpha=1)):
+            witness_commit = G1 ** Scalar.random(rng)
+            forged = SigmaProof(witness_commit, G1Element.identity(), witness_commit)
+            assert auth_verify_literal(setup, forged)
+            assert SigmaProof.from_bytes(forged.to_bytes()) == forged
+
     def test_tx_mode_mirrors_auth(self):
         rng = random.Random(11)
         setup_one = trust_setup(rng, forced_alpha=1)
@@ -161,7 +182,7 @@ class TestLiteralMode:
         proof = auth_prove_literal(setup, b"r", Scalar.random(rng), rng)
         raw = proof.to_bytes()
         assert SigmaProof.from_bytes(raw) == proof
-        assert isinstance(parse_proof(raw), SigmaProof)
+        _decodes_only_as(raw, SigmaProof)
         with pytest.raises(DecodeError):
             SigmaProof.from_bytes(raw[:-1])
         with pytest.raises(DecodeError):
@@ -232,7 +253,7 @@ class TestCorrectedMode:
         raw = proof.to_bytes()
         assert len(raw) == CORRECTED_AUTH_PROOF_WIRE_BYTES
         assert CorrectedAuthProof.from_bytes(raw) == proof
-        assert isinstance(parse_proof(raw), CorrectedAuthProof)
+        _decodes_only_as(raw, CorrectedAuthProof)
 
     def test_constant_size_across_proofs(self):
         rng = random.Random(21)
@@ -263,7 +284,7 @@ class TestCorrectedTx:
         raw = proof.to_bytes()
         assert len(raw) == CORRECTED_TX_PROOF_WIRE_BYTES
         assert CorrectedTxProof.from_bytes(raw) == proof
-        assert isinstance(parse_proof(raw), CorrectedTxProof)
+        _decodes_only_as(raw, CorrectedTxProof)
 
     def test_binds_payload_digest_and_nonce(self):
         rng = random.Random(24)
@@ -392,15 +413,16 @@ class TestWireVectors:
         assert checked >= 6
 
 
-class TestParseProof:
-    def test_unknown_tag_rejected(self):
+@pytest.mark.parametrize("proof_type", PROOF_TYPES, ids=lambda t: t.__name__)
+class TestProofDecoders:
+    def test_unknown_tag_rejected(self, proof_type):
         with pytest.raises(DecodeError):
-            parse_proof(b"\x7f" + bytes(144))
+            proof_type.from_bytes(b"\x7f" + bytes(144))
 
-    def test_empty_rejected(self):
+    def test_empty_rejected(self, proof_type):
         with pytest.raises(DecodeError):
-            parse_proof(b"")
+            proof_type.from_bytes(b"")
 
-    def test_bad_corrected_length_rejected(self):
+    def test_bad_corrected_length_rejected(self, proof_type):
         with pytest.raises(DecodeError):
-            parse_proof(b"\x02" + bytes(100))
+            proof_type.from_bytes(b"\x02" + bytes(100))
