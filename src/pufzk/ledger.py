@@ -30,7 +30,7 @@ frame.  The heap keeps only (offset, length) references, read back with
 state's values grow on disk, not in the Python heap.
 
 Chaincodes are in-process functions from (state view, transaction) to a
-write-set; the built-in ones cover bootstrap parameters, device
+write-set; the built-in ones cover publishing the CA key, device
 registration, challenge-epoch rotation, and the guarded data-submit
 path that checks a signature and a corrected-mode transaction proof
 before writing.
@@ -39,6 +39,9 @@ Registration checks the CA's Schnorr certificate over the whole tuple
 bootstrap, so it runs no pairing; only submits check a pairing
 signature.  A rotation commits only if the device's authentication
 proof it carries verifies, and every replay of the log re-verifies it.
+The ledger alone decides who may submit: the submit chaincode admits a
+device whose epoch a committed rotation has moved off 0, and refuses
+any other as "unauthenticated", on every path and on every replay.
 
 Stored device state (``identity/<id>``, ``subset/<id>``) has one typed
 reader, :meth:`StateView.load_device`, shared by chaincodes and the
@@ -73,7 +76,6 @@ from .wire import (
 
 GENESIS_PREV_HASH = b"\x00" * 32
 
-KEY_SETUP_PK = "setup/pk"
 KEY_CA_PK = "ca/pk"
 
 LTHASH_LANES = 1024
@@ -232,14 +234,6 @@ class StateView:
         except WireError as exc:
             raise RecordError(f"epoch record: {exc}") from None
         return StoredDevice(record, pk, commitment, challenges, epoch)
-
-    def published_setup(self) -> zkp.TrustSetup:
-        """The printed scheme's setup as a verifier knows it: the
-        published key, no trapdoor.  No chaincode reads it; the attack
-        suite's defect demonstrations verify against it.  Raises
-        ``KeyError`` before bootstrap."""
-        pk_setup = G2Element.from_bytes(self.get_state(KEY_SETUP_PK))
-        return zkp.TrustSetup(alpha=None, pk_setup=pk_setup)
 
 
 Chaincode = Callable[[StateView, TransactionRecord], Dict[str, bytes]]
@@ -443,22 +437,19 @@ def chain_prefix_valid(block_bytes_list) -> Tuple[bool, int]:
 # ---------------------------------------------------------------------------
 
 def _cc_bootstrap(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
-    """Publish the one-time setup public key (G2) and the CA public key
-    (G1)."""
-    if state.has(KEY_SETUP_PK):
+    """Publish the CA public key (G1), once."""
+    if state.has(KEY_CA_PK):
         raise ChaincodeRejection("already bootstrapped")
     try:
-        setup_pk, off = _get_field(tx.payload, 0)
-        ca_pk, off = _get_field(tx.payload, off)
+        ca_pk = _get_field(tx.payload, 0)[0]
     except WireError as exc:
         raise ChaincodeRejection(f"malformed bootstrap payload: {exc}")
     try:
-        G2Element.from_bytes(setup_pk)
         if G1Element.from_bytes(ca_pk).is_identity():
             raise DecodeError("CA key is the identity")
     except DecodeError as exc:
         raise ChaincodeRejection(f"invalid bootstrap key: {exc}")
-    return {KEY_SETUP_PK: setup_pk, KEY_CA_PK: ca_pk}
+    return {KEY_CA_PK: ca_pk}
 
 
 def _cc_register(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
@@ -522,11 +513,14 @@ def _cc_rotate(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
 
 
 def _cc_submit(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
-    """The guarded transaction path: verify the submitter's signature
-    against its on-ledger key and the corrected-mode transaction proof,
-    then apply the write.  Any other proof, the printed scheme's
-    included, is "proof invalid"."""
-    pk = _stored_device(state, tx.device_id).pk
+    """The guarded transaction path: admit a device that has
+    authenticated at least once (a committed rotation moved its epoch
+    off 0), verify its signature against its on-ledger key and the
+    corrected-mode transaction proof, then apply the write.  Any other
+    proof, the printed scheme's included, is "proof invalid"."""
+    stored = _stored_device(state, tx.device_id)
+    if stored.epoch < 1:
+        raise ChaincodeRejection("unauthenticated")
     nonce_key = f"txnonce/{tx.device_id.hex()}/{tx.nonce.hex()}"
     if state.has(nonce_key):
         raise ChaincodeRejection("transaction nonce already consumed")
@@ -534,13 +528,13 @@ def _cc_submit(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
         sig = zkp.Signature.from_bytes(tx.signature)
     except DecodeError as exc:
         raise ChaincodeRejection(f"malformed record: {exc}")
-    if not zkp.verify_sig(pk, tx.payload, sig):
+    if not zkp.verify_sig(stored.pk, tx.payload, sig):
         raise ChaincodeRejection("signature invalid")
     try:
         proof = zkp.CorrectedTxProof.from_bytes(tx.proof)
     except DecodeError:
         raise ChaincodeRejection("proof invalid") from None
-    statement = zkp.TxStatement(tx.device_id, pk, _digest(tx.payload), tx.nonce)
+    statement = zkp.TxStatement(tx.device_id, stored.pk, _digest(tx.payload), tx.nonce)
     if not zkp.tx_verify_corrected(statement, proof):
         raise ChaincodeRejection("proof invalid")
     seq_raw = state.get(f"dataseq/{tx.device_id.hex()}")
@@ -574,8 +568,11 @@ _BUILTIN_CHAINCODES: Dict[str, Chaincode] = {
 # ---------------------------------------------------------------------------
 
 def bootstrap(ledger: Ledger, setup_pk: G2Element, ca_pk: G1Element) -> CommitResult:
+    """Publish the CA key.  ``setup_pk``, the printed scheme's setup
+    key, is no longer published: no chaincode or verifier reads it, and
+    the exhibits in :mod:`pufzk.zkp` take their setup directly.  The
+    argument is kept because existing callers pass it positionally."""
     buf = bytearray()
-    _put_field(buf, setup_pk.to_bytes())
     _put_field(buf, ca_pk.to_bytes())
     tx = TransactionRecord(
         payload=bytes(buf), device_id=b"system", signature=b"", proof=b"",

@@ -4,12 +4,16 @@ Message flow is in-process but wire-faithful: every exchange is encoded
 to the tagged byte format before the receiving side parses it, so a
 man-in-the-middle mutator operates on real message bytes.
 
-The verifier role is distinct from the ledger: it mints one 16-byte
-nonce per session and checks requests against ledger state only.
-Its decisions enforce nonce freshness and the current challenge epoch,
-then hand the proof to the ledger's rotate chaincode, which verifies it
+The verifier role is distinct from the ledger, and it keeps no
+per-device memory.  Its 16-byte session nonce is the device's challenge
+epoch and a MAC over (device id, epoch) under the verifier's key, so
+every session of a device within one epoch gets the same nonce, and an
+answer is checked by recomputing it: a MAC that does not match reads
+"unknown nonce", a matching one for an earlier epoch "stale nonce".
+The proof then goes to the ledger's rotate chaincode, which verifies it
 and advances the device's challenge epoch; the request is accepted only
-if that rotation commits.  Every proof here is a corrected-mode proof:
+if that rotation commits.  Whether a device may submit is decided by
+the submit chaincode alone.  Every proof here is a corrected-mode proof:
 the printed scheme lives in :mod:`pufzk.zkp` alone, whose functions the
 attack suite calls to demonstrate its defects.
 
@@ -23,6 +27,7 @@ as input to show that the PUF clause still blocks it).
 from __future__ import annotations
 
 import hashlib
+import hmac
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional
 
@@ -149,38 +154,32 @@ class Device:
 
 
 class Verifier:
-    """Session management and proof verification against ledger state."""
+    """Session nonces and proof verification against ledger state.
+
+    The verifier keeps no per-device memory.  A session nonce is the
+    device's challenge epoch (8 bytes, big-endian) and the first 8 bytes
+    of HMAC-SHA-256 over (device id, epoch) under a key drawn once from
+    ``rng``, so it is recomputed, not looked up, when the answer comes."""
 
     def __init__(self, ledger: Ledger, rng):
         self.ledger = ledger
         self.rng = rng
-        # one entry per registered device, so memory is bounded by the
-        # devices on the ledger, whatever unregistered callers send
-        self._open: dict = {}           # device_id -> its open Session
-        self._answered: dict = {}       # device_id -> nonce of its last decided session
-        self._authenticated: set = set()  # device ids with an accepted session
+        self._mac_key = rng.randbytes(32)
+
+    def _nonce(self, device_id: bytes, epoch: int) -> bytes:
+        prefix = epoch.to_bytes(8, "big")
+        return prefix + hmac.new(self._mac_key, device_id + prefix, hashlib.sha256).digest()[:8]
 
     def begin_session(self, device_id: bytes) -> Session:
-        """Open a session, replacing the device's open one.  An id that
-        does not load as a registered device gets a session with epoch
-        -1 that is not kept, so any answer to it is refused."""
-        nonce = self.rng.getrandbits(128).to_bytes(zkp.NONCE_LEN, "big")
+        """Open a session at the device's current epoch.  An id that
+        does not load as a registered device gets epoch -1 and a random
+        nonce, so any answer to it is refused."""
         try:
             epoch = self.ledger.load_device(device_id).epoch
+            nonce = self._nonce(device_id, epoch)
         except (KeyError, RecordError):
-            epoch = -1
-        session = Session(
-            session_id=self.rng.getrandbits(64).to_bytes(8, "big"),
-            device_id=device_id,
-            nonce=nonce,
-            epoch=epoch,
-        )
-        if epoch >= 0:
-            self._open[device_id] = session
-        return session
-
-    def is_authenticated(self, device_id: bytes) -> bool:
-        return device_id in self._authenticated
+            epoch, nonce = -1, self.rng.randbytes(zkp.NONCE_LEN)
+        return Session(self.rng.getrandbits(64).to_bytes(8, "big"), device_id, nonce, epoch)
 
     def handle_auth_request(self, data: bytes) -> AuthDecision:
         """Parse and decide one authentication request."""
@@ -196,35 +195,27 @@ class Verifier:
             return AuthDecision(False, "unregistered")
         except RecordError:
             return AuthDecision(False, "malformed record")
-        session = self._open.get(msg.device_id)
-        if session is None or session.nonce != msg.nonce:
-            stale = self._answered.get(msg.device_id) == msg.nonce
-            return AuthDecision(False, "stale nonce" if stale else "unknown nonce")
-        # any decision on the open session consumes it
-        del self._open[msg.device_id]
-        self._answered[msg.device_id] = msg.nonce
-        if session.epoch != stored.epoch:
-            return AuthDecision(False, "challenge epoch advanced")
-        # the rotate chaincode verifies the proof; its rejection reasons
-        # are this decision's
+        epoch = int.from_bytes(msg.nonce[:8], "big")
+        if (not hmac.compare_digest(msg.nonce, self._nonce(msg.device_id, epoch))
+                or epoch > stored.epoch):
+            return AuthDecision(False, "unknown nonce")
+        if epoch < stored.epoch:
+            return AuthDecision(False, "stale nonce")
+        # the rotate chaincode verifies the proof and commits one per
+        # epoch; its rejection reasons are this decision's
         result = rotate_challenges(self.ledger, msg.device_id, msg.nonce, msg.proof)
-        if not result:
-            return AuthDecision(False, result.reason)
-        self._authenticated.add(msg.device_id)
-        return AuthDecision(True, "ok")
+        return AuthDecision(bool(result), "ok" if result else result.reason)
 
     def handle_tx_submit(self, data: bytes) -> TxDecision:
-        """Gate and forward a transaction to the ledger chaincode."""
+        """Forward a transaction to the ledger's submit chaincode, which
+        decides whether the device may submit."""
         try:
             msg = decode_message(data)
         except WireError:
             return TxDecision(False, "malformed")
         if not isinstance(msg, TxSubmit):
             return TxDecision(False, "malformed")
-        record = msg.record
-        if not self.is_authenticated(record.device_id):
-            return TxDecision(False, "unauthenticated")
-        result = self.ledger.invoke("submit", record)
+        result = self.ledger.invoke("submit", msg.record)
         return TxDecision(bool(result), result.reason)
 
 
@@ -262,8 +253,8 @@ def run_authentication(device: Device, verifier: Verifier, ledger: Ledger, mode:
 
 def run_transaction(device: Device, verifier: Verifier, ledger: Ledger, payload: bytes,
                     mode: str, rng, tamper: Optional[TamperHook] = None) -> Session:
-    """Drive one transaction submit through the verifier gate and the
-    ledger's guarded chaincode.  ``mode`` must be ``zkp.MODE_CORRECTED``."""
+    """Drive one transaction submit through the verifier to the
+    ledger's guarded submit chaincode.  ``mode`` must be ``zkp.MODE_CORRECTED``."""
     _check_mode(mode)
     session = Session(
         session_id=rng.getrandbits(64).to_bytes(8, "big"),
@@ -418,6 +409,8 @@ def attack_tamper_payload(device: Device, verifier: Verifier, ledger: Ledger, rn
                           trials: int = 100) -> AttackOutcome:
     """Mutate one byte of the signed transaction payload in flight and
     verify the ledger state digest never changes on rejection."""
+    if ledger.load_device(device.device_id).epoch < 1:
+        raise RuntimeError("tamper scenario requires an authenticated device")
     accepted = 0
     digest_changes = 0
     for i in range(trials):
@@ -427,8 +420,6 @@ def attack_tamper_payload(device: Device, verifier: Verifier, ledger: Ledger, rn
         mutated_payload[rng.randrange(len(mutated_payload))] ^= rng.randrange(1, 256)
         tampered = replace(record, payload=bytes(mutated_payload))
         before = ledger.state_digest()
-        if not verifier.is_authenticated(device.device_id):
-            raise RuntimeError("tamper scenario requires an authenticated device")
         result = ledger.invoke("submit", tampered)
         accepted += int(bool(result))
         digest_changes += int(ledger.state_digest() != before and not result)

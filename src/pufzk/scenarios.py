@@ -234,37 +234,67 @@ _FLOOD = 1024
 def _session_flood(devices: Tuple[Device, ...], verifier: Verifier, ledger: Ledger, rng,
                    np_rng) -> AttackOutcome:
     """Open twice ``_FLOOD`` sessions across the registered devices,
-    answering half of them with an empty proof, so that both the
-    open-session and the answered-nonce memories fill.  The verifier
-    keeps at most one of each per registered device: a breach is either
-    memory above that or an honest session refused afterwards."""
+    answering half of them with an empty proof.  The verifier keeps no
+    per-device memory: a breach is a verifier attribute other than
+    ``rng`` changed by the flood, or an honest session refused
+    afterwards."""
+    def attributes():
+        return {name: repr(value) for name, value in vars(verifier).items() if name != "rng"}
+
+    before = attributes()
     for i in range(_FLOOD):
         device_id = devices[i % len(devices)].device_id
         answered = verifier.begin_session(device_id)
         verifier.handle_auth_request(AuthRequest(device_id, b"", answered.nonce).to_bytes())
         verifier.begin_session(device_id)
-    sizes = (len(verifier._open), len(verifier._answered))
+    changed = sorted({name for name, _ in before.items() ^ attributes().items()})
     honest = run_authentication(devices[0], verifier, ledger, zkp.MODE_CORRECTED, rng, np_rng)
-    breached = max(sizes) > len(devices) or not honest.accepted
+    breached = bool(changed) or not honest.accepted
     return AttackOutcome("session-flood", 2 * _FLOOD, int(breached),
-                         f"open {sizes[0]}, answered {sizes[1]}, registered {len(devices)}; "
+                         f"verifier attributes changed: {', '.join(changed) or 'none'}; "
                          f"honest session: {honest.reason}")
 
 
-def _session_eviction(device: Device, verifier: Verifier, ledger: Ledger, rng,
-                      np_rng) -> AttackOutcome:
-    """Open an honest session, then ``_FLOOD`` sessions for random
-    unregistered ids, then answer the honest one.  A breach is the
-    honest answer refused: anonymous callers must not push a registered
-    device's session out of the verifier's memory."""
+def _interleaved_sessions(name: str, device: Device, stranger_ids: List[bytes],
+                          verifier: Verifier, ledger: Ledger, rng, np_rng) -> AttackOutcome:
+    """Open an honest session, then a stranger's session for each of
+    ``stranger_ids``, then answer the honest one.  A breach is the
+    honest answer refused: no one but the device may spoil its
+    session, whether by crowding it out with unregistered ids or by
+    opening one under its own id."""
     session = verifier.begin_session(device.device_id)
-    for _ in range(_FLOOD):
-        verifier.begin_session(rng.randbytes(32))
+    for stranger_id in stranger_ids:
+        verifier.begin_session(stranger_id)
     proof = device.build_auth_proof(ledger, session.nonce, rng, np_rng)
     decision = verifier.handle_auth_request(
         AuthRequest(device.device_id, proof, session.nonce).to_bytes())
-    return AttackOutcome("session-eviction", _FLOOD, int(not decision.accept),
+    return AttackOutcome(name, len(stranger_ids), int(not decision.accept),
                          f"honest session: {decision.reason}")
+
+
+def _leaked_key_submit(ca: CertificateAuthority, verifier: Verifier, ledger: Ledger, rng,
+                       np_rng, params: ParamSet) -> AttackOutcome:
+    """A freshly enrolled device that has never authenticated, or anyone
+    holding its leaked sk, submits a signed and proved reading straight
+    to the submit chaincode and through the verifier.  A breach is a
+    commit or any move of the state digest or the height."""
+    device = Device.enroll(puf_new(103, 0.0), ca, ledger, rng, np_rng, params)
+
+    def direct():
+        result = ledger.invoke("submit", device.build_tx_submit(b"reading", rng))
+        return result.committed, result.reason
+
+    def through_verifier():
+        session = run_transaction(device, verifier, ledger, b"reading", zkp.MODE_CORRECTED, rng)
+        return session.accepted, session.reason
+
+    breaches, reasons = 0, []
+    for send in (direct, through_verifier):
+        before = (ledger.state_digest(), ledger.height)
+        accepted, reason = send()
+        breaches += int(accepted or (ledger.state_digest(), ledger.height) != before)
+        reasons.append(reason)
+    return AttackOutcome("leaked-key-submit", 2, breaches, "; ".join(dict.fromkeys(reasons)))
 
 
 def _mode_downgrade(device: Device, verifier: Verifier, ledger: Ledger, auth_proof: bytes,
@@ -304,16 +334,15 @@ def _mode_downgrade(device: Device, verifier: Verifier, ledger: Ledger, auth_pro
                          "; ".join(dict.fromkeys(reasons)))
 
 
-def _literal_defect_demos(device: Device, ledger: Ledger, ca: CertificateAuthority,
+def _literal_defect_demos(device: Device, ledger: Ledger, setup: zkp.TrustSetup,
                           rng) -> Dict[str, bool]:
     """The printed scheme's defects, shown with its functions against
-    the setup key a ledger publishes: the suite's, whose trapdoor is
-    random, and one bootstrapped with the trapdoor forced to 1.  The
-    honest prover is the suite's device, answering its stored
-    challenges with its PUF and key."""
-    ledger_one = ledger_new()
-    bootstrap(ledger_one, zkp.trust_setup(rng, forced_alpha=1).pk_setup, ca.pk)
-    setup_one, setup_rand = ledger_one.published_setup(), ledger.published_setup()
+    two setups as a verifier knows them, the key without the trapdoor:
+    the suite's, whose trapdoor is random, and one made with the
+    trapdoor forced to 1.  The honest prover is the suite's device,
+    answering its stored challenges with its PUF and key."""
+    setup_one = zkp.TrustSetup(None, zkp.trust_setup(rng, forced_alpha=1).pk_setup)
+    setup_rand = zkp.TrustSetup(None, setup.pk_setup)
     responses = responses_to_bytes(puf_respond(device.puf, device.auth_inputs(ledger)[0]))
     recorded = zkp.auth_prove_literal(None, responses, device.keypair.sk, rng)
     witness_commit = G1Element.generator() ** Scalar.random(rng)
@@ -382,7 +411,11 @@ def run_attack_suite(seed: int = 0, params: ParamSet = DEFAULT_PARAMS,
         forged = attack_replay(honest, verifier, ledger, forge_current_nonce=True)
         report.outcomes.append(AttackOutcome("replay-forged-nonce", 1, forged.accepted, forged.detail))
         report.outcomes.append(_session_flood((device, device_b), verifier, ledger, rng, np_rng))
-        report.outcomes.append(_session_eviction(device, verifier, ledger, rng, np_rng))
+        report.outcomes.append(_interleaved_sessions(
+            "session-eviction", device, [rng.randbytes(32) for _ in range(_FLOOD)],
+            verifier, ledger, rng, np_rng))
+        report.outcomes.append(_interleaved_sessions(
+            "session-displacement", device, [device.device_id], verifier, ledger, rng, np_rng))
 
     if "impersonate" in suites:
         report.outcomes.append(
@@ -420,9 +453,10 @@ def run_attack_suite(seed: int = 0, params: ParamSet = DEFAULT_PARAMS,
         request = decode_message(auth.auth_request_bytes())
         report.outcomes.append(_anonymous_rotations(device, device_b, request, ledger, rng, np_rng))
         report.outcomes.append(_mode_downgrade(device, verifier, ledger, request.proof, rng))
+        report.outcomes.append(_leaked_key_submit(ca, verifier, ledger, rng, np_rng, params))
 
     if "literal-defects" in suites:
-        report.literal_defects = _literal_defect_demos(device, ledger, ca, rng)
+        report.literal_defects = _literal_defect_demos(device, ledger, setup, rng)
 
     return report
 

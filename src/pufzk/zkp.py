@@ -71,8 +71,8 @@ class TrustSetup:
     """One-time setup for literal mode: trapdoor and its public key.
 
     Honest deployments discard the trapdoor; it is retained here so the
-    defect tests can force alpha = 1.  Verifiers reconstructing the
-    setup from published bytes carry ``alpha=None``.
+    defect tests can force alpha = 1.  A verifier's copy carries
+    ``alpha=None``.
     """
 
     alpha: Scalar | None

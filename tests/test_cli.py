@@ -17,12 +17,12 @@ HEX = "0123456789abcdef"
 
 # SHA-256 of the `demo --seed 7` transcript.  A change that means to
 # alter transcripts updates this digest and says so.
-DEMO_SEED_7_SHA256 = "12233f78774a01625b45bec4488d48001229d6545364c263a6743471f44a718e"
+DEMO_SEED_7_SHA256 = "a4e211beac68884a1a03418f179a49acf08170a74463200c43acadbb141ca3ed"
 
 # SHA-256 of that transcript's `ledger` line, the exported transaction
 # log.  It depends on the committed transactions alone, not on how the
 # state is digested.
-DEMO_SEED_7_LEDGER_LINE_SHA256 = "b03b5c2ad874251867023c3e60a68420b95d2be82fe9ae461ed626f639a300c5"
+DEMO_SEED_7_LEDGER_LINE_SHA256 = "244952837a9e540f93db7c13e5c9b414c1efc1a09dbfb23b8756fda391a3da21"
 
 
 @pytest.fixture(scope="module")
@@ -325,13 +325,21 @@ class TestAttackCommand:
         report = run_attack_suite(seed=5, suites=("replay",), scale=0.02)
         outcome = next(o for o in report.outcomes if o.name == "session-flood")
         assert outcome.attempts == 2048 and outcome.defended
-        assert outcome.detail == "open 2, answered 2, registered 2; honest session: ok"
+        assert outcome.detail == "verifier attributes changed: none; honest session: ok"
 
-    def test_session_eviction_defended(self):
+    @pytest.mark.parametrize("name, attempts", [
+        ("session-eviction", 1024), ("session-displacement", 1)])
+    def test_interleaved_sessions_defended(self, name, attempts):
         report = run_attack_suite(seed=5, suites=("replay",), scale=0.02)
-        outcome = next(o for o in report.outcomes if o.name == "session-eviction")
-        assert outcome.attempts == 1024 and outcome.defended
+        outcome = next(o for o in report.outcomes if o.name == name)
+        assert outcome.attempts == attempts and outcome.defended
         assert outcome.detail == "honest session: ok"
+
+    def test_leaked_key_submit_defended(self):
+        report = run_attack_suite(seed=8, suites=("tamper",), scale=0.02)
+        outcome = next(o for o in report.outcomes if o.name == "leaked-key-submit")
+        assert outcome.attempts == 2 and outcome.defended
+        assert outcome.detail == "unauthenticated"
 
     def test_suite_selection(self):
         assert main(["attack", "--scale", "0.02", "--suite", "replay"]) == EXIT_OK

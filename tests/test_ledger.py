@@ -42,7 +42,8 @@ from pufzk.wire import (
 
 @pytest.fixture(scope="module")
 def env():
-    """Bootstrapped ledger with one registered device."""
+    """Bootstrapped ledger with one registered device, authenticated
+    once so that the submit chaincode admits it."""
     rng = random.Random(500)
     np_rng = np.random.default_rng(500)
     ca = CertificateAuthority(rng)
@@ -50,10 +51,22 @@ def env():
     ledger = ledger_new()
     assert bootstrap(ledger, setup.pk_setup, ca.pk)
     identity, keypair = register_device(puf_new(7000, 0.0), ca, ledger, rng, np_rng)
+    _authenticate(ledger, identity, keypair, 7000, rng)
     return {
         "rng": rng, "np_rng": np_rng, "ca": ca, "setup": setup,
         "ledger": ledger, "identity": identity, "keypair": keypair,
     }
+
+
+def _authenticate(ledger, identity, keypair, puf_seed, rng):
+    """Commit the device's rotation for its current epoch, as an
+    accepted authentication does, so that the submit chaincode admits
+    it."""
+    device = Device(puf_new(puf_seed, 0.0), identity, keypair)
+    nonce = rng.randbytes(16)
+    challenges, epoch = device.auth_inputs(ledger)
+    proof = device.prove_auth(puf_respond(device.puf, challenges), epoch, nonce, rng)
+    assert rotate_challenges(ledger, identity.device_id, nonce, proof)
 
 
 def _submit_record(identity, keypair, payload, rng, nonce=None):
@@ -441,6 +454,23 @@ class TestReplayDeterminism:
         with pytest.raises(LedgerError, match="^replay diverged: "):
             Ledger.replay_log(bytes(log))
 
+    def test_replay_reapplies_the_submit_gate(self, env):
+        """A hand-built log whose submit precedes the device's first
+        rotation diverges on replay; in commit order it replays."""
+        rng, np_rng = random.Random(65), np.random.default_rng(65)
+        ledger = ledger_new()
+        assert bootstrap(ledger, env["setup"].pk_setup, env["ca"].pk)
+        identity, keypair = register_device(puf_new(7065, 0.0), env["ca"], ledger, rng, np_rng)
+        _authenticate(ledger, identity, keypair, 7065, rng)
+        assert ledger.invoke("submit", _submit_record(identity, keypair, b"reading", rng))
+        bootstrap_tx, register_tx, rotate_tx, submit_tx = ledger.transactions()
+        assert Ledger.replay_log(ledger.export_log()).state_digest() == ledger.state_digest()
+        log = bytearray(b"PZLG\x01" + (4).to_bytes(4, "big"))
+        for record in (bootstrap_tx, register_tx, submit_tx, rotate_tx):
+            _put_field(log, record.to_bytes(), width=4)
+        with pytest.raises(LedgerError, match="^replay diverged: unauthenticated$"):
+            Ledger.replay_log(bytes(log))
+
     def test_bad_log_header_rejected(self):
         from pufzk.wire import WireError
         with pytest.raises(WireError):
@@ -471,7 +501,6 @@ class TestReplayDeterminism:
     ], ids=["g2-key", "off-subgroup", "identity"])
     def test_bootstrap_rejects_bad_ca_key(self, env, ca_pk):
         buf = bytearray()
-        _put_field(buf, env["setup"].pk_setup.to_bytes())
         _put_field(buf, ca_pk)
         ledger = ledger_new()
         result = ledger.invoke("bootstrap", TransactionRecord(
@@ -483,6 +512,7 @@ class TestReplayDeterminism:
         setup, ca = env["setup"], env["ca"]
         ledger = ledger_new()
         assert bootstrap(ledger, setup.pk_setup, ca.pk)
+        assert list(ledger._state) == ["ca/pk"]  # the setup key is not published
         result = bootstrap(ledger, setup.pk_setup, ca.pk)
         assert not result and "bootstrapped" in result.reason
 
@@ -694,6 +724,7 @@ class TestPayloadStoredOnce:
         ledger = ledger_new()
         assert bootstrap(ledger, env["setup"].pk_setup, env["ca"].pk)
         identity, keypair = register_device(puf_new(7064, 0.0), env["ca"], ledger, rng, np_rng)
+        _authenticate(ledger, identity, keypair, 7064, rng)
         payload = rng.randbytes(65536)
         tx = _submit_record(identity, keypair, payload, rng)
         before = os.fstat(ledger._file.fileno()).st_size
@@ -705,7 +736,7 @@ class TestPayloadStoredOnce:
         model = {key: (values[key], version) for key, (_, version) in ledger._state.items()}
         assert ledger.state_digest() == _lthash_from_scratch(model)
         committed = ledger.transactions()
-        assert len(committed) == 3 and committed[-1] == tx
+        assert len(committed) == 4 and committed[-1] == tx
         log = bytearray(b"PZLG\x01" + len(committed).to_bytes(4, "big"))
         for record in committed:
             _put_field(log, record.to_bytes(), width=4)

@@ -113,12 +113,12 @@ class TestAuthentication:
         """The printed scheme is an exhibit in ``pufzk.zkp``: both drivers
         refuse its mode before opening a session or drawing randomness."""
         device, verifier, ledger, rng = env["device"], env["verifier"], env["ledger"], env["rng"]
-        state, height = rng.getstate(), ledger.height
+        state, height, attributes = rng.getstate(), ledger.height, dict(vars(verifier))
         with pytest.raises(ValueError):
             run_authentication(device, verifier, ledger, zkp.MODE_LITERAL, rng, env["np_rng"])
         with pytest.raises(ValueError):
             run_transaction(device, verifier, ledger, b"reading", zkp.MODE_LITERAL, rng)
-        assert (rng.getstate(), ledger.height, verifier._open) == (state, height, {})
+        assert (rng.getstate(), ledger.height, vars(verifier)) == (state, height, attributes)
 
     def test_transcript_messages_decode(self, env):
         session = run_authentication(env["device"], env["verifier"], env["ledger"],
@@ -144,7 +144,7 @@ class TestMalformedStoredState:
     @GARBAGE_KINDS
     def test_every_verifier_path_gives_a_typed_decision(self, env, kinds):
         ledger, verifier, device, rng = env["ledger"], env["verifier"], env["device"], env["rng"]
-        # authenticated beforehand, so the transaction gate lets submits through
+        # authenticated beforehand, so the submit chaincode admits the device
         assert run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, env["np_rng"]).accepted
         _overwrite_with_garbage(ledger, device.device_id, kinds)
         assert verifier.begin_session(device.device_id).epoch == -1
@@ -181,12 +181,23 @@ class TestTransactions:
         assert session.accepted
         assert env["ledger"].verify_chain()
 
-    def test_unauthenticated_device_rejected_before_chaincode(self, env):
+    def test_unauthenticated_device_rejected_by_submit_chaincode(self, env):
         height = env["ledger"].height
         session = run_transaction(env["device"], env["verifier"], env["ledger"],
                                   b"reading", zkp.MODE_CORRECTED, env["rng"])
         assert not session.accepted and session.reason == "unauthenticated"
         assert env["ledger"].height == height
+
+    def test_authentication_admits_submits_through_any_verifier(self, env):
+        """The ledger, not the verifier, records that a device has
+        authenticated: a second verifier on the same ledger forwards
+        its submits."""
+        device, ledger, rng = env["device"], env["ledger"], env["rng"]
+        assert run_authentication(device, env["verifier"], ledger, zkp.MODE_CORRECTED,
+                                  rng, env["np_rng"]).accepted
+        session = run_transaction(device, Verifier(ledger, rng), ledger, b"reading",
+                                  zkp.MODE_CORRECTED, rng)
+        assert session.accepted and session.reason == "committed"
 
     def test_payload_tamper_in_flight_rejected(self, env):
         run_authentication(env["device"], env["verifier"], env["ledger"],
@@ -231,30 +242,39 @@ class TestReplay:
         outcome = attack_replay(honest, env["verifier"], env["ledger"], forge_current_nonce=True)
         assert outcome.defended
 
-    def test_verifier_keeps_one_session_per_registered_device(self, env):
+    def test_verifier_recomputes_nonces_and_stores_none(self, env):
         device, verifier, ledger = env["device"], env["verifier"], env["ledger"]
 
-        def answer(session, device_id=device.device_id):
-            raw = AuthRequest(device_id, b"", session.nonce).to_bytes()
+        def answer(session, device_id=device.device_id, proof=b""):
+            raw = AuthRequest(device_id, proof, session.nonce).to_bytes()
             return verifier.handle_auth_request(raw).reason
 
-        strangers = [verifier.begin_session(env["rng"].randbytes(32)) for _ in range(8)]
-        assert [s.epoch for s in strangers] == [-1] * 8 and len(verifier._open) == 0
-        assert answer(strangers[0], strangers[0].device_id) == "unregistered"
+        assert set(vars(verifier)) == {"ledger", "rng", "_mac_key"}
+        stranger = verifier.begin_session(env["rng"].randbytes(32))
+        assert stranger.epoch == -1
+        assert answer(stranger, stranger.device_id) == "unregistered"
         sessions = [verifier.begin_session(device.device_id) for _ in range(8)]
-        assert len(verifier._open) == 1  # each session replaced the one before
-        assert [answer(s) for s in sessions[:7]] == ["unknown nonce"] * 7
-        assert answer(sessions[7]) == "malformed"
-        assert (len(verifier._open), len(verifier._answered)) == (0, 1)
-        assert answer(sessions[7]) == "stale nonce"
+        assert len({s.nonce for s in sessions}) == 1 and sessions[0].epoch == 0
+        assert answer(sessions[0]) == "malformed"
+        proof = device.build_auth_proof(ledger, sessions[0].nonce, env["rng"], env["np_rng"])
+        assert answer(sessions[0], proof=proof) == "ok"
+        assert answer(sessions[0]) == "stale nonce"
         later = verifier.begin_session(device.device_id)
-        assert answer(later, strangers[1].device_id) == "unregistered"
-        assert answer(later) == "malformed"
-        assert answer(sessions[7]) == "unknown nonce"  # only the last answer is remembered
-        assert (len(verifier._open), len(verifier._answered)) == (0, 1)
-        honest = run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED,
-                                    env["rng"], env["np_rng"])
-        assert honest.accepted
+        assert later.epoch == 1 and later.nonce != sessions[0].nonce
+        assert set(vars(verifier)) == {"ledger", "rng", "_mac_key"}
+
+    def test_altered_or_foreign_nonce_is_unknown(self, env):
+        device, verifier, ledger = env["device"], env["verifier"], env["ledger"]
+        nonce = verifier.begin_session(device.device_id).nonce
+        foreign = Verifier(ledger, env["rng"]).begin_session(device.device_id).nonce
+        flipped = nonce[:-1] + bytes([nonce[-1] ^ 1])
+        next_epoch = verifier._nonce(device.device_id, 1)  # its MAC matches
+        for bad in (flipped, foreign, next_epoch):
+            proof = device.build_auth_proof(ledger, bad, env["rng"], env["np_rng"])
+            decision = verifier.handle_auth_request(
+                AuthRequest(device.device_id, proof, bad).to_bytes())
+            assert (decision.accept, decision.reason) == (False, "unknown nonce")
+        assert ledger.load_device(device.device_id).epoch == 0
 
     def test_old_subset_proof_fails_after_rotation(self, env):
         """A proof bound to a stale epoch fails even with a fresh nonce."""
@@ -483,6 +503,8 @@ class TestCommitmentsComparedAsBytes:
     @pytest.mark.parametrize("how", ALTERATIONS)
     def test_submit_result_matches_decoding_first(self, env, how):
         device, ledger, rng = env["device"], env["ledger"], env["rng"]
+        assert run_authentication(device, env["verifier"], ledger, zkp.MODE_CORRECTED,
+                                  rng, env["np_rng"]).accepted
         record = device.build_tx_submit(b"reading", rng)
         proof = record.proof[:1] + _alter(record.proof[1:97], how, rng) + record.proof[97:]
         record = dataclasses.replace(record, proof=proof)
@@ -531,6 +553,8 @@ class TestAcceptDecodesNoCommitment:
         assert decode_counts == {"g1": 0, "g2": 0}
 
     def test_accepted_submit_decodes_no_g2_point(self, env, decode_counts):
+        assert run_authentication(env["device"], env["verifier"], env["ledger"],
+                                  zkp.MODE_CORRECTED, env["rng"], env["np_rng"]).accepted
         record = env["device"].build_tx_submit(b"reading", env["rng"])
         env["ledger"].load_device(env["device"].device_id)
         decode_counts.update(g1=0, g2=0)
