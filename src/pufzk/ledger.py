@@ -69,6 +69,7 @@ from .wire import (
     SubsetRecord,
     TransactionRecord,
     WireError,
+    _done,
     _get_field,
     _put_field,
     registration_binding,
@@ -441,7 +442,8 @@ def _cc_bootstrap(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     if state.has(KEY_CA_PK):
         raise ChaincodeRejection("already bootstrapped")
     try:
-        ca_pk = _get_field(tx.payload, 0)[0]
+        ca_pk, off = _get_field(tx.payload, 0)
+        _done(tx.payload, off)
     except WireError as exc:
         raise ChaincodeRejection(f"malformed bootstrap payload: {exc}")
     try:

@@ -389,10 +389,13 @@ def hash_to_g1(data: bytes, tag: bytes) -> G1Element:
     Deterministic try-and-increment over hashed x-candidates followed by
     cofactor clearing; never returns the identity.
     """
-    framed = _framed(data, tag)
+    # absorb the framed message once; each try hashes it plus a counter
+    absorbed = hashlib.shake_256(_framed(data, tag))
     ctr = 0
     while True:
-        digest = hashlib.shake_256(framed + ctr.to_bytes(4, "big")).digest(49)
+        attempt = absorbed.copy()
+        attempt.update(ctr.to_bytes(4, "big"))
+        digest = attempt.digest(49)
         x = int.from_bytes(digest[:48], "big") % P
         rhs = (x * x * x + B_G1) % P
         y = fq_sqrt(rhs)

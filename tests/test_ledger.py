@@ -508,6 +508,20 @@ class TestReplayDeterminism:
         assert not result and result.reason.startswith("invalid bootstrap key: ")
         assert ledger.height == 0
 
+    def test_bootstrap_rejects_trailing_fields(self, env):
+        # the CA-key field, then a second field and 8 stray bytes
+        buf = bytearray()
+        _put_field(buf, env["ca"].pk.to_bytes())
+        _put_field(buf, b"second field")
+        buf += bytes(8)
+        ledger = ledger_new()
+        digest = ledger.state_digest()
+        result = ledger.invoke("bootstrap", TransactionRecord(
+            bytes(buf), b"system", b"", b"", "bootstrap", b"genesis"))
+        assert not result and result.reason.startswith("malformed bootstrap payload: ")
+        assert ledger.height == 0 and ledger.state_digest() == digest
+        assert list(ledger._state) == []
+
     def test_bootstrap_only_once(self, env):
         setup, ca = env["setup"], env["ca"]
         ledger = ledger_new()

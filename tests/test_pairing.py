@@ -24,7 +24,9 @@ from pufzk.pairing.fields import (
     FQ12_ONE, X_ABS, XI, fq12_cyclotomic_sqr, fq12_pow, fq12_sqr, fq2_add, fq2_inv,
     fq2_mul, fq2_pow, fq2_sqr, fq2_sqrt, fq_sqrt, P, R,
 )
-from pufzk.pairing.pairing import final_exponentiation, miller_loop, precompute_g2_lines
+from pufzk.pairing.pairing import (
+    _mul_by_line, final_exponentiation, miller_loop, precompute_g2_lines,
+)
 from pufzk.pairing.curve import G1_GEN, g1_mul, g1_mul_unchecked, g2_mul_unchecked
 
 VECTORS = pathlib.Path(__file__).resolve().parent.parent / "vectors"
@@ -71,13 +73,57 @@ class TestPairing:
         assert fq12_pow(e._val, R) == FQ12_ONE
 
     def test_cyclotomic_squaring_matches_general(self):
+        # a chain of squarings from the easy part's output, so an output
+        # left unreduced or outside the subgroup shows in the next step
         from pufzk.pairing.curve import G2_GEN
+        from pufzk.pairing.fields import fq12_conj, fq12_frobenius2, fq12_inv, fq12_mul
         rng = random.Random(4)
         for _ in range(3):
-            raw = final_exponentiation(
-                miller_loop([(g1_mul(G1_GEN, rng.randrange(2, 10**6)), precompute_g2_lines(G2_GEN))])
-            )
-            assert fq12_cyclotomic_sqr(raw) == fq12_sqr(raw)
+            f = miller_loop([(g1_mul(G1_GEN, rng.randrange(2, 10**6)), precompute_g2_lines(G2_GEN))])
+            t = fq12_mul(fq12_conj(f), fq12_inv(f))
+            cyc = sqr = fq12_mul(fq12_frobenius2(t), t)
+            for _ in range(64):
+                cyc, sqr = fq12_cyclotomic_sqr(cyc), fq12_sqr(sqr)
+                assert cyc == sqr
+
+    def test_mul_by_line_matches_dense_product(self):
+        # the line from the documented slot layout: slope*x - y at w^0,
+        # slope*(-xP) at w^2 and yP at w^3, as a dense Fq12 value
+        from pufzk.pairing.curve import G2_GEN
+        from pufzk.pairing.fields import FQ2_ZERO, fq12_mul, fq2_scale, fq2_sub
+        rng = random.Random(6)
+        xp, yp = g1_mul(G1_GEN, rng.randrange(2, R))
+        for q in (G2_GEN, curve.g2_mul(G2_GEN, rng.randrange(2, R))):
+            steps = precompute_g2_lines(q)
+            kinds = [k for bit in bin(X_ABS)[3:] for k in ("dbl", "add")[:1 + (bit == "1")]]
+            assert len(kinds) == len(steps)
+            picked = [i for i, k in enumerate(kinds) if k == "add"]
+            picked += rng.sample([i for i, k in enumerate(kinds) if k == "dbl"], 8)
+            for i in picked:
+                slope, (x, y) = steps[i]
+                assert kinds[i] == "dbl" or (x, y) == q
+                a = fq2_sub(fq2_mul(slope, x), y)
+                b = fq2_scale(slope, -xp % P)
+                line = ((a, b, FQ2_ZERO), (FQ2_ZERO, (yp, 0), FQ2_ZERO))
+                f = tuple(tuple((rng.randrange(P), rng.randrange(P)) for _ in range(3))
+                          for _ in range(2))
+                assert _mul_by_line(f, slope, (x, y), -xp % P, yp) == fq12_mul(f, line)
+
+    def test_miller_loop_counts(self, monkeypatch):
+        # exact counts, independent of host speed: one squaring per bit
+        # of |x| below the top one, and every line multiplied in sparsely
+        from pufzk.pairing import pairing as pairing_mod
+        from pufzk.pairing.curve import G2_GEN
+        counts = {"fq12_mul": 0, "fq12_sqr": 0, "_mul_by_line": 0}
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(pairing_mod, name)):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(pairing_mod, name, counted)
+        pk_lines = precompute_g2_lines(g2_mul_unchecked(G2_GEN, 12345))
+        pairs = [(g1_mul(G1_GEN, 3), precompute_g2_lines(G2_GEN)), (G1_GEN, pk_lines)]
+        pairing_mod.miller_loop(pairs)
+        assert counts == {"fq12_mul": 0, "fq12_sqr": 63, "_mul_by_line": 2 * len(pk_lines)}
 
     def test_final_exponentiation_matches_generic_exponent(self):
         # the addition chain computes f^(3*(p^4-p^2+1)/r) after the easy
@@ -106,6 +152,29 @@ class TestHashToGroup:
             h = hash_to_g1(bytes([i]), DomainTag.SIGNATURE_MESSAGE)
             assert g1_mul_unchecked(h._pt, R) is None
             assert not h.is_identity()
+
+    def test_long_message_matches_per_counter_formula(self):
+        # the try-and-increment formula written out, hashing framed + ctr
+        # afresh for every counter, on a 64 KiB message whose first
+        # candidates are off the curve
+        import hashlib
+        from pufzk.pairing.curve import B_G1, COFACTOR_G1
+        tag, msg = DomainTag.SIGNATURE_MESSAGE, bytes([1]) * 65536
+        framed = bytes([len(tag)]) + tag + msg
+        ctr = 0
+        while True:
+            digest = hashlib.shake_256(framed + ctr.to_bytes(4, "big")).digest(49)
+            x = int.from_bytes(digest[:48], "big") % P
+            y = fq_sqrt((x * x * x + B_G1) % P)
+            if y is not None:
+                if digest[48] & 1:
+                    y = -y % P
+                expected = g1_mul_unchecked((x, y), COFACTOR_G1)
+                if expected is not None:
+                    break
+            ctr += 1
+        assert ctr > 0
+        assert hash_to_g1(msg, tag)._pt == expected
 
     def test_scalar_hash_deterministic_and_pinned_empty_vector(self):
         s = hash_to_scalar(b"", DomainTag.GENERIC_SCALAR)
@@ -516,6 +585,7 @@ class TestVectorFile:
     def test_committed_vectors_match_regeneration(self):
         text = (VECTORS / "pairing_vectors.txt").read_text()
         checked = 0
+        pair_sizes = set()
         for line in text.splitlines():
             if not line or line.startswith("#"):
                 continue
@@ -532,10 +602,18 @@ class TestVectorFile:
                 tag_hex, msg_hex = inp.split(":")
                 s = hash_to_scalar(bytes.fromhex(msg_hex), bytes.fromhex(tag_hex))
                 assert s.to_bytes().hex() == enc
+            elif kind == "pair":
+                terms = [(G1 ** int(a, 16), G2 ** int(b, 16))
+                         for a, b in (t.split(":") for t in inp.split(","))]
+                gt = pair(*terms[0]) if len(terms) == 1 else multi_pair(terms)
+                assert gt.to_bytes().hex() == enc
+                pair_sizes.add(len(terms))
             else:
                 raise AssertionError(f"unknown vector kind {kind}")
             checked += 1
-        assert checked >= 20
+        assert checked >= 24
+        # single pairings and a two-pair product of verify_sig's shape
+        assert pair_sizes == {1, 2}
 
     def test_generator_encodings_are_the_interoperable_ones(self):
         assert G1.to_bytes().hex().startswith("97f1d3a73197d794")

@@ -10,7 +10,9 @@ import pathlib
 
 import numpy as np
 
-from pufzk.pairing import DomainTag, G1Element, G2Element, Scalar, hash_to_g1, hash_to_scalar
+from pufzk.pairing import (
+    DomainTag, G1Element, G2Element, Scalar, hash_to_g1, hash_to_scalar, multi_pair, pair,
+)
 from pufzk.puf import generate_challenges, puf_new, puf_respond
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -23,6 +25,8 @@ def pairing_vectors() -> str:
         "# g1exp/g2exp: input is a big-endian exponent applied to the group generator",
         "# h2g1: input is <tag-utf8-hex>:<message-hex>, output the 48-byte point encoding",
         "# h2s:  input is <tag-utf8-hex>:<message-hex>, output the 32-byte scalar encoding",
+        "# pair: input is comma-separated <a-hex>:<b-hex> exponent pairs, output the 576-byte",
+        "#       Gt encoding of pair(g1^a, g2^b), or of their multi_pair product for several",
     ]
     g1, g2 = G1Element.generator(), G2Element.generator()
     for k in [1, 2, 3, 7, 0xFFFF, 2**64 - 1, Scalar.ORDER - 1]:
@@ -37,6 +41,12 @@ def pairing_vectors() -> str:
     for msg in [b"", b"abc", b"device-7", bytes(range(32))]:
         tag = DomainTag.GENERIC_SCALAR
         lines.append(f"h2s {tag.hex()}:{msg.hex()} {hash_to_scalar(msg, tag).to_bytes().hex()}")
+    for a, b in [(1, 1), (7, 0xFFFF), (Scalar.ORDER - 1, 2**64 - 1)]:
+        lines.append(f"pair {a:x}:{b:x} {pair(g1 ** a, g2 ** b).to_bytes().hex()}")
+    # verify_sig's shape: (sig^-1, g2) and (H(m), pk)
+    terms = [(Scalar.ORDER - 5, 1), (0x1234567, Scalar.ORDER - 3)]
+    product = multi_pair([(g1 ** a, g2 ** b) for a, b in terms])
+    lines.append(f"pair {','.join(f'{a:x}:{b:x}' for a, b in terms)} {product.to_bytes().hex()}")
     return "\n".join(lines) + "\n"
 
 
