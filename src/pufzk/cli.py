@@ -156,7 +156,7 @@ def _cmd_demo(args) -> int:
         return EXIT_USAGE
     transcript, summary = run_demo(seed=args.seed, params=params)
     try:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(transcript)
     except OSError as exc:
         print(f"error: cannot write transcript: {exc}", file=sys.stderr)
@@ -171,12 +171,15 @@ def _cmd_demo(args) -> int:
 
 def _cmd_audit(args) -> int:
     try:
-        with open(args.path) as fh:
-            text = fh.read()
+        with open(args.path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         print(f"error: cannot read transcript: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    ok, findings = audit_transcript(text)
+    try:
+        ok, findings = audit_transcript(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        ok, findings = False, [f"byte {exc.start}: not UTF-8 text"]
     for line in findings:
         print(f"  {line}")
     print("audit: PASS" if ok else "audit: FAIL")

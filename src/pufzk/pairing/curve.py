@@ -10,10 +10,13 @@ ladder of 128 doublings, and GLS in G2 (Galbraith-Lin-Scott, EUROCRYPT
 splits hold only in the prime-order subgroups.  Nearly every protocol
 exponentiation is against a generator, so each generator additionally
 gets a lazily built fixed-base table in signed 8-bit windows (Brickell,
-Gordon, McCurley and Wilson, EUROCRYPT 1992): 32 rows of 128 affine
-points, for at most 32 mixed additions per multiplication.  The rows are
-built by affine additions, one level of doublings and sums at a time,
-sharing one inversion per level (Montgomery, Math. Comp. 1987).
+Gordon, McCurley and Wilson, EUROCRYPT 1992).  The GLV split k = a + b*x^2
+serves it in both groups, as [x^2] is (BETA*x, -y) on G1 and psi^2 =
+(BETA^2*x, -y) on G2: the table covers one 128-bit half in 17 rows of 128
+affine points, and a multiplication walks it once for each half, with at
+most 34 mixed additions and no doubling.  The rows are built by affine
+additions, one level of doublings and sums at a time, sharing one
+inversion per level (Montgomery, Math. Comp. 1987).
 
 Encodings are the widely used 48/96-byte compressed format: three flag
 bits (compressed, infinity, y-sign) folded into the top of big-endian x.
@@ -59,10 +62,12 @@ G2_GEN = (
 COFACTOR_G1 = 0x396C8C005555E1568C00AAAB0000AAAB
 COFACTOR_G2 = 0x5D543A95414E7F1091D50792876A202CD91DE4547085ABAA68A205B2E5A7DDFA628F1CB4D9E82EF21537E293A6691AE1616EC6E786F0C70CF1C38E31C7238E5
 
-# Endomorphism constants of the subgroup checks and of g1_mul/g2_mul.  BETA
-# is the cube root of unity in Fq for which sigma(x, y) = (BETA*x, y) acts
-# on G1 as [-x^2]; psi(x, y) = (conj(x)*PSI_CX, conj(y)*PSI_CY) with
-# PSI_CX = 1/xi^((p-1)/3) and PSI_CY = 1/xi^((p-1)/2), xi = 1 + u.
+# Endomorphism constants of the subgroup checks and of the multiplications.
+# BETA is the cube root of unity in Fq for which sigma(x, y) = (BETA*x, y)
+# acts on G1 as [-x^2]; psi(x, y) = (conj(x)*PSI_CX, conj(y)*PSI_CY) with
+# PSI_CX = 1/xi^((p-1)/3) and PSI_CY = 1/xi^((p-1)/2), xi = 1 + u.  Then
+# psi^2(x, y) = (BETA^2*x, -y) with BETA^2 = PSI_CX[1]^2, which acts on G2
+# as [x^2].
 BETA = 0x5F19672FDF76CE51BA69C6076A0F77EADDB3A93BE6F89688DE17D813620A00022E01FFFFFFFEFFFE
 PSI_CX = (
     0,
@@ -72,6 +77,7 @@ PSI_CY = (
     0x135203E60180A68EE2E9C448D77A2CD91C3DEDD930B1CF60EF396489F61EB45E304466CF3E67FA0AF1EE7B04121BDEA2,
     0x06AF0E0437FF400B6831E36D6BD17FFE48395DABC2D3435E77F76E17009241C5EE67992F72EC05F4C81084FBEDE3CC09,
 )
+_BETA_SQR = BETA * BETA % P
 _X_SQR = X_ABS * X_ABS
 
 
@@ -155,26 +161,35 @@ def g1_add(a, b):
     return _g1_to_affine(j)
 
 
+def _x_sqr_split(k):
+    """k mod r = a + b*x^2 with 0 <= a, b < x^2 < 2^128, as (a, b)."""
+    b, a = divmod(k % R, _X_SQR)
+    return a, b
+
+
+def _g1_x_sqr(p):
+    """[x^2]P = (BETA*x, -y) for P in G1, affine or Jacobian (see
+    g1_in_subgroup)."""
+    return (BETA * p[0] % P, -p[1] % P, *p[2:])
+
+
 def g1_mul(pt, k):
     """[k]P for P in G1, the prime-order subgroup, by GLV.
 
-    On G1, [x^2]P = Q = (BETA*x_P, -y_P) (see g1_in_subgroup), so
-    k mod r = a + b*x^2 with a, b < x^2 < 2^128 gives [k]P = [a]P + [b]Q.
-    One ladder of 128 doublings walks a and b two bits at a time against
-    the affine table [i]P + [j]Q, i, j < 4.  The identity holds only on
-    G1: multiply other curve points with g1_mul_unchecked.
+    k mod r = a + b*x^2 with a, b < x^2 < 2^128 gives [k]P = [a]P + [b]Q
+    for Q = [x^2]P.  One ladder of 128 doublings walks a and b two bits at
+    a time against the affine table [i]P + [j]Q, i, j < 4.  The identity
+    holds only on G1: multiply other curve points with g1_mul_unchecked.
     """
-    k %= R
-    if pt is None or k == 0:
+    a, b = _x_sqr_split(k)
+    if pt is None or a == b == 0:
         return None
-    b, a = divmod(k, _X_SQR)
-    q = (BETA * pt[0] % P, -pt[1] % P)
+    q = _g1_x_sqr(pt)
     p1 = (pt[0], pt[1], 1)
     p2 = _g1_dbl(p1)
     ps = [p1, p2, _g1_add_mixed(p2, pt)]
-    # table[4i + j] = [i]P + [j]Q, made affine with one inversion; the
-    # Jacobian map (X, Y, Z) -> (BETA*X, -Y, Z) takes [j]P to [j]Q
-    table = [None] + [(BETA * X % P, -Y % P, Z) for X, Y, Z in ps]
+    # table[4i + j] = [i]P + [j]Q, made affine with one inversion
+    table = [None] + [_g1_x_sqr(p) for p in ps]
     for p in ps:
         table.append(p)
         for _ in range(3):
@@ -194,7 +209,7 @@ def g1_in_subgroup(pt):
     """sigma(P) == [-x^2]P; see the module docstring."""
     if pt is None:
         return True
-    return g1_is_on_curve(pt) and g1_mul_unchecked(pt, _X_SQR) == (BETA * pt[0] % P, -pt[1] % P)
+    return g1_is_on_curve(pt) and g1_mul_unchecked(pt, _X_SQR) == _g1_x_sqr(pt)
 
 
 def g1_mul_unchecked(pt, k):
@@ -363,8 +378,9 @@ def g2_in_subgroup(pt):
 # Fixed-base tables for the generators
 # ---------------------------------------------------------------------------
 
-def _fixed_base_rows(base, dbl, batch_affine, affine_sums, windows=32):
+def _fixed_base_rows(base, dbl, batch_affine, affine_sums, windows=17):
     """Signed 8-bit windows over a fixed base point B, given in Jacobian form.
+    The default 17 windows cover a scalar below 2^128 and its final carry.
 
     rows[i][d] holds d * 256^i * B in affine form for d = 1..128, and
     rows[i][0] is None.  The row bases 256^i * B take 8 Jacobian
@@ -471,6 +487,33 @@ def _g2_affine_sums(pairs):
     return out
 
 
+def _signed_digits(k):
+    """The signed base-256 digits of k >= 0, in [-127, 128], least
+    significant first: a byte above 128 becomes byte - 256 and carries one
+    into the next."""
+    digits = []
+    while k:
+        d = k & 0xFF
+        k >>= 8
+        if d > 128:
+            d -= 256
+            k += 1
+        digits.append(d)
+    return digits
+
+
+def _fixed_base_walk(rows, k, add, neg, acc=None):
+    """acc + [k]B for the base B of rows and 0 <= k < 2^128, with one
+    mixed addition per nonzero digit.  A negative digit adds the negated
+    entry."""
+    for row, d in zip(rows, _signed_digits(k)):
+        if d > 0:
+            acc = add(acc, row[d])
+        elif d:
+            acc = add(acc, neg(row[-d]))
+    return acc
+
+
 _G1_ROWS = None
 _G2_ROWS = None
 
@@ -478,50 +521,33 @@ _G2_ROWS = None
 def g1_mul_gen(k):
     """k * G1 generator from the fixed-base rows.
 
-    k mod r is recoded into signed base-256 digits in [-127, 128]: a byte
-    above 128 becomes byte - 256 and carries one into the next window.
-    As r < 2^255 has top byte 0x73, 32 windows suffice, for at most 32
-    mixed additions and no doubling.  A negative digit adds the entry
-    with y replaced by P - y, which the addition reduces mod P.
+    k mod r = a + b*x^2 splits as in g1_mul, and both halves are below
+    x^2 < 2^128, so each has at most 17 signed digits.  The rows are
+    walked first for b, the sum is mapped by [x^2] once, and then the rows
+    are walked for a: at most 34 mixed additions and no doubling.
     """
     global _G1_ROWS
     if _G1_ROWS is None:
         _G1_ROWS = _fixed_base_rows((*G1_GEN, 1), _g1_dbl, _batch_affine_g1, _g1_affine_sums)
-    k %= R
-    acc = None
-    for row in _G1_ROWS:
-        if not k:
-            break
-        d = k & 0xFF
-        k >>= 8
-        if d > 128:
-            k += 1
-            x, y = row[256 - d]
-            acc = _g1_add_mixed(acc, (x, P - y))
-        elif d:
-            acc = _g1_add_mixed(acc, row[d])
-    return _g1_to_affine(acc)
+    a, b = _x_sqr_split(k)
+    acc = _fixed_base_walk(_G1_ROWS, b, _g1_add_mixed, g1_neg)
+    if acc is not None:
+        acc = _g1_x_sqr(acc)
+    return _g1_to_affine(_fixed_base_walk(_G1_ROWS, a, _g1_add_mixed, g1_neg, acc))
 
 
 def g2_mul_gen(k):
-    """k * G2 generator; see g1_mul_gen."""
+    """k * G2 generator; see g1_mul_gen.  On G2, [x^2] is psi^2, which
+    maps Jacobian (X, Y, Z) to (BETA^2*X, -Y, Z)."""
     global _G2_ROWS
     if _G2_ROWS is None:
         _G2_ROWS = _fixed_base_rows((*G2_GEN, FQ2_ONE), _g2_dbl, _batch_affine_g2, _g2_affine_sums)
-    k %= R
-    acc = None
-    for row in _G2_ROWS:
-        if not k:
-            break
-        d = k & 0xFF
-        k >>= 8
-        if d > 128:
-            k += 1
-            x, (y0, y1) = row[256 - d]
-            acc = _g2_add_mixed(acc, (x, (P - y0, P - y1)))
-        elif d:
-            acc = _g2_add_mixed(acc, row[d])
-    return _g2_to_affine(acc)
+    a, b = _x_sqr_split(k)
+    acc = _fixed_base_walk(_G2_ROWS, b, _g2_add_mixed, g2_neg)
+    if acc is not None:
+        (x0, x1), (y0, y1), z = acc
+        acc = ((_BETA_SQR * x0 % P, _BETA_SQR * x1 % P), (-y0 % P, -y1 % P), z)
+    return _g2_to_affine(_fixed_base_walk(_G2_ROWS, a, _g2_add_mixed, g2_neg, acc))
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,27 @@ class TestDemoAndAudit:
         bad.write_text("this is not a transcript\n")
         assert main(["audit", str(bad)]) == EXIT_FAILURE
 
+    def test_audit_of_bytes_that_are_not_utf8_is_a_finding(self, tmp_path, demo_seed_7, capsys):
+        garbage = tmp_path / "garbage.transcript"
+        garbage.write_bytes(b"\xff\xfe\x00garbage\x80\n")
+        raw = bytearray(demo_seed_7.encode())
+        raw[len(raw) // 2] = 0xFF
+        corrupted = tmp_path / "corrupted.transcript"
+        corrupted.write_bytes(bytes(raw))
+        for path, offset in ((garbage, 0), (corrupted, len(raw) // 2)):
+            assert main(["audit", str(path)]) == EXIT_FAILURE
+            out = capsys.readouterr().out
+            assert f"byte {offset}: not UTF-8 text" in out and "audit: FAIL" in out
+
+    def test_audit_binds_line_endings(self, tmp_path, demo_seed_7):
+        # the file's bytes are audited as they are: CRLF endings differ
+        crlf = tmp_path / "crlf.transcript"
+        crlf.write_bytes(demo_seed_7.replace("\n", "\r\n").encode())
+        assert main(["audit", str(crlf)]) == EXIT_FAILURE
+        lf = tmp_path / "lf.transcript"
+        lf.write_bytes(demo_seed_7.encode())
+        assert main(["audit", str(lf)]) == EXIT_OK
+
     def test_transcript_carries_loadable_identity_exports(self, tmp_path):
         out = tmp_path / "demo.transcript"
         main(["demo", "--seed", "6", "--out", str(out), "--params", "fast"])

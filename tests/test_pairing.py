@@ -22,7 +22,7 @@ from pufzk.pairing import (
 from pufzk.pairing import curve
 from pufzk.pairing.fields import (
     FQ12_ONE, X_ABS, XI, fq12_cyclotomic_sqr, fq12_pow, fq12_sqr, fq2_add, fq2_inv,
-    fq2_mul, fq2_pow, fq2_sqr, fq2_sqrt, fq_sqrt, P, R,
+    fq2_mul, fq2_neg, fq2_pow, fq2_sqr, fq2_sqrt, fq_sqrt, P, R,
 )
 from pufzk.pairing.pairing import (
     _mul_by_line, final_exponentiation, miller_loop, precompute_g2_lines,
@@ -394,6 +394,16 @@ class TestSubgroupChecks:
         assert curve.PSI_CY == fq2_inv(fq2_pow(XI, (P - 1) // 2))
         assert curve.g2_psi(curve.G2_GEN) == curve.g2_neg(g2_mul_unchecked(curve.G2_GEN, X_ABS))
 
+    def test_psi_squared_is_x_squared_on_g2(self):
+        beta_sqr = curve._BETA_SQR
+        assert beta_sqr != 1 and pow(beta_sqr, 3, P) == 1 and beta_sqr == curve.BETA ** 2 % P
+        rng = random.Random(2009)
+        points = [curve.G2_GEN] + [g2_mul_unchecked(curve.G2_GEN, rng.randrange(1, R)) for _ in range(3)]
+        for pt in points:
+            (x0, x1), y = pt
+            mapped = ((beta_sqr * x0 % P, beta_sqr * x1 % P), fq2_neg(y))
+            assert curve.g2_psi(curve.g2_psi(pt)) == mapped == g2_mul_unchecked(pt, X_ABS * X_ABS)
+
     def test_g1_random_curve_points_agree_with_oracle(self):
         rng = random.Random(1130)
         points = [_random_e1_point(rng) for _ in range(200)]
@@ -505,14 +515,20 @@ class TestEndomorphismMultiplication:
         assert commitment ** c == expected[1]
         assert 0 < counts["_g1_dbl"] <= 128 and counts["_g2_dbl"] == 0
 
+# halves below x^2 (top byte 0xAC) whose signed digits carry into the
+# 17th window, through every window below it
+_CARRY_HALVES = [int("80" + "FF" * 15, 16), int("81" * 16, 16), int("AB" + "FF" * 15, 16)]
 # scalars at the edges of the signed base-256 recoding: digits at and
 # around the sign boundary 128, r and its neighbours, and bytes of 0x80, 0x81
-# and 0xFF below the top byte, which carry through every window
+# and 0xFF below the top byte, which carry through every window; then the
+# edges of the split k = a + b*x^2, with carrying halves as a, as b and as
+# both
 _SIGNED_EDGE_SCALARS = [
-    0, 1, 127, 128, 129, 255, 256, 383, R - 1, R, R + 1, (1 << 255) - 1, (1 << 256) - 1,
+    0, 1, 127, 128, 129, 255, 256, 383, R - 2, R - 1, R, R + 1, (1 << 255) - 1, (1 << 256) - 1,
     0x70 << 248 | int("80" * 31, 16), 0x70 << 248 | int("81" * 31, 16),
     0x70 << 248 | int("FF" * 31, 16),
-]
+    _X_SQR - 1, _X_SQR, _X_SQR + 1, (R - 1) // _X_SQR * _X_SQR + (_X_SQR - 1),
+] + [k for h in _CARRY_HALVES for k in (h, h * _X_SQR, h * _X_SQR + h)]
 _GENERATORS = [
     (curve.g1_mul_gen, g1_mul_unchecked, curve.G1_GEN),
     (curve.g2_mul_gen, g2_mul_unchecked, curve.G2_GEN),
@@ -525,6 +541,17 @@ def _fixed_base_rows(group, windows):
     return curve._fixed_base_rows(
         base, getattr(curve, f"_{group}_dbl"), getattr(curve, f"_batch_affine_{group}"),
         getattr(curve, f"_{group}_affine_sums"), windows=windows)
+
+
+def _signed_digits(k):
+    """Signed base-256 digits in [-127, 128], least significant first,
+    written out independently of curve._signed_digits."""
+    digits = []
+    while k:
+        d = (k + 127) % 256 - 127
+        digits.append(d)
+        k = (k - d) >> 8
+    return digits
 
 
 class TestFixedBaseMultiplication:
@@ -552,10 +579,22 @@ class TestFixedBaseMultiplication:
             for d in range(1, 129):
                 assert row[d] == ladder(gen, d << 8 * i)
 
+    def test_split_halves_carry_into_the_last_row(self):
+        for h in _CARRY_HALVES:
+            assert h < _X_SQR and len(_signed_digits(h)) == 17
+
+    def test_module_tables_hold_17_rows_of_128_points(self):
+        curve.g1_mul_gen(1)
+        curve.g2_mul_gen(1)
+        for rows in (curve._G1_ROWS, curve._G2_ROWS):
+            assert len(rows) == 17 and all(len(row) == 129 and row[0] is None for row in rows)
+
     def test_operation_counts(self, monkeypatch):
-        # exact counts, independent of host speed: a table holds 32 rows
+        # exact counts, independent of host speed: a table holds 17 rows
         # of 128 points, its build runs a fixed number of inversions
-        # whatever the row count, and a multiplication no doubling
+        # whatever the row count, and a multiplication no doubling and one
+        # mixed addition per nonzero signed digit of each half of
+        # k = a + b*x^2
         counts = {"fq_inv": 0, "_g1_dbl": 0, "_g2_dbl": 0, "_g1_add_mixed": 0, "_g2_add_mixed": 0}
         for name in counts:
             def counted(*args, _name=name, _fn=getattr(curve, name)):
@@ -564,11 +603,11 @@ class TestFixedBaseMultiplication:
             monkeypatch.setattr(curve, name, counted)
         for group in ("g1", "g2"):
             inversions = []
-            for windows in (2, 32):
+            for windows in (2, 17):
                 counts["fq_inv"] = 0
                 rows = _fixed_base_rows(group, windows)
                 inversions.append(counts["fq_inv"])
-            assert len(rows) == 32 and sum(len(row) - 1 for row in rows) == 32 * 128
+            assert len(rows) == 17 and sum(len(row) - 1 for row in rows) == 17 * 128
             assert inversions[0] == inversions[1] <= 2 * 7 + 1
         rng = random.Random(12)
         for mul_gen, _, _ in _GENERATORS:
@@ -578,7 +617,9 @@ class TestFixedBaseMultiplication:
                     counts[name] = 0
                 mul_gen(k)
                 assert counts["_g1_dbl"] == counts["_g2_dbl"] == 0
-                assert counts["_g1_add_mixed"] + counts["_g2_add_mixed"] <= 32
+                b, a = divmod(k % R, _X_SQR)
+                nonzero = sum(d != 0 for half in (a, b) for d in _signed_digits(half))
+                assert counts["_g1_add_mixed"] + counts["_g2_add_mixed"] == nonzero
 
 
 class TestVectorFile:
