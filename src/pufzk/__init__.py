@@ -19,7 +19,6 @@ Layering, bottom up:
 
 from .identity import (
     CertificateAuthority,
-    DeviceIdentity,
     KeyPair,
     RegistrationError,
     compute_device_id,
@@ -37,7 +36,7 @@ from .pairing import (
     multi_pair,
     pair,
 )
-from .params import PRESETS, ParamSet, resolve_params
+from .params import PRESETS, ParamSet
 from .protocol import Device, Session, Verifier, run_authentication, run_transaction
 from .puf import PufDevice, generate_challenges, puf_eval_raw, puf_new, puf_respond
 from .zkp import (

@@ -4,7 +4,7 @@ Each iteration runs one complete enroll -> authenticate -> transact
 cycle with a fresh device, bracketing the named stages with a monotonic
 clock.  The authentication stages time the device's own steps, the
 same code ``Device.build_auth_proof`` runs: ``input_prep_ms`` is the
-ledger read of the challenges and epoch (``Device.auth_inputs``),
+ledger read of the device's record (``Ledger.load_device``),
 ``puf_response_ms`` the PUF evaluation, and ``proof_gen_ms`` the
 statement building and proving (``Device.prove_auth``).  A warm-up
 iteration runs first and is excluded from the records and aggregates.
@@ -195,26 +195,25 @@ def run_bench(iterations: int = 50, seed: int = 0,
         screened = generate_stable_challenges(puf, np_rng, params.challenge_count)
         challenge_gen_ms = (_now() - t) * 1000.0
 
-        identity, keypair = register_device(
+        device = Device(puf, *register_device(
             puf, ca, ledger, rng, np_rng, params, challenges=screened,
-        )
-        device = Device(puf=puf, identity=identity, keypair=keypair)
+        ))
 
-        session = verifier.begin_session(identity.device_id)
+        session = verifier.begin_session(device.device_id)
 
         t = _now()
-        challenges, epoch = device.auth_inputs(ledger)
+        stored = ledger.load_device(device.device_id)
         input_prep_ms = (_now() - t) * 1000.0
 
         t = _now()
-        responses = puf_respond(puf, challenges, eval_rng=np_rng)
+        responses = puf_respond(puf, stored.challenges, eval_rng=np_rng)
         puf_response_ms = (_now() - t) * 1000.0
 
         t = _now()
-        proof_bytes = device.prove_auth(responses, epoch, session.nonce, rng)
+        proof_bytes = device.prove_auth(stored, responses, session.nonce, rng)
         proof_gen_ms = (_now() - t) * 1000.0
 
-        request = AuthRequest(identity.device_id, proof_bytes, session.nonce).to_bytes()
+        request = AuthRequest(device.device_id, proof_bytes, session.nonce).to_bytes()
         t = _now()
         decision = verifier.handle_auth_request(request)
         verify_ms = (_now() - t) * 1000.0

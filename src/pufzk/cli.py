@@ -17,7 +17,7 @@ import math
 import sys
 
 from .bench import run_bench, validate_report
-from .params import ENV_VAR, PRESETS, resolve_params
+from .params import PRESETS
 from .scenarios import MAX_SCALE, SUITE_NAMES, audit_transcript, run_attack_suite, run_demo
 
 EXIT_OK = 0
@@ -53,6 +53,11 @@ def _scale(text: str) -> float:
     return scale
 
 
+def _add_params(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--params", choices=sorted(PRESETS), default="default",
+                        help="parameter preset")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pufzk", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -62,9 +67,7 @@ def _build_parser() -> _Parser:
     bench.add_argument("--iterations", type=int, default=50)
     bench.add_argument("--seed", type=_seed, default=0)
     bench.add_argument("--out", default=None, help="path for the JSON report")
-    bench.add_argument("--params", default=None,
-                       help=f"parameter preset ({', '.join(sorted(PRESETS))}); "
-                            f"env {ENV_VAR} overrides the default")
+    _add_params(bench)
 
     attack = sub.add_parser("attack", help="run the adversary suite")
     attack.add_argument("--out", default=None, help="path for the JSON summary")
@@ -74,13 +77,13 @@ def _build_parser() -> _Parser:
     attack.add_argument("--scale", type=_scale, default=1.0,
                         help=f"scale factor for trial counts, above 0 and at most "
                              f"{MAX_SCALE:g} (below 1 for quick runs)")
-    attack.add_argument("--params", default=None)
+    _add_params(attack)
 
     demo = sub.add_parser("demo", help="deterministic protocol walkthrough")
     demo.add_argument("--seed", type=_seed, default=0)
     demo.add_argument("--out", default="demo.transcript",
                       help="transcript output path (line-delimited hex)")
-    demo.add_argument("--params", default=None)
+    _add_params(demo)
 
     audit = sub.add_parser("audit", help="run a transcript's demo again and compare the bytes")
     audit.add_argument("path", help="transcript file produced by demo, whose meta line "
@@ -90,11 +93,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        params = resolve_params(args.params)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    params = PRESETS[args.params]
     if args.iterations < 1:
         print("error: --iterations must be >= 1", file=sys.stderr)
         return EXIT_USAGE
@@ -117,11 +116,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    try:
-        params = resolve_params(args.params)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    params = PRESETS[args.params]
     suites = None
     if args.suite is not None:
         names = tuple(s.strip() for s in args.suite.split(",") if s.strip())
@@ -149,11 +144,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    try:
-        params = resolve_params(args.params)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    params = PRESETS[args.params]
     transcript, summary = run_demo(seed=args.seed, params=params)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -4,7 +4,9 @@ Enrollment follows the registration flow end to end: draw challenges,
 collect stabilised responses, mint a key pair, derive the device
 identifier from the public key and the responses, obtain a CA
 certificate, and commit the whole tuple to the ledger in one atomic
-registration transaction.
+registration transaction.  That ledger record is the registration's only
+copy: the device keeps its PUF, its id and its key pair, and reads
+everything else back from the ledger.
 
 The CA stands in for a Fabric MSP, which issues ECDSA certificates; here
 it signs with a pairing-free Schnorr signature in G1 over the device id,
@@ -12,7 +14,7 @@ key, role, serial and a digest of the commitment, fingerprint and
 challenge set, so the register chaincode checks a certificate without a
 pairing.
 
-The response commitment stored alongside the identity is the G1 image
+The response commitment in the registration record is the G1 image
 of the hashed response bits; authentication later proves knowledge of
 its exponent without revealing the responses.  A device fingerprint
 (responses to a fixed public probe set) lets the registration chaincode
@@ -28,7 +30,7 @@ from typing import Set, Tuple
 
 import numpy as np
 
-from .ledger import Ledger, decode_device_record
+from .ledger import Ledger
 from .pairing import DecodeError, DomainTag, G1Element, G2Element, Scalar, hash_to_scalar
 from .params import ParamSet, DEFAULT_PARAMS
 from .puf import (
@@ -39,8 +41,7 @@ from .puf import (
     challenges_to_bytes,
     responses_to_bytes,
 )
-from .wire import (Certificate, DeviceRecord, TransactionRecord, WireError, _done, _get_field,
-                   _put_field, registration_binding)
+from .wire import Certificate, DeviceRecord, TransactionRecord, WireError, registration_binding
 from .zkp import schnorr_sign, schnorr_verify
 from .zkp import sign, verify_sig  # noqa: F401  (bound here for the benchmark tracer's hooks)
 
@@ -64,42 +65,6 @@ class KeyPair:
     def generate(cls, rng) -> "KeyPair":
         sk = Scalar.random(rng)
         return cls(sk=sk, pk=G2Element.generator() ** sk)
-
-
-@dataclass(frozen=True)
-class DeviceIdentity:
-    """A registered identity as stored on the ledger."""
-
-    device_id: bytes
-    pk: G2Element
-    challenge_set: np.ndarray
-    response_commitment: G1Element
-    fingerprint: bytes
-    certificate: Certificate
-
-    def export(self) -> bytes:
-        """Self-describing versioned binary record."""
-        record = DeviceRecord(
-            device_id=self.device_id,
-            pk_bytes=self.pk.to_bytes(),
-            commitment_bytes=self.response_commitment.to_bytes(),
-            fingerprint=self.fingerprint,
-            cert_bytes=self.certificate.to_bytes(),
-            challenge_bytes=challenges_to_bytes(self.challenge_set),
-        )
-        buf = bytearray(b"PZID\x01")
-        _put_field(buf, record.to_bytes(), width=4)
-        return bytes(buf)
-
-    @classmethod
-    def load(cls, data: bytes) -> "DeviceIdentity":
-        if data[:5] != b"PZID\x01":
-            raise WireError("bad identity export header")
-        raw, off = _get_field(data, 5, width=4)
-        _done(data, off)
-        record, pk, commitment, challenges = decode_device_record(raw)
-        return cls(record.device_id, pk, challenges, commitment, record.fingerprint,
-                   Certificate.from_bytes(record.cert_bytes))
 
 
 class CertificateAuthority:
@@ -159,14 +124,15 @@ def device_fingerprint(puf: PufDevice) -> bytes:
 
 def register_device(puf: PufDevice, ca: CertificateAuthority, ledger: Ledger,
                     rng, np_rng=None, params: ParamSet = DEFAULT_PARAMS,
-                    challenges=None) -> Tuple[DeviceIdentity, KeyPair]:
+                    challenges=None) -> Tuple[bytes, KeyPair]:
     """Enroll a device: challenges, responses, keys, identifier,
     certificate, and one atomic ledger registration.
 
     The enrolled responses are the unanimous bits observed while
     screening the challenges, so every stored bit is the device's
-    majority answer.  Returns the registered identity together with the
-    device key pair (the secret key never appears on the ledger).
+    majority answer.  Returns the device id together with the device key
+    pair (the secret key never appears on the ledger); the ledger record
+    under that id is the only copy of the registration.
     ``challenges`` may be supplied pre-generated as the (challenges,
     responses) pair from ``generate_stable_challenges`` (the benchmark
     times that stage itself).
@@ -203,12 +169,4 @@ def register_device(puf: PufDevice, ca: CertificateAuthority, ledger: Ledger,
     result = ledger.invoke("register", tx)
     if not result:
         raise RegistrationError(result.reason)
-    identity = DeviceIdentity(
-        device_id=device_id,
-        pk=keypair.pk,
-        challenge_set=challenges,
-        response_commitment=commitment,
-        fingerprint=fingerprint,
-        certificate=cert,
-    )
-    return identity, keypair
+    return device_id, keypair

@@ -181,6 +181,12 @@ class StoredDevice(NamedTuple):
     challenges: ChallengeSet
     epoch: int
 
+    def auth_statement(self, nonce: bytes) -> zkp.AuthStatement:
+        """The authentication statement for session ``nonce`` at the
+        stored epoch: what the device proves and the rotate chaincode
+        verifies."""
+        return zkp.AuthStatement(self.record.device_id, self.pk, self.commitment, self.epoch, nonce)
+
 
 class _Stored:
     """A committed value: where its bytes sit in the ledger's file, and
@@ -500,10 +506,9 @@ def _cc_rotate(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     stored = _stored_device(state, tx.device_id)
     if tx.payload or tx.signature:
         raise ChaincodeRejection("malformed rotation: payload and signature must be empty")
-    statement = zkp.AuthStatement(tx.device_id, stored.pk, stored.commitment, stored.epoch, tx.nonce)
     try:
         proof = zkp.CorrectedAuthProof.from_bytes(tx.proof)
-        if zkp.auth_verify_corrected(statement, proof):
+        if zkp.auth_verify_corrected(stored.auth_statement(tx.nonce), proof):
             return {f"subset/{tx.device_id.hex()}": SubsetRecord(stored.epoch + 1).to_bytes()}
         # verification compares the commitments as bytes; only a
         # rejection pays to tell an undecodable one apart

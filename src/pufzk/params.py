@@ -1,12 +1,9 @@
-"""Named parameter sets for the PUF and protocol layers.
-
-The CLI accepts ``--params <name>``; the ``PUFZK_PARAMS`` environment
-variable overrides the default when no flag is given.
+"""Named parameter sets for the PUF and protocol layers, which the CLI
+selects with ``--params <name>``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 
@@ -24,20 +21,3 @@ PRESETS = {
 }
 
 DEFAULT_PARAMS = PRESETS["default"]
-
-ENV_VAR = "PUFZK_PARAMS"
-
-
-def resolve_params(name: str | None = None) -> ParamSet:
-    """Pick a preset: explicit name wins, then the environment
-    variable, then the default set."""
-    if name is None:
-        name = os.environ.get(ENV_VAR)
-    if name is None:
-        return DEFAULT_PARAMS
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown parameter set {name!r}; available: {', '.join(sorted(PRESETS))}"
-        ) from None

@@ -4,6 +4,11 @@ Message flow is in-process but wire-faithful: every exchange is encoded
 to the tagged byte format before the receiving side parses it, so a
 man-in-the-middle mutator operates on real message bytes.
 
+A device keeps its PUF, its id and its key pair, nothing more.  To
+prove, it reads its registration from the ledger and builds its
+statement with :meth:`StoredDevice.auth_statement`, as the rotate
+chaincode does to verify, so the two sides share one statement builder.
+
 The verifier role is distinct from the ledger, and it keeps no
 per-device memory.  Its 16-byte session nonce is the device's challenge
 epoch and a MAC over (device id, epoch) under the verifier's key, so
@@ -34,13 +39,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import zkp
-from .identity import (
-    CertificateAuthority,
-    DeviceIdentity,
-    KeyPair,
-    register_device,
-    response_scalar,
-)
+from .identity import CertificateAuthority, KeyPair, register_device, response_scalar
 from .ledger import Ledger, RecordError, StoredDevice, rotate_challenges
 from .pairing import Scalar
 from .params import DEFAULT_PARAMS, ParamSet
@@ -84,60 +83,39 @@ class Session:
 
 @dataclass
 class Device:
-    """A device actor: the physical PUF, its keys, and its identity."""
+    """A device actor: the physical PUF, its id and its keys.  Its
+    registration lives on the ledger alone, which it reads to prove."""
 
     puf: PufDevice
-    identity: DeviceIdentity
+    device_id: bytes
     keypair: KeyPair
 
     @classmethod
     def enroll(cls, puf: PufDevice, ca: CertificateAuthority, ledger: Ledger, rng,
                np_rng=None, params: ParamSet = DEFAULT_PARAMS) -> "Device":
-        identity, keypair = register_device(puf, ca, ledger, rng, np_rng, params)
-        return cls(puf=puf, identity=identity, keypair=keypair)
-
-    @property
-    def device_id(self) -> bytes:
-        return self.identity.device_id
+        return cls(puf, *register_device(puf, ca, ledger, rng, np_rng, params))
 
     def build_auth_proof(self, ledger: Ledger, nonce: bytes, rng, np_rng=None) -> bytes:
-        """Fetch challenges from the ledger, regenerate responses, and
-        build the authentication proof as wire bytes."""
-        challenges, epoch = self.auth_inputs(ledger)
-        responses = puf_respond(self.puf, challenges, eval_rng=np_rng)
-        return self.prove_auth(responses, epoch, nonce, rng)
+        """Read the device's record from the ledger, regenerate the
+        responses to its challenges, and build the authentication proof
+        as wire bytes.  A device missing from this ledger gets its
+        ``KeyError``, and a stored record that does not load its
+        :class:`RecordError`."""
+        stored = ledger.load_device(self.device_id)
+        responses = puf_respond(self.puf, stored.challenges, eval_rng=np_rng)
+        return self.prove_auth(stored, responses, nonce, rng)
 
-    def auth_inputs(self, ledger: Ledger):
-        """The challenges to answer and their epoch, read from the ledger.
-
-        A device missing from this ledger (deregistered, or talking to
-        the wrong network) or whose stored record does not load falls
-        back to its local identity copy; the verifier then rejects the
-        request as unregistered or as a malformed record."""
-        try:
-            stored = ledger.load_device(self.device_id)
-        except (KeyError, RecordError):
-            return self.identity.challenge_set, 0
-        return stored.challenges, stored.epoch
-
-    def prove_auth(self, responses, epoch: int, nonce: bytes, rng) -> bytes:
-        """The authentication proof over the PUF responses, as wire
-        bytes."""
-        statement = zkp.AuthStatement(
-            device_id=self.device_id,
-            pk=self.identity.pk,
-            response_commitment=self.identity.response_commitment,
-            challenge_epoch=epoch,
-            session_nonce=nonce,
-        )
+    def prove_auth(self, stored: StoredDevice, responses, nonce: bytes, rng) -> bytes:
+        """The authentication proof over the PUF responses for the
+        statement at the stored epoch, as wire bytes."""
         witness = zkp.AuthWitness(sk=self.keypair.sk, response_scalar=response_scalar(responses))
-        return zkp.auth_prove_corrected(statement, witness, rng).to_bytes()
+        return zkp.auth_prove_corrected(stored.auth_statement(nonce), witness, rng).to_bytes()
 
     def build_tx_submit(self, payload: bytes, rng) -> TransactionRecord:
         nonce = rng.getrandbits(128).to_bytes(zkp.NONCE_LEN, "big")
         statement = zkp.TxStatement(
             device_id=self.device_id,
-            pk=self.identity.pk,
+            pk=self.keypair.pk,
             payload_digest=hashlib.sha256(payload).digest(),
             tx_nonce=nonce,
         )
@@ -208,12 +186,13 @@ class Verifier:
 
     def handle_tx_submit(self, data: bytes) -> TxDecision:
         """Forward a transaction to the ledger's submit chaincode, which
-        decides whether the device may submit."""
+        decides whether the device may submit.  A record naming another
+        chaincode is malformed."""
         try:
             msg = decode_message(data)
         except WireError:
             return TxDecision(False, "malformed")
-        if not isinstance(msg, TxSubmit):
+        if not isinstance(msg, TxSubmit) or msg.record.chaincode != "submit":
             return TxDecision(False, "malformed")
         result = self.ledger.invoke("submit", msg.record)
         return TxDecision(bool(result), result.reason)
@@ -317,12 +296,11 @@ def attack_replay(recorded: Session, verifier: Verifier, ledger: Ledger,
 
 def deliver_forged_proof(verifier: Verifier, stored: StoredDevice, prove) -> AuthDecision:
     """Open a session for a registered device and deliver the
-    corrected-mode proof that ``prove(statement)`` builds from its
-    public record."""
+    corrected-mode proof that ``prove(statement)`` builds for its
+    public record, at the record's stored epoch."""
     device_id = stored.record.device_id
     session = verifier.begin_session(device_id)
-    statement = zkp.AuthStatement(device_id, stored.pk, stored.commitment,
-                                  session.epoch, session.nonce)
+    statement = stored.auth_statement(session.nonce)
     raw = AuthRequest(device_id, prove(statement).to_bytes(), session.nonce).to_bytes()
     return verifier.handle_auth_request(raw)
 

@@ -47,11 +47,12 @@ def puf_new(device_seed: int, noise_ratio: float) -> PufDevice:
     """Create a device with seed-determined weights.
 
     Distinct seeds give independent weight vectors; the same seed always
-    reproduces the same device.
+    reproduces the same device.  Any non-negative integer is a seed; a
+    negative one raises ``ValueError``.
     """
     if noise_ratio < 0:
         raise ValueError(f"noise_ratio must be >= 0, got {noise_ratio}")
-    weights = np.random.default_rng(np.uint64(device_seed)).standard_normal(CHALLENGE_BITS + 1)
+    weights = np.random.default_rng(device_seed).standard_normal(CHALLENGE_BITS + 1)
     return PufDevice(device_seed=int(device_seed), noise_ratio=float(noise_ratio), stage_weights=weights)
 
 

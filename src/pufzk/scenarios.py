@@ -320,18 +320,37 @@ def _mode_downgrade(device: Device, verifier: Verifier, ledger: Ledger, auth_pro
         auth_proof,
     ]
 
+    return _resent_submits("mode-downgrade", device, verifier, ledger, [
+        dataclasses.replace(record, proof=proof, nonce=rng.randbytes(zkp.NONCE_LEN))
+        for proof in proofs])
+
+
+def _mislabeled_submits(device: Device, verifier: Verifier, ledger: Ledger,
+                        rng) -> AttackOutcome:
+    """An honest submit of the authenticated device, sent through the
+    verifier with its chaincode field relabelled to another chaincode's
+    name, to no name and to a near miss."""
+    record = device.build_tx_submit(b"reading", rng)
+    return _resent_submits("mislabeled-submit", device, verifier, ledger, [
+        dataclasses.replace(record, chaincode=name)
+        for name in ("rotate", "register", "bootstrap", "", "sucmit")])
+
+
+def _resent_submits(name: str, device: Device, verifier: Verifier, ledger: Ledger,
+                    records: List[TransactionRecord]) -> AttackOutcome:
+    """Send each record through the verifier as a submit.  A breach is
+    an accept or any move of the state digest, the height or the
+    device's data sequence number."""
     def observed():
         return ledger.state_digest(), ledger.height, ledger.get(f"dataseq/{device.device_id.hex()}")
 
     breaches, reasons = 0, []
-    for proof in proofs:
+    for record in records:
         before = observed()
-        resent = dataclasses.replace(record, proof=proof, nonce=rng.randbytes(zkp.NONCE_LEN))
-        decision = verifier.handle_tx_submit(TxSubmit(resent).to_bytes())
+        decision = verifier.handle_tx_submit(TxSubmit(record).to_bytes())
         breaches += int(decision.accept or observed() != before)
         reasons.append(decision.reason)
-    return AttackOutcome("mode-downgrade", len(proofs), breaches,
-                         "; ".join(dict.fromkeys(reasons)))
+    return AttackOutcome(name, len(records), breaches, "; ".join(dict.fromkeys(reasons)))
 
 
 def _literal_defect_demos(device: Device, ledger: Ledger, setup: zkp.TrustSetup,
@@ -343,7 +362,8 @@ def _literal_defect_demos(device: Device, ledger: Ledger, setup: zkp.TrustSetup,
     answering its stored challenges with its PUF and key."""
     setup_one = zkp.TrustSetup(None, zkp.trust_setup(rng, forced_alpha=1).pk_setup)
     setup_rand = zkp.TrustSetup(None, setup.pk_setup)
-    responses = responses_to_bytes(puf_respond(device.puf, device.auth_inputs(ledger)[0]))
+    responses = responses_to_bytes(puf_respond(device.puf,
+                                               ledger.load_device(device.device_id).challenges))
     recorded = zkp.auth_prove_literal(None, responses, device.keypair.sk, rng)
     witness_commit = G1Element.generator() ** Scalar.random(rng)
     return {
@@ -454,6 +474,7 @@ def run_attack_suite(seed: int = 0, params: ParamSet = DEFAULT_PARAMS,
         report.outcomes.append(_anonymous_rotations(device, device_b, request, ledger, rng, np_rng))
         report.outcomes.append(_mode_downgrade(device, verifier, ledger, request.proof, rng))
         report.outcomes.append(_leaked_key_submit(ca, verifier, ledger, rng, np_rng, params))
+        report.outcomes.append(_mislabeled_submits(device, verifier, ledger, rng))
 
     if "literal-defects" in suites:
         report.literal_defects = _literal_defect_demos(device, ledger, setup, rng)
@@ -506,8 +527,6 @@ def run_demo(seed: int = 0, params: ParamSet = DEFAULT_PARAMS) -> Tuple[str, Dic
     lines.append("ledger " + ledger.export_log().hex())
     lines.append("state " + ledger.state_digest().hex())
     lines.append("head " + ledger.head_digest().hex())
-    for device in (device_a, device_b):
-        lines.append("identity " + device.identity.export().hex())
     for session in sessions:
         header = (
             session.session_id

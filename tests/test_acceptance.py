@@ -115,7 +115,8 @@ def test_criterion_2_corrected_soundness(stack):
     statement = fresh_statement()
     honest_witness = zkp.AuthWitness(
         sk=device.keypair.sk,
-        response_scalar=response_scalar(puf_respond(device.puf, device.identity.challenge_set, 9)),
+        response_scalar=response_scalar(
+            puf_respond(device.puf, ledger.load_device(device.device_id).challenges, 9)),
     )
     mutations = [
         lambda p: dataclasses.replace(p, resp_sk=p.resp_sk + 1),

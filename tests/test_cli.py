@@ -1,6 +1,5 @@
 """CLI surface: subcommands, exit codes, artifacts."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -9,15 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pufzk.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
-from pufzk.identity import DeviceIdentity
-from pufzk.params import ENV_VAR, PRESETS
+from pufzk.params import PRESETS
 from pufzk.scenarios import MAX_SCALE, audit_transcript, run_attack_suite, run_demo
 
 HEX = "0123456789abcdef"
 
 # SHA-256 of the `demo --seed 7` transcript.  A change that means to
 # alter transcripts updates this digest and says so.
-DEMO_SEED_7_SHA256 = "a4e211beac68884a1a03418f179a49acf08170a74463200c43acadbb141ca3ed"
+DEMO_SEED_7_SHA256 = "dab0d4a9f0351c3ad640b741293f7ca348b38f8bbcacf48b5dbe832238f47c2a"
 
 # SHA-256 of that transcript's `ledger` line, the exported transaction
 # log.  It depends on the committed transactions alone, not on how the
@@ -115,12 +113,6 @@ def _reencode_meta_seed(lines):
     lines[1] = _meta(8)
 
 
-def _replace_exported_fingerprint(lines):
-    i = next(i for i, line in enumerate(lines) if line.startswith("identity "))
-    identity = DeviceIdentity.load(bytes.fromhex(lines[i][len("identity "):]))
-    lines[i] = "identity " + dataclasses.replace(identity, fingerprint=bytes(32)).export().hex()
-
-
 class TestDemoAndAudit:
     def test_demo_writes_transcript_and_audit_passes(self, tmp_path):
         out = tmp_path / "demo.transcript"
@@ -186,10 +178,10 @@ class TestDemoAndAudit:
 
     @pytest.mark.parametrize("mutate", [
         _flip_accepted_outcome, _flip_outcome_and_decision, _flip_request_nonce_bit,
-        _replace_exported_fingerprint, _set_decision_flag_3, _flip_accepted_session_header_bit(-1),
+        _set_decision_flag_3, _flip_accepted_session_header_bit(-1),
         _flip_accepted_session_header_bit(44), _flip_request_proof_bit, _flip_session_id_bit,
         _flip_tx_session_epoch_bit, _flip_rejected_request_bit, _reencode_meta_seed,
-    ], ids=["outcome", "outcome-and-decision", "request-nonce", "identity-fingerprint",
+    ], ids=["outcome", "outcome-and-decision", "request-nonce",
             "decision-flag", "session-epoch", "session-nonce", "request-proof", "session-id",
             "tx-session-epoch", "rejected-request", "meta-seed"])
     def test_audit_binds_recorded_decisions(self, demo_seed_7, mutate):
@@ -247,31 +239,15 @@ class TestDemoAndAudit:
         lf.write_bytes(demo_seed_7.encode())
         assert main(["audit", str(lf)]) == EXIT_OK
 
-    def test_transcript_carries_loadable_identity_exports(self, tmp_path):
-        out = tmp_path / "demo.transcript"
-        main(["demo", "--seed", "6", "--out", str(out), "--params", "fast"])
-        blobs = [line.split()[1] for line in out.read_text().splitlines()
-                 if line.startswith("identity ")]
-        assert len(blobs) == 2
-        for blob in blobs:
-            identity = DeviceIdentity.load(bytes.fromhex(blob))
-            assert len(identity.device_id) == 32
+    def test_transcript_line_kinds(self, demo_lines):
+        kinds = [line.partition(" ")[0] for line in demo_lines[1:]]
+        assert kinds[:4] == ["meta", "ledger", "state", "head"] and kinds[-1] == "chain"
+        assert set(kinds[4:-1]) == {"session", "msg", "outcome"}
 
-    def test_audit_detects_identity_mismatch(self, tmp_path):
+    def test_demo_with_a_seed_of_2_to_the_64_audits_clean(self, tmp_path):
         out = tmp_path / "demo.transcript"
-        main(["demo", "--seed", "6", "--out", str(out), "--params", "fast"])
-        lines = out.read_text().splitlines()
-        for i, line in enumerate(lines):
-            if line.startswith("identity "):
-                kind, payload = line.split()
-                # flip a byte inside the exported record body
-                raw = bytearray(bytes.fromhex(payload))
-                raw[40] ^= 0xFF
-                lines[i] = f"identity {bytes(raw).hex()}"
-                break
-        bad = tmp_path / "bad.transcript"
-        bad.write_text("\n".join(lines) + "\n")
-        assert main(["audit", str(bad)]) == EXIT_FAILURE
+        assert main(["demo", "--seed", str(2**64), "--out", str(out), "--params", "fast"]) == EXIT_OK
+        assert main(["audit", str(out)]) == EXIT_OK
 
 
 class TestBenchCommand:
@@ -284,14 +260,22 @@ class TestBenchCommand:
         assert report["iterations"] == 2
         assert report["reference_baseline"]["trust_setup_ms"] == 1415.60
 
-    def test_env_var_overrides_default_params(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "fast")
+    def test_environment_does_not_pick_the_preset(self, tmp_path, monkeypatch):
+        """Only --params picks the preset; the variable that once
+        overrode the default is ignored."""
+        monkeypatch.setenv("PUFZK_PARAMS", "fast")
         out = tmp_path / "report.json"
         assert main(["bench", "--iterations", "1", "--out", str(out)]) == EXIT_OK
-        assert json.loads(out.read_text())["params"]["name"] == "fast"
+        assert json.loads(out.read_text())["params"]["name"] == "default"
 
-    def test_unknown_params_usage_error(self):
-        assert main(["bench", "--iterations", "1", "--params", "warp-speed"]) == EXIT_USAGE
+    @pytest.mark.parametrize("command", ["bench", "attack", "demo"])
+    def test_unknown_params_usage_error(self, command, capsys):
+        assert main([command, "--params", "warp-speed"]) == EXIT_USAGE
+        assert "argument --params: invalid choice: 'warp-speed'" in capsys.readouterr().err
+
+    def test_bench_with_a_seed_of_2_to_the_63(self):
+        assert main(["bench", "--seed", str(2**63), "--iterations", "1",
+                     "--params", "fast"]) == EXIT_OK
 
     def test_bad_iterations_usage_error(self):
         assert main(["bench", "--iterations", "0"]) == EXIT_USAGE
@@ -361,6 +345,12 @@ class TestAttackCommand:
         outcome = next(o for o in report.outcomes if o.name == "leaked-key-submit")
         assert outcome.attempts == 2 and outcome.defended
         assert outcome.detail == "unauthenticated"
+
+    def test_mislabeled_submit_defended(self):
+        report = run_attack_suite(seed=9, suites=("tamper",), scale=0.02)
+        outcome = next(o for o in report.outcomes if o.name == "mislabeled-submit")
+        assert outcome.attempts == 5 and outcome.defended
+        assert outcome.detail == "malformed"
 
     def test_suite_selection(self):
         assert main(["attack", "--scale", "0.02", "--suite", "replay"]) == EXIT_OK

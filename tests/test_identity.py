@@ -10,7 +10,6 @@ import pytest
 from pufzk import zkp
 from pufzk.identity import (
     CertificateAuthority,
-    DeviceIdentity,
     KeyPair,
     RegistrationError,
     compute_device_id,
@@ -70,18 +69,20 @@ class TestDeviceId:
 
 class TestRegistration:
     def test_round_trip_of_stored_tuple(self, env):
-        identity, keypair = register_device(
-            puf_new(8100, 0.0), env["ca"], env["ledger"], env["rng"], env["np_rng"])
-        stored = env["ledger"].load_device(identity.device_id)
-        assert stored.pk == identity.pk == keypair.pk
-        assert np.array_equal(stored.challenges, identity.challenge_set)
-        assert stored.commitment == identity.response_commitment
+        puf = puf_new(8100, 0.0)
+        device_id, keypair = register_device(
+            puf, env["ca"], env["ledger"], env["rng"], env["np_rng"])
+        stored = env["ledger"].load_device(device_id)
+        assert stored.record.device_id == device_id
+        assert stored.pk == keypair.pk
+        assert device_id == compute_device_id(keypair.pk, puf_respond(puf, stored.challenges, 9))
 
     def test_commitment_recomputable_from_responses(self, env):
         puf = puf_new(8101, 0.0)
-        identity, _ = register_device(puf, env["ca"], env["ledger"], env["rng"], env["np_rng"])
-        responses = puf_respond(puf, identity.challenge_set, 9)
-        assert identity.response_commitment == G1Element.generator() ** response_scalar(responses)
+        device_id, _ = register_device(puf, env["ca"], env["ledger"], env["rng"], env["np_rng"])
+        stored = env["ledger"].load_device(device_id)
+        responses = puf_respond(puf, stored.challenges, 9)
+        assert stored.commitment == G1Element.generator() ** response_scalar(responses)
 
     def test_duplicate_device_rejected(self, env):
         puf = puf_new(8102, 0.0)
@@ -153,20 +154,21 @@ class TestRegistration:
     def test_hundred_enrollments_unique_ids(self, env):
         ids = set()
         for i in range(100):
-            identity, _ = register_device(
+            device_id, _ = register_device(
                 puf_new(20_000 + i, 0.0), env["ca"], env["ledger"], env["rng"], env["np_rng"])
-            ids.add(identity.device_id)
+            ids.add(device_id)
         assert len(ids) == 100
 
     def test_adversary_device_cannot_reproduce_target_responses(self, env):
         # fixed trial set; every imposter stays far from the target
         target = puf_new(8104, 0.0)
-        identity, _ = register_device(
+        device_id, _ = register_device(
             target, env["ca"], env["ledger"], env["rng"], np.random.default_rng(1234))
-        target_responses = puf_respond(target, identity.challenge_set, 9)
+        challenges = env["ledger"].load_device(device_id).challenges
+        target_responses = puf_respond(target, challenges, 9)
         for k in range(50):
             imposter = puf_new(94_000 + k, 0.0)
-            imposter_responses = puf_respond(imposter, identity.challenge_set, 9)
+            imposter_responses = puf_respond(imposter, challenges, 9)
             assert fractional_hamming(target_responses, imposter_responses) >= 0.4
 
     @pytest.mark.parametrize("seed", [2850, 4181, 5399])
@@ -176,9 +178,9 @@ class TestRegistration:
         # device's noiseless twin.
         device = Device.enroll(puf_new(seed, 0.05), env["ca"], env["ledger"], env["rng"],
                                np_rng=np.random.default_rng(seed))
-        identity = device.identity
-        twin = puf_respond(puf_new(seed, 0.0), identity.challenge_set, 1)
-        assert identity.response_commitment == G1Element.generator() ** response_scalar(twin)
+        stored = env["ledger"].load_device(device.device_id)
+        twin = puf_respond(puf_new(seed, 0.0), stored.challenges, 1)
+        assert stored.commitment == G1Element.generator() ** response_scalar(twin)
 
     def test_fingerprint_stable_per_device(self):
         assert device_fingerprint(puf_new(1, 0.0)) == device_fingerprint(puf_new(1, 0.0))
@@ -251,26 +253,12 @@ class TestCertificates:
         assert b.serial == a.serial + 1
 
 
-class TestIdentityExport:
-    def test_round_trip(self, env):
-        identity, _ = register_device(
-            puf_new(8105, 0.0), env["ca"], env["ledger"], env["rng"], env["np_rng"])
-        loaded = DeviceIdentity.load(identity.export())
-        assert loaded.device_id == identity.device_id
-        assert loaded.pk == identity.pk
-        assert np.array_equal(loaded.challenge_set, identity.challenge_set)
-        assert loaded.response_commitment == identity.response_commitment
-        assert loaded.certificate == identity.certificate
-
-    def test_binding_recomputes_after_export(self, env):
-        identity, _ = register_device(
-            puf_new(8106, 0.0), env["ca"], env["ledger"], env["rng"], env["np_rng"])
-        loaded = DeviceIdentity.load(identity.export())
-        assert loaded.fingerprint == identity.fingerprint
-        binding = registration_binding(loaded.response_commitment.to_bytes(), loaded.fingerprint,
-                                       challenges_to_bytes(loaded.challenge_set))
-        assert binding == loaded.certificate.binding
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(WireError):
-            DeviceIdentity.load(b"NOPE\x01\x00\x00\x00\x00")
+class TestStoredRecord:
+    def test_binding_recomputes_from_the_stored_record(self, env):
+        puf = puf_new(8106, 0.0)
+        device_id, _ = register_device(puf, env["ca"], env["ledger"], env["rng"], env["np_rng"])
+        stored = env["ledger"].load_device(device_id)
+        assert stored.record.fingerprint == device_fingerprint(puf)
+        binding = registration_binding(stored.commitment.to_bytes(), stored.record.fingerprint,
+                                       challenges_to_bytes(stored.challenges))
+        assert binding == Certificate.from_bytes(stored.record.cert_bytes).binding

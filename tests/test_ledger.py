@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pufzk import zkp
-from pufzk.identity import CertificateAuthority, KeyPair, register_device
+from pufzk.identity import CertificateAuthority, KeyPair, register_device, response_scalar
 from pufzk.ledger import (
     GENESIS_PREV_HASH,
     ChaincodeRejection,
@@ -28,7 +28,7 @@ from pufzk.ledger import (
 )
 from pufzk.pairing import ORDER, DecodeError, G1Element, G2Element
 from pufzk.protocol import Device
-from pufzk.puf import puf_new, puf_respond
+from pufzk.puf import challenges_to_bytes, puf_new, puf_respond
 from pufzk.wire import (
     Certificate,
     DeviceRecord,
@@ -50,38 +50,35 @@ def env():
     setup = zkp.trust_setup(rng)
     ledger = ledger_new()
     assert bootstrap(ledger, setup.pk_setup, ca.pk)
-    identity, keypair = register_device(puf_new(7000, 0.0), ca, ledger, rng, np_rng)
-    _authenticate(ledger, identity, keypair, 7000, rng)
+    device_id, keypair = register_device(puf_new(7000, 0.0), ca, ledger, rng, np_rng)
+    _authenticate(ledger, device_id, keypair, 7000, rng)
     return {
         "rng": rng, "np_rng": np_rng, "ca": ca, "setup": setup,
-        "ledger": ledger, "identity": identity, "keypair": keypair,
+        "ledger": ledger, "device_id": device_id, "keypair": keypair,
     }
 
 
-def _authenticate(ledger, identity, keypair, puf_seed, rng):
+def _authenticate(ledger, device_id, keypair, puf_seed, rng):
     """Commit the device's rotation for its current epoch, as an
     accepted authentication does, so that the submit chaincode admits
     it."""
-    device = Device(puf_new(puf_seed, 0.0), identity, keypair)
     nonce = rng.randbytes(16)
-    challenges, epoch = device.auth_inputs(ledger)
-    proof = device.prove_auth(puf_respond(device.puf, challenges), epoch, nonce, rng)
-    assert rotate_challenges(ledger, identity.device_id, nonce, proof)
+    proof = Device(puf_new(puf_seed, 0.0), device_id, keypair).build_auth_proof(ledger, nonce, rng)
+    assert rotate_challenges(ledger, device_id, nonce, proof)
 
 
-def _submit_record(identity, keypair, payload, rng, nonce=None):
+def _submit_record(device_id, keypair, payload, rng, nonce=None):
     nonce = nonce or rng.getrandbits(128).to_bytes(16, "big")
-    import hashlib
     statement = zkp.TxStatement(
-        device_id=identity.device_id,
-        pk=identity.pk,
+        device_id=device_id,
+        pk=keypair.pk,
         payload_digest=hashlib.sha256(payload).digest(),
         tx_nonce=nonce,
     )
     proof = zkp.tx_prove_corrected(statement, keypair.sk, rng)
     return TransactionRecord(
         payload=payload,
-        device_id=identity.device_id,
+        device_id=device_id,
         signature=zkp.sign(keypair.sk, payload).to_bytes(),
         proof=proof.to_bytes(),
         chaincode="submit",
@@ -107,16 +104,16 @@ class TestInvoke:
     def test_valid_signed_proved_tx_commits(self, env):
         ledger, rng = env["ledger"], env["rng"]
         before_height = ledger.height
-        tx = _submit_record(env["identity"], env["keypair"], b"reading-1", rng)
+        tx = _submit_record(env["device_id"], env["keypair"], b"reading-1", rng)
         result = ledger.invoke("submit", tx)
         assert result
         assert ledger.height == before_height + 1
-        stored = ledger.get_state(f"data/{env['identity'].device_id.hex()}/0")
+        stored = ledger.get_state(f"data/{env['device_id'].hex()}/0")
         assert stored == b"reading-1"
 
     def test_mutated_payload_rejected_state_unchanged(self, env):
         ledger, rng = env["ledger"], env["rng"]
-        tx = _submit_record(env["identity"], env["keypair"], b"reading-2", rng)
+        tx = _submit_record(env["device_id"], env["keypair"], b"reading-2", rng)
         import dataclasses
         tampered = dataclasses.replace(tx, payload=b"reading-2!")
         digest_before = ledger.state_digest()
@@ -126,7 +123,7 @@ class TestInvoke:
 
     def test_corrupted_proof_rejected(self, env):
         ledger, rng = env["ledger"], env["rng"]
-        tx = _submit_record(env["identity"], env["keypair"], b"reading-3", rng)
+        tx = _submit_record(env["device_id"], env["keypair"], b"reading-3", rng)
         import dataclasses
         bad = bytearray(tx.proof)
         bad[10] ^= 0xFF
@@ -136,27 +133,27 @@ class TestInvoke:
     def test_nonce_reuse_rejected(self, env):
         ledger, rng = env["ledger"], env["rng"]
         nonce = rng.getrandbits(128).to_bytes(16, "big")
-        tx = _submit_record(env["identity"], env["keypair"], b"reading-4", rng, nonce=nonce)
+        tx = _submit_record(env["device_id"], env["keypair"], b"reading-4", rng, nonce=nonce)
         assert ledger.invoke("submit", tx)
-        replay = _submit_record(env["identity"], env["keypair"], b"reading-5", rng, nonce=nonce)
+        replay = _submit_record(env["device_id"], env["keypair"], b"reading-5", rng, nonce=nonce)
         result = ledger.invoke("submit", replay)
         assert not result and "nonce" in result.reason
 
     def test_unknown_device_rejected(self, env):
         ledger, rng = env["ledger"], env["rng"]
         import dataclasses
-        tx = _submit_record(env["identity"], env["keypair"], b"x", rng)
+        tx = _submit_record(env["device_id"], env["keypair"], b"x", rng)
         alien = dataclasses.replace(tx, device_id=bytes(32))
         result = ledger.invoke("submit", alien)
         assert not result and "unknown device" in result.reason
 
     def test_unknown_chaincode_raises(self, env):
-        tx = _submit_record(env["identity"], env["keypair"], b"x", env["rng"])
+        tx = _submit_record(env["device_id"], env["keypair"], b"x", env["rng"])
         with pytest.raises(LedgerError):
             env["ledger"].invoke("no-such-chaincode", tx)
 
     def test_chaincode_field_mismatch_raises(self, env):
-        tx = _submit_record(env["identity"], env["keypair"], b"x", env["rng"])
+        tx = _submit_record(env["device_id"], env["keypair"], b"x", env["rng"])
         with pytest.raises(LedgerError):
             env["ledger"].invoke("register", tx)
 
@@ -290,12 +287,13 @@ class TestQueries:
             ledger_new().load_device(bytes(32))
 
     def test_load_device_matches_registration(self, env):
-        identity = env["identity"]
-        stored = env["ledger"].load_device(identity.device_id)
-        key = identity.device_id.hex()
+        stored = env["ledger"].load_device(env["device_id"])
+        key = env["device_id"].hex()
         assert stored.record == DeviceRecord.from_bytes(env["ledger"].get_state(f"identity/{key}"))
-        assert stored.pk == identity.pk and stored.commitment == identity.response_commitment
-        assert np.array_equal(stored.challenges, identity.challenge_set)
+        assert stored.pk == env["keypair"].pk
+        assert stored.commitment == G1Element.generator() ** response_scalar(
+            puf_respond(puf_new(7000, 0.0), stored.challenges))
+        assert challenges_to_bytes(stored.challenges) == stored.record.challenge_bytes
         assert stored.epoch == SubsetRecord.from_bytes(env["ledger"].get_state(f"subset/{key}")).epoch
 
     @pytest.mark.parametrize("case", [
@@ -303,7 +301,7 @@ class TestQueries:
     def test_malformed_device_state_raises_record_error(self, env, case):
         """Device state planted by a foreign chaincode: every malformed
         form of it is one typed error."""
-        record = env["ledger"].load_device(env["identity"].device_id).record
+        record = env["ledger"].load_device(env["device_id"]).record
         device_id = bytes(range(32))
         planted = {
             "identity": dataclasses.replace(record, device_id=device_id).to_bytes(),
@@ -329,15 +327,15 @@ class TestQueries:
 
     def test_rejected_tx_writes_never_visible(self, env):
         ledger, rng = env["ledger"], env["rng"]
-        seq_key = f"dataseq/{env['identity'].device_id.hex()}"
+        seq_key = f"dataseq/{env['device_id'].hex()}"
         seq_before = ledger.get_state(seq_key)
-        tx = _submit_record(env["identity"], env["keypair"], b"phantom", rng)
+        tx = _submit_record(env["device_id"], env["keypair"], b"phantom", rng)
         import dataclasses
         ledger.invoke("submit", dataclasses.replace(tx, signature=b"\x00" * 48))
         assert ledger.get_state(seq_key) == seq_before
         count = int.from_bytes(seq_before, "big")
         with pytest.raises(KeyError):
-            ledger.get_state(f"data/{env['identity'].device_id.hex()}/{count}")
+            ledger.get_state(f"data/{env['device_id'].hex()}/{count}")
 
 
 class TestChainVerification:
@@ -368,10 +366,11 @@ class TestChainVerification:
 def _auth_proof(env, nonce, epoch=None):
     """The env device's corrected-mode authentication proof for session
     ``nonce`` at ``epoch`` (by default its stored one), as wire bytes."""
-    device = Device(puf_new(7000, 0.0), env["identity"], env["keypair"])
-    challenges, stored_epoch = device.auth_inputs(env["ledger"])
-    return device.prove_auth(puf_respond(device.puf, challenges), stored_epoch if epoch is None else epoch,
-                             nonce, env["rng"])
+    device = Device(puf_new(7000, 0.0), env["device_id"], env["keypair"])
+    stored = env["ledger"].load_device(env["device_id"])
+    if epoch is not None:
+        stored = stored._replace(epoch=epoch)
+    return device.prove_auth(stored, puf_respond(device.puf, stored.challenges), nonce, env["rng"])
 
 
 class TestRotation:
@@ -379,7 +378,7 @@ class TestRotation:
         """A rotation carrying the device's proof for its current epoch
         commits once; sent again, the proof no longer verifies."""
         ledger, rng = env["ledger"], env["rng"]
-        device_id = env["identity"].device_id
+        device_id = env["device_id"]
         before = ledger.load_device(device_id).epoch
         height_before = ledger.height
         nonce = rng.randbytes(16)
@@ -404,7 +403,7 @@ class TestRotation:
     ])
     def test_rotation_without_a_valid_current_proof_rejected(self, env, case, reason):
         ledger, rng = env["ledger"], env["rng"]
-        device_id = env["identity"].device_id
+        device_id = env["device_id"]
         current = ledger.load_device(device_id).epoch
         nonce = rng.randbytes(16)
         honest = _auth_proof(env, nonce)
@@ -448,7 +447,7 @@ class TestReplayDeterminism:
         ledger, rng = env["ledger"], env["rng"]
         nonce = rng.randbytes(16)
         proof = _auth_proof(env, nonce)
-        assert rotate_challenges(ledger, env["identity"].device_id, nonce, proof)
+        assert rotate_challenges(ledger, env["device_id"], nonce, proof)
         log = bytearray(ledger.export_log())
         log[log.rindex(proof) + 200] ^= 0x01  # inside resp_sk
         with pytest.raises(LedgerError, match="^replay diverged: "):
@@ -460,9 +459,9 @@ class TestReplayDeterminism:
         rng, np_rng = random.Random(65), np.random.default_rng(65)
         ledger = ledger_new()
         assert bootstrap(ledger, env["setup"].pk_setup, env["ca"].pk)
-        identity, keypair = register_device(puf_new(7065, 0.0), env["ca"], ledger, rng, np_rng)
-        _authenticate(ledger, identity, keypair, 7065, rng)
-        assert ledger.invoke("submit", _submit_record(identity, keypair, b"reading", rng))
+        device_id, keypair = register_device(puf_new(7065, 0.0), env["ca"], ledger, rng, np_rng)
+        _authenticate(ledger, device_id, keypair, 7065, rng)
+        assert ledger.invoke("submit", _submit_record(device_id, keypair, b"reading", rng))
         bootstrap_tx, register_tx, rotate_tx, submit_tx = ledger.transactions()
         assert Ledger.replay_log(ledger.export_log()).state_digest() == ledger.state_digest()
         log = bytearray(b"PZLG\x01" + (4).to_bytes(4, "big"))
@@ -737,15 +736,15 @@ class TestPayloadStoredOnce:
         rng, np_rng = random.Random(64), np.random.default_rng(64)
         ledger = ledger_new()
         assert bootstrap(ledger, env["setup"].pk_setup, env["ca"].pk)
-        identity, keypair = register_device(puf_new(7064, 0.0), env["ca"], ledger, rng, np_rng)
-        _authenticate(ledger, identity, keypair, 7064, rng)
+        device_id, keypair = register_device(puf_new(7064, 0.0), env["ca"], ledger, rng, np_rng)
+        _authenticate(ledger, device_id, keypair, 7064, rng)
         payload = rng.randbytes(65536)
-        tx = _submit_record(identity, keypair, payload, rng)
+        tx = _submit_record(device_id, keypair, payload, rng)
         before = os.fstat(ledger._file.fileno()).st_size
         assert ledger.invoke("submit", tx)
         assert os.fstat(ledger._file.fileno()).st_size - before < 70 * 1024
-        assert ledger.get_state(f"data/{identity.device_id.hex()}/0") == payload
-        assert ledger.get_state(f"dataseq/{identity.device_id.hex()}") == (1).to_bytes(8, "big")
+        assert ledger.get_state(f"data/{device_id.hex()}/0") == payload
+        assert ledger.get_state(f"dataseq/{device_id.hex()}") == (1).to_bytes(8, "big")
         values = {key: ledger.get_state(key) for key in ledger._state}
         model = {key: (values[key], version) for key, (_, version) in ledger._state.items()}
         assert ledger.state_digest() == _lthash_from_scratch(model)

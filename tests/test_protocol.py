@@ -9,7 +9,7 @@ import pytest
 
 from pufzk import zkp
 from pufzk.identity import CertificateAuthority, response_scalar
-from pufzk.ledger import RecordError, bootstrap, ledger_new, rotate_challenges
+from pufzk.ledger import RecordError, StoredDevice, bootstrap, ledger_new, rotate_challenges
 from pufzk.pairing import DecodeError, G1Element, G2Element, Scalar, curve, group
 from pufzk.params import ParamSet
 from pufzk.protocol import (
@@ -25,7 +25,7 @@ from pufzk.protocol import (
     run_transaction,
 )
 from pufzk.puf import puf_new, puf_respond
-from pufzk.wire import AuthRequest, TransactionRecord, decode_message
+from pufzk.wire import AuthRequest, TransactionRecord, TxSubmit, decode_message
 
 NOISELESS = ParamSet("noiseless-test", noise_ratio=0.0)
 
@@ -44,6 +44,26 @@ def env():
         "rng": rng, "np_rng": np_rng, "ca": ca, "setup": setup,
         "ledger": ledger, "verifier": verifier, "device": device,
     }
+
+
+class TestDevice:
+    def test_fields_are_the_puf_the_id_and_the_keys(self):
+        assert [f.name for f in dataclasses.fields(Device)] == ["puf", "device_id", "keypair"]
+
+    def test_device_and_chaincode_build_one_statement(self, env, monkeypatch):
+        """One authentication builds its statement twice, on the device
+        and in the rotate chaincode, with the same builder and bytes."""
+        built = []
+        real = StoredDevice.auth_statement
+
+        def recorded(self, nonce):
+            built.append(real(self, nonce))
+            return built[-1]
+
+        monkeypatch.setattr(StoredDevice, "auth_statement", recorded)
+        assert run_authentication(env["device"], env["verifier"], env["ledger"],
+                                  zkp.MODE_CORRECTED, env["rng"], env["np_rng"]).accepted
+        assert len(built) == 2 and built[0].to_bytes() == built[1].to_bytes()
 
 
 class TestAuthentication:
@@ -67,9 +87,21 @@ class TestAuthentication:
         other_ledger = ledger_new()
         bootstrap(other_ledger, env["setup"].pk_setup, ca2.pk)
         ghost = Device.enroll(ghost_puf, ca2, other_ledger, env["rng"], env["np_rng"], NOISELESS)
-        session = run_authentication(ghost, env["verifier"], env["ledger"],
-                                     zkp.MODE_CORRECTED, env["rng"], env["np_rng"])
-        assert not session.accepted and session.reason == "unregistered"
+        # the ghost proves against its own ledger and asks this verifier
+        verifier = env["verifier"]
+        session = verifier.begin_session(ghost.device_id)
+        proof = ghost.build_auth_proof(other_ledger, session.nonce, env["rng"], env["np_rng"])
+        decision = verifier.handle_auth_request(
+            AuthRequest(ghost.device_id, proof, session.nonce).to_bytes())
+        assert not decision.accept and decision.reason == "unregistered"
+
+    def test_device_missing_from_the_ledger_gets_a_key_error(self, env):
+        device, empty = env["device"], ledger_new()
+        with pytest.raises(KeyError):
+            device.build_auth_proof(empty, bytes(16), env["rng"], env["np_rng"])
+        with pytest.raises(KeyError):
+            run_authentication(device, Verifier(empty, env["rng"]), empty, zkp.MODE_CORRECTED,
+                               env["rng"], env["np_rng"])
 
     def test_malformed_proof_rejected(self, env):
         verifier = env["verifier"]
@@ -146,10 +178,17 @@ class TestMalformedStoredState:
         ledger, verifier, device, rng = env["ledger"], env["verifier"], env["device"], env["rng"]
         # authenticated beforehand, so the submit chaincode admits the device
         assert run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, env["np_rng"]).accepted
+        # the request is built before the overwrite; after it, the
+        # device's own ledger read fails
+        session = verifier.begin_session(device.device_id)
+        proof = device.build_auth_proof(ledger, session.nonce, rng, env["np_rng"])
         _overwrite_with_garbage(ledger, device.device_id, kinds)
         assert verifier.begin_session(device.device_id).epoch == -1
-        session = run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, env["np_rng"])
-        assert not session.accepted and session.reason == "malformed record"
+        with pytest.raises(RecordError):
+            device.build_auth_proof(ledger, session.nonce, rng, env["np_rng"])
+        decision = verifier.handle_auth_request(
+            AuthRequest(device.device_id, proof, session.nonce).to_bytes())
+        assert not decision.accept and decision.reason == "malformed record"
         session = run_transaction(device, verifier, ledger, b"reading", zkp.MODE_CORRECTED, rng)
         assert not session.accepted and session.reason.startswith("malformed record: ")
         digest, height = ledger.state_digest(), ledger.height
@@ -205,7 +244,6 @@ class TestTransactions:
         digest_before = None
 
         def tamper(raw: bytes) -> bytes:
-            from pufzk.wire import TxSubmit
             msg = decode_message(raw)
             mutated = dataclasses.replace(msg.record, payload=msg.record.payload + b"!")
             return TxSubmit(mutated).to_bytes()
@@ -215,6 +253,19 @@ class TestTransactions:
                                   b"reading", zkp.MODE_CORRECTED, env["rng"], tamper=tamper)
         assert not session.accepted
         assert env["ledger"].state_digest() == digest_before
+
+    @pytest.mark.parametrize("chaincode", ["rotate", "register", "bootstrap", "", "sucmit"])
+    def test_relabelled_submit_is_malformed(self, env, chaincode):
+        """A well-formed submit whose record names another chaincode
+        gets a typed rejection and leaves the ledger untouched."""
+        device, verifier, ledger, rng = env["device"], env["verifier"], env["ledger"], env["rng"]
+        assert run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED,
+                                  rng, env["np_rng"]).accepted
+        record = dataclasses.replace(device.build_tx_submit(b"reading", rng), chaincode=chaincode)
+        digest, height = ledger.state_digest(), ledger.height
+        decision = verifier.handle_tx_submit(TxSubmit(record).to_bytes())
+        assert (decision.accept, decision.reason) == (False, "malformed")
+        assert (ledger.state_digest(), ledger.height) == (digest, height)
 
     def test_resubmission_of_committed_record_rejected(self, env):
         run_authentication(env["device"], env["verifier"], env["ledger"],
@@ -283,15 +334,9 @@ class TestReplay:
                                    env["rng"], env["np_rng"])
         assert first.accepted  # rotation happened, epoch now >= 1
         session = verifier.begin_session(device.device_id)
-        stale_epoch = ledger.load_device(device.device_id).epoch - 1
-        responses = puf_respond(device.puf, device.identity.challenge_set, 9, env["np_rng"])
-        statement = zkp.AuthStatement(
-            device_id=device.device_id,
-            pk=device.identity.pk,
-            response_commitment=device.identity.response_commitment,
-            challenge_epoch=stale_epoch,
-            session_nonce=session.nonce,
-        )
+        stored = ledger.load_device(device.device_id)
+        responses = puf_respond(device.puf, stored.challenges, 9, env["np_rng"])
+        statement = stored._replace(epoch=stored.epoch - 1).auth_statement(session.nonce)
         witness = zkp.AuthWitness(sk=device.keypair.sk, response_scalar=response_scalar(responses))
         proof = zkp.auth_prove_corrected(statement, witness, env["rng"])
         raw = AuthRequest(device.device_id, proof.to_bytes(), session.nonce).to_bytes()
@@ -354,12 +399,13 @@ class TestAcceptanceConditions:
     def _handcrafted_attempt(self, env, *, sk=None, rho=None, nonce=None, epoch=None):
         device, verifier, ledger = env["device"], env["verifier"], env["ledger"]
         session = verifier.begin_session(device.device_id)
-        responses = puf_respond(device.puf, device.identity.challenge_set, 9, env["np_rng"])
+        stored = ledger.load_device(device.device_id)
+        responses = puf_respond(device.puf, stored.challenges, 9, env["np_rng"])
         statement = zkp.AuthStatement(
             device_id=device.device_id,
-            pk=device.identity.pk,
-            response_commitment=device.identity.response_commitment,
-            challenge_epoch=ledger.load_device(device.device_id).epoch if epoch is None else epoch,
+            pk=stored.pk,
+            response_commitment=stored.commitment,
+            challenge_epoch=stored.epoch if epoch is None else epoch,
             session_nonce=session.nonce if nonce is None else nonce,
         )
         witness = zkp.AuthWitness(
@@ -488,9 +534,7 @@ class TestCommitmentsComparedAsBytes:
         raw = device.build_auth_proof(ledger, session.nonce, rng, env["np_rng"])
         span = slice(1, 97) if field == "commit_sk" else slice(97, 145)
         raw = raw[:span.start] + _alter(raw[span], how, rng) + raw[span.stop:]
-        stored = ledger.load_device(device.device_id)
-        statement = zkp.AuthStatement(device.device_id, stored.pk, stored.commitment,
-                                      stored.epoch, session.nonce)
+        statement = ledger.load_device(device.device_id).auth_statement(session.nonce)
         expected = _reference_auth_decision(statement, raw)
         assert expected == _EXPECTED_AUTH.get(how, expected)
         if expected[1] != "malformed":
@@ -508,7 +552,7 @@ class TestCommitmentsComparedAsBytes:
         record = device.build_tx_submit(b"reading", rng)
         proof = record.proof[:1] + _alter(record.proof[1:97], how, rng) + record.proof[97:]
         record = dataclasses.replace(record, proof=proof)
-        statement = zkp.TxStatement(device.device_id, device.identity.pk,
+        statement = zkp.TxStatement(device.device_id, device.keypair.pk,
                                     hashlib.sha256(record.payload).digest(), record.nonce)
         accepts = _reference_tx_accepts(statement, proof)
         assert accepts == (how == "unaltered")

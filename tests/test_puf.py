@@ -35,6 +35,16 @@ class TestDeviceCreation:
             b = puf_new(2 * k + 2, 0.05)
             assert np.all(a.stage_weights != b.stage_weights)
 
+    def test_any_non_negative_integer_seeds_a_device(self):
+        # seeds below 2**64 keep the weights they always had
+        for seed in (0, 1, 2**63, 2**64 - 1):
+            expected = np.random.default_rng(np.uint64(seed)).standard_normal(CHALLENGE_BITS + 1)
+            assert np.array_equal(puf_new(seed, 0.0).stage_weights, expected)
+        assert not np.array_equal(puf_new(2**64, 0.0).stage_weights,
+                                  puf_new(2**64 + 1, 0.0).stage_weights)
+        with pytest.raises(ValueError):
+            puf_new(-1, 0.0)
+
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             puf_new(1, -0.1)
