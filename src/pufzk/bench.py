@@ -9,9 +9,15 @@ ledger read of the device's record (``Ledger.load_device``),
 statement building and proving (``Device.prove_auth``).  A warm-up
 iteration runs first and is excluded from the records and aggregates.
 One-time costs are timed on their own: ``precompute_ms`` is the build of
-the two generator tables, which every later exponentiation of a
+the two generator tables only, which every later exponentiation of a
 generator reads (near zero when this process built them earlier), and
-``trust_setup_ms`` is the trust set-up alone.
+``trust_setup_ms`` is the trust set-up alone.  A key that is multiplied
+again and again gets a table of its own inside the multiplication of
+its ``TABLE_AFTER_USES``-th use (see :mod:`pufzk.pairing.curve`), so
+that build is timed in whichever stage makes the use.  Here that is
+the CA key, checked once per registration: its table is built in the
+registration of iteration ``TABLE_AFTER_USES - 1`` (the warm-up is
+iteration 0), inside that cycle's ``end_to_end_ms``.
 The proof pipeline here has no circuit compilation or witness-file
 generation, so those stages are listed as absent rather than reported
 as zero.

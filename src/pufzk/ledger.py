@@ -447,6 +447,8 @@ def _cc_bootstrap(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     """Publish the CA public key (G1), once."""
     if state.has(KEY_CA_PK):
         raise ChaincodeRejection("already bootstrapped")
+    if tx.signature or tx.proof:
+        raise ChaincodeRejection("malformed bootstrap: signature and proof must be empty")
     try:
         ca_pk, off = _get_field(tx.payload, 0)
         _done(tx.payload, off)
@@ -462,11 +464,15 @@ def _cc_bootstrap(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
 
 def _cc_register(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     """Store a registration tuple, enforcing identifier and device
-    uniqueness and a valid CA certificate over the whole tuple."""
+    uniqueness and a valid CA certificate over the whole tuple.  The
+    envelope carries nothing else: its device id is the record's, and
+    its signature and proof are empty."""
     try:
         record = decode_device_record(tx.payload)[0]
     except RecordError as exc:
         raise ChaincodeRejection(f"malformed registration: {exc}")
+    if tx.device_id != record.device_id or tx.signature or tx.proof:
+        raise ChaincodeRejection("malformed registration: envelope does not match the record")
     id_key = f"identity/{record.device_id.hex()}"
     fp_key = f"fingerprint/{record.fingerprint.hex()}"
     if state.has(id_key):

@@ -7,16 +7,25 @@ coordinates and splits the scalar with an endomorphism: GLV in G1
 (Gallant-Lambert-Vanstone, CRYPTO 2001), k = a + b*x^2 with a 2-way
 ladder of 128 doublings, and GLS in G2 (Galbraith-Lin-Scott, EUROCRYPT
 2009), k in base |x| with a 4-way ladder over psi of 64 doublings.  Both
-splits hold only in the prime-order subgroups.  Nearly every protocol
-exponentiation is against a generator, so each generator additionally
-gets a lazily built fixed-base table in signed 8-bit windows (Brickell,
-Gordon, McCurley and Wilson, EUROCRYPT 1992).  The GLV split k = a + b*x^2
-serves it in both groups, as [x^2] is (BETA*x, -y) on G1 and psi^2 =
-(BETA^2*x, -y) on G2: the table covers one 128-bit half in 17 rows of 128
-affine points, and a multiplication walks it once for each half, with at
-most 34 mixed additions and no doubling.  The rows are built by affine
-additions, one level of doublings and sums at a time, sharing one
-inversion per level (Montgomery, Math. Comp. 1987).
+splits hold only in the prime-order subgroups.
+
+Long-lived bases are walked over fixed-base tables in signed 8-bit
+windows instead (Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992),
+with the same splits.  In G1 the rows cover one 128-bit half: 16 rows of
+128 affine points and a carry row, which needs only its entry 1, as the
+top signed digit of a 128-bit half is 0 or 1.  A multiplication walks
+them for b, maps the sum by [x^2] = (BETA*x, -y) and walks them for a:
+at most 34 mixed additions and no doubling.  In G2 they cover one
+64-bit base-|x| digit, 8 rows and the carry, and a multiplication walks
+them in Horner form over the four digits, mapping the sum by -psi =
+[|x|] between digits: at most 36 mixed additions and no doubling.  The
+rows are built by affine additions, one level of doublings and sums at
+a time, sharing one inversion per level (Montgomery, Math. Comp. 1987).
+Each generator's table is built once per process, on first use.  Any
+other base gets a table on its TABLE_AFTER_USES-th multiplication, up to
+TABLES_MAX tables per group that are then kept for the process's life:
+the CA key that every registration checks, and the device keys that
+every authentication and submit checks (see _KeyTables).
 
 Encodings are the widely used 48/96-byte compressed format: three flag
 bits (compressed, infinity, y-sign) folded into the top of big-endian x.
@@ -35,7 +44,7 @@ E'(Fq2) only in G2.
 
 from .fields import (
     P, R, X_ABS, fq_inv, fq_sqrt,
-    fq2_add, fq2_neg, fq2_conj, fq2_mul, fq2_sqr, fq2_inv, fq2_sqrt, FQ2_ONE,
+    fq2_add, fq2_neg, fq2_mul, fq2_sqr, fq2_inv, fq2_sqrt, FQ2_ONE,
 )
 
 # Curve coefficients: b = 4 on E, b' = 4(1+u) on the twist.
@@ -65,9 +74,8 @@ COFACTOR_G2 = 0x5D543A95414E7F1091D50792876A202CD91DE4547085ABAA68A205B2E5A7DDFA
 # Endomorphism constants of the subgroup checks and of the multiplications.
 # BETA is the cube root of unity in Fq for which sigma(x, y) = (BETA*x, y)
 # acts on G1 as [-x^2]; psi(x, y) = (conj(x)*PSI_CX, conj(y)*PSI_CY) with
-# PSI_CX = 1/xi^((p-1)/3) and PSI_CY = 1/xi^((p-1)/2), xi = 1 + u.  Then
-# psi^2(x, y) = (BETA^2*x, -y) with BETA^2 = PSI_CX[1]^2, which acts on G2
-# as [x^2].
+# PSI_CX = 1/xi^((p-1)/3) and PSI_CY = 1/xi^((p-1)/2), xi = 1 + u, acts on
+# G2 as [x].
 BETA = 0x5F19672FDF76CE51BA69C6076A0F77EADDB3A93BE6F89688DE17D813620A00022E01FFFFFFFEFFFE
 PSI_CX = (
     0,
@@ -77,7 +85,6 @@ PSI_CY = (
     0x135203E60180A68EE2E9C448D77A2CD91C3DEDD930B1CF60EF396489F61EB45E304466CF3E67FA0AF1EE7B04121BDEA2,
     0x06AF0E0437FF400B6831E36D6BD17FFE48395DABC2D3435E77F76E17009241C5EE67992F72EC05F4C81084FBEDE3CC09,
 )
-_BETA_SQR = BETA * BETA % P
 _X_SQR = X_ABS * X_ABS
 
 
@@ -180,10 +187,15 @@ def g1_mul(pt, k):
     for Q = [x^2]P.  One ladder of 128 doublings walks a and b two bits at
     a time against the affine table [i]P + [j]Q, i, j < 4.  The identity
     holds only on G1: multiply other curve points with g1_mul_unchecked.
+    A base that keeps coming back is walked over rows of its own instead
+    (see _KeyTables).
     """
     a, b = _x_sqr_split(k)
     if pt is None or a == b == 0:
         return None
+    rows = _G1_KEYS.get(pt)
+    if rows is not None:
+        return _g1_walk(rows, a, b)
     q = _g1_x_sqr(pt)
     p1 = (pt[0], pt[1], 1)
     p2 = _g1_dbl(p1)
@@ -317,15 +329,20 @@ def g2_mul(pt, k):
     [k]P = [d0]P - [d1]psi(P) + [d2]psi^2(P) - [d3]psi^3(P).  One ladder
     of 64 doublings walks the four digits a bit at a time against the 16
     affine subset sums of those bases.  The identity holds only on G2:
-    multiply other twist points with g2_mul_unchecked.
+    multiply other twist points with g2_mul_unchecked.  A base that keeps
+    coming back is walked over rows of its own instead (see _KeyTables).
     """
     k %= R
     if pt is None or k == 0:
         return None
-    d0, d1, d2, d3 = _base_x_digits(k)
+    digits = _base_x_digits(k)
+    rows = _G2_KEYS.get(pt)
+    if rows is not None:
+        return _g2_walk(rows, digits)
+    d0, d1, d2, d3 = digits
     bases = [pt]
     for _ in range(3):
-        bases.append(g2_neg(g2_psi(bases[-1])))  # [|x|] of the previous base
+        bases.append(_g2_neg_psi(bases[-1]))  # [|x|] of the previous base
     # table[m] = sum of bases[i] over the set bits i of m
     table = [None]
     for m in range(1, 16):
@@ -362,35 +379,42 @@ def g2_mul_unchecked(pt, k):
     return _g2_to_affine(acc)
 
 
-def g2_psi(pt):
-    """Untwist-Frobenius-twist endomorphism of a finite twist point."""
-    return (fq2_mul(fq2_conj(pt[0]), PSI_CX), fq2_mul(fq2_conj(pt[1]), PSI_CY))
+def _g2_neg_psi(p):
+    """-psi(P) for a finite twist point P, affine or Jacobian, where psi
+    is the untwist-Frobenius-twist endomorphism.  It acts on G2 as [|x|].
+    In Jacobian form psi is (conj(X)*PSI_CX, conj(Y)*PSI_CY, conj(Z)),
+    here with the Fq2 arithmetic inlined: PSI_CX = (0, c)."""
+    (x0, x1), (y0, y1), *z = p
+    c, (d0, d1) = PSI_CX[1], PSI_CY
+    return ((c * x1 % P, c * x0 % P), (-(y0 * d0 + y1 * d1) % P, (y1 * d0 - y0 * d1) % P),
+            *[(z0, -z1 % P) for z0, z1 in z])
 
 
 def g2_in_subgroup(pt):
     """psi(P) == [x]P == -[|x|]P; see the module docstring."""
     if pt is None:
         return True
-    return g2_is_on_curve(pt) and g2_mul_unchecked(pt, X_ABS) == g2_neg(g2_psi(pt))
+    return g2_is_on_curve(pt) and g2_mul_unchecked(pt, X_ABS) == _g2_neg_psi(pt)
 
 
 # ---------------------------------------------------------------------------
-# Fixed-base tables for the generators
+# Fixed-base tables: the generators, and the keys that keep coming back
 # ---------------------------------------------------------------------------
 
-def _fixed_base_rows(base, dbl, batch_affine, affine_sums, windows=17):
-    """Signed 8-bit windows over a fixed base point B, given in Jacobian form.
-    The default 17 windows cover a scalar below 2^128 and its final carry.
+def _fixed_base_rows(base, dbl, batch_affine, affine_sums, windows):
+    """Signed 8-bit windows over a fixed base point B, given in Jacobian
+    form: windows - 1 full rows for a scalar of 8 * (windows - 1) bits,
+    and a carry row for its top signed digit, which is 0 or 1.
 
-    rows[i][d] holds d * 256^i * B in affine form for d = 1..128, and
-    rows[i][0] is None.  The row bases 256^i * B take 8 Jacobian
-    doublings each and one batch conversion to affine.  Then each of
-    seven levels fills entries h+1..2h of every row (h = 1, 2, .., 64)
-    with one batch inversion across all rows: 2h is the affine doubling
-    of h, and h + e, 0 < e < h, the affine sum of entries h and e.  No
-    exceptional case can arise: B has prime order r > 128, so e*B and
-    h*B are distinct and not each other's negatives, and no multiple of B
-    but the identity has y = 0.
+    rows[i][d] holds d * 256^i * B in affine form, for d = 1..128 in a
+    full row and d = 1 in the carry row, and rows[i][0] is None.  The row
+    bases 256^i * B take 8 Jacobian doublings each and one batch
+    conversion to affine.  Then each of seven levels fills entries
+    h+1..2h of every full row (h = 1, 2, .., 64) with one batch inversion
+    across all rows: 2h is the affine doubling of h, and h + e, 0 < e < h,
+    the affine sum of entries h and e.  No exceptional case can arise: B
+    has prime order r > 128, so e*B and h*B are distinct and not each
+    other's negatives, and no multiple of B but the identity has y = 0.
     """
     jac = [base]
     for _ in range(windows - 1):
@@ -398,15 +422,16 @@ def _fixed_base_rows(base, dbl, batch_affine, affine_sums, windows=17):
             base = dbl(base)
         jac.append(base)
     rows = [[None, b] for b in batch_affine(jac)]
+    full = rows[:-1]
     h = 1
     while h < 128:
         pairs = []
-        for row in rows:
+        for row in full:
             top = row[h]
             pairs += [(top, row[e]) for e in range(1, h)]
             pairs.append((top, None))
         sums = iter(affine_sums(pairs))
-        for row in rows:
+        for row in full:
             row += [next(sums) for _ in range(h)]
         h *= 2
     return rows
@@ -514,40 +539,109 @@ def _fixed_base_walk(rows, k, add, neg, acc=None):
     return acc
 
 
+def _g1_rows(pt):
+    """The rows of a G1 base: 16 full rows and a carry row, for the
+    halves of k = a + b*x^2, below x^2 < 2^128."""
+    return _fixed_base_rows((*pt, 1), _g1_dbl, _batch_affine_g1, _g1_affine_sums, 17)
+
+
+def _g2_rows(pt):
+    """The rows of a G2 base: 8 full rows and a carry row, for the four
+    base-|x| digits of k, below |x| < 2^64."""
+    return _fixed_base_rows((*pt, FQ2_ONE), _g2_dbl, _batch_affine_g2, _g2_affine_sums, 9)
+
+
+def _g1_walk(rows, a, b):
+    """[a + b*x^2]B for the base B of G1 rows and halves a, b < 2^128:
+    walk the rows for b, map the sum by [x^2] once, and walk them for a.
+    At most 34 mixed additions and no doubling."""
+    acc = _fixed_base_walk(rows, b, _g1_add_mixed, g1_neg)
+    if acc is not None:
+        acc = _g1_x_sqr(acc)
+    return _g1_to_affine(_fixed_base_walk(rows, a, _g1_add_mixed, g1_neg, acc))
+
+
+def _g2_walk(rows, digits):
+    """[k]B for the base B of G2 rows and the base-|x| digits of k, least
+    significant first.  -psi acts on G2 as [|x|], so in Horner form: walk
+    the rows for d3, map the sum by -psi, walk them for d2, and so on
+    down to d0.  At most 36 mixed additions and no doubling."""
+    acc = None
+    for d in reversed(digits):
+        if acc is not None:
+            acc = _g2_neg_psi(acc)
+        acc = _fixed_base_walk(rows, d, _g2_add_mixed, g2_neg, acc)
+    return _g2_to_affine(acc)
+
+
 _G1_ROWS = None
 _G2_ROWS = None
 
 
 def g1_mul_gen(k):
-    """k * G1 generator from the fixed-base rows.
-
-    k mod r = a + b*x^2 splits as in g1_mul, and both halves are below
-    x^2 < 2^128, so each has at most 17 signed digits.  The rows are
-    walked first for b, the sum is mapped by [x^2] once, and then the rows
-    are walked for a: at most 34 mixed additions and no doubling.
-    """
+    """k * G1 generator, walked over the generator's rows."""
     global _G1_ROWS
     if _G1_ROWS is None:
-        _G1_ROWS = _fixed_base_rows((*G1_GEN, 1), _g1_dbl, _batch_affine_g1, _g1_affine_sums)
-    a, b = _x_sqr_split(k)
-    acc = _fixed_base_walk(_G1_ROWS, b, _g1_add_mixed, g1_neg)
-    if acc is not None:
-        acc = _g1_x_sqr(acc)
-    return _g1_to_affine(_fixed_base_walk(_G1_ROWS, a, _g1_add_mixed, g1_neg, acc))
+        _G1_ROWS = _g1_rows(G1_GEN)
+    return _g1_walk(_G1_ROWS, *_x_sqr_split(k))
 
 
 def g2_mul_gen(k):
-    """k * G2 generator; see g1_mul_gen.  On G2, [x^2] is psi^2, which
-    maps Jacobian (X, Y, Z) to (BETA^2*X, -Y, Z)."""
+    """k * G2 generator, walked over the generator's rows by psi."""
     global _G2_ROWS
     if _G2_ROWS is None:
-        _G2_ROWS = _fixed_base_rows((*G2_GEN, FQ2_ONE), _g2_dbl, _batch_affine_g2, _g2_affine_sums)
-    a, b = _x_sqr_split(k)
-    acc = _fixed_base_walk(_G2_ROWS, b, _g2_add_mixed, g2_neg)
-    if acc is not None:
-        (x0, x1), (y0, y1), z = acc
-        acc = ((_BETA_SQR * x0 % P, _BETA_SQR * x1 % P), (-y0 % P, -y1 % P), z)
-    return _g2_to_affine(_fixed_base_walk(_G2_ROWS, a, _g2_add_mixed, g2_neg, acc))
+        _G2_ROWS = _g2_rows(G2_GEN)
+    return _g2_walk(_G2_ROWS, _base_x_digits(k % R))
+
+
+# A variable base gets rows of its own on its TABLE_AFTER_USES-th
+# multiplication.  Measured in pure Python on a 2-core x86-64 host, a G2
+# table takes 15-24 ms to build and turns a 3.3-4.3 ms ladder into a
+# 0.9-1.4 ms walk, so it repays itself after 6-10 further uses; a G1
+# table takes 14-21 ms and turns 1.6-2.4 ms into 0.35-0.55 ms, 8-18
+# uses.  Building once as many ladders have run as the build costs is
+# never worse than twice the best choice made in hindsight.  8 matches
+# G2; in G1 the base that comes back is the CA key, checked on every
+# registration, so waiting longer only delays its table.  The
+# benchmark's set-up multiplies a device's pk at most 4 times (3
+# authentication attempts and a warm-up submit) and the CA key 4 times
+# (one per registration), so no table is built, and timed, in set-up.
+# A table holds about 0.45 MiB in either group.  At most TABLES_MAX
+# exist per group; once they are built, other bases keep to the ladder.
+# Nothing is evicted: in a fleet of keys that each come back now and
+# then, a table rebuilt after eviction costs more than it saves.
+TABLE_AFTER_USES = 8
+TABLES_MAX = 16
+_USES_MAX = 1024
+
+
+class _KeyTables:
+    """Fill-once rows for one group's variable bases, keyed by point like
+    the pairing's line cache.  The use counter is cleared when it holds
+    _USES_MAX bases."""
+
+    def __init__(self, build):
+        self._build = build
+        self.tables = {}
+        self.uses = {}
+
+    def get(self, pt):
+        """pt's rows, built on the use that reaches TABLE_AFTER_USES, or
+        None while pt keeps to the ladder."""
+        rows = self.tables.get(pt)
+        if rows is None and len(self.tables) < TABLES_MAX:
+            n = self.uses.pop(pt, 0) + 1
+            if n >= TABLE_AFTER_USES:
+                rows = self.tables[pt] = self._build(pt)
+            else:
+                if len(self.uses) >= _USES_MAX:
+                    self.uses.clear()
+                self.uses[pt] = n
+        return rows
+
+
+_G1_KEYS = _KeyTables(_g1_rows)
+_G2_KEYS = _KeyTables(_g2_rows)
 
 
 # ---------------------------------------------------------------------------

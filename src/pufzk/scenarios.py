@@ -172,17 +172,26 @@ def _registration_rewrite(ledger: Ledger, ca: CertificateAuthority, rng, np_rng,
     registration and rewrites one field: the commitment, to a g1^rho' of
     their choosing that would let them pass both clauses of every later
     authentication, or the fingerprint, which would let the same
-    physical device enroll again.  A breach is a commit or any move of
-    the state digest or the height."""
+    physical device enroll again.  Or they rewrite the envelope around
+    the record, which the log would replay forever: its device id, to
+    one naming another device, or its signature or proof, to bytes that
+    nothing reads.  A breach is a commit or any move of the state digest
+    or the height."""
+    def record(**changes):
+        return lambda tx: dataclasses.replace(tx, payload=dataclasses.replace(
+            DeviceRecord.from_bytes(tx.payload), **changes).to_bytes())
+
     rewrites = (
-        {"commitment_bytes": (G1Element.generator() ** Scalar.random(rng)).to_bytes()},
-        {"fingerprint": rng.getrandbits(256).to_bytes(32, "big")},
+        record(commitment_bytes=(G1Element.generator() ** Scalar.random(rng)).to_bytes()),
+        record(fingerprint=rng.getrandbits(256).to_bytes(32, "big")),
+        lambda tx: dataclasses.replace(tx, device_id=bytes(16)),
+        lambda tx: dataclasses.replace(tx, signature=b"junk"),
+        lambda tx: dataclasses.replace(tx, proof=b"junk"),
     )
     breaches, reasons = 0, []
-    for changes in rewrites:
-        def intercept(name: str, tx: TransactionRecord, changes=changes):
-            forged = dataclasses.replace(DeviceRecord.from_bytes(tx.payload), **changes)
-            return ledger.invoke(name, dataclasses.replace(tx, payload=forged.to_bytes()))
+    for rewrite in rewrites:
+        def intercept(name: str, tx: TransactionRecord, rewrite=rewrite):
+            return ledger.invoke(name, rewrite(tx))
 
         before = (ledger.state_digest(), ledger.height)
         try:

@@ -310,8 +310,9 @@ class TestAttackCommand:
     def test_registration_rewrite_defended(self):
         report = run_attack_suite(seed=4, suites=("tamper",), scale=0.02)
         outcome = next(o for o in report.outcomes if o.name == "registration-rewrite")
-        assert outcome.attempts == 2 and outcome.defended
-        assert outcome.detail == "certificate does not match registration"
+        assert outcome.attempts == 5 and outcome.defended
+        assert outcome.detail == ("certificate does not match registration; "
+                                  "malformed registration: envelope does not match the record")
 
     def test_anonymous_rotate_defended(self):
         report = run_attack_suite(seed=6, suites=("tamper",), scale=0.02)

@@ -219,6 +219,22 @@ class TestRegistrationValidation:
         assert not result and result.reason.startswith("malformed registration: ")
         assert ledger.state_digest() == digest and ledger.height == height
 
+    @pytest.mark.parametrize("envelope", [
+        lambda env: {"device_id": bytes(16)},
+        lambda env: {"device_id": env["device_id"]},
+        lambda env: {"signature": b"junk"},
+        lambda env: {"proof": b"junk"},
+    ], ids=["zero-device-id", "registered-device-id", "signature", "proof"])
+    def test_envelope_carries_nothing_but_the_record(self, env, envelope):
+        # the chaincode reads only the payload, so any other envelope
+        # bytes would be committed unread and replayed forever
+        ledger = env["ledger"]
+        digest, height = ledger.state_digest(), ledger.height
+        result = ledger.invoke("register", dataclasses.replace(_registration(env), **envelope(env)))
+        assert not result and result.reason == (
+            "malformed registration: envelope does not match the record")
+        assert ledger.state_digest() == digest and ledger.height == height
+
     def test_off_subgroup_pk_rejected(self, env):
         from pufzk.pairing import curve
         # the twist point with the smallest real x lies outside G2
@@ -520,6 +536,19 @@ class TestReplayDeterminism:
         assert not result and result.reason.startswith("malformed bootstrap payload: ")
         assert ledger.height == 0 and ledger.state_digest() == digest
         assert list(ledger._state) == []
+
+    @pytest.mark.parametrize("envelope", [{"signature": b"junk"}, {"proof": b"junk"}],
+                             ids=["signature", "proof"])
+    def test_bootstrap_envelope_carries_nothing_but_the_key(self, env, envelope):
+        buf = bytearray()
+        _put_field(buf, env["ca"].pk.to_bytes())
+        tx = TransactionRecord(bytes(buf), b"system", b"", b"", "bootstrap", b"genesis")
+        assert ledger_new().invoke("bootstrap", tx)
+        ledger = ledger_new()
+        result = ledger.invoke("bootstrap", dataclasses.replace(tx, **envelope))
+        assert not result and result.reason == (
+            "malformed bootstrap: signature and proof must be empty")
+        assert ledger.height == 0 and list(ledger._state) == []
 
     def test_bootstrap_only_once(self, env):
         setup, ca = env["setup"], env["ca"]

@@ -392,17 +392,17 @@ class TestSubgroupChecks:
         assert (curve.BETA ** 2 * G1_GEN[0] % P, G1_GEN[1]) != expected
         assert curve.PSI_CX == fq2_inv(fq2_pow(XI, (P - 1) // 3))
         assert curve.PSI_CY == fq2_inv(fq2_pow(XI, (P - 1) // 2))
-        assert curve.g2_psi(curve.G2_GEN) == curve.g2_neg(g2_mul_unchecked(curve.G2_GEN, X_ABS))
+        assert curve._g2_neg_psi(curve.G2_GEN) == g2_mul_unchecked(curve.G2_GEN, X_ABS)
 
     def test_psi_squared_is_x_squared_on_g2(self):
-        beta_sqr = curve._BETA_SQR
+        beta_sqr = curve.PSI_CX[1] ** 2 % P
         assert beta_sqr != 1 and pow(beta_sqr, 3, P) == 1 and beta_sqr == curve.BETA ** 2 % P
         rng = random.Random(2009)
         points = [curve.G2_GEN] + [g2_mul_unchecked(curve.G2_GEN, rng.randrange(1, R)) for _ in range(3)]
         for pt in points:
             (x0, x1), y = pt
             mapped = ((beta_sqr * x0 % P, beta_sqr * x1 % P), fq2_neg(y))
-            assert curve.g2_psi(curve.g2_psi(pt)) == mapped == g2_mul_unchecked(pt, X_ABS * X_ABS)
+            assert curve._g2_neg_psi(curve._g2_neg_psi(pt)) == mapped == g2_mul_unchecked(pt, X_ABS * X_ABS)
 
     def test_g1_random_curve_points_agree_with_oracle(self):
         rng = random.Random(1130)
@@ -533,6 +533,17 @@ _GENERATORS = [
     (curve.g1_mul_gen, g1_mul_unchecked, curve.G1_GEN),
     (curve.g2_mul_gen, g2_mul_unchecked, curve.G2_GEN),
 ]
+# base-|x| digits whose signed recoding carries into the 9th row: their
+# top byte, with the carry from the bytes below, exceeds 0x80.  |x| - 1
+# (top byte 0xD2) is one
+_CARRY_DIGITS = [X_ABS - 1, int("81" * 8, 16), int("80" + "FF" * 7, 16)]
+_GLS_CARRY_SCALARS = [
+    sum(d * X_ABS ** i for i, d in enumerate(digits)) for digits in (
+        [X_ABS - 1] * 3 + [X_ABS - 2],  # R - 2
+        [X_ABS - 1] * 3 + [0],
+        [0, X_ABS - 1, 0, X_ABS - 1],
+    ) + tuple([d] * 4 for d in _CARRY_DIGITS[1:])
+]
 
 
 def _fixed_base_rows(group, windows):
@@ -541,6 +552,49 @@ def _fixed_base_rows(group, windows):
     return curve._fixed_base_rows(
         base, getattr(curve, f"_{group}_dbl"), getattr(curve, f"_batch_affine_{group}"),
         getattr(curve, f"_{group}_affine_sums"), windows=windows)
+
+
+def _nonzero_digits(group, k):
+    """The mixed additions of a fixed-base walk: one per nonzero signed
+    digit of each half of k = a + b*x^2 in G1, or of each of the four
+    base-|x| digits of k in G2."""
+    k %= R
+    parts = divmod(k, _X_SQR) if group == "g1" else curve._base_x_digits(k)
+    return sum(d != 0 for part in parts for d in _signed_digits(part))
+
+
+@pytest.fixture(scope="module")
+def keyed_tables():
+    """Per-key tables apart from the module's, each holding the rows of
+    one base: {group: (tables, base)}."""
+    out = {}
+    for group, base in (("g1", curve.g1_mul_gen(0xC0FFEE)), ("g2", curve.g2_mul_gen(0x1234567))):
+        tables = curve._KeyTables(getattr(curve, f"_{group}_rows"))
+        tables.tables[base] = getattr(curve, f"_{group}_rows")(base)
+        out[group] = (tables, base)
+    return out
+
+
+@pytest.fixture()
+def key_tables(monkeypatch):
+    """Fresh, empty per-key tables in both groups, as {group: tables}."""
+    out = {}
+    for group in ("g1", "g2"):
+        out[group] = curve._KeyTables(getattr(curve, f"_{group}_rows"))
+        monkeypatch.setattr(curve, f"_{group.upper()}_KEYS", out[group])
+    return out
+
+
+def _keyed_muls(keyed_tables, k):
+    """[k]B by g1_mul and g2_mul for the bases of keyed_tables, on their
+    rows, each with the unchecked ladder's answer."""
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        for group, (tables, base) in keyed_tables.items():
+            mp.setattr(curve, f"_{group.upper()}_KEYS", tables)
+            ladder = g1_mul_unchecked if group == "g1" else g2_mul_unchecked
+            out.append((getattr(curve, f"{group}_mul")(base, k), ladder(base, k % R)))
+    return out
 
 
 def _signed_digits(k):
@@ -555,13 +609,15 @@ def _signed_digits(k):
 
 
 class TestFixedBaseMultiplication:
-    """g1_mul_gen and g2_mul_gen against the unreduced double-and-add
-    ladders."""
+    """The fixed-base walks, over the generators' rows and over a key's
+    own, against the unreduced double-and-add ladders."""
 
-    @pytest.mark.parametrize("k", _SIGNED_EDGE_SCALARS)
-    def test_signed_edge_scalars(self, k):
+    @pytest.mark.parametrize("k", _SIGNED_EDGE_SCALARS + _EDGE_SCALARS + _GLS_CARRY_SCALARS)
+    def test_signed_edge_scalars(self, k, keyed_tables):
         for mul_gen, ladder, gen in _GENERATORS:
             assert mul_gen(k) == ladder(gen, k % R)
+        for got, expected in _keyed_muls(keyed_tables, k):
+            assert got == expected
 
     @given(st.integers(min_value=0, max_value=1 << 256))
     @settings(max_examples=15, deadline=None)
@@ -569,57 +625,126 @@ class TestFixedBaseMultiplication:
         for mul_gen, ladder, gen in _GENERATORS:
             assert mul_gen(k) == ladder(gen, k % R)
 
+    @given(st.integers(min_value=0, max_value=1 << 256))
+    @settings(max_examples=15, deadline=None)
+    def test_key_walks_match_unchecked_ladder(self, keyed_tables, k):
+        for got, expected in _keyed_muls(keyed_tables, k):
+            assert got == expected
+
     @pytest.mark.parametrize("group", ["g1", "g2"])
     def test_rows_hold_signed_window_multiples(self, group):
-        rows = _fixed_base_rows(group, windows=2)
+        rows = _fixed_base_rows(group, windows=3)
         gen = curve.G1_GEN if group == "g1" else curve.G2_GEN
         ladder = g1_mul_unchecked if group == "g1" else g2_mul_unchecked
-        assert [len(row) for row in rows] == [129, 129] and rows[0][0] is rows[1][0] is None
+        assert [len(row) for row in rows] == [129, 129, 2] and all(row[0] is None for row in rows)
         for i, row in enumerate(rows):
-            for d in range(1, 129):
+            for d in range(1, len(row)):
                 assert row[d] == ladder(gen, d << 8 * i)
 
-    def test_split_halves_carry_into_the_last_row(self):
+    def test_split_parts_carry_into_the_last_row(self):
         for h in _CARRY_HALVES:
-            assert h < _X_SQR and len(_signed_digits(h)) == 17
+            assert h < _X_SQR and len(_signed_digits(h)) == 17 and _signed_digits(h)[-1] == 1
+        for d in _CARRY_DIGITS:
+            assert d < X_ABS and len(_signed_digits(d)) == 9 and _signed_digits(d)[-1] == 1
+        for k in _GLS_CARRY_SCALARS:
+            assert k < R and any(len(_signed_digits(d)) == 9 for d in curve._base_x_digits(k))
 
-    def test_module_tables_hold_17_rows_of_128_points(self):
+    def test_module_tables_trim_the_carry_row_to_one_point(self):
         curve.g1_mul_gen(1)
         curve.g2_mul_gen(1)
-        for rows in (curve._G1_ROWS, curve._G2_ROWS):
-            assert len(rows) == 17 and all(len(row) == 129 and row[0] is None for row in rows)
+        for rows, full in ((curve._G1_ROWS, 16), (curve._G2_ROWS, 8)):
+            assert [len(row) for row in rows] == [129] * full + [2]
+            assert all(row[0] is None for row in rows)
+        assert sum(len(row) - 1 for row in curve._G1_ROWS) == 2049
+        assert sum(len(row) - 1 for row in curve._G2_ROWS) == 1025
 
-    def test_operation_counts(self, monkeypatch):
-        # exact counts, independent of host speed: a table holds 17 rows
-        # of 128 points, its build runs a fixed number of inversions
-        # whatever the row count, and a multiplication no doubling and one
-        # mixed addition per nonzero signed digit of each half of
-        # k = a + b*x^2
+    def test_operation_counts(self, monkeypatch, key_tables):
+        # exact counts, independent of host speed: a table's build runs a
+        # fixed number of inversions whatever the row count, and a walk,
+        # over a generator's rows or a key's, no doubling and one mixed
+        # addition per nonzero signed digit (see _nonzero_digits)
         counts = {"fq_inv": 0, "_g1_dbl": 0, "_g2_dbl": 0, "_g1_add_mixed": 0, "_g2_add_mixed": 0}
         for name in counts:
             def counted(*args, _name=name, _fn=getattr(curve, name)):
                 counts[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(curve, name, counted)
-        for group in ("g1", "g2"):
+        for group, windows in (("g1", 17), ("g2", 9)):
             inversions = []
-            for windows in (2, 17):
+            for w in (2, windows):
                 counts["fq_inv"] = 0
-                rows = _fixed_base_rows(group, windows)
+                rows = _fixed_base_rows(group, w)
                 inversions.append(counts["fq_inv"])
-            assert len(rows) == 17 and sum(len(row) - 1 for row in rows) == 17 * 128
+            assert sum(len(row) - 1 for row in rows) == (windows - 1) * 128 + 1
             assert inversions[0] == inversions[1] <= 2 * 7 + 1
         rng = random.Random(12)
-        for mul_gen, _, _ in _GENERATORS:
-            mul_gen(1)  # build the table outside the count
-            for k in [R - 1, (1 << 256) - 1] + [rng.randrange(R) for _ in range(20)]:
-                for name in counts:
-                    counts[name] = 0
-                mul_gen(k)
-                assert counts["_g1_dbl"] == counts["_g2_dbl"] == 0
-                b, a = divmod(k % R, _X_SQR)
-                nonzero = sum(d != 0 for half in (a, b) for d in _signed_digits(half))
-                assert counts["_g1_add_mixed"] + counts["_g2_add_mixed"] == nonzero
+        keys = {"g1": curve.g1_mul_gen(rng.randrange(1, R)), "g2": curve.g2_mul_gen(rng.randrange(1, R))}
+        for group in ("g1", "g2"):
+            mul, key = getattr(curve, f"{group}_mul"), keys[group]
+            for use in range(curve.TABLE_AFTER_USES):  # build the key's table outside the count
+                mul(key, use + 1)
+            assert key in key_tables[group].tables
+            for mul_one in (getattr(curve, f"{group}_mul_gen"), lambda k: mul(key, k)):
+                mul_one(1)  # build the generator's table outside the count
+                for k in [R - 1, (1 << 256) - 1] + _GLS_CARRY_SCALARS + [rng.randrange(R) for _ in range(10)]:
+                    for name in counts:
+                        counts[name] = 0
+                    mul_one(k)
+                    assert counts["_g1_dbl"] == counts["_g2_dbl"] == 0
+                    assert counts[f"_{group}_add_mixed"] == _nonzero_digits(group, k)
+
+
+class TestKeyTables:
+    """The fill-once policy of the per-key tables: a base gets rows of
+    its own on its TABLE_AFTER_USES-th use, until TABLES_MAX bases have
+    them."""
+
+    @staticmethod
+    def _count_builds(monkeypatch, key_tables):
+        built = []
+        for tables in key_tables.values():
+            def build(pt, _build=tables._build):
+                built.append(pt)
+                return _build(pt)
+            monkeypatch.setattr(tables, "_build", build)
+        return built
+
+    @pytest.mark.parametrize("group", ["g1", "g2"])
+    def test_nth_use_builds_one_table(self, group, key_tables, monkeypatch):
+        built = self._count_builds(monkeypatch, key_tables)
+        mul, key = getattr(curve, f"{group}_mul"), getattr(curve, f"{group}_mul_gen")(0xBEEF)
+        for use in range(1, curve.TABLE_AFTER_USES):
+            mul(key, use)
+        assert built == [] and key_tables[group].uses == {key: curve.TABLE_AFTER_USES - 1}
+        mul(key, 7)
+        assert built == [key] and list(key_tables[group].tables) == [key]
+        assert key_tables[group].uses == {}
+        mul(key, 8)
+        assert built == [key]
+
+    @pytest.mark.parametrize("group", ["g1", "g2"])
+    def test_twice_the_cap_of_keys_leaves_the_cap_of_tables(self, group, key_tables, monkeypatch):
+        built = self._count_builds(monkeypatch, key_tables)
+        mul, mul_gen = getattr(curve, f"{group}_mul"), getattr(curve, f"{group}_mul_gen")
+        scalars = range(2, 2 + 2 * curve.TABLES_MAX)
+        keys = [mul_gen(s) for s in scalars]
+        for s, key in zip(scalars, keys):
+            for use in range(1, curve.TABLE_AFTER_USES + 1):
+                assert mul(key, use) == mul_gen(use * s)
+        tables = key_tables[group]
+        assert built == keys[:curve.TABLES_MAX] and list(tables.tables) == built
+        # a base that came after the cap is not counted at all
+        assert tables.uses == {}
+
+    def test_use_counter_is_cleared_when_full(self, key_tables, monkeypatch):
+        monkeypatch.setattr(curve, "_USES_MAX", 3)
+        tables = key_tables["g1"]
+        keys = [curve.g1_mul_gen(i) for i in range(2, 7)]
+        sizes = []
+        for key in keys:
+            curve.g1_mul(key, 5)
+            sizes.append(len(tables.uses))
+        assert sizes == [1, 2, 3, 1, 2] and tables.tables == {}
 
 
 class TestVectorFile:

@@ -604,3 +604,36 @@ class TestAcceptDecodesNoCommitment:
         decode_counts.update(g1=0, g2=0)
         assert env["ledger"].invoke("submit", record)
         assert decode_counts["g2"] == 0
+
+
+class TestSetUpBuildsNoKeyTable:
+    """A set-up shaped like the benchmark's multiplies each key only a
+    few times, so no per-key table is built, and charged, inside it."""
+
+    @pytest.mark.parametrize("devices, submits", [(4, 2), (2, 0)], ids=["bulk", "onboard"])
+    def test_no_key_reaches_its_table(self, devices, submits, monkeypatch):
+        tables = {}
+        for group in ("g1", "g2"):
+            tables[group] = curve._KeyTables(getattr(curve, f"_{group}_rows"))
+            monkeypatch.setattr(curve, f"_{group.upper()}_KEYS", tables[group])
+        rng = random.Random(2100)
+        np_rng = np.random.default_rng(2100)
+        ca = CertificateAuthority(rng)
+        ledger = ledger_new()
+        assert bootstrap(ledger, zkp.trust_setup(rng).pk_setup, ca.pk)
+        verifier = Verifier(ledger, rng)
+        fleet = []
+        for i in range(devices):
+            fleet.append(Device.enroll(puf_new(4000 + i, 0.0), ca, ledger, rng, np_rng, NOISELESS))
+            assert run_authentication(fleet[-1], verifier, ledger, zkp.MODE_CORRECTED,
+                                      rng, np_rng).accepted
+        for i in range(submits):
+            assert run_transaction(fleet[i % devices], verifier, ledger, b"warm-up",
+                                   zkp.MODE_CORRECTED, rng).accepted
+        assert tables["g1"].tables == tables["g2"].tables == {}
+        # the CA key once per registration, a device key once per
+        # authentication and submit; a set-up that retries each
+        # authentication up to 3 times still stays below the threshold
+        assert tables["g1"].uses[ca.pk._pt] == devices
+        assert max(tables["g2"].uses.values()) == (2 if submits else 1)
+        assert 3 + 1 < curve.TABLE_AFTER_USES and devices < curve.TABLE_AFTER_USES
