@@ -467,9 +467,22 @@ def _check_decompositions(k):
     assert 0 <= a < 1 << 128 and 0 <= b < 1 << 128
 
 
+@pytest.fixture()
+def key_tables(monkeypatch):
+    """Fresh, empty per-key tables in both groups, as {group: tables}."""
+    out = {}
+    for group in ("g1", "g2"):
+        out[group] = curve._KeyTables(getattr(curve, f"_{group}_rows"))
+        monkeypatch.setattr(curve, f"_{group.upper()}_KEYS", out[group])
+    return out
+
+
+@pytest.mark.usefixtures("key_tables")
 class TestEndomorphismMultiplication:
     """g1_mul (GLV) and g2_mul (GLS) against the unreduced double-and-add
-    ladders, which use no endomorphism."""
+    ladders, which use no endomorphism.  Each test starts with empty
+    per-key tables, so a base multiplied many times still runs the
+    ladders."""
 
     @given(st.integers(min_value=1, max_value=R - 1), st.integers(min_value=0, max_value=1 << 256))
     @settings(max_examples=25, deadline=None)
@@ -575,16 +588,6 @@ def keyed_tables():
     return out
 
 
-@pytest.fixture()
-def key_tables(monkeypatch):
-    """Fresh, empty per-key tables in both groups, as {group: tables}."""
-    out = {}
-    for group in ("g1", "g2"):
-        out[group] = curve._KeyTables(getattr(curve, f"_{group}_rows"))
-        monkeypatch.setattr(curve, f"_{group.upper()}_KEYS", out[group])
-    return out
-
-
 def _keyed_muls(keyed_tables, k):
     """[k]B by g1_mul and g2_mul for the bases of keyed_tables, on their
     rows, each with the unchecked ladder's answer."""
@@ -686,7 +689,7 @@ class TestFixedBaseMultiplication:
             assert key in key_tables[group].tables
             for mul_one in (getattr(curve, f"{group}_mul_gen"), lambda k: mul(key, k)):
                 mul_one(1)  # build the generator's table outside the count
-                for k in [R - 1, (1 << 256) - 1] + _GLS_CARRY_SCALARS + [rng.randrange(R) for _ in range(10)]:
+                for k in [R - 1, (1 << 256) - 1] + _GLS_CARRY_SCALARS + [rng.randrange(R) for _ in range(20)]:
                     for name in counts:
                         counts[name] = 0
                     mul_one(k)

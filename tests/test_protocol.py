@@ -2,7 +2,10 @@
 
 import dataclasses
 import hashlib
+import importlib
+import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -607,33 +610,49 @@ class TestAcceptDecodesNoCommitment:
 
 
 class TestSetUpBuildsNoKeyTable:
-    """A set-up shaped like the benchmark's multiplies each key only a
-    few times, so no per-key table is built, and charged, inside it."""
+    """The benchmark's own set-up multiplies every key fewer than
+    TABLE_AFTER_USES times, even when each new device fails its first
+    contact and is replaced, so no per-key table is built, and charged
+    to setup_s, inside it."""
 
-    @pytest.mark.parametrize("devices, submits", [(4, 2), (2, 0)], ids=["bulk", "onboard"])
-    def test_no_key_reaches_its_table(self, devices, submits, monkeypatch):
+    @pytest.fixture()
+    def key_tables(self, monkeypatch):
         tables = {}
         for group in ("g1", "g2"):
             tables[group] = curve._KeyTables(getattr(curve, f"_{group}_rows"))
             monkeypatch.setattr(curve, f"_{group.upper()}_KEYS", tables[group])
-        rng = random.Random(2100)
-        np_rng = np.random.default_rng(2100)
-        ca = CertificateAuthority(rng)
-        ledger = ledger_new()
-        assert bootstrap(ledger, zkp.trust_setup(rng).pk_setup, ca.pk)
-        verifier = Verifier(ledger, rng)
-        fleet = []
-        for i in range(devices):
-            fleet.append(Device.enroll(puf_new(4000 + i, 0.0), ca, ledger, rng, np_rng, NOISELESS))
-            assert run_authentication(fleet[-1], verifier, ledger, zkp.MODE_CORRECTED,
-                                      rng, np_rng).accepted
-        for i in range(submits):
-            assert run_transaction(fleet[i % devices], verifier, ledger, b"warm-up",
-                                   zkp.MODE_CORRECTED, rng).accepted
-        assert tables["g1"].tables == tables["g2"].tables == {}
-        # the CA key once per registration, a device key once per
-        # authentication and submit; a set-up that retries each
-        # authentication up to 3 times still stays below the threshold
-        assert tables["g1"].uses[ca.pk._pt] == devices
-        assert max(tables["g2"].uses.values()) == (2 if submits else 1)
-        assert 3 + 1 < curve.TABLE_AFTER_USES and devices < curve.TABLE_AFTER_USES
+        return tables
+
+    @pytest.fixture()
+    def workloads(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmark"))
+        return importlib.import_module("workloads")
+
+    @pytest.mark.parametrize("workload", ["bulk", "onboard"])
+    def test_no_key_reaches_its_table(self, workload, workloads, key_tables):
+        bench = workloads.Bench(workload, 2100)
+        bench.set_up()
+        assert key_tables["g1"].tables == key_tables["g2"].tables == {}
+        # the CA key once per registration
+        slots = workloads.FULL.bulk_devices if workload == "bulk" else workloads.FULL.warmup_ops
+        assert key_tables["g1"].uses[bench.ca.pk._pt] == slots + bench.setup_counts[2]
+
+    @pytest.mark.parametrize("workload", ["bulk", "onboard"])
+    def test_replacing_every_device_builds_no_table(self, workload, workloads, key_tables, monkeypatch):
+        # the worst case: the first device of every slot runs its real
+        # authentication, is counted as failing it, and is replaced, so
+        # the CA key is checked twice per slot
+        authenticate = workloads.Bench._authenticate
+        contacts = itertools.count()
+
+        def first_contact_fails(bench, device):
+            accepted = authenticate(bench, device)
+            return next(contacts) % 2 == 1 and accepted
+
+        monkeypatch.setattr(workloads.Bench, "_authenticate", first_contact_fails)
+        bench = workloads.Bench(workload, 2101)
+        bench.set_up()
+        slots = workloads.FULL.bulk_devices if workload == "bulk" else workloads.FULL.warmup_ops
+        assert bench.setup_counts[2] == slots
+        assert key_tables["g1"].tables == key_tables["g2"].tables == {}
+        assert key_tables["g1"].uses[bench.ca.pk._pt] == workloads.DEVICE_ATTEMPTS * slots
