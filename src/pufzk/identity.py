@@ -158,15 +158,8 @@ def register_device(puf: PufDevice, ca: CertificateAuthority, ledger: Ledger,
         cert_bytes=cert.to_bytes(),
         challenge_bytes=challenge_bytes,
     )
-    tx = TransactionRecord(
-        payload=record.to_bytes(),
-        device_id=device_id,
-        signature=b"",
-        proof=b"",
-        chaincode="register",
-        nonce=rng.getrandbits(128).to_bytes(16, "big"),
-    )
-    result = ledger.invoke("register", tx)
+    result = ledger.invoke("register",
+                           TransactionRecord(record.to_bytes(), device_id, b"", b"", "register", b""))
     if not result:
         raise RegistrationError(result.reason)
     return device_id, keypair

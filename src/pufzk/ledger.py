@@ -46,6 +46,13 @@ any other as "unauthenticated", on every path and on every replay.
 Stored device state (``identity/<id>``, ``subset/<id>``) has one typed
 reader, :meth:`StateView.load_device`, shared by chaincodes and the
 ledger; the register chaincode checks records with the same decoder.
+
+Freshness is judged from state alone, as Fabric's MVCC check refuses a
+write whose read version is behind state.  Each chaincode accepts one
+nonce, derived from what it reads (:func:`rotate_nonce` of the device's
+epoch, :func:`submit_nonce` of its next sequence number, empty for
+``register`` and ``bootstrap``), so a commit makes its own nonce stale
+and two submits built from one read conflict.
 """
 
 from __future__ import annotations
@@ -225,6 +232,11 @@ class StateView:
 
     def get_state(self, key: str) -> bytes:
         return self._read(self._state[key][0])
+
+    def next_seq(self, device_id: bytes) -> int:
+        """The sequence number of the device's next committed reading."""
+        raw = self.get(f"dataseq/{device_id.hex()}")
+        return int.from_bytes(raw, "big") if raw else 0
 
     def load_device(self, device_id: bytes) -> StoredDevice:
         """A registered device's record, keys, challenges and epoch.
@@ -443,12 +455,32 @@ def chain_prefix_valid(block_bytes_list) -> Tuple[bool, int]:
 # Built-in chaincodes
 # ---------------------------------------------------------------------------
 
+def rotate_nonce(epoch: int) -> bytes:
+    """The nonce the rotate chaincode accepts at challenge epoch ``epoch``."""
+    return epoch.to_bytes(8, "big") + bytes(8)
+
+
+def submit_nonce(seq: int) -> bytes:
+    """The nonce the submit chaincode accepts for reading number ``seq``."""
+    return seq.to_bytes(zkp.NONCE_LEN, "big")
+
+
+def _require_nonce(nonce: bytes, expected: bytes) -> None:
+    """Refuse any nonce but ``expected``.  Derived nonces start with their
+    counter, so one as wide that sorts below it is behind state."""
+    if nonce != expected:
+        behind = len(nonce) == len(expected) and nonce < expected
+        raise ChaincodeRejection("stale nonce" if behind else "unknown nonce")
+
+
 def _cc_bootstrap(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     """Publish the CA public key (G1), once."""
     if state.has(KEY_CA_PK):
         raise ChaincodeRejection("already bootstrapped")
-    if tx.signature or tx.proof:
-        raise ChaincodeRejection("malformed bootstrap: signature and proof must be empty")
+    if tx.device_id or tx.signature or tx.proof:
+        raise ChaincodeRejection(
+            "malformed bootstrap: device id, signature and proof must be empty")
+    _require_nonce(tx.nonce, b"")
     try:
         ca_pk, off = _get_field(tx.payload, 0)
         _done(tx.payload, off)
@@ -466,13 +498,14 @@ def _cc_register(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     """Store a registration tuple, enforcing identifier and device
     uniqueness and a valid CA certificate over the whole tuple.  The
     envelope carries nothing else: its device id is the record's, and
-    its signature and proof are empty."""
+    its signature, proof and nonce are empty."""
     try:
         record = decode_device_record(tx.payload)[0]
     except RecordError as exc:
         raise ChaincodeRejection(f"malformed registration: {exc}")
     if tx.device_id != record.device_id or tx.signature or tx.proof:
         raise ChaincodeRejection("malformed registration: envelope does not match the record")
+    _require_nonce(tx.nonce, b"")
     id_key = f"identity/{record.device_id.hex()}"
     fp_key = f"fingerprint/{record.fingerprint.hex()}"
     if state.has(id_key):
@@ -507,11 +540,13 @@ def _cc_register(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
 def _cc_rotate(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     """Advance a device's challenge epoch by one for a corrected-mode
     authentication proof that verifies against the stored key,
-    commitment and epoch, with the transaction nonce as the session
-    nonce.  The proof binds the epoch, so it cannot rotate twice."""
+    commitment and epoch, with the epoch's :func:`rotate_nonce` as the
+    session nonce.  Each rotation moves the epoch its nonce names, so it
+    cannot commit twice."""
     stored = _stored_device(state, tx.device_id)
     if tx.payload or tx.signature:
         raise ChaincodeRejection("malformed rotation: payload and signature must be empty")
+    _require_nonce(tx.nonce, rotate_nonce(stored.epoch))
     try:
         proof = zkp.CorrectedAuthProof.from_bytes(tx.proof)
         if zkp.auth_verify_corrected(stored.auth_statement(tx.nonce), proof):
@@ -528,15 +563,15 @@ def _cc_rotate(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
 def _cc_submit(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     """The guarded transaction path: admit a device that has
     authenticated at least once (a committed rotation moved its epoch
-    off 0), verify its signature against its on-ledger key and the
+    off 0), take the :func:`submit_nonce` of its next sequence number
+    only, verify its signature against its on-ledger key and the
     corrected-mode transaction proof, then apply the write.  Any other
     proof, the printed scheme's included, is "proof invalid"."""
     stored = _stored_device(state, tx.device_id)
     if stored.epoch < 1:
         raise ChaincodeRejection("unauthenticated")
-    nonce_key = f"txnonce/{tx.device_id.hex()}/{tx.nonce.hex()}"
-    if state.has(nonce_key):
-        raise ChaincodeRejection("transaction nonce already consumed")
+    seq = state.next_seq(tx.device_id)
+    _require_nonce(tx.nonce, submit_nonce(seq))
     try:
         sig = zkp.Signature.from_bytes(tx.signature)
     except DecodeError as exc:
@@ -550,12 +585,9 @@ def _cc_submit(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     statement = zkp.TxStatement(tx.device_id, stored.pk, _digest(tx.payload), tx.nonce)
     if not zkp.tx_verify_corrected(statement, proof):
         raise ChaincodeRejection("proof invalid")
-    seq_raw = state.get(f"dataseq/{tx.device_id.hex()}")
-    seq = int.from_bytes(seq_raw, "big") if seq_raw else 0
     return {
         f"data/{tx.device_id.hex()}/{seq}": tx.payload,
         f"dataseq/{tx.device_id.hex()}": (seq + 1).to_bytes(8, "big"),
-        nonce_key: b"\x01",
     }
 
 
@@ -587,14 +619,12 @@ def bootstrap(ledger: Ledger, setup_pk: G2Element, ca_pk: G1Element) -> CommitRe
     argument is kept because existing callers pass it positionally."""
     buf = bytearray()
     _put_field(buf, ca_pk.to_bytes())
-    tx = TransactionRecord(
-        payload=bytes(buf), device_id=b"system", signature=b"", proof=b"",
-        chaincode="bootstrap", nonce=b"genesis",
-    )
-    return ledger.invoke("bootstrap", tx)
+    return ledger.invoke("bootstrap",
+                         TransactionRecord(bytes(buf), b"", b"", b"", "bootstrap", b""))
 
 
 def rotate_challenges(ledger: Ledger, device_id: bytes, nonce: bytes, proof: bytes) -> CommitResult:
     """Commit the rotation that a device's authentication proof for
-    session ``nonce`` earns; the rotate chaincode verifies the proof."""
+    session ``nonce`` earns; the rotate chaincode checks the nonce and
+    verifies the proof."""
     return ledger.invoke("rotate", TransactionRecord(b"", device_id, b"", proof, "rotate", nonce))

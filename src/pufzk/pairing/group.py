@@ -45,7 +45,7 @@ class DomainTag:
     LITERAL_CHALLENGE = b"pufzk/v1/literal/fiat-shamir"
     CORRECTED_CHALLENGE = b"pufzk/v1/corrected/fiat-shamir"
     SIGNATURE_MESSAGE = b"pufzk/v1/signature/message"
-    SCHNORR_NONCE = b"pufzk/v1/schnorr/nonce"
+    PROVER_NONCE = b"pufzk/v1/prover/nonce"
     SCHNORR_CHALLENGE = b"pufzk/v1/schnorr/challenge"
     RESPONSE_SCALAR = b"pufzk/v1/identity/response-scalar"
     GENERIC_SCALAR = b"pufzk/v1/scalar"

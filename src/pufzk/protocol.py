@@ -9,18 +9,18 @@ prove, it reads its registration from the ledger and builds its
 statement with :meth:`StoredDevice.auth_statement`, as the rotate
 chaincode does to verify, so the two sides share one statement builder.
 
-The verifier role is distinct from the ledger, and it keeps no
-per-device memory.  Its 16-byte session nonce is the device's challenge
-epoch and a MAC over (device id, epoch) under the verifier's key, so
-every session of a device within one epoch gets the same nonce, and an
-answer is checked by recomputing it: a MAC that does not match reads
-"unknown nonce", a matching one for an earlier epoch "stale nonce".
-The proof then goes to the ledger's rotate chaincode, which verifies it
-and advances the device's challenge epoch; the request is accepted only
-if that rotation commits.  Whether a device may submit is decided by
-the submit chaincode alone.  Every proof here is a corrected-mode proof:
-the printed scheme lives in :mod:`pufzk.zkp` alone, whose functions the
-attack suite calls to demonstrate its defects.
+The verifier role is distinct from the ledger, and it keeps nothing but
+the ledger and an rng for session ids.  The ledger alone judges
+freshness: a session's nonce is the one the rotate chaincode accepts at
+the device's current epoch (:func:`pufzk.ledger.rotate_nonce`), and a
+transaction's is the one the submit chaincode accepts for the device's
+next reading (:func:`pufzk.ledger.submit_nonce`), which the device reads
+from the ledger as it builds the transaction.  The verifier decodes a
+request and forwards it to the chaincode, whose reason is its decision;
+the request is accepted only if the transaction commits.  Every proof
+here is a corrected-mode proof: the printed scheme lives in
+:mod:`pufzk.zkp` alone, whose functions the attack suite calls to
+demonstrate its defects.
 
 Adversary scripts receive public data only: ledger handles, recorded
 transcripts, and identifiers.  None of them touch a device's secret
@@ -32,7 +32,6 @@ as input to show that the PUF clause still blocks it).
 from __future__ import annotations
 
 import hashlib
-import hmac
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from . import zkp
 from .identity import CertificateAuthority, KeyPair, register_device, response_scalar
-from .ledger import Ledger, RecordError, StoredDevice, rotate_challenges
+from .ledger import Ledger, RecordError, StoredDevice, rotate_challenges, rotate_nonce, submit_nonce
 from .pairing import Scalar
 from .params import DEFAULT_PARAMS, ParamSet
 from .puf import PufDevice, puf_new, puf_respond
@@ -72,6 +71,17 @@ class Session:
 
     def record(self, message_bytes: bytes) -> None:
         self.transcript.append(message_bytes)
+
+    def exchange(self, raw: bytes, handle, tamper: Optional[TamperHook]) -> "Session":
+        """Deliver ``raw``, rewritten in flight by ``tamper`` when given,
+        to ``handle``, and record both messages and the decision."""
+        if tamper is not None:
+            raw = tamper(raw)
+        self.record(raw)
+        decision = handle(raw)
+        self.record(decision.to_bytes())
+        self.accepted, self.reason = decision.accept, decision.reason
+        return self
 
     def auth_request_bytes(self) -> Optional[bytes]:
         from .wire import TAG_AUTH_REQUEST
@@ -111,8 +121,10 @@ class Device:
         witness = zkp.AuthWitness(sk=self.keypair.sk, response_scalar=response_scalar(responses))
         return zkp.auth_prove_corrected(stored.auth_statement(nonce), witness, rng).to_bytes()
 
-    def build_tx_submit(self, payload: bytes, rng) -> TransactionRecord:
-        nonce = rng.getrandbits(128).to_bytes(zkp.NONCE_LEN, "big")
+    def build_tx_submit(self, ledger: Ledger, payload: bytes, rng) -> TransactionRecord:
+        """Sign and prove ``payload`` as the device's next reading, under
+        the nonce the submit chaincode accepts for it on ``ledger``."""
+        nonce = submit_nonce(ledger.next_seq(self.device_id))
         statement = zkp.TxStatement(
             device_id=self.device_id,
             pk=self.keypair.pk,
@@ -132,55 +144,35 @@ class Device:
 
 
 class Verifier:
-    """Session nonces and proof verification against ledger state.
-
-    The verifier keeps no per-device memory.  A session nonce is the
-    device's challenge epoch (8 bytes, big-endian) and the first 8 bytes
-    of HMAC-SHA-256 over (device id, epoch) under a key drawn once from
-    ``rng``, so it is recomputed, not looked up, when the answer comes."""
+    """The front end between devices and the ledger's chaincodes.  It
+    keeps no per-device memory: a session's nonce is read from ledger
+    state, and the chaincode a request is forwarded to decides it."""
 
     def __init__(self, ledger: Ledger, rng):
         self.ledger = ledger
         self.rng = rng
-        self._mac_key = rng.randbytes(32)
-
-    def _nonce(self, device_id: bytes, epoch: int) -> bytes:
-        prefix = epoch.to_bytes(8, "big")
-        return prefix + hmac.new(self._mac_key, device_id + prefix, hashlib.sha256).digest()[:8]
 
     def begin_session(self, device_id: bytes) -> Session:
-        """Open a session at the device's current epoch.  An id that
-        does not load as a registered device gets epoch -1 and a random
-        nonce, so any answer to it is refused."""
+        """Open a session at the device's current epoch, with the nonce
+        the rotate chaincode accepts there.  An id that does not load as
+        a registered device gets epoch -1 and an empty nonce; the
+        chaincode refuses any answer to it."""
         try:
             epoch = self.ledger.load_device(device_id).epoch
-            nonce = self._nonce(device_id, epoch)
+            nonce = rotate_nonce(epoch)
         except (KeyError, RecordError):
-            epoch, nonce = -1, self.rng.randbytes(zkp.NONCE_LEN)
+            epoch, nonce = -1, b""
         return Session(self.rng.getrandbits(64).to_bytes(8, "big"), device_id, nonce, epoch)
 
     def handle_auth_request(self, data: bytes) -> AuthDecision:
-        """Parse and decide one authentication request."""
+        """Forward an authentication request to the rotate chaincode,
+        which checks its nonce and proof; its reason is the decision."""
         try:
             msg = decode_message(data)
         except WireError:
             return AuthDecision(False, "malformed")
         if not isinstance(msg, AuthRequest):
             return AuthDecision(False, "malformed")
-        try:
-            stored = self.ledger.load_device(msg.device_id)
-        except KeyError:
-            return AuthDecision(False, "unregistered")
-        except RecordError:
-            return AuthDecision(False, "malformed record")
-        epoch = int.from_bytes(msg.nonce[:8], "big")
-        if (not hmac.compare_digest(msg.nonce, self._nonce(msg.device_id, epoch))
-                or epoch > stored.epoch):
-            return AuthDecision(False, "unknown nonce")
-        if epoch < stored.epoch:
-            return AuthDecision(False, "stale nonce")
-        # the rotate chaincode verifies the proof and commits one per
-        # epoch; its rejection reasons are this decision's
         result = rotate_challenges(self.ledger, msg.device_id, msg.nonce, msg.proof)
         return AuthDecision(bool(result), "ok" if result else result.reason)
 
@@ -217,17 +209,9 @@ def run_authentication(device: Device, verifier: Verifier, ledger: Ledger, mode:
     """
     _check_mode(mode)
     session = verifier.begin_session(device.device_id)
-    proof_bytes = device.build_auth_proof(ledger, session.nonce, rng, np_rng)
-    request = AuthRequest(device_id=device.device_id, proof=proof_bytes, nonce=session.nonce)
-    raw = request.to_bytes()
-    if tamper is not None:
-        raw = tamper(raw)
-    session.record(raw)
-    decision = verifier.handle_auth_request(raw)
-    session.record(decision.to_bytes())
-    session.accepted = decision.accept
-    session.reason = decision.reason
-    return session
+    proof = device.build_auth_proof(ledger, session.nonce, rng, np_rng)
+    request = AuthRequest(device.device_id, proof, session.nonce).to_bytes()
+    return session.exchange(request, verifier.handle_auth_request, tamper)
 
 
 def run_transaction(device: Device, verifier: Verifier, ledger: Ledger, payload: bytes,
@@ -235,22 +219,9 @@ def run_transaction(device: Device, verifier: Verifier, ledger: Ledger, payload:
     """Drive one transaction submit through the verifier to the
     ledger's guarded submit chaincode.  ``mode`` must be ``zkp.MODE_CORRECTED``."""
     _check_mode(mode)
-    session = Session(
-        session_id=rng.getrandbits(64).to_bytes(8, "big"),
-        device_id=device.device_id,
-        nonce=b"",
-        epoch=-1,
-    )
-    record = device.build_tx_submit(payload, rng)
-    raw = TxSubmit(record).to_bytes()
-    if tamper is not None:
-        raw = tamper(raw)
-    session.record(raw)
-    decision = verifier.handle_tx_submit(raw)
-    session.record(decision.to_bytes())
-    session.accepted = decision.accept
-    session.reason = decision.reason
-    return session
+    session = Session(rng.getrandbits(64).to_bytes(8, "big"), device.device_id, b"", -1)
+    submit = TxSubmit(device.build_tx_submit(ledger, payload, rng)).to_bytes()
+    return session.exchange(submit, verifier.handle_tx_submit, tamper)
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +266,12 @@ def attack_replay(recorded: Session, verifier: Verifier, ledger: Ledger,
 
 
 def deliver_forged_proof(verifier: Verifier, stored: StoredDevice, prove) -> AuthDecision:
-    """Open a session for a registered device and deliver the
-    corrected-mode proof that ``prove(statement)`` builds for its
-    public record, at the record's stored epoch."""
-    device_id = stored.record.device_id
-    session = verifier.begin_session(device_id)
-    statement = stored.auth_statement(session.nonce)
-    raw = AuthRequest(device_id, prove(statement).to_bytes(), session.nonce).to_bytes()
-    return verifier.handle_auth_request(raw)
+    """Deliver the corrected-mode proof that ``prove(statement)`` builds
+    for a registered device's public record, at the record's stored
+    epoch and under that epoch's nonce, which is public too."""
+    nonce = rotate_nonce(stored.epoch)
+    proof = prove(stored.auth_statement(nonce)).to_bytes()
+    return verifier.handle_auth_request(AuthRequest(stored.record.device_id, proof, nonce).to_bytes())
 
 
 def attack_impersonate(target_id: bytes, ledger: Ledger, verifier: Verifier, rng,
@@ -393,7 +362,7 @@ def attack_tamper_payload(device: Device, verifier: Verifier, ledger: Ledger, rn
     digest_changes = 0
     for i in range(trials):
         payload = b"reading:" + i.to_bytes(4, "big") + rng.getrandbits(64).to_bytes(8, "big")
-        record = device.build_tx_submit(payload, rng)
+        record = device.build_tx_submit(ledger, payload, rng)
         mutated_payload = bytearray(record.payload)
         mutated_payload[rng.randrange(len(mutated_payload))] ^= rng.randrange(1, 256)
         tampered = replace(record, payload=bytes(mutated_payload))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import zkp
 from .identity import CertificateAuthority, KeyPair, RegistrationError, register_device
-from .ledger import Ledger, bootstrap, ledger_new
+from .ledger import Ledger, bootstrap, ledger_new, rotate_challenges, rotate_nonce, submit_nonce
 from .pairing import G1Element, G2Element, Scalar
 from .params import DEFAULT_PARAMS, PRESETS, ParamSet
 from .protocol import (
@@ -95,36 +95,25 @@ def _perturb_proof_fields(device: Device, verifier: Verifier, ledger: Ledger, rn
                           np_rng, rounds: int) -> AttackOutcome:
     """Target each proof field in turn: honest request intercepted in
     flight, one field perturbed, delivered.  All must be rejected."""
-    fields = ("commit_sk", "commit_puf", "challenge", "resp_sk", "resp_puf", "session_nonce")
+    replace = dataclasses.replace
+    perturbations = (
+        lambda p: replace(p, commit_sk=p.commit_sk * G2Element.generator()),
+        lambda p: replace(p, commit_puf=p.commit_puf * G1Element.generator()),
+        lambda p: replace(p, challenge=p.challenge + 1),
+        lambda p: replace(p, resp_sk=p.resp_sk + 1),
+        lambda p: replace(p, resp_puf=p.resp_puf + 1),
+        lambda p: replace(p, session_nonce=bytes([p.session_nonce[0] ^ 1]) + p.session_nonce[1:]),
+    )
     accepted = 0
-    attempts = 0
     for i in range(rounds):
-        target = fields[i % len(fields)]
-
-        def mutate(raw: bytes, target=target) -> bytes:
+        def mutate(raw: bytes, perturb=perturbations[i % len(perturbations)]) -> bytes:
             msg = decode_message(raw)
-            proof = zkp.CorrectedAuthProof.from_bytes(msg.proof)
-            if target == "commit_sk":
-                proof = dataclasses.replace(proof, commit_sk=proof.commit_sk * G2Element.generator())
-            elif target == "commit_puf":
-                proof = dataclasses.replace(proof, commit_puf=proof.commit_puf * G1Element.generator())
-            elif target == "challenge":
-                proof = dataclasses.replace(proof, challenge=proof.challenge + 1)
-            elif target == "resp_sk":
-                proof = dataclasses.replace(proof, resp_sk=proof.resp_sk + 1)
-            elif target == "resp_puf":
-                proof = dataclasses.replace(proof, resp_puf=proof.resp_puf + 1)
-            else:
-                flipped = bytes([proof.session_nonce[0] ^ 1]) + proof.session_nonce[1:]
-                proof = dataclasses.replace(proof, session_nonce=flipped)
+            proof = perturb(zkp.CorrectedAuthProof.from_bytes(msg.proof))
             return AuthRequest(msg.device_id, proof.to_bytes(), msg.nonce).to_bytes()
 
-        session = run_authentication(
-            device, verifier, ledger, zkp.MODE_CORRECTED, rng, np_rng, tamper=mutate,
-        )
-        attempts += 1
-        accepted += int(session.accepted)
-    return AttackOutcome("perturb-proof-fields", attempts, accepted)
+        accepted += run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, np_rng,
+                                       tamper=mutate).accepted
+    return AttackOutcome("perturb-proof-fields", rounds, accepted)
 
 
 def _simulator_replay(device: Device, verifier: Verifier, ledger: Ledger, rng,
@@ -160,8 +149,7 @@ def _malformed_registrations(ledger: Ledger, ca: CertificateAuthority, rng) -> A
     accepted = 0
     for payload in payloads:
         before = (ledger.state_digest(), ledger.height)
-        result = ledger.invoke("register", TransactionRecord(
-            payload, b"", b"", b"", "register", rng.getrandbits(128).to_bytes(16, "big")))
+        result = ledger.invoke("register", TransactionRecord(payload, b"", b"", b"", "register", b""))
         accepted += int(bool(result) or (ledger.state_digest(), ledger.height) != before)
     return AttackOutcome("malformed-registration", len(payloads), accepted, result.reason)
 
@@ -174,9 +162,9 @@ def _registration_rewrite(ledger: Ledger, ca: CertificateAuthority, rng, np_rng,
     authentication, or the fingerprint, which would let the same
     physical device enroll again.  Or they rewrite the envelope around
     the record, which the log would replay forever: its device id, to
-    one naming another device, or its signature or proof, to bytes that
-    nothing reads.  A breach is a commit or any move of the state digest
-    or the height."""
+    one naming another device, or its signature, proof or nonce, to
+    bytes that nothing reads.  A breach is a commit or any move of the
+    state digest or the height."""
     def record(**changes):
         return lambda tx: dataclasses.replace(tx, payload=dataclasses.replace(
             DeviceRecord.from_bytes(tx.payload), **changes).to_bytes())
@@ -187,6 +175,7 @@ def _registration_rewrite(ledger: Ledger, ca: CertificateAuthority, rng, np_rng,
         lambda tx: dataclasses.replace(tx, device_id=bytes(16)),
         lambda tx: dataclasses.replace(tx, signature=b"junk"),
         lambda tx: dataclasses.replace(tx, proof=b"junk"),
+        lambda tx: dataclasses.replace(tx, nonce=bytes(60_000)),
     )
     breaches, reasons = 0, []
     for rewrite in rewrites:
@@ -211,19 +200,22 @@ def _anonymous_rotations(device: Device, other: Device, honest: AuthRequest, led
                          rng, np_rng) -> AttackOutcome:
     """Rotations of the device's epoch sent straight to the rotate
     chaincode: an empty proof, garbage, another device's valid current
-    proof, an honest authentication's committed rotation sent again and
-    an honest fresh proof carrying a payload.  A breach is a commit or
-    any move of the state digest, the height or the device's epoch."""
+    proof, an honest authentication's committed rotation sent again, an
+    honest fresh proof carrying a payload, and one under a nonce other
+    than the rule's.  A breach is a commit or any move of the state
+    digest, the height or the device's epoch."""
     def observed():
         return ledger.state_digest(), ledger.height, ledger.load_device(device.device_id).epoch
 
-    nonce = rng.randbytes(zkp.NONCE_LEN)
+    nonce = rotate_nonce(ledger.load_device(device.device_id).epoch)
+    off_rule = rng.randbytes(zkp.NONCE_LEN)
     attempts = [  # (payload, proof, nonce)
         (b"", b"", nonce),
         (b"", rng.randbytes(zkp.CORRECTED_AUTH_PROOF_WIRE_BYTES), nonce),
         (b"", other.build_auth_proof(ledger, nonce, rng, np_rng), nonce),
         (b"", honest.proof, honest.nonce),
         (b"reading", device.build_auth_proof(ledger, nonce, rng, np_rng), nonce),
+        (b"", device.build_auth_proof(ledger, off_rule, rng, np_rng), off_rule),
     ]
     breaches, reasons = 0, []
     for payload, proof, tx_nonce in attempts:
@@ -290,7 +282,7 @@ def _leaked_key_submit(ca: CertificateAuthority, verifier: Verifier, ledger: Led
     device = Device.enroll(puf_new(103, 0.0), ca, ledger, rng, np_rng, params)
 
     def direct():
-        result = ledger.invoke("submit", device.build_tx_submit(b"reading", rng))
+        result = ledger.invoke("submit", device.build_tx_submit(ledger, b"reading", rng))
         return result.committed, result.reason
 
     def through_verifier():
@@ -306,11 +298,64 @@ def _leaked_key_submit(ca: CertificateAuthority, verifier: Verifier, ledger: Led
     return AttackOutcome("leaked-key-submit", 2, breaches, "; ".join(dict.fromkeys(reasons)))
 
 
+def _rng_reset(ca: CertificateAuthority, verifier: Verifier, ledger: Ledger, rng, np_rng,
+               params: ParamSet) -> AttackOutcome:
+    """A device whose rng is restored to one snapshot before each of two
+    runs, as a reboot or a VM snapshot restores it, authenticates twice
+    and submits two readings.  An eavesdropper sees each request in
+    flight, the committed ones on the ledger too.  Two proofs with one
+    commitment and different challenges give sk = (s1 - s2)/(c1 - c2),
+    and rho the same way.  A breach is sk or rho recovered, or a
+    rotation or submit built from the recovered values that commits."""
+    device = Device.enroll(puf_new(104, 0.0), ca, ledger, rng, np_rng, params)
+    device_rng = random.Random(rng.getrandbits(64))
+    snapshot = device_rng.getstate()
+
+    def restored(run):
+        device_rng.setstate(snapshot)
+        return run()
+
+    auths = [restored(lambda: run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED,
+                                                 device_rng, np_rng)) for _ in range(2)]
+    submits = [restored(lambda: run_transaction(device, verifier, ledger, payload,
+                                                zkp.MODE_CORRECTED, device_rng))
+               for payload in (b"reading-1", b"reading-2")]
+    auth_proofs = [zkp.CorrectedAuthProof.from_bytes(decode_message(s.transcript[0]).proof)
+                   for s in auths]
+    tx_proofs = [zkp.CorrectedTxProof.from_bytes(decode_message(s.transcript[0]).record.proof)
+                 for s in submits]
+
+    def solve(proofs, resp: str) -> Scalar:
+        a, b = proofs
+        if a.challenge == b.challenge:
+            return Scalar(0)
+        return (getattr(a, resp) - getattr(b, resp)) * (a.challenge - b.challenge).inverse()
+
+    stored = ledger.load_device(device.device_id)
+    sk, rho = solve(auth_proofs, "resp_sk"), solve(auth_proofs, "resp_puf")
+    tx_sk = solve(tx_proofs, "resp_sk")
+    nonce = rotate_nonce(stored.epoch)
+    forged = zkp.auth_prove_corrected(stored.auth_statement(nonce), zkp.AuthWitness(sk, rho), rng)
+    thief = Device(None, device.device_id, KeyPair(tx_sk, stored.pk))  # no PUF: submits only
+    rotation = rotate_challenges(ledger, device.device_id, nonce, forged.to_bytes())
+    submit = ledger.invoke("submit", thief.build_tx_submit(ledger, b"forged", rng))
+    breaches = {
+        "sk from rotations": G2Element.generator() ** sk == stored.pk,
+        "rho from rotations": G1Element.generator() ** rho == stored.commitment,
+        "forged rotation": rotation.committed,
+        "sk from submits": G2Element.generator() ** tx_sk == stored.pk,
+        "forged submit": submit.committed,
+    }
+    return AttackOutcome("rng-reset", len(breaches), sum(breaches.values()),
+                         f"forged rotation: {rotation.reason}; forged submit: {submit.reason}")
+
+
 def _mode_downgrade(device: Device, verifier: Verifier, ledger: Ledger, auth_proof: bytes,
                     rng) -> AttackOutcome:
     """A committed submit of the authenticated device, sent again
-    through the verifier under fresh nonces with the payload and
-    signature it carried and, each time, a proof of another kind: the
+    through the verifier under the nonce the submit chaincode accepts
+    next, with the payload and signature it carried and, each time, a
+    proof of another kind: the
     printed scheme's identity forgery (S, 1, S), which verifies at every
     setup key, its public forgery, its honest transaction proof, and the
     device's valid authentication proof.  The signature covers the
@@ -329,9 +374,9 @@ def _mode_downgrade(device: Device, verifier: Verifier, ledger: Ledger, auth_pro
         auth_proof,
     ]
 
+    nonce = submit_nonce(ledger.next_seq(device.device_id))
     return _resent_submits("mode-downgrade", device, verifier, ledger, [
-        dataclasses.replace(record, proof=proof, nonce=rng.randbytes(zkp.NONCE_LEN))
-        for proof in proofs])
+        dataclasses.replace(record, proof=proof, nonce=nonce) for proof in proofs])
 
 
 def _mislabeled_submits(device: Device, verifier: Verifier, ledger: Ledger,
@@ -339,7 +384,7 @@ def _mislabeled_submits(device: Device, verifier: Verifier, ledger: Ledger,
     """An honest submit of the authenticated device, sent through the
     verifier with its chaincode field relabelled to another chaincode's
     name, to no name and to a near miss."""
-    record = device.build_tx_submit(b"reading", rng)
+    record = device.build_tx_submit(ledger, b"reading", rng)
     return _resent_submits("mislabeled-submit", device, verifier, ledger, [
         dataclasses.replace(record, chaincode=name)
         for name in ("rotate", "register", "bootstrap", "", "sucmit")])
@@ -484,6 +529,7 @@ def run_attack_suite(seed: int = 0, params: ParamSet = DEFAULT_PARAMS,
         report.outcomes.append(_mode_downgrade(device, verifier, ledger, request.proof, rng))
         report.outcomes.append(_leaked_key_submit(ca, verifier, ledger, rng, np_rng, params))
         report.outcomes.append(_mislabeled_submits(device, verifier, ledger, rng))
+        report.outcomes.append(_rng_reset(ca, verifier, ledger, rng, np_rng, params))
 
     if "literal-defects" in suites:
         report.literal_defects = _literal_defect_demos(device, ledger, setup, rng)

@@ -23,6 +23,8 @@ Two proof schemes are defined here:
     commitment from the responses and compares encodings, as a Schnorr
     (e, s) verifier recomputes R, so an accepted proof's commitments
     are never decoded: the proof codecs keep them as received bytes.
+    Each prover nonce is hedged (:func:`prover_nonce`), so an rng that
+    repeats its output does not repeat a nonce across statements.
 
 Two signature schemes sit beside the proofs.  Devices sign
 transactions with the usual pairing scheme: sig = H(msg)^sk in G1 with
@@ -86,6 +88,16 @@ def trust_setup(rng, forced_alpha: int | None = None) -> TrustSetup:
     """
     alpha = Scalar(forced_alpha) if forced_alpha is not None else Scalar.random(rng)
     return TrustSetup(alpha=alpha, pk_setup=_G2 ** alpha)
+
+
+def prover_nonce(witness, statement: bytes, index: int, fresh: bytes = b"") -> Scalar:
+    """The ``index``-th nonce of a proof or signature, hedged (RFC 6979
+    section 3.6): a hash of the length-framed witness scalars, statement,
+    index and ``fresh`` rng bytes.  A repeated rng then repeats a nonce
+    only with the whole proof.  Empty ``fresh`` makes it deterministic."""
+    parts = [w.to_bytes() for w in witness] + [statement, index.to_bytes(4, "big"), fresh]
+    return hash_to_scalar(b"".join(len(p).to_bytes(4, "big") + p for p in parts),
+                          DomainTag.PROVER_NONCE)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +276,8 @@ def auth_prove_corrected(statement: AuthStatement, witness: AuthWitness, rng) ->
     The prover never checks witness consistency; an inconsistent
     witness yields a proof that simply fails verification.
     """
-    k_sk = Scalar.random(rng)
-    k_puf = Scalar.random(rng)
+    secrets, fresh = (witness.sk, witness.response_scalar), rng.randbytes(32)
+    k_sk, k_puf = (prover_nonce(secrets, statement.to_bytes(), i, fresh) for i in (0, 1))
     commit_sk = _G2 ** k_sk
     commit_puf = _G1 ** k_puf
     challenge = _corrected_auth_challenge(statement, commit_sk, commit_puf)
@@ -395,7 +407,7 @@ def tx_prove_corrected(statement: TxStatement, sk: Scalar, rng) -> CorrectedTxPr
     """Knowledge-of-sk proof bound to the payload digest and nonce; a
     signature of knowledge playing the printed transaction proof's role
     in corrected mode."""
-    k = Scalar.random(rng)
+    k = prover_nonce((sk,), statement.to_bytes(), 0, rng.randbytes(32))
     commit_sk = _G2 ** k
     challenge = _corrected_tx_challenge(statement, commit_sk)
     return CorrectedTxProof(
@@ -455,11 +467,12 @@ def _schnorr_challenge(commit: G1Element, pk: G1Element, message: bytes) -> Scal
 
 
 def schnorr_sign(sk: Scalar, pk: G1Element, message: bytes) -> bytes:
-    """(e, s) with k = H(sk || msg), R = g1^k, e = H(R || pk || msg) and
+    """(e, s) with k = H(sk, msg), R = g1^k, e = H(R || pk || msg) and
     s = k + e * sk.  ``pk`` must be g1^sk; passing it saves a
-    multiplication.  The nonce is derived, so signing draws no
-    randomness and equal inputs give equal signatures."""
-    k = hash_to_scalar(sk.to_bytes() + message, DomainTag.SCHNORR_NONCE)
+    multiplication.  The nonce is :func:`prover_nonce` with no fresh
+    bytes, so signing draws no randomness and equal inputs give equal
+    signatures."""
+    k = prover_nonce((sk,), message, 0)
     e = _schnorr_challenge(_G1 ** k, pk, message)
     return e.to_bytes() + (k + e * sk).to_bytes()
 

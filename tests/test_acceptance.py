@@ -218,7 +218,7 @@ def test_criterion_5_tamper_evidence(stack):
     digests_intact = 0
     for i in range(100):
         payload = b"tamper-probe-" + i.to_bytes(2, "big")
-        record = device.build_tx_submit(payload, rng)
+        record = device.build_tx_submit(ledger, payload, rng)
         mutated = bytearray(record.payload)
         mutated[rng.randrange(len(mutated))] ^= rng.randrange(1, 256)
         tampered = dataclasses.replace(record, payload=bytes(mutated))

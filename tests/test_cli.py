@@ -15,12 +15,12 @@ HEX = "0123456789abcdef"
 
 # SHA-256 of the `demo --seed 7` transcript.  A change that means to
 # alter transcripts updates this digest and says so.
-DEMO_SEED_7_SHA256 = "dab0d4a9f0351c3ad640b741293f7ca348b38f8bbcacf48b5dbe832238f47c2a"
+DEMO_SEED_7_SHA256 = "5e3c46843db6a80fec46f7201cbfe649c9b41b01a64bca7a9ddb89f0cc36d49e"
 
 # SHA-256 of that transcript's `ledger` line, the exported transaction
 # log.  It depends on the committed transactions alone, not on how the
 # state is digested.
-DEMO_SEED_7_LEDGER_LINE_SHA256 = "244952837a9e540f93db7c13e5c9b414c1efc1a09dbfb23b8756fda391a3da21"
+DEMO_SEED_7_LEDGER_LINE_SHA256 = "54296037361423dbf75b42911e200506008e0573a75dc8b63673e580b4a523ab"
 
 
 @pytest.fixture(scope="module")
@@ -310,16 +310,18 @@ class TestAttackCommand:
     def test_registration_rewrite_defended(self):
         report = run_attack_suite(seed=4, suites=("tamper",), scale=0.02)
         outcome = next(o for o in report.outcomes if o.name == "registration-rewrite")
-        assert outcome.attempts == 5 and outcome.defended
+        assert outcome.attempts == 6 and outcome.defended
         assert outcome.detail == ("certificate does not match registration; "
-                                  "malformed registration: envelope does not match the record")
+                                  "malformed registration: envelope does not match the record; "
+                                  "unknown nonce")
 
     def test_anonymous_rotate_defended(self):
         report = run_attack_suite(seed=6, suites=("tamper",), scale=0.02)
         outcome = next(o for o in report.outcomes if o.name == "anonymous-rotate")
-        assert outcome.attempts == 5 and outcome.defended
-        assert outcome.detail == ("malformed; proof invalid; "
-                                  "malformed rotation: payload and signature must be empty")
+        assert outcome.attempts == 6 and outcome.defended
+        assert outcome.detail == ("malformed; proof invalid; stale nonce; "
+                                  "malformed rotation: payload and signature must be empty; "
+                                  "unknown nonce")
 
     def test_mode_downgrade_defended(self):
         report = run_attack_suite(seed=7, suites=("tamper",), scale=0.02)
@@ -352,6 +354,12 @@ class TestAttackCommand:
         outcome = next(o for o in report.outcomes if o.name == "mislabeled-submit")
         assert outcome.attempts == 5 and outcome.defended
         assert outcome.detail == "malformed"
+
+    def test_rng_reset_defended(self):
+        report = run_attack_suite(seed=10, suites=("tamper",), scale=0.02)
+        outcome = next(o for o in report.outcomes if o.name == "rng-reset")
+        assert outcome.attempts == 5 and outcome.defended
+        assert outcome.detail == "forged rotation: proof invalid; forged submit: signature invalid"
 
     def test_suite_selection(self):
         assert main(["attack", "--scale", "0.02", "--suite", "replay"]) == EXIT_OK

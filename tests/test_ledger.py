@@ -25,6 +25,8 @@ from pufzk.ledger import (
     chain_prefix_valid,
     ledger_new,
     rotate_challenges,
+    rotate_nonce,
+    submit_nonce,
 )
 from pufzk.pairing import ORDER, DecodeError, G1Element, G2Element
 from pufzk.protocol import Device
@@ -62,13 +64,16 @@ def _authenticate(ledger, device_id, keypair, puf_seed, rng):
     """Commit the device's rotation for its current epoch, as an
     accepted authentication does, so that the submit chaincode admits
     it."""
-    nonce = rng.randbytes(16)
+    nonce = rotate_nonce(ledger.load_device(device_id).epoch)
     proof = Device(puf_new(puf_seed, 0.0), device_id, keypair).build_auth_proof(ledger, nonce, rng)
     assert rotate_challenges(ledger, device_id, nonce, proof)
 
 
-def _submit_record(device_id, keypair, payload, rng, nonce=None):
-    nonce = nonce or rng.getrandbits(128).to_bytes(16, "big")
+def _submit_record(ledger, device_id, keypair, payload, rng, nonce=None):
+    """The device's signed and proved submit of ``payload``, by default
+    under the nonce the submit chaincode accepts next."""
+    if nonce is None:
+        nonce = submit_nonce(ledger.next_seq(device_id))
     statement = zkp.TxStatement(
         device_id=device_id,
         pk=keypair.pk,
@@ -104,7 +109,7 @@ class TestInvoke:
     def test_valid_signed_proved_tx_commits(self, env):
         ledger, rng = env["ledger"], env["rng"]
         before_height = ledger.height
-        tx = _submit_record(env["device_id"], env["keypair"], b"reading-1", rng)
+        tx = _submit_record(ledger, env["device_id"], env["keypair"], b"reading-1", rng)
         result = ledger.invoke("submit", tx)
         assert result
         assert ledger.height == before_height + 1
@@ -113,7 +118,7 @@ class TestInvoke:
 
     def test_mutated_payload_rejected_state_unchanged(self, env):
         ledger, rng = env["ledger"], env["rng"]
-        tx = _submit_record(env["device_id"], env["keypair"], b"reading-2", rng)
+        tx = _submit_record(ledger, env["device_id"], env["keypair"], b"reading-2", rng)
         import dataclasses
         tampered = dataclasses.replace(tx, payload=b"reading-2!")
         digest_before = ledger.state_digest()
@@ -123,7 +128,7 @@ class TestInvoke:
 
     def test_corrupted_proof_rejected(self, env):
         ledger, rng = env["ledger"], env["rng"]
-        tx = _submit_record(env["device_id"], env["keypair"], b"reading-3", rng)
+        tx = _submit_record(ledger, env["device_id"], env["keypair"], b"reading-3", rng)
         import dataclasses
         bad = bytearray(tx.proof)
         bad[10] ^= 0xFF
@@ -131,29 +136,61 @@ class TestInvoke:
         assert not result
 
     def test_nonce_reuse_rejected(self, env):
+        """Two submits built from one read of the device's sequence
+        number conflict: the first to commit makes the other stale."""
         ledger, rng = env["ledger"], env["rng"]
-        nonce = rng.getrandbits(128).to_bytes(16, "big")
-        tx = _submit_record(env["device_id"], env["keypair"], b"reading-4", rng, nonce=nonce)
-        assert ledger.invoke("submit", tx)
-        replay = _submit_record(env["device_id"], env["keypair"], b"reading-5", rng, nonce=nonce)
-        result = ledger.invoke("submit", replay)
-        assert not result and "nonce" in result.reason
+        first, second = [_submit_record(ledger, env["device_id"], env["keypair"], payload, rng)
+                         for payload in (b"reading-4", b"reading-5")]
+        assert first.nonce == second.nonce
+        assert ledger.invoke("submit", first)
+        digest, height = ledger.state_digest(), ledger.height
+        result = ledger.invoke("submit", second)
+        assert not result and result.reason == "stale nonce"
+        assert (ledger.state_digest(), ledger.height) == (digest, height)
+
+    @pytest.mark.parametrize("offset, reason", [
+        (-1, "stale nonce"), (1, "unknown nonce"), ("random", "unknown nonce"),
+        ("empty", "unknown nonce"), ("17-bytes", "unknown nonce")])
+    def test_only_the_next_sequence_number_is_accepted(self, env, offset, reason):
+        ledger, rng, device_id = env["ledger"], env["rng"], env["device_id"]
+        assert ledger.invoke("submit", _submit_record(ledger, device_id, env["keypair"], b"r", rng))
+        seq = ledger.next_seq(device_id)
+        nonce = {"random": rng.randbytes(16), "empty": b"",
+                 "17-bytes": b"\x00" + submit_nonce(seq)}.get(offset)
+        if nonce is None:
+            nonce = submit_nonce(seq + offset)
+        digest, height = ledger.state_digest(), ledger.height
+        tx = _submit_record(ledger, device_id, env["keypair"], b"off-rule", rng, nonce=nonce)
+        result = ledger.invoke("submit", tx)
+        assert not result and result.reason == reason
+        assert (ledger.state_digest(), ledger.height) == (digest, height)
+
+    def test_a_submit_adds_one_state_key(self, env):
+        """The reading's key; the sequence number is rewritten in place
+        and no key records the nonce."""
+        ledger, rng, device_id = env["ledger"], env["rng"], env["device_id"]
+        assert ledger.invoke("submit", _submit_record(ledger, device_id, env["keypair"], b"r", rng))
+        keys = set(ledger._state)
+        assert ledger.invoke("submit", _submit_record(ledger, device_id, env["keypair"], b"s", rng))
+        seq = ledger.next_seq(device_id) - 1
+        assert set(ledger._state) - keys == {f"data/{device_id.hex()}/{seq}"}
+        assert not any(key.startswith("txnonce/") for key in ledger._state)
 
     def test_unknown_device_rejected(self, env):
         ledger, rng = env["ledger"], env["rng"]
         import dataclasses
-        tx = _submit_record(env["device_id"], env["keypair"], b"x", rng)
+        tx = _submit_record(ledger, env["device_id"], env["keypair"], b"x", rng)
         alien = dataclasses.replace(tx, device_id=bytes(32))
         result = ledger.invoke("submit", alien)
         assert not result and "unknown device" in result.reason
 
     def test_unknown_chaincode_raises(self, env):
-        tx = _submit_record(env["device_id"], env["keypair"], b"x", env["rng"])
+        tx = _submit_record(env["ledger"], env["device_id"], env["keypair"], b"x", env["rng"])
         with pytest.raises(LedgerError):
             env["ledger"].invoke("no-such-chaincode", tx)
 
     def test_chaincode_field_mismatch_raises(self, env):
-        tx = _submit_record(env["device_id"], env["keypair"], b"x", env["rng"])
+        tx = _submit_record(env["ledger"], env["device_id"], env["keypair"], b"x", env["rng"])
         with pytest.raises(LedgerError):
             env["ledger"].invoke("register", tx)
 
@@ -192,8 +229,7 @@ def _registration(env, **changes):
         challenge_bytes=challenges,
     )
     record = dataclasses.replace(record, **changes)
-    return TransactionRecord(record.to_bytes(), record.device_id, b"", b"", "register",
-                             rng.getrandbits(128).to_bytes(16, "big"))
+    return TransactionRecord(record.to_bytes(), record.device_id, b"", b"", "register", b"")
 
 
 class TestRegistrationValidation:
@@ -233,6 +269,14 @@ class TestRegistrationValidation:
         result = ledger.invoke("register", dataclasses.replace(_registration(env), **envelope(env)))
         assert not result and result.reason == (
             "malformed registration: envelope does not match the record")
+        assert ledger.state_digest() == digest and ledger.height == height
+
+    @pytest.mark.parametrize("nonce", [bytes(16), bytes(60_000)], ids=["16-bytes", "60000-bytes"])
+    def test_registration_nonce_must_be_empty(self, env, nonce):
+        ledger = env["ledger"]
+        digest, height = ledger.state_digest(), ledger.height
+        result = ledger.invoke("register", dataclasses.replace(_registration(env), nonce=nonce))
+        assert not result and result.reason == "unknown nonce"
         assert ledger.state_digest() == digest and ledger.height == height
 
     def test_off_subgroup_pk_rejected(self, env):
@@ -345,7 +389,7 @@ class TestQueries:
         ledger, rng = env["ledger"], env["rng"]
         seq_key = f"dataseq/{env['device_id'].hex()}"
         seq_before = ledger.get_state(seq_key)
-        tx = _submit_record(env["device_id"], env["keypair"], b"phantom", rng)
+        tx = _submit_record(ledger, env["device_id"], env["keypair"], b"phantom", rng)
         import dataclasses
         ledger.invoke("submit", dataclasses.replace(tx, signature=b"\x00" * 48))
         assert ledger.get_state(seq_key) == seq_before
@@ -392,12 +436,12 @@ def _auth_proof(env, nonce, epoch=None):
 class TestRotation:
     def test_rotation_is_committed_and_advances_epoch(self, env):
         """A rotation carrying the device's proof for its current epoch
-        commits once; sent again, the proof no longer verifies."""
-        ledger, rng = env["ledger"], env["rng"]
+        commits once; sent again, its nonce is behind state."""
+        ledger = env["ledger"]
         device_id = env["device_id"]
         before = ledger.load_device(device_id).epoch
         height_before = ledger.height
-        nonce = rng.randbytes(16)
+        nonce = rotate_nonce(before)
         proof = _auth_proof(env, nonce)
         result = rotate_challenges(ledger, device_id, nonce, proof)
         assert result and result.block_height == height_before + 1
@@ -405,7 +449,7 @@ class TestRotation:
         assert ledger.load_device(device_id).epoch == before + 1
         assert ledger.transactions()[-1] == TransactionRecord(b"", device_id, b"", proof, "rotate", nonce)
         again = rotate_challenges(ledger, device_id, nonce, proof)
-        assert not again and again.reason == "proof invalid"
+        assert not again and again.reason == "stale nonce"
         assert ledger.height == height_before + 1
 
     @pytest.mark.parametrize("case, reason", [
@@ -413,7 +457,10 @@ class TestRotation:
         ("garbage-proof", "malformed"),
         ("off-subgroup-commitment", "malformed"),
         ("next-epoch", "proof invalid"),
-        ("other-nonce", "proof invalid"),
+        ("other-nonce", "unknown nonce"),
+        ("next-epoch-nonce", "unknown nonce"),
+        ("earlier-epoch-nonce", "stale nonce"),
+        ("zero-tail-flipped", "unknown nonce"),
         ("payload", "malformed rotation: payload and signature must be empty"),
         ("signature", "malformed rotation: payload and signature must be empty"),
     ])
@@ -421,9 +468,13 @@ class TestRotation:
         ledger, rng = env["ledger"], env["rng"]
         device_id = env["device_id"]
         current = ledger.load_device(device_id).epoch
-        nonce = rng.randbytes(16)
+        nonce = rotate_nonce(current)
         honest = _auth_proof(env, nonce)
         tx = TransactionRecord(b"", device_id, b"", honest, "rotate", nonce)
+
+        def under(other):
+            return dataclasses.replace(tx, proof=_auth_proof(env, other), nonce=other)
+
         tx = {
             "empty-proof": dataclasses.replace(tx, proof=b""),
             "garbage-proof": dataclasses.replace(tx, proof=b"\x02garbage"),
@@ -432,6 +483,9 @@ class TestRotation:
                 tx, proof=honest[:97] + b"\x80" + bytes(47) + honest[145:]),
             "next-epoch": dataclasses.replace(tx, proof=_auth_proof(env, nonce, current + 1)),
             "other-nonce": dataclasses.replace(tx, nonce=rng.randbytes(16)),
+            "next-epoch-nonce": under(rotate_nonce(current + 1)),
+            "earlier-epoch-nonce": under(rotate_nonce(current - 1)),
+            "zero-tail-flipped": under(nonce[:-1] + b"\x01"),
             "payload": dataclasses.replace(tx, payload=b"reading"),
             "signature": dataclasses.replace(tx, signature=bytes(48)),
         }[case]
@@ -449,6 +503,30 @@ class TestRotation:
         assert ledger.height == height
 
 
+def _log(records) -> bytes:
+    """An export_log-format log of ``records``, in the order given."""
+    log = bytearray(b"PZLG\x01" + len(records).to_bytes(4, "big"))
+    for record in records:
+        _put_field(log, record.to_bytes(), width=4)
+    return bytes(log)
+
+
+@pytest.fixture(scope="module")
+def one_of_each(env):
+    """A ledger holding one transaction of each built-in chaincode:
+    bootstrap, register, rotate and submit, in commit order."""
+    rng, np_rng = random.Random(65), np.random.default_rng(65)
+    ledger = ledger_new()
+    assert bootstrap(ledger, env["setup"].pk_setup, env["ca"].pk)
+    device_id, keypair = register_device(puf_new(7065, 0.0), env["ca"], ledger, rng, np_rng)
+    _authenticate(ledger, device_id, keypair, 7065, rng)
+    assert ledger.invoke("submit", _submit_record(ledger, device_id, keypair, b"reading", rng))
+    return ledger
+
+
+_MALFORMED_BOOTSTRAP = "malformed bootstrap: device id, signature and proof must be empty"
+
+
 class TestReplayDeterminism:
     def test_replay_reproduces_state_digest(self, env):
         ledger = env["ledger"]
@@ -460,8 +538,8 @@ class TestReplayDeterminism:
     def test_replay_reverifies_rotation_proofs(self, env):
         """One byte of a committed rotation's proof flipped inside the
         exported log: the rotate chaincode rejects it on replay."""
-        ledger, rng = env["ledger"], env["rng"]
-        nonce = rng.randbytes(16)
+        ledger = env["ledger"]
+        nonce = rotate_nonce(ledger.load_device(env["device_id"]).epoch)
         proof = _auth_proof(env, nonce)
         assert rotate_challenges(ledger, env["device_id"], nonce, proof)
         log = bytearray(ledger.export_log())
@@ -469,22 +547,24 @@ class TestReplayDeterminism:
         with pytest.raises(LedgerError, match="^replay diverged: "):
             Ledger.replay_log(bytes(log))
 
-    def test_replay_reapplies_the_submit_gate(self, env):
+    def test_replay_reapplies_the_submit_gate(self, one_of_each):
         """A hand-built log whose submit precedes the device's first
         rotation diverges on replay; in commit order it replays."""
-        rng, np_rng = random.Random(65), np.random.default_rng(65)
-        ledger = ledger_new()
-        assert bootstrap(ledger, env["setup"].pk_setup, env["ca"].pk)
-        device_id, keypair = register_device(puf_new(7065, 0.0), env["ca"], ledger, rng, np_rng)
-        _authenticate(ledger, device_id, keypair, 7065, rng)
-        assert ledger.invoke("submit", _submit_record(device_id, keypair, b"reading", rng))
+        ledger = one_of_each
         bootstrap_tx, register_tx, rotate_tx, submit_tx = ledger.transactions()
+        assert _log(ledger.transactions()) == ledger.export_log()
         assert Ledger.replay_log(ledger.export_log()).state_digest() == ledger.state_digest()
-        log = bytearray(b"PZLG\x01" + (4).to_bytes(4, "big"))
-        for record in (bootstrap_tx, register_tx, submit_tx, rotate_tx):
-            _put_field(log, record.to_bytes(), width=4)
         with pytest.raises(LedgerError, match="^replay diverged: unauthenticated$"):
-            Ledger.replay_log(bytes(log))
+            Ledger.replay_log(_log((bootstrap_tx, register_tx, submit_tx, rotate_tx)))
+
+    @pytest.mark.parametrize("index", range(4), ids=["bootstrap", "register", "rotate", "submit"])
+    def test_replay_refuses_an_off_rule_nonce(self, one_of_each, index):
+        """A hand-built log in commit order, with one transaction's
+        nonce rewritten off its chaincode's rule, diverges on replay."""
+        records = list(one_of_each.transactions())
+        records[index] = dataclasses.replace(records[index], nonce=b"\x01" * 16)
+        with pytest.raises(LedgerError, match="^replay diverged: unknown nonce$"):
+            Ledger.replay_log(_log(records))
 
     def test_bad_log_header_rejected(self):
         from pufzk.wire import WireError
@@ -519,7 +599,7 @@ class TestReplayDeterminism:
         _put_field(buf, ca_pk)
         ledger = ledger_new()
         result = ledger.invoke("bootstrap", TransactionRecord(
-            bytes(buf), b"system", b"", b"", "bootstrap", b"genesis"))
+            bytes(buf), b"", b"", b"", "bootstrap", b""))
         assert not result and result.reason.startswith("invalid bootstrap key: ")
         assert ledger.height == 0
 
@@ -532,23 +612,28 @@ class TestReplayDeterminism:
         ledger = ledger_new()
         digest = ledger.state_digest()
         result = ledger.invoke("bootstrap", TransactionRecord(
-            bytes(buf), b"system", b"", b"", "bootstrap", b"genesis"))
+            bytes(buf), b"", b"", b"", "bootstrap", b""))
         assert not result and result.reason.startswith("malformed bootstrap payload: ")
         assert ledger.height == 0 and ledger.state_digest() == digest
         assert list(ledger._state) == []
 
-    @pytest.mark.parametrize("envelope", [{"signature": b"junk"}, {"proof": b"junk"}],
-                             ids=["signature", "proof"])
-    def test_bootstrap_envelope_carries_nothing_but_the_key(self, env, envelope):
+    @pytest.mark.parametrize("envelope, reason", [
+        ({"signature": b"junk"}, _MALFORMED_BOOTSTRAP),
+        ({"proof": b"junk"}, _MALFORMED_BOOTSTRAP),
+        ({"device_id": b"system"}, _MALFORMED_BOOTSTRAP),
+        ({"nonce": b"genesis"}, "unknown nonce"),
+    ], ids=["signature", "proof", "device-id", "nonce"])
+    def test_bootstrap_envelope_carries_nothing_but_the_key(self, env, envelope, reason):
         buf = bytearray()
         _put_field(buf, env["ca"].pk.to_bytes())
-        tx = TransactionRecord(bytes(buf), b"system", b"", b"", "bootstrap", b"genesis")
+        tx = TransactionRecord(bytes(buf), b"", b"", b"", "bootstrap", b"")
         assert ledger_new().invoke("bootstrap", tx)
         ledger = ledger_new()
+        digest = ledger.state_digest()
         result = ledger.invoke("bootstrap", dataclasses.replace(tx, **envelope))
-        assert not result and result.reason == (
-            "malformed bootstrap: signature and proof must be empty")
-        assert ledger.height == 0 and list(ledger._state) == []
+        assert not result and result.reason == reason
+        assert ledger.height == 0 and ledger.state_digest() == digest
+        assert list(ledger._state) == []
 
     def test_bootstrap_only_once(self, env):
         setup, ca = env["setup"], env["ca"]
@@ -768,7 +853,7 @@ class TestPayloadStoredOnce:
         device_id, keypair = register_device(puf_new(7064, 0.0), env["ca"], ledger, rng, np_rng)
         _authenticate(ledger, device_id, keypair, 7064, rng)
         payload = rng.randbytes(65536)
-        tx = _submit_record(device_id, keypair, payload, rng)
+        tx = _submit_record(ledger, device_id, keypair, payload, rng)
         before = os.fstat(ledger._file.fileno()).st_size
         assert ledger.invoke("submit", tx)
         assert os.fstat(ledger._file.fileno()).st_size - before < 70 * 1024
@@ -779,10 +864,7 @@ class TestPayloadStoredOnce:
         assert ledger.state_digest() == _lthash_from_scratch(model)
         committed = ledger.transactions()
         assert len(committed) == 4 and committed[-1] == tx
-        log = bytearray(b"PZLG\x01" + len(committed).to_bytes(4, "big"))
-        for record in committed:
-            _put_field(log, record.to_bytes(), width=4)
-        assert ledger.export_log() == bytes(log)
+        assert ledger.export_log() == _log(committed)
         replayed = Ledger.replay_log(ledger.export_log())
         assert replayed.export_log() == ledger.export_log()
         assert {key: replayed.get_state(key) for key in replayed._state} == values

@@ -12,7 +12,14 @@ import pytest
 
 from pufzk import zkp
 from pufzk.identity import CertificateAuthority, response_scalar
-from pufzk.ledger import RecordError, StoredDevice, bootstrap, ledger_new, rotate_challenges
+from pufzk.ledger import (
+    RecordError,
+    StoredDevice,
+    bootstrap,
+    ledger_new,
+    rotate_challenges,
+    rotate_nonce,
+)
 from pufzk.pairing import DecodeError, G1Element, G2Element, Scalar, curve, group
 from pufzk.params import ParamSet
 from pufzk.protocol import (
@@ -93,10 +100,12 @@ class TestAuthentication:
         # the ghost proves against its own ledger and asks this verifier
         verifier = env["verifier"]
         session = verifier.begin_session(ghost.device_id)
-        proof = ghost.build_auth_proof(other_ledger, session.nonce, env["rng"], env["np_rng"])
+        nonce = rotate_nonce(0)
+        proof = ghost.build_auth_proof(other_ledger, nonce, env["rng"], env["np_rng"])
         decision = verifier.handle_auth_request(
-            AuthRequest(ghost.device_id, proof, session.nonce).to_bytes())
-        assert not decision.accept and decision.reason == "unregistered"
+            AuthRequest(ghost.device_id, proof, nonce).to_bytes())
+        assert (session.epoch, session.nonce) == (-1, b"")
+        assert not decision.accept and decision.reason == "unknown device"
 
     def test_device_missing_from_the_ledger_gets_a_key_error(self, env):
         device, empty = env["device"], ledger_new()
@@ -129,7 +138,7 @@ class TestAuthentication:
         session = verifier.begin_session(device_id)
         raw = AuthRequest(device_id, b"\x02garbage", session.nonce).to_bytes()
         decision = verifier.handle_auth_request(raw)
-        assert not decision.accept and decision.reason == "malformed record"
+        assert not decision.accept and decision.reason.startswith("malformed record: ")
 
     def test_noisy_accept_rate_over_200_sessions(self, env):
         """With evaluation noise, screening plus majority voting keeps
@@ -191,11 +200,11 @@ class TestMalformedStoredState:
             device.build_auth_proof(ledger, session.nonce, rng, env["np_rng"])
         decision = verifier.handle_auth_request(
             AuthRequest(device.device_id, proof, session.nonce).to_bytes())
-        assert not decision.accept and decision.reason == "malformed record"
+        assert not decision.accept and decision.reason.startswith("malformed record: ")
         session = run_transaction(device, verifier, ledger, b"reading", zkp.MODE_CORRECTED, rng)
         assert not session.accepted and session.reason.startswith("malformed record: ")
         digest, height = ledger.state_digest(), ledger.height
-        result = ledger.invoke("submit", device.build_tx_submit(b"direct", rng))
+        result = ledger.invoke("submit", device.build_tx_submit(ledger, b"direct", rng))
         assert not result and result.reason.startswith("malformed record: ")
         assert (ledger.state_digest(), ledger.height) == (digest, height)
 
@@ -264,7 +273,7 @@ class TestTransactions:
         device, verifier, ledger, rng = env["device"], env["verifier"], env["ledger"], env["rng"]
         assert run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED,
                                   rng, env["np_rng"]).accepted
-        record = dataclasses.replace(device.build_tx_submit(b"reading", rng), chaincode=chaincode)
+        record = dataclasses.replace(device.build_tx_submit(ledger, b"reading", rng), chaincode=chaincode)
         digest, height = ledger.state_digest(), ledger.height
         decision = verifier.handle_tx_submit(TxSubmit(record).to_bytes())
         assert (decision.accept, decision.reason) == (False, "malformed")
@@ -273,10 +282,10 @@ class TestTransactions:
     def test_resubmission_of_committed_record_rejected(self, env):
         run_authentication(env["device"], env["verifier"], env["ledger"],
                            zkp.MODE_CORRECTED, env["rng"], env["np_rng"])
-        record = env["device"].build_tx_submit(b"once-only", env["rng"])
+        record = env["device"].build_tx_submit(env["ledger"], b"once-only", env["rng"])
         assert env["ledger"].invoke("submit", record)
         result = env["ledger"].invoke("submit", record)
-        assert not result and "nonce" in result.reason
+        assert not result and result.reason == "stale nonce"
 
 
 class TestReplay:
@@ -303,27 +312,26 @@ class TestReplay:
             raw = AuthRequest(device_id, proof, session.nonce).to_bytes()
             return verifier.handle_auth_request(raw).reason
 
-        assert set(vars(verifier)) == {"ledger", "rng", "_mac_key"}
+        assert set(vars(verifier)) == {"ledger", "rng"}
         stranger = verifier.begin_session(env["rng"].randbytes(32))
-        assert stranger.epoch == -1
-        assert answer(stranger, stranger.device_id) == "unregistered"
+        assert (stranger.epoch, stranger.nonce) == (-1, b"")
+        assert answer(stranger, stranger.device_id) == "unknown device"
         sessions = [verifier.begin_session(device.device_id) for _ in range(8)]
-        assert len({s.nonce for s in sessions}) == 1 and sessions[0].epoch == 0
+        assert {s.nonce for s in sessions} == {rotate_nonce(0)} and sessions[0].epoch == 0
         assert answer(sessions[0]) == "malformed"
         proof = device.build_auth_proof(ledger, sessions[0].nonce, env["rng"], env["np_rng"])
         assert answer(sessions[0], proof=proof) == "ok"
         assert answer(sessions[0]) == "stale nonce"
         later = verifier.begin_session(device.device_id)
-        assert later.epoch == 1 and later.nonce != sessions[0].nonce
-        assert set(vars(verifier)) == {"ledger", "rng", "_mac_key"}
+        assert (later.epoch, later.nonce) == (1, rotate_nonce(1))
+        assert set(vars(verifier)) == {"ledger", "rng"}
 
     def test_altered_or_foreign_nonce_is_unknown(self, env):
         device, verifier, ledger = env["device"], env["verifier"], env["ledger"]
         nonce = verifier.begin_session(device.device_id).nonce
-        foreign = Verifier(ledger, env["rng"]).begin_session(device.device_id).nonce
         flipped = nonce[:-1] + bytes([nonce[-1] ^ 1])
-        next_epoch = verifier._nonce(device.device_id, 1)  # its MAC matches
-        for bad in (flipped, foreign, next_epoch):
+        foreign = env["rng"].randbytes(16)  # a nonce of no rule
+        for bad in (flipped, foreign, rotate_nonce(1), b"", nonce + b"\x00"):
             proof = device.build_auth_proof(ledger, bad, env["rng"], env["np_rng"])
             decision = verifier.handle_auth_request(
                 AuthRequest(device.device_id, proof, bad).to_bytes())
@@ -552,7 +560,7 @@ class TestCommitmentsComparedAsBytes:
         device, ledger, rng = env["device"], env["ledger"], env["rng"]
         assert run_authentication(device, env["verifier"], ledger, zkp.MODE_CORRECTED,
                                   rng, env["np_rng"]).accepted
-        record = device.build_tx_submit(b"reading", rng)
+        record = device.build_tx_submit(ledger, b"reading", rng)
         proof = record.proof[:1] + _alter(record.proof[1:97], how, rng) + record.proof[97:]
         record = dataclasses.replace(record, proof=proof)
         statement = zkp.TxStatement(device.device_id, device.keypair.pk,
@@ -602,7 +610,7 @@ class TestAcceptDecodesNoCommitment:
     def test_accepted_submit_decodes_no_g2_point(self, env, decode_counts):
         assert run_authentication(env["device"], env["verifier"], env["ledger"],
                                   zkp.MODE_CORRECTED, env["rng"], env["np_rng"]).accepted
-        record = env["device"].build_tx_submit(b"reading", env["rng"])
+        record = env["device"].build_tx_submit(env["ledger"], b"reading", env["rng"])
         env["ledger"].load_device(env["device"].device_id)
         decode_counts.update(g1=0, g2=0)
         assert env["ledger"].invoke("submit", record)

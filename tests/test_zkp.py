@@ -31,6 +31,7 @@ from pufzk.zkp import (
     auth_verify_corrected,
     auth_verify_literal,
     forge_literal_proof,
+    prover_nonce,
     sign,
     simulate_auth_transcript,
     trust_setup,
@@ -304,6 +305,48 @@ class TestCorrectedTx:
         assert not tx_verify_corrected(statement, proof)
 
 
+class TestHedgedNonces:
+    """A prover whose rng is restored to one snapshot repeats a nonce
+    only for the same witness and statement."""
+
+    def test_restored_rng_gives_fresh_auth_nonces_for_a_new_statement(self):
+        rng = random.Random(33)
+        statement, witness = _statement_and_witness(rng)
+        later = dataclasses.replace(statement, challenge_epoch=2, session_nonce=b"\xBB" * 16)
+        snapshot = rng.getstate()
+        first = auth_prove_corrected(statement, witness, rng)
+        rng.setstate(snapshot)
+        second = auth_prove_corrected(later, witness, rng)
+        assert first.commit_sk != second.commit_sk and first.commit_puf != second.commit_puf
+        rng.setstate(snapshot)
+        assert auth_prove_corrected(statement, witness, rng) == first
+
+    def test_restored_rng_gives_fresh_tx_nonces_for_a_new_statement(self):
+        rng = random.Random(34)
+        sk = Scalar.random(rng)
+        statement = TxStatement(bytes(32), G2 ** sk, bytes(32), bytes(16))
+        snapshot = rng.getstate()
+        first = tx_prove_corrected(statement, sk, rng)
+        rng.setstate(snapshot)
+        second = tx_prove_corrected(dataclasses.replace(statement, payload_digest=bytes([1]) * 32),
+                                    sk, rng)
+        assert first.commit_sk != second.commit_sk
+        # the sk that equal commitments would give is not the key
+        solved = (first.resp_sk - second.resp_sk) * (first.challenge - second.challenge).inverse()
+        assert solved != sk
+
+    def test_each_input_moves_the_nonce(self):
+        witness, statement, fresh = (Scalar(5), Scalar(6)), b"statement", bytes(32)
+        nonce = prover_nonce(witness, statement, 0, fresh)
+        assert prover_nonce(witness, statement, 0, fresh) == nonce
+        assert len({nonce,
+                    prover_nonce((Scalar(5), Scalar(7)), statement, 0, fresh),
+                    prover_nonce(witness, b"statemenu", 0, fresh),
+                    prover_nonce(witness, statement, 1, fresh),
+                    prover_nonce(witness, statement, 0, bytes(31) + b"\x01"),
+                    prover_nonce(witness, statement, 0)}) == 6
+
+
 class TestSignature:
     def test_sign_then_verify(self):
         rng = random.Random(26)
@@ -356,6 +399,7 @@ class TestSchnorrSignature:
         sig = schnorr_sign(sk, G1 ** sk, b"msg")
         assert len(sig) == SCHNORR_SIGNATURE_WIRE_BYTES
         assert schnorr_verify(G1 ** sk, b"msg", sig)
+        assert schnorr_sign(sk, G1 ** sk, b"msg") == sig  # deterministic
 
     def test_wrong_key_and_mutation_rejected(self):
         from pufzk.zkp import schnorr_sign, schnorr_verify
