@@ -42,6 +42,25 @@ def fq_sqrt(a):
     return root
 
 
+def fq_is_square(a):
+    """Whether a is a square in Fq, 0 included, i.e. fq_sqrt(a) is not
+    None: the Jacobi symbol (a/P) by the binary algorithm, a few times
+    cheaper than the exponentiation in fq_sqrt."""
+    a %= P
+    n, flip = P, False
+    while a:
+        # (2/n) = -1 exactly when n = 3 or 5 mod 8
+        z = (a & -a).bit_length() - 1
+        a >>= z
+        if z & 1 and n & 7 in (3, 5):
+            flip = not flip
+        # reciprocity: (a/n) = -(n/a) exactly when both are 3 mod 4
+        if a & n & 2:
+            flip = not flip
+        a, n = n % a, a
+    return not flip
+
+
 # ---------------------------------------------------------------------------
 # Fq2
 # ---------------------------------------------------------------------------
@@ -278,7 +297,9 @@ def fq12_cyclotomic_sqr(a):
     (z2, z3), (z4, z5); each is squared as (x + y s)^2 = (x^2 + xi y^2)
     + ((x + y)^2 - x^2 - y^2) s, with the Fq2 arithmetic inlined as in
     ``fq6_mul``, and the output coefficients are 3 t -/+ 2 z of those
-    squares.  Checked against ``fq12_sqr`` in the test suite.
+    squares.  Checked against ``fq12_sqr`` in the test suite.  The
+    final exponentiation squares in compressed form and runs this only
+    where a compressed power cannot be decompressed (see ``pairing``).
     """
     ((z00, z01), (z40, z41), (z30, z31)), ((z20, z21), (z10, z11), (z50, z51)) = a
     # (z0 + z1 s)^2 = t0 + t1 s

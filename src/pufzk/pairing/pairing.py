@@ -11,15 +11,24 @@ final exponentiation.
 
 The final exponentiation uses the easy part (p^6-1)(p^2+1) followed by
 the parameter-driven addition chain for three times the hard part,
-3*(p^4-p^2+1)/r = (x-1)^2 (x+p) (x^2+p^2-1) + 3, whose powers of x use
-Granger-Scott cyclotomic squarings.  The cube factor is shared by every
-output, so all bilinearity and product identities hold exactly; this is
-the usual trade made by production pairing code.
+3*(p^4-p^2+1)/r = (x-1)^2 (x+p) (x^2+p^2-1) + 3.  The cube factor is
+shared by every output, so all bilinearity and product identities hold
+exactly; this is the usual trade made by production pairing code.  Each
+of the chain's five powers of |x| runs its 63 squarings in Karabina's
+compressed form (Math. Comp. 2013): four of the six Fq2 coefficients,
+six Fq2 squarings per step where Granger-Scott takes nine.  The powers
+f^(2^i) at the six set bits of |x| are decompressed together with one
+inversion (Aranha et al., EUROCRYPT 2011) and multiplied.  Decompression
+divides by one coefficient; when that is zero (f = 1, the value of a
+product whose pairs all hold the point at infinity) the power runs
+uncompressed with Granger-Scott squarings instead, so every output is
+the same field element either way.
 
 ``miller_loop`` accepts several (G1, G2 line table) pairs and shares one
 final exponentiation across them, which is what every verifier wants.
 """
 
+from .curve import _batch_inv
 from .fields import (
     P, X_ABS, FQ12_ONE,
     fq2_sub, fq2_mul, fq2_sqr, fq2_scale, fq2_inv,
@@ -28,6 +37,8 @@ from .fields import (
 )
 
 _X_BITS = bin(X_ABS)[3:]  # skip the leading 1
+# positions of the set bits of |x|: 16, 48, 57, 60, 62 and 63
+_X_SET_BITS = tuple(i for i in range(X_ABS.bit_length()) if X_ABS >> i & 1)
 
 
 def _mul_by_line(f, slope, point, xp_neg, yp):
@@ -137,9 +148,92 @@ def miller_loop(pairs):
     return fq12_conj(f)
 
 
+def _compressed_sqrs(z, n):
+    """n cyclotomic squarings of a compressed element z = (z2, z3, z4, z5).
+
+    The names are those of ``fq12_cyclotomic_sqr``: the tower value is
+    ((z0, z4, z3), (z2, z1, z5)), and the Granger-Scott outputs for z2 to
+    z5 read only (z2 + z3 s)^2 = A + B s and (z4 + z5 s)^2 = C + D s, so
+    z0 and z1 are dropped (Karabina):
+        z2' = 3 xi D + 2 z2,  z3' = 3 C - 2 z3,
+        z4' = 3 A - 2 z4,     z5' = 3 B + 2 z5.
+    The loop keeps the eight Fq coordinates in locals.
+    """
+    (a0, a1), (b0, b1), (c0, c1), (d0, d1) = z
+    for _ in range(n):
+        # (z2 + z3 s)^2 = A + B s
+        x0 = (a0 + a1) * (a0 - a1); x1 = 2 * a0 * a1
+        y0 = (b0 + b1) * (b0 - b1); y1 = 2 * b0 * b1
+        s0 = a0 + b0; s1 = a1 + b1
+        A0 = x0 + y0 - y1; A1 = x1 + y0 + y1
+        B0 = (s0 + s1) * (s0 - s1) - x0 - y0; B1 = 2 * s0 * s1 - x1 - y1
+        # (z4 + z5 s)^2 = C + D s
+        x0 = (c0 + c1) * (c0 - c1); x1 = 2 * c0 * c1
+        y0 = (d0 + d1) * (d0 - d1); y1 = 2 * d0 * d1
+        s0 = c0 + d0; s1 = c1 + d1
+        C0 = x0 + y0 - y1; C1 = x1 + y0 + y1
+        D0 = (s0 + s1) * (s0 - s1) - x0 - y0; D1 = 2 * s0 * s1 - x1 - y1
+        a0, a1 = (3 * (D0 - D1) + 2 * a0) % P, (3 * (D0 + D1) + 2 * a1) % P
+        b0, b1 = (3 * C0 - 2 * b0) % P, (3 * C1 - 2 * b1) % P
+        c0, c1 = (3 * A0 - 2 * c0) % P, (3 * A1 - 2 * c1) % P
+        d0, d1 = (3 * B0 + 2 * d0) % P, (3 * B1 + 2 * d1) % P
+    return ((a0, a1), (b0, b1), (c0, c1), (d0, d1))
+
+
+def _decompress(zs):
+    """The tower values of compressed cyclotomic elements, with one
+    inversion for all of them, or None when some z2 is zero:
+        z1 = (xi z5^2 + 3 z4^2 - 2 z3) / (4 z2),
+        z0 = xi (2 z1^2 + z2 z5 - 3 z3 z4) + 1.
+    1/(4 z2) is conj(4 z2) over the Fq norm of 4 z2, which is zero only
+    for z2 = 0.  The Fq2 arithmetic is inlined as in ``fq6_mul``."""
+    if any(z2 == (0, 0) for z2, _, _, _ in zs):
+        return None
+    norm_invs = _batch_inv([16 * (a0 * a0 + a1 * a1) % P for (a0, a1), _, _, _ in zs])
+    out = []
+    for ((a0, a1), (b0, b1), (c0, c1), (d0, d1)), ni in zip(zs, norm_invs):
+        # num = xi z5^2 + 3 z4^2 - 2 z3, and z1 = num * conj(4 z2) / N(4 z2)
+        x0 = (d0 + d1) * (d0 - d1); x1 = 2 * d0 * d1
+        n0 = (x0 - x1 + 3 * (c0 + c1) * (c0 - c1) - 2 * b0) % P
+        n1 = (x0 + x1 + 6 * c0 * c1 - 2 * b1) % P
+        i0 = 4 * a0 * ni % P; i1 = -4 * a1 * ni % P
+        t0 = n0 * i0; t1 = n1 * i1
+        e0 = (t0 - t1) % P; e1 = ((n0 + n1) * (i0 + i1) - t0 - t1) % P
+        # t = 2 z1^2 + z2 z5 - 3 z3 z4, and z0 = xi t + 1
+        t0 = 2 * (e0 + e1) * (e0 - e1) + a0 * d0 - a1 * d1 - 3 * (b0 * c0 - b1 * c1)
+        t1 = 4 * e0 * e1 + a0 * d1 + a1 * d0 - 3 * (b0 * c1 + b1 * c0)
+        out.append((
+            (((t0 - t1 + 1) % P, (t0 + t1) % P), (c0, c1), (b0, b1)),
+            ((a0, a1), (e0, e1), (d0, d1)),
+        ))
+    return out
+
+
 def _pow_x_abs(f):
-    """f^|x| over the sparse 64-bit parameter, using cyclotomic
-    squarings (callers guarantee f sits in the cyclotomic subgroup)."""
+    """f^|x| for f in the cyclotomic subgroup (callers guarantee it).
+
+    f^(2^i) is kept compressed at each set bit i of |x|; the six are
+    decompressed together and multiplied.  If one cannot be decompressed
+    the uncompressed chain runs instead (see the module docstring)."""
+    (_, z4, z3), (z2, _, z5) = f
+    z = (z2, z3, z4, z5)
+    kept = []
+    done = 0
+    for i in _X_SET_BITS:
+        z = _compressed_sqrs(z, i - done)
+        kept.append(z)
+        done = i
+    powers = _decompress(kept)
+    if powers is None:
+        return _pow_x_abs_uncompressed(f)
+    out = powers[0]
+    for g in powers[1:]:
+        out = fq12_mul(out, g)
+    return out
+
+
+def _pow_x_abs_uncompressed(f):
+    """f^|x| by square-and-multiply with Granger-Scott squarings."""
     out = f
     for bit in _X_BITS:
         out = fq12_cyclotomic_sqr(out)

@@ -22,10 +22,11 @@ from pufzk.pairing import (
 from pufzk.pairing import curve
 from pufzk.pairing.fields import (
     FQ12_ONE, X_ABS, XI, fq12_cyclotomic_sqr, fq12_pow, fq12_sqr, fq2_add, fq2_inv,
-    fq2_mul, fq2_neg, fq2_pow, fq2_sqr, fq2_sqrt, fq_sqrt, P, R,
+    fq2_mul, fq2_neg, fq2_pow, fq2_sqr, fq2_sqrt, fq_is_square, fq_sqrt, P, R,
 )
 from pufzk.pairing.pairing import (
-    _mul_by_line, final_exponentiation, miller_loop, precompute_g2_lines,
+    _compressed_sqrs, _decompress, _mul_by_line, _pow_x_abs, _pow_x_abs_uncompressed,
+    final_exponentiation, miller_loop, precompute_g2_lines,
 )
 from pufzk.pairing.curve import G1_GEN, g1_mul, g1_mul_unchecked, g2_mul_unchecked
 
@@ -33,6 +34,19 @@ VECTORS = pathlib.Path(__file__).resolve().parent.parent / "vectors"
 
 G1 = G1Element.generator()
 G2 = G2Element.generator()
+
+
+def _easy_part(f):
+    """f^((p^6 - 1)(p^2 + 1)): an element of the cyclotomic subgroup."""
+    from pufzk.pairing.fields import fq12_conj, fq12_frobenius2, fq12_inv, fq12_mul
+    t = fq12_mul(fq12_conj(f), fq12_inv(f))
+    return fq12_mul(fq12_frobenius2(t), t)
+
+
+def _compressed(f):
+    """(z2, z3, z4, z5) of the tower value ((z0, z4, z3), (z2, z1, z5))."""
+    (_, z4, z3), (z2, _, z5) = f
+    return (z2, z3, z4, z5)
 
 
 class TestPairing:
@@ -74,17 +88,36 @@ class TestPairing:
 
     def test_cyclotomic_squaring_matches_general(self):
         # a chain of squarings from the easy part's output, so an output
-        # left unreduced or outside the subgroup shows in the next step
+        # left unreduced or outside the subgroup shows in the next step;
+        # the compressed chain keeps four of the six coefficients, and
+        # decompressing gives back the other two
         from pufzk.pairing.curve import G2_GEN
-        from pufzk.pairing.fields import fq12_conj, fq12_frobenius2, fq12_inv, fq12_mul
         rng = random.Random(4)
         for _ in range(3):
             f = miller_loop([(g1_mul(G1_GEN, rng.randrange(2, 10**6)), precompute_g2_lines(G2_GEN))])
-            t = fq12_mul(fq12_conj(f), fq12_inv(f))
-            cyc = sqr = fq12_mul(fq12_frobenius2(t), t)
+            cyc = sqr = _easy_part(f)
+            z = _compressed(cyc)
             for _ in range(64):
-                cyc, sqr = fq12_cyclotomic_sqr(cyc), fq12_sqr(sqr)
+                cyc, sqr, z = fq12_cyclotomic_sqr(cyc), fq12_sqr(sqr), _compressed_sqrs(z, 1)
                 assert cyc == sqr
+                assert z == _compressed(cyc)
+            assert _decompress([z]) == [cyc]
+
+    @given(st.integers(min_value=2, max_value=R - 1), st.integers(min_value=1, max_value=R - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_compressed_pow_matches_granger_scott_chain(self, a, b):
+        from pufzk.pairing.curve import G2_GEN
+        f = miller_loop([(g1_mul(G1_GEN, a), precompute_g2_lines(curve.g2_mul(G2_GEN, b)))])
+        m = _easy_part(f)
+        assert _pow_x_abs(m) == _pow_x_abs_uncompressed(m)
+
+    def test_compressed_pow_of_one_takes_the_uncompressed_chain(self):
+        # every compressed power of 1 has z2 = 0, which decompression
+        # divides by; the uncompressed chain gives the exact result
+        assert _decompress([_compressed(FQ12_ONE)]) is None
+        assert _pow_x_abs(FQ12_ONE) == FQ12_ONE
+        assert final_exponentiation(FQ12_ONE) == FQ12_ONE
+        assert final_exponentiation(miller_loop([(None, None), (G1_GEN, None)])) == FQ12_ONE
 
     def test_mul_by_line_matches_dense_product(self):
         # the line from the documented slot layout: slope*x - y at w^0,
@@ -125,16 +158,41 @@ class TestPairing:
         pairing_mod.miller_loop(pairs)
         assert counts == {"fq12_mul": 0, "fq12_sqr": 63, "_mul_by_line": 2 * len(pk_lines)}
 
+    @pytest.mark.parametrize("one", [False, True], ids=["random", "one"])
+    def test_final_exponentiation_counts(self, monkeypatch, one):
+        # exact counts, independent of host speed: five powers of |x|,
+        # each 63 compressed squarings, one batch inversion and five
+        # products, besides the nine products of the easy part and the
+        # chain; f = 1 reruns each power uncompressed (63 Granger-Scott
+        # squarings and five products) and inverts nothing
+        from pufzk.pairing import pairing as pairing_mod
+        from pufzk.pairing.curve import G2_GEN
+        f = FQ12_ONE if one else miller_loop([(g1_mul(G1_GEN, 7), precompute_g2_lines(G2_GEN))])
+        counts = {"fq12_mul": 0, "fq12_sqr": 0, "fq12_cyclotomic_sqr": 0, "_batch_inv": 0}
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(pairing_mod, name)):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(pairing_mod, name, counted)
+        counts["compressed squarings"] = 0
+
+        def compressed(z, n, _fn=pairing_mod._compressed_sqrs):
+            counts["compressed squarings"] += n
+            return _fn(z, n)
+        monkeypatch.setattr(pairing_mod, "_compressed_sqrs", compressed)
+        pairing_mod.final_exponentiation(f)
+        assert counts == {
+            "fq12_mul": 34, "fq12_sqr": 1, "compressed squarings": 315,
+            "fq12_cyclotomic_sqr": 315 if one else 0, "_batch_inv": 0 if one else 5,
+        }
+
     def test_final_exponentiation_matches_generic_exponent(self):
         # the addition chain computes f^(3*(p^4-p^2+1)/r) after the easy
         # part; check it against a plain square-and-multiply once
         from pufzk.pairing.curve import G2_GEN
-        from pufzk.pairing.fields import fq12_conj, fq12_frobenius2, fq12_inv, fq12_mul
         f = miller_loop([(G1_GEN, precompute_g2_lines(G2_GEN))])
-        t = fq12_mul(fq12_conj(f), fq12_inv(f))
-        m = fq12_mul(fq12_frobenius2(t), t)
         hard = 3 * ((P ** 4 - P ** 2 + 1) // R)
-        assert final_exponentiation(f) == fq12_pow(m, hard)
+        assert final_exponentiation(f) == fq12_pow(_easy_part(f), hard)
 
 
 class TestHashToGroup:
@@ -175,6 +233,49 @@ class TestHashToGroup:
             ctr += 1
         assert ctr > 0
         assert hash_to_g1(msg, tag)._pt == expected
+
+    @given(st.integers(min_value=0, max_value=P - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_residuosity_matches_square_root(self, a):
+        assert fq_is_square(a) == (fq_sqrt(a) is not None)
+
+    def test_residuosity_edge_cases(self):
+        rng = random.Random(12)
+        squares = [1, 4] + [pow(rng.randrange(1, P), 2, P) for _ in range(50)]
+        # -1 is a non-residue (P = 3 mod 4), so -s is one for every square s
+        non_squares = [P - s for s in squares]
+        assert fq_is_square(0) and fq_sqrt(0) == 0
+        assert all(fq_is_square(a) and fq_sqrt(a) is not None for a in squares)
+        assert not any(fq_is_square(a) or fq_sqrt(a) is not None for a in non_squares)
+
+    def test_one_square_root_per_hash(self, monkeypatch):
+        # the residuosity test turns every non-residue candidate away
+        # before the root is taken; the points stay those of the vectors
+        from pufzk.pairing import group
+        calls = []
+        monkeypatch.setattr(group, "fq_sqrt", lambda a, _fn=group.fq_sqrt: calls.append(a) or _fn(a))
+        cases = [line.split()[1:] for line in (VECTORS / "pairing_vectors.txt").read_text().splitlines()
+                 if line.startswith("h2g1 ")]
+        assert len(cases) >= 4
+        for inp, enc in cases:
+            tag_hex, msg_hex = inp.split(":")
+            assert hash_to_g1(bytes.fromhex(msg_hex), bytes.fromhex(tag_hex)).to_bytes().hex() == enc
+        assert len(calls) == len(cases)
+
+    def test_split_cofactor_matches_single_ladder(self):
+        from pufzk.pairing.curve import COFACTOR_G1
+        from pufzk.pairing.group import _COFACTOR_G1_FACTORS, _clear_cofactor_g1
+        assert (X_ABS + 1) % 3 == 0
+        assert COFACTOR_G1 == (X_ABS + 1) * ((X_ABS + 1) // 3) == (X_ABS + 1) ** 2 // 3
+        assert _COFACTOR_G1_FACTORS == (X_ABS + 1, (X_ABS + 1) // 3)
+        rng = random.Random(2303)
+        points = [_random_e1_point(rng) for _ in range(20)]
+        assert not any(curve.g1_in_subgroup(pt) for pt in points)
+        # [R]P lies in the cofactor's torsion, which clearing sends to the identity
+        torsion = [g1_mul_unchecked(pt, R) for pt in points[:3]]
+        for pt in points + torsion + [None]:
+            assert _clear_cofactor_g1(pt) == g1_mul_unchecked(pt, COFACTOR_G1)
+        assert torsion[0] is not None and _clear_cofactor_g1(torsion[0]) is None
 
     def test_scalar_hash_deterministic_and_pinned_empty_vector(self):
         s = hash_to_scalar(b"", DomainTag.GENERIC_SCALAR)

@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""Run the benchmark in two checkouts, alternately, and compare them.
+
+    python tools/bench_pairs.py --parent DIR --change DIR \\
+        --workload bulk --workload onboard --seeds 2331-2340 \\
+        --seconds 30 --out BENCH_N.json [--trace-seed 31]
+
+For each workload and seed, ``benchmark/run.py --trace 0`` runs once in
+each checkout, each run in a fresh interpreter; the parent goes first
+on even-numbered pairs and the change on odd ones, so drift of the host
+falls on both sides.  The output holds every run and an ``all_pairs``
+block per workload: for each end-to-end metric of the change's
+``BENCHMARK.json``, both sides' quartiles and interquartile range,
+``change_over_parent`` (the change's median over the parent's, minus
+one) and ``change_better_in`` (pairs where the change reads strictly
+better, of all pairs).  The file is rewritten after every pair.
+
+With ``--trace-seed``, one traced run per side and workload follows the
+pairs.  Raw traced milliseconds move with the host from run to run, so
+each ``.ms`` and ``.self_ms`` figure is also given as a share of the
+same run's ``pairing.miller_loop.ms``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+BASE_MS = "pairing.miller_loop.ms"
+
+
+def parse_seeds(text):
+    """'5-8' or '5,6,9' (or both, comma-separated) as a list of ints."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run_once(root, workload, seed, seconds, trace):
+    cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {
+        "seed": seed,
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        **{name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def summarize(runs, metrics):
+    """The all_pairs block of one workload; runs[side][i] is pair i."""
+    out = {}
+    for m in metrics:
+        name, better = m["name"], m["better"]
+        entry = {"unit": m["unit"], "better": better, "bound": m["bound"]}
+        for side in SIDES:
+            values = [r[name] for r in runs[side]]
+            q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                           if len(values) > 1 else values * 3)
+            entry.update({f"{side}_q1": q1, f"{side}_median": med, f"{side}_q3": q3,
+                          f"{side}_iqr": q3 - q1})
+        entry["change_over_parent"] = entry["change_median"] / entry["parent_median"] - 1
+        sign = 1 if better == "higher" else -1
+        wins = sum(sign * (c[name] - p[name]) > 0 for p, c in zip(runs["parent"], runs["change"]))
+        entry["change_better_in"] = f"{wins}/{len(runs['change'])}"
+        out[name] = {k: round(v, 4) if isinstance(v, float) else v for k, v in entry.items()}
+    return out
+
+
+def traced_shares(values):
+    """Each traced ms figure over the run's Miller-loop ms, or None for
+    a run that pairs nothing."""
+    base = values.get(BASE_MS)
+    if not base:
+        return None
+    return {name: round(v / base, 4) for name, v in values.items()
+            if name.endswith((".ms", ".self_ms")) and isinstance(v, (int, float))}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    ap.add_argument("--change", required=True, type=Path, help="checkout of the change")
+    ap.add_argument("--workload", required=True, action="append", dest="workloads")
+    ap.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 2331-2340")
+    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--out", required=True, type=Path)
+    ap.add_argument("--trace-seed", type=int)
+    args = ap.parse_args(argv)
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    metrics = json.loads((roots["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+
+    doc = {
+        "command": f"python3 benchmark/run.py --workload W --seed S --seconds {args.seconds:g} "
+                   f"--trace 0, one run per side for each seed, the parent first on even pairs",
+        "all_pairs": {},
+        "runs": {},
+    }
+    for workload in args.workloads:
+        runs = doc["runs"][workload] = {side: [] for side in SIDES}
+        for i, seed in enumerate(args.seeds):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            for side in order:
+                result = run_once(roots[side], workload, seed, args.seconds, 0)
+                runs[side].append({"first": side == order[0], **result})
+                print(f"{workload} seed={seed} {side}: " + json.dumps(result), flush=True)
+            doc["all_pairs"][workload] = summarize(runs, metrics)
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    if args.trace_seed is not None:
+        doc["traced"] = {"command": f"python3 benchmark/run.py --workload W --seed "
+                                    f"{args.trace_seed} --seconds {args.seconds:g} --trace 1"}
+        for workload in args.workloads:
+            doc["traced"][workload] = {}
+            for side in SIDES:
+                values = run_once(roots[side], workload, args.trace_seed, args.seconds, 1)
+                doc["traced"][workload][side] = {
+                    "values": values,
+                    f"shares_of_{BASE_MS}": traced_shares(values),
+                }
+                args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
