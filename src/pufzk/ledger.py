@@ -78,6 +78,7 @@ from .wire import (
     WireError,
     _done,
     _get_field,
+    _get_int,
     _put_field,
     registration_binding,
 )
@@ -399,8 +400,7 @@ class Ledger(StateView):
         """Rebuild a ledger by re-executing an exported log from genesis."""
         if data[:5] != b"PZLG\x01":
             raise WireError("bad ledger log header")
-        count = int.from_bytes(data[5:9], "big")
-        off = 9
+        count, off = _get_int(data, 5, 4)
         ledger = cls()
         for _ in range(count):
             raw, off = _get_field(data, off, width=_FRAME_WIDTH)
@@ -575,7 +575,7 @@ def _cc_submit(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     try:
         sig = zkp.Signature.from_bytes(tx.signature)
     except DecodeError as exc:
-        raise ChaincodeRejection(f"malformed record: {exc}")
+        raise ChaincodeRejection(f"malformed signature: {exc}")
     if not zkp.verify_sig(stored.pk, tx.payload, sig):
         raise ChaincodeRejection("signature invalid")
     try:

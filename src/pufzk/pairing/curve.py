@@ -67,9 +67,8 @@ G2_GEN = (
     ),
 )
 
-# Cofactors clearing E(Fq) -> G1 and E'(Fq2) -> G2.
+# The cofactor clearing E(Fq) -> G1.
 COFACTOR_G1 = 0x396C8C005555E1568C00AAAB0000AAAB
-COFACTOR_G2 = 0x5D543A95414E7F1091D50792876A202CD91DE4547085ABAA68A205B2E5A7DDFA628F1CB4D9E82EF21537E293A6691AE1616EC6E786F0C70CF1C38E31C7238E5
 
 # Endomorphism constants of the subgroup checks and of the multiplications.
 # BETA is the cube root of unity in Fq for which sigma(x, y) = (BETA*x, y)

@@ -288,43 +288,3 @@ def fq12_frobenius2(a):
     c = [fq2_mul(c[i], _GAMMA2[i]) for i in range(6)]
     return _from_w_basis(c)
 
-
-def fq12_cyclotomic_sqr(a):
-    """Squaring specialised to the cyclotomic subgroup (Granger-Scott).
-
-    Only valid after the easy part of the final exponentiation.  The
-    element is read as three Fq4 = Fq2[s]/(s^2 - xi) values (z0, z1),
-    (z2, z3), (z4, z5); each is squared as (x + y s)^2 = (x^2 + xi y^2)
-    + ((x + y)^2 - x^2 - y^2) s, with the Fq2 arithmetic inlined as in
-    ``fq6_mul``, and the output coefficients are 3 t -/+ 2 z of those
-    squares.  Checked against ``fq12_sqr`` in the test suite.  The
-    final exponentiation squares in compressed form and runs this only
-    where a compressed power cannot be decompressed (see ``pairing``).
-    """
-    ((z00, z01), (z40, z41), (z30, z31)), ((z20, z21), (z10, z11), (z50, z51)) = a
-    # (z0 + z1 s)^2 = t0 + t1 s
-    x0 = (z00 + z01) * (z00 - z01); x1 = 2 * z00 * z01
-    y0 = (z10 + z11) * (z10 - z11); y1 = 2 * z10 * z11
-    s0 = z00 + z10; s1 = z01 + z11
-    t00 = x0 + y0 - y1; t01 = x1 + y0 + y1
-    t10 = (s0 + s1) * (s0 - s1) - x0 - y0; t11 = 2 * s0 * s1 - x1 - y1
-    r0 = ((3 * t00 - 2 * z00) % P, (3 * t01 - 2 * z01) % P)
-    r1 = ((3 * t10 + 2 * z10) % P, (3 * t11 + 2 * z11) % P)
-    # (z2 + z3 s)^2 = t0 + t1 s
-    x0 = (z20 + z21) * (z20 - z21); x1 = 2 * z20 * z21
-    y0 = (z30 + z31) * (z30 - z31); y1 = 2 * z30 * z31
-    s0 = z20 + z30; s1 = z21 + z31
-    t00 = x0 + y0 - y1; t01 = x1 + y0 + y1
-    t10 = (s0 + s1) * (s0 - s1) - x0 - y0; t11 = 2 * s0 * s1 - x1 - y1
-    # (z4 + z5 s)^2 = t2 + t3 s
-    x0 = (z40 + z41) * (z40 - z41); x1 = 2 * z40 * z41
-    y0 = (z50 + z51) * (z50 - z51); y1 = 2 * z50 * z51
-    s0 = z40 + z50; s1 = z41 + z51
-    t20 = x0 + y0 - y1; t21 = x1 + y0 + y1
-    t30 = (s0 + s1) * (s0 - s1) - x0 - y0; t31 = 2 * s0 * s1 - x1 - y1
-    r4 = ((3 * t00 - 2 * z40) % P, (3 * t01 - 2 * z41) % P)
-    r5 = ((3 * t10 + 2 * z50) % P, (3 * t11 + 2 * z51) % P)
-    # z2 takes xi * t3
-    r2 = ((3 * (t30 - t31) + 2 * z20) % P, (3 * (t30 + t31) + 2 * z21) % P)
-    r3 = ((3 * t20 - 2 * z30) % P, (3 * t21 - 2 * z31) % P)
-    return ((r0, r4, r3), (r2, r1, r5))

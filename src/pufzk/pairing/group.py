@@ -119,189 +119,6 @@ def _sv(x) -> int:
     raise TypeError(f"expected Scalar or int, got {type(x).__name__}")
 
 
-class G1Element:
-    """Element of the first source group (48-byte compressed encoding).
-
-    Holds a point of the prime-order subgroup: decoded with a subgroup
-    check, hashed with cofactor clearing, or derived from such points.
-    ``**`` relies on it."""
-
-    __slots__ = ("_pt",)
-    ENC_LEN = G1_ENC_LEN
-
-    def __init__(self, pt):
-        self._pt = pt
-
-    @classmethod
-    def generator(cls) -> "G1Element":
-        return _G1_GEN_ELEM
-
-    @classmethod
-    def identity(cls) -> "G1Element":
-        return cls(None)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "G1Element":
-        return cls(_g1_decode_cached(bytes(data)))
-
-    @staticmethod
-    def deferred(data: bytes) -> "G1Element":
-        """The element encoded by ``data``, decoded only when it is first
-        used as a point; ``to_bytes`` returns ``data`` as received.  For
-        commitments that a verifier only compares as bytes."""
-        return _DeferredG1(data)
-
-    def to_bytes(self) -> bytes:
-        return g1_to_bytes(self._pt)
-
-    def is_identity(self) -> bool:
-        return self._pt is None
-
-    def __mul__(self, other: "G1Element") -> "G1Element":
-        return G1Element(g1_add(self._pt, other._pt))
-
-    def __pow__(self, k) -> "G1Element":
-        k = _sv(k) % ORDER
-        if self._pt == G1_GEN:
-            return G1Element(g1_mul_gen(k))
-        return G1Element(g1_mul(self._pt, k))
-
-    def inverse(self) -> "G1Element":
-        return G1Element(g1_neg(self._pt))
-
-    def __eq__(self, other):
-        return isinstance(other, G1Element) and self._pt == other._pt
-
-    def __hash__(self):
-        return hash(("G1", self.to_bytes()))
-
-    def __repr__(self):
-        return f"G1Element({self.to_bytes().hex()[:16]}...)"
-
-
-class G2Element:
-    """Element of the second source group (96-byte compressed encoding).
-
-    Holds a point of the prime-order subgroup, decoded with a subgroup
-    check or derived from such points.  ``**`` relies on it."""
-
-    __slots__ = ("_pt",)
-    ENC_LEN = G2_ENC_LEN
-
-    def __init__(self, pt):
-        self._pt = pt
-
-    @classmethod
-    def generator(cls) -> "G2Element":
-        return _G2_GEN_ELEM
-
-    @classmethod
-    def identity(cls) -> "G2Element":
-        return cls(None)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "G2Element":
-        return cls(_g2_decode_cached(bytes(data)))
-
-    @staticmethod
-    def deferred(data: bytes) -> "G2Element":
-        """See :meth:`G1Element.deferred`."""
-        return _DeferredG2(data)
-
-    def to_bytes(self) -> bytes:
-        return g2_to_bytes(self._pt)
-
-    def is_identity(self) -> bool:
-        return self._pt is None
-
-    def __mul__(self, other: "G2Element") -> "G2Element":
-        return G2Element(g2_add(self._pt, other._pt))
-
-    def __pow__(self, k) -> "G2Element":
-        k = _sv(k) % ORDER
-        if self._pt == G2_GEN:
-            return G2Element(g2_mul_gen(k))
-        return G2Element(g2_mul(self._pt, k))
-
-    def inverse(self) -> "G2Element":
-        return G2Element(g2_neg(self._pt))
-
-    def __eq__(self, other):
-        return isinstance(other, G2Element) and self._pt == other._pt
-
-    def __hash__(self):
-        return hash(("G2", self.to_bytes()))
-
-    def __repr__(self):
-        return f"G2Element({self.to_bytes().hex()[:16]}...)"
-
-
-class GtElement:
-    """Element of the pairing target group (576-byte encoding)."""
-
-    __slots__ = ("_val",)
-    ENC_LEN = GT_ENC_LEN
-
-    def __init__(self, val):
-        self._val = val
-
-    @classmethod
-    def identity(cls) -> "GtElement":
-        return cls(FQ12_ONE)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "GtElement":
-        if len(data) != GT_ENC_LEN:
-            raise DecodeError(f"Gt encoding must be {GT_ENC_LEN} bytes")
-        coeffs = []
-        for i in range(12):
-            v = int.from_bytes(data[i * 48:(i + 1) * 48], "big")
-            if v >= P:
-                raise DecodeError("Gt coefficient out of range")
-            coeffs.append(v)
-        val = (
-            ((coeffs[0], coeffs[1]), (coeffs[2], coeffs[3]), (coeffs[4], coeffs[5])),
-            ((coeffs[6], coeffs[7]), (coeffs[8], coeffs[9]), (coeffs[10], coeffs[11])),
-        )
-        if fq12_pow(val, ORDER) != FQ12_ONE:
-            raise DecodeError("element not in the prime-order Gt subgroup")
-        return cls(val)
-
-    def to_bytes(self) -> bytes:
-        out = bytearray()
-        for half in self._val:
-            for c in half:
-                out += c[0].to_bytes(48, "big")
-                out += c[1].to_bytes(48, "big")
-        return bytes(out)
-
-    def __mul__(self, other: "GtElement") -> "GtElement":
-        return GtElement(fq12_mul(self._val, other._val))
-
-    def __pow__(self, k) -> "GtElement":
-        k = _sv(k) % ORDER
-        return GtElement(fq12_pow(self._val, k))
-
-    def inverse(self) -> "GtElement":
-        return GtElement(fq12_inv(self._val))
-
-    def is_identity(self) -> bool:
-        return self._val == FQ12_ONE
-
-    def __eq__(self, other):
-        return isinstance(other, GtElement) and self._val == other._val
-
-    def __hash__(self):
-        return hash(("Gt", self.to_bytes()))
-
-    def __repr__(self):
-        return f"GtElement({self.to_bytes().hex()[:16]}...)"
-
-
-_G1_GEN_ELEM = G1Element(G1_GEN)
-_G2_GEN_ELEM = G2Element(G2_GEN)
-
-
 # Subgroup checks dominate decoding; long-lived keys are deserialized
 # over and over from ledger state, so cache by exact input bytes.
 # Points are immutable, sharing them is safe.
@@ -313,6 +130,145 @@ def _g1_decode_cached(data: bytes):
 @lru_cache(maxsize=4096)
 def _g2_decode_cached(data: bytes):
     return g2_from_bytes(data)
+
+
+def _gt_from_bytes(data: bytes):
+    """The Fq12 value of a Gt encoding: twelve 48-byte coefficients, each
+    below P, of an element of the prime-order subgroup."""
+    if len(data) != GT_ENC_LEN:
+        raise DecodeError(f"Gt encoding must be {GT_ENC_LEN} bytes")
+    coeffs = []
+    for i in range(12):
+        v = int.from_bytes(data[i * 48:(i + 1) * 48], "big")
+        if v >= P:
+            raise DecodeError("Gt coefficient out of range")
+        coeffs.append(v)
+    val = (
+        ((coeffs[0], coeffs[1]), (coeffs[2], coeffs[3]), (coeffs[4], coeffs[5])),
+        ((coeffs[6], coeffs[7]), (coeffs[8], coeffs[9]), (coeffs[10], coeffs[11])),
+    )
+    if fq12_pow(val, ORDER) != FQ12_ONE:
+        raise DecodeError("element not in the prime-order Gt subgroup")
+    return val
+
+
+def _gt_to_bytes(val) -> bytes:
+    out = bytearray()
+    for half in val:
+        for c in half:
+            out += c[0].to_bytes(48, "big")
+            out += c[1].to_bytes(48, "big")
+    return bytes(out)
+
+
+class _Element:
+    """The body every group element shares.  Each group's class names its
+    routines: ``_encode`` and ``_decode`` between the value and bytes,
+    ``_op`` (the group law), ``_inv`` and the identity value
+    ``_IDENTITY``; ``_group`` is the class itself, which every operation
+    returns and which equality compares within."""
+
+    __slots__ = ("_pt",)
+
+    def __init__(self, pt):
+        self._pt = pt
+
+    @classmethod
+    def identity(cls):
+        return cls._group(cls._IDENTITY)
+
+    @classmethod
+    def from_bytes(cls, data: bytes):
+        return cls._group(cls._decode(bytes(data)))
+
+    def to_bytes(self) -> bytes:
+        return self._encode(self._pt)
+
+    def is_identity(self) -> bool:
+        return self._pt == self._IDENTITY
+
+    def __mul__(self, other):
+        return self._group(self._op(self._pt, other._pt))
+
+    def inverse(self):
+        return self._group(self._inv(self._pt))
+
+    def __eq__(self, other):
+        return isinstance(other, self._group) and self._pt == other._pt
+
+    def __hash__(self):
+        return hash((self._group.__name__, self.to_bytes()))
+
+    def __repr__(self):
+        return f"{self._group.__name__}({self.to_bytes().hex()[:16]}...)"
+
+
+class _Point(_Element):
+    """A point of a source group's prime-order subgroup: decoded with a
+    subgroup check, hashed to G1 with cofactor clearing, or derived from
+    such points.  ``**`` relies on it.  The identity is None; each group
+    names its generator ``_GENERATOR`` and its deferred class
+    ``_deferred``."""
+
+    __slots__ = ()
+    _IDENTITY = None
+
+    @classmethod
+    def generator(cls):
+        return cls._group(cls._GENERATOR)
+
+    @classmethod
+    def deferred(cls, data: bytes):
+        """The element encoded by ``data``, decoded only when it is first
+        used as a point; ``to_bytes`` returns ``data`` as received.  For
+        commitments that a verifier only compares as bytes."""
+        return cls._deferred(data)
+
+
+class G1Element(_Point):
+    """Element of the first source group (48-byte compressed encoding)."""
+
+    __slots__ = ()
+    ENC_LEN = G1_ENC_LEN
+    _GENERATOR = G1_GEN
+    _encode, _decode = staticmethod(g1_to_bytes), staticmethod(_g1_decode_cached)
+    _op, _inv = staticmethod(g1_add), staticmethod(g1_neg)
+
+    def __pow__(self, k) -> "G1Element":
+        k = _sv(k) % ORDER
+        if self._pt == G1_GEN:
+            return G1Element(g1_mul_gen(k))
+        return G1Element(g1_mul(self._pt, k))
+
+
+class G2Element(_Point):
+    """Element of the second source group (96-byte compressed encoding)."""
+
+    __slots__ = ()
+    ENC_LEN = G2_ENC_LEN
+    _GENERATOR = G2_GEN
+    _encode, _decode = staticmethod(g2_to_bytes), staticmethod(_g2_decode_cached)
+    _op, _inv = staticmethod(g2_add), staticmethod(g2_neg)
+
+    def __pow__(self, k) -> "G2Element":
+        k = _sv(k) % ORDER
+        if self._pt == G2_GEN:
+            return G2Element(g2_mul_gen(k))
+        return G2Element(g2_mul(self._pt, k))
+
+
+class GtElement(_Element):
+    """Element of the pairing target group (576-byte encoding)."""
+
+    __slots__ = ()
+    ENC_LEN = GT_ENC_LEN
+    _IDENTITY = FQ12_ONE
+    _encode, _decode = staticmethod(_gt_to_bytes), staticmethod(_gt_from_bytes)
+    _op, _inv = staticmethod(fq12_mul), staticmethod(fq12_inv)
+
+    def __pow__(self, k) -> "GtElement":
+        k = _sv(k) % ORDER
+        return GtElement(fq12_pow(self._pt, k))
 
 
 class _Deferred:
@@ -339,12 +295,14 @@ class _Deferred:
 
 class _DeferredG1(_Deferred, G1Element):
     __slots__ = ("_enc",)
-    _decode = staticmethod(_g1_decode_cached)
 
 
 class _DeferredG2(_Deferred, G2Element):
     __slots__ = ("_enc",)
-    _decode = staticmethod(_g2_decode_cached)
+
+
+G1Element._group, G2Element._group, GtElement._group = G1Element, G2Element, GtElement
+G1Element._deferred, G2Element._deferred = _DeferredG1, _DeferredG2
 
 
 # Miller-loop line tables for G2 points that keep being paired

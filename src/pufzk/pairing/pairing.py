@@ -20,9 +20,9 @@ six Fq2 squarings per step where Granger-Scott takes nine.  The powers
 f^(2^i) at the six set bits of |x| are decompressed together with one
 inversion (Aranha et al., EUROCRYPT 2011) and multiplied.  Decompression
 divides by one coefficient; when that is zero (f = 1, the value of a
-product whose pairs all hold the point at infinity) the power runs
-uncompressed with Granger-Scott squarings instead, so every output is
-the same field element either way.
+product whose pairs all hold the point at infinity) the power is taken
+by the generic ``fq12_pow`` instead, so every output is the same field
+element either way.
 
 ``miller_loop`` accepts several (G1, G2 line table) pairs and shares one
 final exponentiation across them, which is what every verifier wants.
@@ -32,8 +32,7 @@ from .curve import _batch_inv
 from .fields import (
     P, X_ABS, FQ12_ONE,
     fq2_sub, fq2_mul, fq2_sqr, fq2_scale, fq2_inv,
-    fq12_mul, fq12_sqr, fq12_inv, fq12_conj, fq12_frobenius, fq12_frobenius2,
-    fq12_cyclotomic_sqr,
+    fq12_mul, fq12_sqr, fq12_pow, fq12_inv, fq12_conj, fq12_frobenius, fq12_frobenius2,
 )
 
 _X_BITS = bin(X_ABS)[3:]  # skip the leading 1
@@ -151,9 +150,10 @@ def miller_loop(pairs):
 def _compressed_sqrs(z, n):
     """n cyclotomic squarings of a compressed element z = (z2, z3, z4, z5).
 
-    The names are those of ``fq12_cyclotomic_sqr``: the tower value is
-    ((z0, z4, z3), (z2, z1, z5)), and the Granger-Scott outputs for z2 to
-    z5 read only (z2 + z3 s)^2 = A + B s and (z4 + z5 s)^2 = C + D s, so
+    The tower value is ((z0, z4, z3), (z2, z1, z5)).  Read (z2, z3) and
+    (z4, z5) as elements of Fq4 = Fq2[s]/(s^2 - xi), and square them:
+    (z2 + z3 s)^2 = A + B s and (z4 + z5 s)^2 = C + D s.  In the
+    cyclotomic subgroup the square's z2 to z5 depend on these alone, so
     z0 and z1 are dropped (Karabina):
         z2' = 3 xi D + 2 z2,  z3' = 3 C - 2 z3,
         z4' = 3 A - 2 z4,     z5' = 3 B + 2 z5.
@@ -214,7 +214,7 @@ def _pow_x_abs(f):
 
     f^(2^i) is kept compressed at each set bit i of |x|; the six are
     decompressed together and multiplied.  If one cannot be decompressed
-    the uncompressed chain runs instead (see the module docstring)."""
+    the power is taken by ``fq12_pow`` instead (see the module docstring)."""
     (_, z4, z3), (z2, _, z5) = f
     z = (z2, z3, z4, z5)
     kept = []
@@ -225,20 +225,10 @@ def _pow_x_abs(f):
         done = i
     powers = _decompress(kept)
     if powers is None:
-        return _pow_x_abs_uncompressed(f)
+        return fq12_pow(f, X_ABS)
     out = powers[0]
     for g in powers[1:]:
         out = fq12_mul(out, g)
-    return out
-
-
-def _pow_x_abs_uncompressed(f):
-    """f^|x| by square-and-multiply with Granger-Scott squarings."""
-    out = f
-    for bit in _X_BITS:
-        out = fq12_cyclotomic_sqr(out)
-        if bit == "1":
-            out = fq12_mul(out, f)
     return out
 
 

@@ -135,6 +135,21 @@ class TestInvoke:
         result = ledger.invoke("submit", dataclasses.replace(tx, proof=bytes(bad)))
         assert not result
 
+    @pytest.mark.parametrize("signature, detail", [
+        (b"", "bad signature length"),
+        (bytes(47), "bad signature length"),
+        (b"x" * 48, "uncompressed G1 encodings not accepted"),
+    ], ids=["empty", "47-bytes", "flag-less-48-bytes"])
+    def test_undecodable_signature_has_its_own_reason(self, env, signature, detail):
+        """Not "malformed record: …", which names a stored device
+        record that does not parse."""
+        ledger, rng = env["ledger"], env["rng"]
+        tx = _submit_record(ledger, env["device_id"], env["keypair"], b"reading-6", rng)
+        digest, height = ledger.state_digest(), ledger.height
+        result = ledger.invoke("submit", dataclasses.replace(tx, signature=signature))
+        assert not result and result.reason == f"malformed signature: {detail}"
+        assert (ledger.state_digest(), ledger.height) == (digest, height)
+
     def test_nonce_reuse_rejected(self, env):
         """Two submits built from one read of the device's sequence
         number conflict: the first to commit makes the other stale."""
@@ -570,6 +585,13 @@ class TestReplayDeterminism:
         from pufzk.wire import WireError
         with pytest.raises(WireError):
             Ledger.replay_log(b"JUNK\x01\x00\x00\x00\x00")
+
+    @pytest.mark.parametrize("size", range(5, 9))
+    def test_log_cut_inside_its_header_is_truncated(self, size):
+        log = ledger_new().export_log()
+        assert log == b"PZLG\x01" + bytes(4) and Ledger.replay_log(log).height == 0
+        with pytest.raises(WireError, match="^truncated record$"):
+            Ledger.replay_log(log[:size])
 
     @given(st.lists(st.tuples(
         st.sampled_from(["bootstrap", "register", "rotate", "submit", "unknown"]),

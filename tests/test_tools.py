@@ -1,6 +1,7 @@
 """The paired-benchmark summary in tools/bench_pairs.py."""
 
 import importlib.util
+import json
 import pathlib
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -42,3 +43,34 @@ def test_traced_shares_are_over_the_miller_loop():
         "zkp.verify_sig.self_ms": 0.25,
     }
     assert bench_pairs.traced_shares({"pairing.miller_loop.ms": 0.0}) is None
+
+
+def test_setup_only_pairs_summarise_setup_s_alone(monkeypatch, tmp_path):
+    # fixed set-up times, no subprocess: the change reads better in
+    # pairs 0, 2 and 3, ties in pair 4 and is worse in pair 1
+    setup_s = {"parent": [0.10, 0.09, 0.12, 0.11, 0.08], "change": [0.09, 0.10, 0.11, 0.10, 0.08]}
+    roots = {tmp_path / "parent": "parent", TOOL.parent.parent: "change"}
+    (tmp_path / "parent").mkdir()
+    calls = []
+
+    def run_once(root, workload, seed, options):
+        side = roots[root]
+        calls.append((side, seed))
+        assert options == ["--setup-only"] and workload == "bulk"
+        return {"seed": seed, "setup_s": setup_s[side][seed - 40]}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(TOOL.parent.parent),
+                             "--workload", "bulk", "--seeds", "40-44", "--setup-only",
+                             "--out", str(out)]) == 0
+    # the parent runs first on even pairs, the change on odd ones
+    assert calls[:4] == [("parent", 40), ("change", 40), ("change", 41), ("parent", 41)]
+    doc = json.loads(out.read_text())
+    assert "--setup-only" in doc["command"] and "--seconds" not in doc["command"]
+    assert list(doc["all_pairs"]["bulk"]) == ["setup_s"]
+    summary = doc["all_pairs"]["bulk"]["setup_s"]
+    assert (summary["parent_q1"], summary["parent_median"], summary["parent_q3"]) == (0.09, 0.1, 0.11)
+    assert summary["parent_iqr"] == 0.02 and summary["change_median"] == 0.1
+    assert summary["change_over_parent"] == 0.0 and summary["change_better_in"] == "3/5"
+    assert [r["setup_s"] for r in doc["runs"]["bulk"]["change"]] == setup_s["change"]

@@ -3,7 +3,7 @@
 
     python tools/bench_pairs.py --parent DIR --change DIR \\
         --workload bulk --workload onboard --seeds 2331-2340 \\
-        --seconds 30 --out BENCH_N.json [--trace-seed 31]
+        --seconds 30 --out BENCH_N.json [--trace-seed 31] [--setup-only]
 
 For each workload and seed, ``benchmark/run.py --trace 0`` runs once in
 each checkout, each run in a fresh interpreter; the parent goes first
@@ -14,6 +14,12 @@ block per workload: for each end-to-end metric of the change's
 ``change_over_parent`` (the change's median over the parent's, minus
 one) and ``change_better_in`` (pairs where the change reads strictly
 better, of all pairs).  The file is rewritten after every pair.
+
+With ``--setup-only``, each run is ``benchmark/run.py --setup-only``
+instead: one set-up in a fresh interpreter and no timed phase, so many
+pairs are cheap enough to resolve ``setup_s`` where a few full runs, each
+the median of a few set-ups, do not.  ``all_pairs`` then summarises
+``setup_s`` alone.
 
 With ``--trace-seed``, one traced run per side and workload follows the
 pairs.  Raw traced milliseconds move with the host from run to run, so
@@ -43,18 +49,15 @@ def parse_seeds(text):
     return seeds
 
 
-def run_once(root, workload, seed, seconds, trace):
+def run_once(root, workload, seed, options):
+    """One ``benchmark/run.py`` run with ``options``, flattened: the
+    seed, then the last line's fields, each metric as its value."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           *options]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {
-        "seed": seed,
-        "correct": result["correct"],
-        "attempted": result["attempted"],
-        "failed": result["failed"],
-        **{name: m["value"] for name, m in result["metrics"].items()},
-    }
+    metrics = result.pop("metrics", {})
+    return {"seed": seed, **result, **{name: m["value"] for name, m in metrics.items()}}
 
 
 def summarize(runs, metrics):
@@ -96,13 +99,21 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--out", required=True, type=Path)
     ap.add_argument("--trace-seed", type=int)
+    ap.add_argument("--setup-only", action="store_true",
+                    help="time one set-up per run and summarise setup_s alone")
     args = ap.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     metrics = json.loads((roots["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    timed = ["--seconds", f"{args.seconds:g}", "--trace"]
+    if args.setup_only:
+        metrics = [m for m in metrics if m["name"] == "setup_s"]
+        options = ["--setup-only"]
+    else:
+        options = timed + ["0"]
 
     doc = {
-        "command": f"python3 benchmark/run.py --workload W --seed S --seconds {args.seconds:g} "
-                   f"--trace 0, one run per side for each seed, the parent first on even pairs",
+        "command": f"python3 benchmark/run.py --workload W --seed S {' '.join(options)}, one "
+                   f"run per side for each seed, the parent first on even pairs",
         "all_pairs": {},
         "runs": {},
     }
@@ -111,7 +122,7 @@ def main(argv=None):
         for i, seed in enumerate(args.seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
-                result = run_once(roots[side], workload, seed, args.seconds, 0)
+                result = run_once(roots[side], workload, seed, options)
                 runs[side].append({"first": side == order[0], **result})
                 print(f"{workload} seed={seed} {side}: " + json.dumps(result), flush=True)
             doc["all_pairs"][workload] = summarize(runs, metrics)
@@ -122,7 +133,7 @@ def main(argv=None):
         for workload in args.workloads:
             doc["traced"][workload] = {}
             for side in SIDES:
-                values = run_once(roots[side], workload, args.trace_seed, args.seconds, 1)
+                values = run_once(roots[side], workload, args.trace_seed, timed + ["1"])
                 doc["traced"][workload][side] = {
                     "values": values,
                     f"shares_of_{BASE_MS}": traced_shares(values),
