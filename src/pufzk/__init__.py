@@ -11,9 +11,9 @@ Layering, bottom up:
 ``pufzk.ledger``    hash-chained ledger with chaincode dispatch; its
                     rotate chaincode verifies each authentication
 ``pufzk.identity``  enrollment and the certificate authority
-``pufzk.protocol``  authentication/transaction drivers and adversaries
+``pufzk.protocol``  device and verifier roles, authentication/transaction drivers
 ``pufzk.bench``     staged benchmark harness
-``pufzk.scenarios`` attack suite, demo, transcript audit
+``pufzk.scenarios`` adversary scripts and attack suite, demo, transcript audit
 ``pufzk.cli``       the ``pufzk`` command
 """
 

@@ -41,6 +41,24 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _iterations(text: str) -> int:
+    """A positive integer."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _suites(text: str) -> tuple[str, ...]:
+    """A comma-separated, non-empty subset of :data:`SUITE_NAMES`."""
+    names = tuple(s.strip() for s in text.split(",") if s.strip())
+    if not names:
+        raise argparse.ArgumentTypeError("must name at least one suite")
+    unknown = set(names) - set(SUITE_NAMES)
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown suite(s): {', '.join(sorted(unknown))}")
+    return names
+
+
 def _scale(text: str) -> float:
     """A number with 0 < scale <= :data:`MAX_SCALE`."""
     try:
@@ -64,7 +82,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     bench = sub.add_parser("bench", help="run the benchmark harness")
-    bench.add_argument("--iterations", type=int, default=50)
+    bench.add_argument("--iterations", type=_iterations, default=50)
     bench.add_argument("--seed", type=_seed, default=0)
     bench.add_argument("--out", default=None, help="path for the JSON report")
     _add_params(bench)
@@ -72,7 +90,7 @@ def _build_parser() -> _Parser:
     attack = sub.add_parser("attack", help="run the adversary suite")
     attack.add_argument("--out", default=None, help="path for the JSON summary")
     attack.add_argument("--seed", type=_seed, default=0)
-    attack.add_argument("--suite", default=None,
+    attack.add_argument("--suite", type=_suites, default=None,
                         help=f"comma-separated subset of: {', '.join(SUITE_NAMES)}")
     attack.add_argument("--scale", type=_scale, default=1.0,
                         help=f"scale factor for trial counts, above 0 and at most "
@@ -94,9 +112,6 @@ def _build_parser() -> _Parser:
 
 def _cmd_bench(args) -> int:
     params = PRESETS[args.params]
-    if args.iterations < 1:
-        print("error: --iterations must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     report = run_bench(iterations=args.iterations, seed=args.seed, params=params)
     problems = validate_report(report.to_dict())
     if args.out:
@@ -117,18 +132,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_attack(args) -> int:
     params = PRESETS[args.params]
-    suites = None
-    if args.suite is not None:
-        names = tuple(s.strip() for s in args.suite.split(",") if s.strip())
-        if not names:
-            print("error: --suite given but empty", file=sys.stderr)
-            return EXIT_USAGE
-        unknown = set(names) - set(SUITE_NAMES)
-        if unknown:
-            print(f"error: unknown suite(s): {', '.join(sorted(unknown))}", file=sys.stderr)
-            return EXIT_USAGE
-        suites = names
-    report = run_attack_suite(seed=args.seed, params=params, suites=suites, scale=args.scale)
+    report = run_attack_suite(seed=args.seed, params=params, suites=args.suite, scale=args.scale)
     if args.out:
         import json
         try:

@@ -1,4 +1,5 @@
-"""Authentication and transaction protocols plus the adversary harness.
+"""Authentication and transaction protocols: the device and verifier
+roles and the two drivers that run a session between them.
 
 Message flow is in-process but wire-faithful: every exchange is encoded
 to the tagged byte format before the receiving side parses it, so a
@@ -20,29 +21,21 @@ request and forwards it to the chaincode, whose reason is its decision;
 the request is accepted only if the transaction commits.  Every proof
 here is a corrected-mode proof: the printed scheme lives in
 :mod:`pufzk.zkp` alone, whose functions the attack suite calls to
-demonstrate its defects.
-
-Adversary scripts receive public data only: ledger handles, recorded
-transcripts, and identifiers.  None of them touch a device's secret
-key, PUF weights, or responses (the one deliberate exception is the
-stolen-key impersonation scenario, which takes an explicitly leaked key
-as input to show that the PUF clause still blocks it).
+demonstrate its defects.  The adversaries live in
+:mod:`pufzk.scenarios`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional
-
-import numpy as np
 
 from . import zkp
 from .identity import CertificateAuthority, KeyPair, register_device, response_scalar
 from .ledger import Ledger, RecordError, StoredDevice, rotate_challenges, rotate_nonce, submit_nonce
-from .pairing import Scalar
 from .params import DEFAULT_PARAMS, ParamSet
-from .puf import PufDevice, puf_new, puf_respond
+from .puf import PufDevice, puf_respond
 from .wire import (
     AuthDecision,
     AuthRequest,
@@ -223,154 +216,3 @@ def run_transaction(device: Device, verifier: Verifier, ledger: Ledger, payload:
     submit = TxSubmit(device.build_tx_submit(ledger, payload, rng)).to_bytes()
     return session.exchange(submit, verifier.handle_tx_submit, tamper)
 
-
-# ---------------------------------------------------------------------------
-# Adversary scripts (public data and transcripts only)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AttackOutcome:
-    """Result of one adversary strategy."""
-
-    name: str
-    attempts: int
-    accepted: int
-    detail: str = ""
-
-    @property
-    def defended(self) -> bool:
-        return self.accepted == 0
-
-
-def attack_replay(recorded: Session, verifier: Verifier, ledger: Ledger,
-                  forge_current_nonce: bool = False) -> AttackOutcome:
-    """Resend a recorded authentication request in a fresh session.
-
-    With ``forge_current_nonce`` the adversary rewrites the message's
-    nonce field to the new session's nonce (the proof inside still
-    binds the old transcript)."""
-    raw = recorded.auth_request_bytes()
-    if raw is None:
-        raise ValueError("recorded session has no authentication request")
-    new_session = verifier.begin_session(recorded.device_id)
-    if forge_current_nonce:
-        msg = decode_message(raw)
-        raw = AuthRequest(msg.device_id, msg.proof, new_session.nonce).to_bytes()
-    decision = verifier.handle_auth_request(raw)
-    return AttackOutcome(
-        name="replay" + ("-forged-nonce" if forge_current_nonce else ""),
-        attempts=1,
-        accepted=int(decision.accept),
-        detail=decision.reason,
-    )
-
-
-def deliver_forged_proof(verifier: Verifier, stored: StoredDevice, prove) -> AuthDecision:
-    """Deliver the corrected-mode proof that ``prove(statement)`` builds
-    for a registered device's public record, at the record's stored
-    epoch and under that epoch's nonce, which is public too."""
-    nonce = rotate_nonce(stored.epoch)
-    proof = prove(stored.auth_statement(nonce)).to_bytes()
-    return verifier.handle_auth_request(AuthRequest(stored.record.device_id, proof, nonce).to_bytes())
-
-
-def attack_impersonate(target_id: bytes, ledger: Ledger, verifier: Verifier, rng,
-                       trials: int = 1, leaked_sk: Optional[Scalar] = None,
-                       ) -> AttackOutcome:
-    """Try to authenticate as the target from public ledger data.
-
-    Witnesses are random guesses; with ``leaked_sk`` the secret-key
-    clause is satisfied but the PUF response clause still fails."""
-    stored = ledger.load_device(target_id)
-
-    def prove(statement):
-        witness = zkp.AuthWitness(
-            sk=leaked_sk if leaked_sk is not None else Scalar.random(rng),
-            response_scalar=Scalar.random(rng),
-        )
-        return zkp.auth_prove_corrected(statement, witness, rng)
-
-    accepted = 0
-    last_reason = ""
-    for _ in range(trials):
-        decision = deliver_forged_proof(verifier, stored, prove)
-        accepted += int(decision.accept)
-        last_reason = decision.reason
-    return AttackOutcome(
-        name="impersonate" + ("-stolen-key" if leaked_sk is not None else ""),
-        attempts=trials,
-        accepted=accepted,
-        detail=last_reason,
-    )
-
-
-def attack_clone_device(target_id: bytes, ledger: Ledger, verifier: Verifier, rng,
-                        clone_seed: int, params: ParamSet = DEFAULT_PARAMS,
-                        ) -> AttackOutcome:
-    """Adversary with different physical hardware answers the target's
-    public challenges and derives its witness from its own responses."""
-    clone = puf_new(clone_seed, params.noise_ratio)
-    stored = ledger.load_device(target_id)
-    responses = puf_respond(clone, stored.challenges, eval_rng=np.random.default_rng(clone_seed))
-    decision = deliver_forged_proof(verifier, stored, lambda statement: zkp.auth_prove_corrected(
-        statement, zkp.AuthWitness(Scalar.random(rng), response_scalar(responses)), rng))
-    return AttackOutcome("clone-device", 1, int(decision.accept), decision.reason)
-
-
-def attack_mitm_bitflip(device: Device, verifier: Verifier, ledger: Ledger, rng,
-                        np_rng=None, flips: int = 100) -> AttackOutcome:
-    """Flip one random byte of the request in flight, many times."""
-    accepted = 0
-    for _ in range(flips):
-        position = rng.randrange(0, 1 << 30)
-        mask = rng.randrange(1, 256)
-
-        def mutate(raw: bytes, position=position, mask=mask) -> bytes:
-            buf = bytearray(raw)
-            buf[position % len(buf)] ^= mask
-            return bytes(buf)
-
-        session = run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, np_rng,
-                                     tamper=mutate)
-        accepted += int(session.accepted)
-    return AttackOutcome("mitm-bitflip", flips, accepted)
-
-
-def attack_swap_proofs(device_a: Device, device_b: Device, verifier: Verifier,
-                       ledger: Ledger, rng, np_rng=None) -> AttackOutcome:
-    """Deliver each of two concurrent sessions' proofs to the other."""
-    sess_a = verifier.begin_session(device_a.device_id)
-    sess_b = verifier.begin_session(device_b.device_id)
-    proof_a = device_a.build_auth_proof(ledger, sess_a.nonce, rng, np_rng)
-    proof_b = device_b.build_auth_proof(ledger, sess_b.nonce, rng, np_rng)
-    swapped_a = AuthRequest(device_a.device_id, proof_b, sess_a.nonce).to_bytes()
-    swapped_b = AuthRequest(device_b.device_id, proof_a, sess_b.nonce).to_bytes()
-    accepted = 0
-    for raw in (swapped_a, swapped_b):
-        decision = verifier.handle_auth_request(raw)
-        accepted += int(decision.accept)
-    return AttackOutcome("mitm-swap", 2, accepted)
-
-
-def attack_tamper_payload(device: Device, verifier: Verifier, ledger: Ledger, rng,
-                          trials: int = 100) -> AttackOutcome:
-    """Mutate one byte of the signed transaction payload in flight and
-    verify the ledger state digest never changes on rejection."""
-    if ledger.load_device(device.device_id).epoch < 1:
-        raise RuntimeError("tamper scenario requires an authenticated device")
-    accepted = 0
-    digest_changes = 0
-    for i in range(trials):
-        payload = b"reading:" + i.to_bytes(4, "big") + rng.getrandbits(64).to_bytes(8, "big")
-        record = device.build_tx_submit(ledger, payload, rng)
-        mutated_payload = bytearray(record.payload)
-        mutated_payload[rng.randrange(len(mutated_payload))] ^= rng.randrange(1, 256)
-        tampered = replace(record, payload=bytes(mutated_payload))
-        before = ledger.state_digest()
-        result = ledger.invoke("submit", tampered)
-        accepted += int(bool(result))
-        digest_changes += int(ledger.state_digest() != before and not result)
-    return AttackOutcome(
-        "tamper-payload", trials, accepted,
-        detail=f"state digest changed on {digest_changes} rejects",
-    )

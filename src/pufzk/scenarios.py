@@ -1,10 +1,20 @@
-"""Adversary suite, demo walkthrough, and transcript audit.
+"""Adversary scripts, attack suite, demo walkthrough, and transcript audit.
 
 These are the scenario drivers behind the CLI: the attack suite runs
 every adversary script at volume and summarises defence rates; the demo
 produces a deterministic end-to-end transcript file; the audit runs the
 demo again with the seed and preset a transcript's ``meta`` line
 records and compares the two transcripts byte for byte.
+
+The ``attack_*`` scripts receive public data only: ledger handles,
+recorded transcripts, and identifiers.  None of them touch a device's
+secret key, PUF weights, or responses (the one deliberate exception is
+the stolen-key impersonation scenario, which takes an explicitly leaked
+key as input to show that the PUF clause still blocks it).
+
+Each scenario that sends attempts counts breaches by the one rule of
+:func:`_attempts`; the flood, the interleaved sessions, the rng reset
+and the pass-through control judge a whole run, each by its own rule.
 """
 
 from __future__ import annotations
@@ -13,30 +23,27 @@ import dataclasses
 import json
 import random
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import cycle, islice, repeat
 from types import SimpleNamespace
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from . import zkp
-from .identity import CertificateAuthority, KeyPair, RegistrationError, register_device
-from .ledger import Ledger, bootstrap, ledger_new, rotate_challenges, rotate_nonce, submit_nonce
+from .identity import CertificateAuthority, KeyPair, RegistrationError, register_device, response_scalar
+from .ledger import (
+    Ledger,
+    StoredDevice,
+    bootstrap,
+    ledger_new,
+    rotate_challenges,
+    rotate_nonce,
+    submit_nonce,
+)
 from .pairing import G1Element, G2Element, Scalar
 from .params import DEFAULT_PARAMS, PRESETS, ParamSet
-from .protocol import (
-    AttackOutcome,
-    Device,
-    Verifier,
-    attack_clone_device,
-    attack_impersonate,
-    attack_mitm_bitflip,
-    attack_replay,
-    attack_swap_proofs,
-    attack_tamper_payload,
-    deliver_forged_proof,
-    run_authentication,
-    run_transaction,
-)
+from .protocol import Device, Session, TamperHook, Verifier, run_authentication, run_transaction
 from .puf import puf_new, puf_respond, responses_to_bytes
 from .wire import AuthRequest, DeviceRecord, TransactionRecord, TxSubmit, decode_message
 
@@ -44,6 +51,20 @@ SUITE_NAMES = ("replay", "impersonate", "mitm", "tamper", "literal-defects")
 
 # The largest trial-count scale: ten times the full suite.
 MAX_SCALE = 10.0
+
+
+@dataclass
+class AttackOutcome:
+    """Result of one adversary strategy."""
+
+    name: str
+    attempts: int
+    accepted: int
+    detail: str = ""
+
+    @property
+    def defended(self) -> bool:
+        return self.accepted == 0
 
 
 @dataclass
@@ -91,6 +112,172 @@ class AttackSuiteReport:
         return "\n".join(lines) + "\n"
 
 
+# ---------------------------------------------------------------------------
+# Adversary scripts and their one breach rule
+# ---------------------------------------------------------------------------
+
+def _attempts(name: str, ledger: Ledger,
+              sends: Iterable[Callable[[], Tuple[bool, str]]]) -> AttackOutcome:
+    """Run each of ``sends`` as one attempt and count the breaches.
+
+    A breach is an accepted attempt, or one that moves the ledger's
+    state digest or its height.  Each send runs before the next is
+    drawn, so a generator of sends may commit set-up work, such as an
+    honest session, between two attempts.  The detail joins the distinct
+    reasons in order."""
+    def state():
+        return ledger.state_digest(), ledger.height
+
+    attempts = breaches = 0
+    reasons = []
+    for send in sends:
+        before = state()
+        accepted, reason = send()
+        attempts += 1
+        breaches += int(accepted or state() != before)
+        reasons.append(reason)
+    return AttackOutcome(name, attempts, breaches, "; ".join(dict.fromkeys(reasons)))
+
+
+def _delivered(handle, raw: bytes) -> Tuple[bool, str]:
+    """``raw`` delivered to a verifier handler, and its decision."""
+    decision = handle(raw)
+    return decision.accept, decision.reason
+
+
+def _invoked(ledger: Ledger, chaincode: str, record: TransactionRecord) -> Tuple[bool, str]:
+    """``record`` sent straight to a chaincode, and its result."""
+    result = ledger.invoke(chaincode, record)
+    return result.committed, result.reason
+
+
+def _tampered(device: Device, verifier: Verifier, ledger: Ledger, rng, np_rng,
+              mutate: TamperHook) -> Tuple[bool, str]:
+    """An honest authentication whose request ``mutate`` rewrites in flight."""
+    session = run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, np_rng,
+                                 tamper=mutate)
+    return session.accepted, session.reason
+
+
+def _honest_auth(device: Device, verifier: Verifier, ledger: Ledger, rng, np_rng) -> Session:
+    """An honest authentication, which the suite needs to commit."""
+    session = run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, np_rng)
+    if not session.accepted:
+        raise RuntimeError("honest session failed during suite setup")
+    return session
+
+
+def deliver_forged_proof(verifier: Verifier, stored: StoredDevice, prove) -> Tuple[bool, str]:
+    """Deliver the corrected-mode proof that ``prove(statement)`` builds
+    for a registered device's public record, at the record's stored
+    epoch and under that epoch's nonce, which is public too, and return
+    the decision as ``(accepted, reason)``."""
+    nonce = rotate_nonce(stored.epoch)
+    proof = prove(stored.auth_statement(nonce)).to_bytes()
+    return _delivered(verifier.handle_auth_request,
+                      AuthRequest(stored.record.device_id, proof, nonce).to_bytes())
+
+
+def _replay(recorded: Session, verifier: Verifier, forge_current_nonce: bool) -> Tuple[bool, str]:
+    """The one attempt of :func:`attack_replay`."""
+    raw = recorded.auth_request_bytes()
+    if raw is None:
+        raise ValueError("recorded session has no authentication request")
+    new_session = verifier.begin_session(recorded.device_id)
+    if forge_current_nonce:
+        msg = decode_message(raw)
+        raw = AuthRequest(msg.device_id, msg.proof, new_session.nonce).to_bytes()
+    return _delivered(verifier.handle_auth_request, raw)
+
+
+def attack_replay(recorded: Session, verifier: Verifier, ledger: Ledger,
+                  forge_current_nonce: bool = False) -> AttackOutcome:
+    """Resend a recorded authentication request in a fresh session.
+
+    With ``forge_current_nonce`` the adversary rewrites the message's
+    nonce field to the new session's nonce (the proof inside still
+    binds the old transcript)."""
+    return _attempts("replay" + ("-forged-nonce" if forge_current_nonce else ""), ledger,
+                     [partial(_replay, recorded, verifier, forge_current_nonce)])
+
+
+def attack_impersonate(target_id: bytes, ledger: Ledger, verifier: Verifier, rng,
+                       trials: int = 1, leaked_sk: Optional[Scalar] = None) -> AttackOutcome:
+    """Try to authenticate as the target from public ledger data.
+
+    Witnesses are random guesses; with ``leaked_sk`` the secret-key
+    clause is satisfied but the PUF response clause still fails."""
+    stored = ledger.load_device(target_id)
+
+    def prove(statement):
+        witness = zkp.AuthWitness(
+            sk=leaked_sk if leaked_sk is not None else Scalar.random(rng),
+            response_scalar=Scalar.random(rng),
+        )
+        return zkp.auth_prove_corrected(statement, witness, rng)
+
+    return _attempts("impersonate" + ("-stolen-key" if leaked_sk is not None else ""), ledger,
+                     repeat(lambda: deliver_forged_proof(verifier, stored, prove), trials))
+
+
+def _clones(target_id: bytes, ledger: Ledger, verifier: Verifier, rng, clone_seeds: Iterable[int],
+            params: ParamSet) -> Iterable[Callable[[], Tuple[bool, str]]]:
+    """One attempt of :func:`attack_clone_device` per clone seed."""
+    for clone_seed in clone_seeds:
+        clone = puf_new(clone_seed, params.noise_ratio)
+        stored = ledger.load_device(target_id)
+        responses = puf_respond(clone, stored.challenges,
+                                eval_rng=np.random.default_rng(clone_seed))
+        yield lambda: deliver_forged_proof(verifier, stored, lambda statement: zkp.auth_prove_corrected(
+            statement, zkp.AuthWitness(Scalar.random(rng), response_scalar(responses)), rng))
+
+
+def attack_clone_device(target_id: bytes, ledger: Ledger, verifier: Verifier, rng,
+                        clone_seed: int, params: ParamSet = DEFAULT_PARAMS) -> AttackOutcome:
+    """Adversary with different physical hardware answers the target's
+    public challenges and derives its witness from its own responses."""
+    return _attempts("clone-device", ledger,
+                     _clones(target_id, ledger, verifier, rng, [clone_seed], params))
+
+
+def _simulator_replay(device: Device, verifier: Verifier, ledger: Ledger, rng,
+                      trials: int) -> AttackOutcome:
+    """Simulator transcripts (valid sigma equations, no witness) pushed
+    through the real verifier under fresh nonces."""
+    stored = ledger.load_device(device.device_id)
+    return _attempts("simulator-replay", ledger, repeat(lambda: deliver_forged_proof(
+        verifier, stored, lambda statement: zkp.simulate_auth_transcript(statement, rng)), trials))
+
+
+def attack_mitm_bitflip(device: Device, verifier: Verifier, ledger: Ledger, rng,
+                        np_rng=None, flips: int = 100) -> AttackOutcome:
+    """Flip one random byte of the request in flight, many times."""
+    def flip():
+        position, mask = rng.randrange(0, 1 << 30), rng.randrange(1, 256)
+
+        def mutate(raw: bytes) -> bytes:
+            buf = bytearray(raw)
+            buf[position % len(buf)] ^= mask
+            return bytes(buf)
+
+        return _tampered(device, verifier, ledger, rng, np_rng, mutate)
+
+    return _attempts("mitm-bitflip", ledger, repeat(flip, flips))
+
+
+def attack_swap_proofs(device_a: Device, device_b: Device, verifier: Verifier,
+                       ledger: Ledger, rng, np_rng=None) -> AttackOutcome:
+    """Deliver each of two concurrent sessions' proofs to the other."""
+    sess_a = verifier.begin_session(device_a.device_id)
+    sess_b = verifier.begin_session(device_b.device_id)
+    proof_a = device_a.build_auth_proof(ledger, sess_a.nonce, rng, np_rng)
+    proof_b = device_b.build_auth_proof(ledger, sess_b.nonce, rng, np_rng)
+    swapped_a = AuthRequest(device_a.device_id, proof_b, sess_a.nonce).to_bytes()
+    swapped_b = AuthRequest(device_b.device_id, proof_a, sess_b.nonce).to_bytes()
+    return _attempts("mitm-swap", ledger, [partial(_delivered, verifier.handle_auth_request, raw)
+                                           for raw in (swapped_a, swapped_b)])
+
+
 def _perturb_proof_fields(device: Device, verifier: Verifier, ledger: Ledger, rng,
                           np_rng, rounds: int) -> AttackOutcome:
     """Target each proof field in turn: honest request intercepted in
@@ -104,34 +291,37 @@ def _perturb_proof_fields(device: Device, verifier: Verifier, ledger: Ledger, rn
         lambda p: replace(p, resp_puf=p.resp_puf + 1),
         lambda p: replace(p, session_nonce=bytes([p.session_nonce[0] ^ 1]) + p.session_nonce[1:]),
     )
-    accepted = 0
-    for i in range(rounds):
-        def mutate(raw: bytes, perturb=perturbations[i % len(perturbations)]) -> bytes:
-            msg = decode_message(raw)
-            proof = perturb(zkp.CorrectedAuthProof.from_bytes(msg.proof))
-            return AuthRequest(msg.device_id, proof.to_bytes(), msg.nonce).to_bytes()
 
-        accepted += run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, np_rng,
-                                       tamper=mutate).accepted
-    return AttackOutcome("perturb-proof-fields", rounds, accepted)
+    def mutate(perturb, raw: bytes) -> bytes:
+        msg = decode_message(raw)
+        proof = perturb(zkp.CorrectedAuthProof.from_bytes(msg.proof))
+        return AuthRequest(msg.device_id, proof.to_bytes(), msg.nonce).to_bytes()
+
+    return _attempts("perturb-proof-fields", ledger, [
+        partial(_tampered, device, verifier, ledger, rng, np_rng, partial(mutate, perturb))
+        for perturb in islice(cycle(perturbations), rounds)])
 
 
-def _simulator_replay(device: Device, verifier: Verifier, ledger: Ledger, rng,
-                      trials: int) -> AttackOutcome:
-    """Simulator transcripts (valid sigma equations, no witness) pushed
-    through the real verifier under fresh nonces."""
-    stored = ledger.load_device(device.device_id)
-    accepted = sum(
-        deliver_forged_proof(verifier, stored,
-                             lambda statement: zkp.simulate_auth_transcript(statement, rng)).accept
-        for _ in range(trials))
-    return AttackOutcome("simulator-replay", trials, accepted)
+def attack_tamper_payload(device: Device, verifier: Verifier, ledger: Ledger, rng,
+                          trials: int = 100) -> AttackOutcome:
+    """Mutate one byte of the signed transaction payload in flight, many
+    times, and send it to the submit chaincode."""
+    if ledger.load_device(device.device_id).epoch < 1:
+        raise RuntimeError("tamper scenario requires an authenticated device")
+
+    def tampered(i: int) -> Tuple[bool, str]:
+        payload = b"reading:" + i.to_bytes(4, "big") + rng.getrandbits(64).to_bytes(8, "big")
+        record = device.build_tx_submit(ledger, payload, rng)
+        mutated_payload = bytearray(record.payload)
+        mutated_payload[rng.randrange(len(mutated_payload))] ^= rng.randrange(1, 256)
+        return _invoked(ledger, "submit", dataclasses.replace(record, payload=bytes(mutated_payload)))
+
+    return _attempts("tamper-payload", ledger, [partial(tampered, i) for i in range(trials)])
 
 
 def _malformed_registrations(ledger: Ledger, ca: CertificateAuthority, rng) -> AttackOutcome:
     """Registrations the register chaincode must refuse, each a genuine
-    CA-certified tuple with one field broken.  A breach is one that
-    commits or moves the state digest or the height."""
+    CA-certified tuple with one field broken."""
     pk = KeyPair.generate(rng).pk
     device_id = rng.getrandbits(256).to_bytes(32, "big")
     commitment, challenges = G1Element.generator().to_bytes(), bytes(8 * 4)
@@ -146,12 +336,9 @@ def _malformed_registrations(ledger: Ledger, ca: CertificateAuthority, rng) -> A
         {"fingerprint": bytes(31)},
         {"challenge_bytes": b""},
     )] + [b"garbage"]
-    accepted = 0
-    for payload in payloads:
-        before = (ledger.state_digest(), ledger.height)
-        result = ledger.invoke("register", TransactionRecord(payload, b"", b"", b"", "register", b""))
-        accepted += int(bool(result) or (ledger.state_digest(), ledger.height) != before)
-    return AttackOutcome("malformed-registration", len(payloads), accepted, result.reason)
+    return _attempts("malformed-registration", ledger, [
+        partial(_invoked, ledger, "register", TransactionRecord(payload, b"", b"", b"", "register", b""))
+        for payload in payloads])
 
 
 def _registration_rewrite(ledger: Ledger, ca: CertificateAuthority, rng, np_rng,
@@ -163,8 +350,7 @@ def _registration_rewrite(ledger: Ledger, ca: CertificateAuthority, rng, np_rng,
     physical device enroll again.  Or they rewrite the envelope around
     the record, which the log would replay forever: its device id, to
     one naming another device, or its signature, proof or nonce, to
-    bytes that nothing reads.  A breach is a commit or any move of the
-    state digest or the height."""
+    bytes that nothing reads."""
     def record(**changes):
         return lambda tx: dataclasses.replace(tx, payload=dataclasses.replace(
             DeviceRecord.from_bytes(tx.payload), **changes).to_bytes())
@@ -177,23 +363,16 @@ def _registration_rewrite(ledger: Ledger, ca: CertificateAuthority, rng, np_rng,
         lambda tx: dataclasses.replace(tx, proof=b"junk"),
         lambda tx: dataclasses.replace(tx, nonce=bytes(60_000)),
     )
-    breaches, reasons = 0, []
-    for rewrite in rewrites:
-        def intercept(name: str, tx: TransactionRecord, rewrite=rewrite):
-            return ledger.invoke(name, rewrite(tx))
 
-        before = (ledger.state_digest(), ledger.height)
+    def register(rewrite) -> Tuple[bool, str]:
+        intercepted = SimpleNamespace(invoke=lambda name, tx: ledger.invoke(name, rewrite(tx)))
         try:
-            register_device(puf_new(rng.getrandbits(32), 0.0), ca,
-                            SimpleNamespace(invoke=intercept), rng, np_rng, params)
+            register_device(puf_new(rng.getrandbits(32), 0.0), ca, intercepted, rng, np_rng, params)
         except RegistrationError as exc:
-            breaches += int((ledger.state_digest(), ledger.height) != before)
-            reasons.append(str(exc))
-        else:
-            breaches += 1
-            reasons.append("rewritten registration committed")
-    return AttackOutcome("registration-rewrite", len(rewrites), breaches,
-                         "; ".join(dict.fromkeys(reasons)))
+            return False, str(exc)
+        return True, "rewritten registration committed"
+
+    return _attempts("registration-rewrite", ledger, [partial(register, r) for r in rewrites])
 
 
 def _anonymous_rotations(device: Device, other: Device, honest: AuthRequest, ledger: Ledger,
@@ -202,11 +381,7 @@ def _anonymous_rotations(device: Device, other: Device, honest: AuthRequest, led
     chaincode: an empty proof, garbage, another device's valid current
     proof, an honest authentication's committed rotation sent again, an
     honest fresh proof carrying a payload, and one under a nonce other
-    than the rule's.  A breach is a commit or any move of the state
-    digest, the height or the device's epoch."""
-    def observed():
-        return ledger.state_digest(), ledger.height, ledger.load_device(device.device_id).epoch
-
+    than the rule's."""
     nonce = rotate_nonce(ledger.load_device(device.device_id).epoch)
     off_rule = rng.randbytes(zkp.NONCE_LEN)
     attempts = [  # (payload, proof, nonce)
@@ -217,15 +392,10 @@ def _anonymous_rotations(device: Device, other: Device, honest: AuthRequest, led
         (b"reading", device.build_auth_proof(ledger, nonce, rng, np_rng), nonce),
         (b"", device.build_auth_proof(ledger, off_rule, rng, np_rng), off_rule),
     ]
-    breaches, reasons = 0, []
-    for payload, proof, tx_nonce in attempts:
-        before = observed()
-        result = ledger.invoke("rotate", TransactionRecord(
-            payload, device.device_id, b"", proof, "rotate", tx_nonce))
-        breaches += int(bool(result) or observed() != before)
-        reasons.append(result.reason)
-    return AttackOutcome("anonymous-rotate", len(attempts), breaches,
-                         "; ".join(dict.fromkeys(reasons)))
+    return _attempts("anonymous-rotate", ledger, [
+        partial(_invoked, ledger, "rotate",
+                TransactionRecord(payload, device.device_id, b"", proof, "rotate", tx_nonce))
+        for payload, proof, tx_nonce in attempts])
 
 
 # Rounds in each flood scenario.
@@ -277,25 +447,17 @@ def _leaked_key_submit(ca: CertificateAuthority, verifier: Verifier, ledger: Led
                        np_rng, params: ParamSet) -> AttackOutcome:
     """A freshly enrolled device that has never authenticated, or anyone
     holding its leaked sk, submits a signed and proved reading straight
-    to the submit chaincode and through the verifier.  A breach is a
-    commit or any move of the state digest or the height."""
+    to the submit chaincode and through the verifier."""
     device = Device.enroll(puf_new(103, 0.0), ca, ledger, rng, np_rng, params)
 
     def direct():
-        result = ledger.invoke("submit", device.build_tx_submit(ledger, b"reading", rng))
-        return result.committed, result.reason
+        return _invoked(ledger, "submit", device.build_tx_submit(ledger, b"reading", rng))
 
     def through_verifier():
         session = run_transaction(device, verifier, ledger, b"reading", zkp.MODE_CORRECTED, rng)
         return session.accepted, session.reason
 
-    breaches, reasons = 0, []
-    for send in (direct, through_verifier):
-        before = (ledger.state_digest(), ledger.height)
-        accepted, reason = send()
-        breaches += int(accepted or (ledger.state_digest(), ledger.height) != before)
-        reasons.append(reason)
-    return AttackOutcome("leaked-key-submit", 2, breaches, "; ".join(dict.fromkeys(reasons)))
+    return _attempts("leaked-key-submit", ledger, (direct, through_verifier))
 
 
 def _rng_reset(ca: CertificateAuthority, verifier: Verifier, ledger: Ledger, rng, np_rng,
@@ -359,9 +521,7 @@ def _mode_downgrade(device: Device, verifier: Verifier, ledger: Ledger, auth_pro
     printed scheme's identity forgery (S, 1, S), which verifies at every
     setup key, its public forgery, its honest transaction proof, and the
     device's valid authentication proof.  The signature covers the
-    payload alone, so only the transaction proof binds the nonce.  A
-    breach is a commit or any move of the state digest, the height or
-    the device's data sequence number."""
+    payload alone, so only the transaction proof binds the nonce."""
     sent = run_transaction(device, verifier, ledger, b"reading", zkp.MODE_CORRECTED, rng)
     if not sent.accepted:
         raise RuntimeError("honest submit failed during suite setup")
@@ -370,12 +530,12 @@ def _mode_downgrade(device: Device, verifier: Verifier, ledger: Ledger, auth_pro
     proofs = [
         zkp.SigmaProof(witness_commit, G1Element.identity(), witness_commit).to_bytes(),
         zkp.forge_literal_proof(rng).to_bytes(),
-        zkp.tx_prove_literal(None, record.payload, rng).to_bytes(),
+        zkp.tx_prove_literal(record.payload, rng).to_bytes(),
         auth_proof,
     ]
 
     nonce = submit_nonce(ledger.next_seq(device.device_id))
-    return _resent_submits("mode-downgrade", device, verifier, ledger, [
+    return _resent_submits("mode-downgrade", verifier, ledger, [
         dataclasses.replace(record, proof=proof, nonce=nonce) for proof in proofs])
 
 
@@ -385,26 +545,16 @@ def _mislabeled_submits(device: Device, verifier: Verifier, ledger: Ledger,
     verifier with its chaincode field relabelled to another chaincode's
     name, to no name and to a near miss."""
     record = device.build_tx_submit(ledger, b"reading", rng)
-    return _resent_submits("mislabeled-submit", device, verifier, ledger, [
+    return _resent_submits("mislabeled-submit", verifier, ledger, [
         dataclasses.replace(record, chaincode=name)
         for name in ("rotate", "register", "bootstrap", "", "sucmit")])
 
 
-def _resent_submits(name: str, device: Device, verifier: Verifier, ledger: Ledger,
+def _resent_submits(name: str, verifier: Verifier, ledger: Ledger,
                     records: List[TransactionRecord]) -> AttackOutcome:
-    """Send each record through the verifier as a submit.  A breach is
-    an accept or any move of the state digest, the height or the
-    device's data sequence number."""
-    def observed():
-        return ledger.state_digest(), ledger.height, ledger.get(f"dataseq/{device.device_id.hex()}")
-
-    breaches, reasons = 0, []
-    for record in records:
-        before = observed()
-        decision = verifier.handle_tx_submit(TxSubmit(record).to_bytes())
-        breaches += int(decision.accept or observed() != before)
-        reasons.append(decision.reason)
-    return AttackOutcome(name, len(records), breaches, "; ".join(dict.fromkeys(reasons)))
+    """Send each record through the verifier as a submit."""
+    return _attempts(name, ledger, [partial(_delivered, verifier.handle_tx_submit,
+                                            TxSubmit(record).to_bytes()) for record in records])
 
 
 def _literal_defect_demos(device: Device, ledger: Ledger, setup: zkp.TrustSetup,
@@ -418,7 +568,7 @@ def _literal_defect_demos(device: Device, ledger: Ledger, setup: zkp.TrustSetup,
     setup_rand = zkp.TrustSetup(None, setup.pk_setup)
     responses = responses_to_bytes(puf_respond(device.puf,
                                                ledger.load_device(device.device_id).challenges))
-    recorded = zkp.auth_prove_literal(None, responses, device.keypair.sk, rng)
+    recorded = zkp.auth_prove_literal(responses, device.keypair.sk, rng)
     witness_commit = G1Element.generator() ** Scalar.random(rng)
     return {
         "honest-accepted-at-alpha-1": zkp.auth_verify_literal(setup_one, recorded),
@@ -429,7 +579,7 @@ def _literal_defect_demos(device: Device, ledger: Ledger, setup: zkp.TrustSetup,
         "replay-accepted": zkp.auth_verify_literal(
             setup_one, zkp.SigmaProof.from_bytes(recorded.to_bytes())),
         "honest-rejected-at-random-alpha": not zkp.auth_verify_literal(
-            setup_rand, zkp.auth_prove_literal(None, responses, device.keypair.sk, rng)),
+            setup_rand, zkp.auth_prove_literal(responses, device.keypair.sk, rng)),
         "identity-forgery-accepted-at-random-alpha": zkp.auth_verify_literal(
             setup_rand, zkp.SigmaProof(witness_commit, G1Element.identity(), witness_commit)),
     }
@@ -470,20 +620,14 @@ def run_attack_suite(seed: int = 0, params: ParamSet = DEFAULT_PARAMS,
     report = AttackSuiteReport(seed=seed)
 
     if "replay" in suites:
-        replays = n(100)
-        accepted = 0
-        detail = ""
-        for _ in range(replays):
-            honest = run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, np_rng)
-            if not honest.accepted:
-                raise RuntimeError("honest session failed during suite setup")
-            outcome = attack_replay(honest, verifier, ledger)
-            accepted += outcome.accepted
-            detail = outcome.detail
-        report.outcomes.append(AttackOutcome("replay", replays, accepted, detail))
-        honest = run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, np_rng)
-        forged = attack_replay(honest, verifier, ledger, forge_current_nonce=True)
-        report.outcomes.append(AttackOutcome("replay-forged-nonce", 1, forged.accepted, forged.detail))
+        def replays():
+            for _ in range(n(100)):
+                honest = _honest_auth(device, verifier, ledger, rng, np_rng)
+                yield partial(_replay, honest, verifier, False)
+
+        report.outcomes.append(_attempts("replay", ledger, replays()))
+        report.outcomes.append(attack_replay(_honest_auth(device, verifier, ledger, rng, np_rng),
+                                             verifier, ledger, forge_current_nonce=True))
         report.outcomes.append(_session_flood((device, device_b), verifier, ledger, rng, np_rng))
         report.outcomes.append(_interleaved_sessions(
             "session-eviction", device, [rng.randbytes(32) for _ in range(_FLOOD)],
@@ -497,13 +641,8 @@ def run_attack_suite(seed: int = 0, params: ParamSet = DEFAULT_PARAMS,
         report.outcomes.append(
             attack_impersonate(device.device_id, ledger, verifier, rng, trials=n(100),
                                leaked_sk=device.keypair.sk))
-        clone_accepted = 0
-        clones = n(100)
-        for i in range(clones):
-            outcome = attack_clone_device(device.device_id, ledger, verifier, rng,
-                                          clone_seed=7_000_000 + i, params=params)
-            clone_accepted += outcome.accepted
-        report.outcomes.append(AttackOutcome("clone-device", clones, clone_accepted))
+        report.outcomes.append(_attempts("clone-device", ledger, _clones(
+            device.device_id, ledger, verifier, rng, range(7_000_000, 7_000_000 + n(100)), params)))
         report.outcomes.append(_simulator_replay(device, verifier, ledger, rng, n(100)))
 
     if "mitm" in suites:
@@ -518,9 +657,7 @@ def run_attack_suite(seed: int = 0, params: ParamSet = DEFAULT_PARAMS,
             "honest session must still succeed"))
 
     if "tamper" in suites:
-        auth = run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, np_rng)
-        if not auth.accepted:
-            raise RuntimeError("honest session failed during suite setup")
+        auth = _honest_auth(device, verifier, ledger, rng, np_rng)
         report.outcomes.append(attack_tamper_payload(device, verifier, ledger, rng, trials=n(100)))
         report.outcomes.append(_malformed_registrations(ledger, ca, rng))
         report.outcomes.append(_registration_rewrite(ledger, ca, rng, np_rng, params))

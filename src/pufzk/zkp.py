@@ -148,16 +148,15 @@ def _prove_literal(base: G1Element, rng) -> SigmaProof:
     return SigmaProof(witness_commit, rand_commit, response)
 
 
-def auth_prove_literal(setup: TrustSetup | None, response_bytes: bytes, sk: Scalar, rng) -> SigmaProof:
+def auth_prove_literal(response_bytes: bytes, sk: Scalar, rng) -> SigmaProof:
     """Authentication proof over the hashed (responses || secret key).
-    ``setup`` is unused: the printed prover never reads the setup key."""
+    The printed prover never reads the setup key."""
     base = hash_to_g1(response_bytes + sk.to_bytes(), DomainTag.LITERAL_WITNESS_BASE)
     return _prove_literal(base, rng)
 
 
-def tx_prove_literal(setup: TrustSetup | None, payload: bytes, rng) -> SigmaProof:
-    """Transaction proof; same construction over the hashed payload.
-    ``setup`` is unused, as in :func:`auth_prove_literal`."""
+def tx_prove_literal(payload: bytes, rng) -> SigmaProof:
+    """Transaction proof; same construction over the hashed payload."""
     base = hash_to_g1(payload, DomainTag.LITERAL_TX_BASE)
     return _prove_literal(base, rng)
 

@@ -21,19 +21,14 @@ from pufzk.identity import CertificateAuthority, response_scalar
 from pufzk.ledger import Ledger, bootstrap, ledger_new
 from pufzk.pairing import G1Element, G2Element, Scalar
 from pufzk.params import ParamSet
-from pufzk.protocol import (
-    Device,
-    Verifier,
-    attack_replay,
-    run_authentication,
-    run_transaction,
-)
+from pufzk.protocol import Device, Verifier, run_authentication, run_transaction
 from pufzk.puf import (
     fractional_hamming,
     generate_challenges,
     puf_new,
     puf_respond,
 )
+from pufzk.scenarios import attack_replay
 
 NOISELESS = ParamSet("acceptance-noiseless", noise_ratio=0.0)
 
@@ -142,7 +137,7 @@ def test_criterion_2_corrected_soundness(stack):
         attempts += 2
 
     # protocol-level impersonation through the live verifier
-    from pufzk.protocol import attack_impersonate
+    from pufzk.scenarios import attack_impersonate
     outcome = attack_impersonate(device.device_id, ledger, verifier, rng, trials=100)
     accepted += outcome.accepted
     attempts += outcome.attempts
@@ -166,13 +161,13 @@ def test_criterion_3_literal_fidelity(stack):
     honest_at_one = sum(
         int(zkp.auth_verify_literal(
             setup_one,
-            zkp.auth_prove_literal(setup_one, bytes([i % 256]) * 32, Scalar.random(rng), rng)))
+            zkp.auth_prove_literal(bytes([i % 256]) * 32, Scalar.random(rng), rng)))
         for i in range(100)
     )
     honest_at_rand = sum(
         int(zkp.auth_verify_literal(
             setup_rand,
-            zkp.auth_prove_literal(setup_rand, bytes([i % 256]) * 32, Scalar.random(rng), rng)))
+            zkp.auth_prove_literal(bytes([i % 256]) * 32, Scalar.random(rng), rng)))
         for i in range(100)
     )
     forged_at_one = sum(
@@ -275,9 +270,8 @@ def test_criterion_7_proof_size_constancy(stack):
     """Zero variance in serialized proof size across 50 proofs per
     mode; sizes pinned as regression constants."""
     rng = stack["rng"]
-    setup = zkp.trust_setup(rng, forced_alpha=1)
     literal_sizes = {
-        len(zkp.auth_prove_literal(setup, bytes([i]), Scalar.random(rng), rng).to_bytes())
+        len(zkp.auth_prove_literal(bytes([i]), Scalar.random(rng), rng).to_bytes())
         for i in range(50)
     }
     corrected_sizes = set()

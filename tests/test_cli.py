@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pufzk.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from pufzk.ledger import ledger_new
 from pufzk.params import PRESETS
-from pufzk.scenarios import MAX_SCALE, audit_transcript, run_attack_suite, run_demo
+from pufzk.scenarios import MAX_SCALE, _attempts, audit_transcript, run_attack_suite, run_demo
+from pufzk.wire import TransactionRecord
 
 HEX = "0123456789abcdef"
 
@@ -21,6 +23,11 @@ DEMO_SEED_7_SHA256 = "5e3c46843db6a80fec46f7201cbfe649c9b41b01a64bca7a9ddb89f0cc
 # log.  It depends on the committed transactions alone, not on how the
 # state is digested.
 DEMO_SEED_7_LEDGER_LINE_SHA256 = "54296037361423dbf75b42911e200506008e0573a75dc8b63673e580b4a523ab"
+
+# SHA-256 of `json.dumps(run_attack_suite(seed=0, scale=0.02).to_dict(),
+# sort_keys=True)`: every scenario's name, counts and reasons.  A change
+# that means to alter the report updates this digest and says so.
+ATTACK_SEED_0_SHA256 = "2a195a6aab61d34c0b9a05e77ea39c05f7ae2ce7e46efcd1cde59fa41714ffda"
 
 
 @pytest.fixture(scope="module")
@@ -371,13 +378,62 @@ class TestAttackCommand:
         assert main(["attack", "--suite", "quantum"]) == EXIT_USAGE
 
 
+class TestAttempts:
+    """The suite's one breach rule, on a ledger whose test chaincode
+    writes every payload it is sent."""
+
+    @pytest.fixture()
+    def ledger(self):
+        ledger = ledger_new()
+        ledger.register_chaincode("put", lambda view, tx: {"test/" + tx.nonce.hex(): tx.payload})
+        return ledger
+
+    @staticmethod
+    def _put(ledger, nonce):
+        assert ledger.invoke("put", TransactionRecord(b"value", b"", b"", b"", "put", nonce))
+
+    def test_a_commit_reported_as_refused_is_a_breach(self, ledger):
+        def send():
+            self._put(ledger, b"n")
+            return False, "refused"
+
+        outcome = _attempts("hidden-commit", ledger, [send])
+        assert (outcome.attempts, outcome.accepted, outcome.detail) == (1, 1, "refused")
+
+    def test_clean_refusals_count_none_and_join_distinct_reasons(self, ledger):
+        reasons = ["stale nonce", "proof invalid", "stale nonce", "malformed", "proof invalid"]
+        outcome = _attempts("clean", ledger, [lambda r=r: (False, r) for r in reasons])
+        assert (outcome.attempts, outcome.accepted) == (5, 0)
+        assert outcome.detail == "stale nonce; proof invalid; malformed"
+
+    def test_an_accept_is_a_breach(self, ledger):
+        outcome = _attempts("accepted", ledger, [lambda: (False, "no"), lambda: (True, "ok")])
+        assert (outcome.attempts, outcome.accepted, outcome.detail) == (2, 1, "no; ok")
+
+    def test_commits_between_attempts_are_not_counted(self, ledger):
+        def sends():
+            for nonce in (b"1", b"2"):
+                self._put(ledger, nonce)  # set-up, outside the attempt
+                yield lambda: (False, "refused")
+
+        outcome = _attempts("set-up", ledger, sends())
+        assert (outcome.attempts, outcome.accepted) == (2, 0)
+        assert ledger.height == 2
+
+    def test_report_of_seed_0_is_pinned(self):
+        report = run_attack_suite(seed=0, scale=0.02).to_dict()
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == ATTACK_SEED_0_SHA256
+
+
 class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["demo", "--seed", "-1"], ["bench", "--seed", "-1"], ["attack", "--seed", "-1"],
         ["attack", "--scale", "nan"], ["attack", "--scale", "inf"], ["attack", "--scale", "0"],
         ["attack", "--scale", "1e308"], ["attack", "--scale", "10.001"],
+        ["attack", "--suite", ""], ["attack", "--suite", "quantum"], ["bench", "--iterations", "0"],
     ], ids=["demo-seed", "bench-seed", "attack-seed", "scale-nan", "scale-inf", "scale-zero",
-            "scale-1e308", "scale-above-bound"])
+            "scale-1e308", "scale-above-bound", "suite-empty", "suite-unknown", "iterations-zero"])
     def test_bad_value_usage_error(self, argv, capsys):
         assert main(argv) == EXIT_USAGE
         assert "error: argument" in capsys.readouterr().err

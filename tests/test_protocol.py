@@ -22,19 +22,16 @@ from pufzk.ledger import (
 )
 from pufzk.pairing import DecodeError, G1Element, G2Element, Scalar, curve, group
 from pufzk.params import ParamSet
-from pufzk.protocol import (
-    Device,
-    Verifier,
+from pufzk.protocol import Device, Verifier, run_authentication, run_transaction
+from pufzk.puf import puf_new, puf_respond
+from pufzk.scenarios import (
     attack_clone_device,
     attack_impersonate,
     attack_mitm_bitflip,
     attack_replay,
     attack_swap_proofs,
     attack_tamper_payload,
-    run_authentication,
-    run_transaction,
 )
-from pufzk.puf import puf_new, puf_respond
 from pufzk.wire import AuthRequest, TransactionRecord, TxSubmit, decode_message
 
 NOISELESS = ParamSet("noiseless-test", noise_ratio=0.0)

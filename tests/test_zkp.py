@@ -88,17 +88,15 @@ class TestTrustSetup:
 
 class TestLiteralMode:
     def test_deterministic_under_fixed_randomness(self):
-        setup = trust_setup(random.Random(5), forced_alpha=1)
         sk = Scalar(77)
-        p1 = auth_prove_literal(setup, b"resp", sk, random.Random(42))
-        p2 = auth_prove_literal(setup, b"resp", sk, random.Random(42))
+        p1 = auth_prove_literal(b"resp", sk, random.Random(42))
+        p2 = auth_prove_literal(b"resp", sk, random.Random(42))
         assert p1.to_bytes() == p2.to_bytes()
 
     def test_constant_serialized_size(self):
         rng = random.Random(6)
-        setup = trust_setup(rng, forced_alpha=1)
         sizes = {
-            len(auth_prove_literal(setup, bytes([i]), Scalar.random(rng), rng).to_bytes())
+            len(auth_prove_literal(bytes([i]), Scalar.random(rng), rng).to_bytes())
             for i in range(50)
         }
         assert sizes == {LITERAL_PROOF_WIRE_BYTES}
@@ -106,9 +104,8 @@ class TestLiteralMode:
     def test_self_check_identity_holds_for_generated_proofs(self):
         # response element always equals witness_commit * rand_commit^challenge
         rng = random.Random(7)
-        setup = trust_setup(rng)
         for _ in range(10):
-            proof = auth_prove_literal(setup, b"r", Scalar.random(rng), rng)
+            proof = auth_prove_literal(b"r", Scalar.random(rng), rng)
             h = _literal_challenge(proof.witness_commit, proof.rand_commit)
             assert proof.response == proof.witness_commit * proof.rand_commit ** h
 
@@ -119,8 +116,8 @@ class TestLiteralMode:
         assert setup_rand.alpha.value != 1
         for _ in range(5):
             sk = Scalar.random(rng)
-            assert auth_verify_literal(setup_one, auth_prove_literal(setup_one, b"x", sk, rng))
-            assert not auth_verify_literal(setup_rand, auth_prove_literal(setup_rand, b"x", sk, rng))
+            assert auth_verify_literal(setup_one, auth_prove_literal(b"x", sk, rng))
+            assert not auth_verify_literal(setup_rand, auth_prove_literal(b"x", sk, rng))
 
     def test_acceptance_predicate_via_exponent_bookkeeping(self):
         """Independent oracle: build the three elements from a
@@ -167,20 +164,17 @@ class TestLiteralMode:
         rng = random.Random(11)
         setup_one = trust_setup(rng, forced_alpha=1)
         setup_rand = trust_setup(rng)
-        assert auth_verify_literal(setup_one, tx_prove_literal(setup_one, b"payload", rng))
-        assert not auth_verify_literal(setup_rand, tx_prove_literal(setup_rand, b"payload", rng))
+        assert auth_verify_literal(setup_one, tx_prove_literal(b"payload", rng))
+        assert not auth_verify_literal(setup_rand, tx_prove_literal(b"payload", rng))
 
     def test_distinct_payloads_give_distinct_proof_bytes(self):
-        rng = random.Random(12)
-        setup = trust_setup(rng, forced_alpha=1)
-        a = tx_prove_literal(setup, b"payload-a", random.Random(1), )
-        b = tx_prove_literal(setup, b"payload-b", random.Random(1), )
+        a = tx_prove_literal(b"payload-a", random.Random(1))
+        b = tx_prove_literal(b"payload-b", random.Random(1))
         assert a.to_bytes() != b.to_bytes()
 
     def test_wire_round_trip_and_rejects(self):
         rng = random.Random(13)
-        setup = trust_setup(rng)
-        proof = auth_prove_literal(setup, b"r", Scalar.random(rng), rng)
+        proof = auth_prove_literal(b"r", Scalar.random(rng), rng)
         raw = proof.to_bytes()
         assert SigmaProof.from_bytes(raw) == proof
         _decodes_only_as(raw, SigmaProof)
