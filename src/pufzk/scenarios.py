@@ -651,7 +651,8 @@ def run_attack_suite(seed: int = 0, params: ParamSet = DEFAULT_PARAMS,
         report.outcomes.append(attack_swap_proofs(device, device_b, verifier, ledger, rng, np_rng))
         report.outcomes.append(
             _perturb_proof_fields(device, verifier, ledger, rng, np_rng, rounds=n(60)))
-        control = run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, np_rng)
+        control = run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, np_rng,
+                                     tamper=lambda raw: raw)
         report.outcomes.append(AttackOutcome(
             "pass-through-control", 1, 0 if control.accepted else 1,
             "honest session must still succeed"))

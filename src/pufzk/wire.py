@@ -259,14 +259,24 @@ class AuthRequest:
 
 
 @dataclass(frozen=True)
-class AuthDecision:
+class _Decision:
+    """A verifier's decision; the two kinds differ only in ``TAG``."""
+
     accept: bool
     reason: str
 
     def to_bytes(self) -> bytes:
-        buf = bytearray([TAG_AUTH_DECISION, 1 if self.accept else 0])
+        buf = bytearray([self.TAG, 1 if self.accept else 0])
         _put_field(buf, self.reason.encode())
         return bytes(buf)
+
+
+class AuthDecision(_Decision):
+    TAG = TAG_AUTH_DECISION
+
+
+class TxDecision(_Decision):
+    TAG = TAG_TX_DECISION
 
 
 @dataclass(frozen=True)
@@ -279,18 +289,8 @@ class TxSubmit:
         return bytes(buf)
 
 
-@dataclass(frozen=True)
-class TxDecision:
-    accept: bool
-    reason: str
-
-    def to_bytes(self) -> bytes:
-        buf = bytearray([TAG_TX_DECISION, 1 if self.accept else 0])
-        _put_field(buf, self.reason.encode())
-        return bytes(buf)
-
-
 ProtocolMessage = Union[AuthRequest, AuthDecision, TxSubmit, TxDecision]
+_DECISIONS = {kind.TAG: kind for kind in (AuthDecision, TxDecision)}
 
 
 def decode_message(data: bytes) -> ProtocolMessage:
@@ -304,18 +304,13 @@ def decode_message(data: bytes) -> ProtocolMessage:
         nonce, off = _get_field(data, off)
         _done(data, off)
         return AuthRequest(device_id, proof, nonce)
-    if tag == TAG_AUTH_DECISION:
+    if tag in _DECISIONS:
         flag, off = _get_flag(data, 1)
         reason, off = _get_field(data, off)
         _done(data, off)
-        return AuthDecision(flag, _utf8(reason))
+        return _DECISIONS[tag](flag, _utf8(reason))
     if tag == TAG_TX_SUBMIT:
         rec, off = _get_field(data, 1, width=4)
         _done(data, off)
         return TxSubmit(TransactionRecord.from_bytes(rec))
-    if tag == TAG_TX_DECISION:
-        flag, off = _get_flag(data, 1)
-        reason, off = _get_field(data, off)
-        _done(data, off)
-        return TxDecision(flag, _utf8(reason))
     raise WireError(f"unknown message tag 0x{tag:02x}")

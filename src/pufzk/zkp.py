@@ -22,9 +22,13 @@ Two proof schemes are defined here:
     statement, and the per-session nonce.  The verifier recomputes each
     commitment from the responses and compares encodings, as a Schnorr
     (e, s) verifier recomputes R, so an accepted proof's commitments
-    are never decoded: the proof codecs keep them as received bytes.
+    are never decoded: the proof codec keeps them as received bytes.
     Each prover nonce is hedged (:func:`prover_nonce`), so an rng that
-    repeats its output does not repeat a nonce across statements.
+    repeats its output does not repeat a nonce across statements.  The
+    transaction proof is the same protocol with one clause, the secret
+    key.  Both proofs run one core: each statement lists its clauses as
+    (base, public key) pairs, and one prover, one verifier, one
+    challenge function and one codec serve any number of them.
 
 Two signature schemes sit beside the proofs.  Devices sign
 transactions with the usual pairing scheme: sig = H(msg)^sk in G1 with
@@ -35,7 +39,7 @@ a deterministic nonce, whose check costs two G1 multiplications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .pairing import (
     DecodeError,
@@ -194,6 +198,84 @@ def forge_literal_proof(rng) -> SigmaProof:
 _CORRECTED_VERSION = b"pufzk-corrected-v1"
 
 
+class _CorrectedProof:
+    """The wire layout both corrected proofs share: tag || one commitment
+    per clause || challenge || one response per clause || nonce.  A
+    subclass declares its dataclass fields in that order, names each
+    commitment's group in ``_GROUPS``, clause by clause, and pins its
+    length in ``_WIRE_BYTES``."""
+
+    def _parts(self):
+        """(commitments, challenge, responses, nonce)."""
+        n = len(self._GROUPS)
+        values = [getattr(self, f.name) for f in fields(self)]
+        return values[:n], values[n], values[n + 1:-1], values[-1]
+
+    def to_bytes(self) -> bytes:
+        *elements, nonce = (getattr(self, f.name) for f in fields(self))
+        return bytes([WIRE_TAG_CORRECTED]) + b"".join(e.to_bytes() for e in elements) + nonce
+
+    @classmethod
+    def from_bytes(cls, data: bytes):
+        if len(data) != cls._WIRE_BYTES or data[0] != WIRE_TAG_CORRECTED:
+            raise DecodeError(f"not a {cls.__name__}")
+        commits, off = [], 1
+        for group in cls._GROUPS:
+            commits.append(group.deferred(data[off:off + group.ENC_LEN]))
+            off += group.ENC_LEN
+        end = off + (len(cls._GROUPS) + 1) * SCALAR_ENC_LEN
+        scalars = [Scalar.from_bytes(data[i:i + SCALAR_ENC_LEN]) for i in range(off, end, SCALAR_ENC_LEN)]
+        return cls(*commits, *scalars, data[end:end + NONCE_LEN])
+
+
+def _challenge(statement, commits) -> Scalar:
+    """The Fiat-Shamir challenge: the version tag, the statement and
+    every commitment, in clause order."""
+    transcript = _CORRECTED_VERSION + statement.to_bytes() + b"".join(c.to_bytes() for c in commits)
+    return hash_to_scalar(transcript, DomainTag.CORRECTED_CHALLENGE)
+
+
+def _prove(proof_type, statement, secrets, nonce: bytes, rng):
+    """One hedged prover nonce per clause from one 32-byte rng draw, then
+    base^k per clause, the challenge and the responses k + c * secret."""
+    fresh = rng.randbytes(32)
+    ks = [prover_nonce(secrets, statement.to_bytes(), i, fresh) for i in range(len(secrets))]
+    commits = [base ** k for (base, _), k in zip(statement.clauses(), ks)]
+    challenge = _challenge(statement, commits)
+    return proof_type(*commits, challenge, *(k + challenge * x for k, x in zip(ks, secrets)), nonce)
+
+
+def _commits_to(commit, base, resp: Scalar, pk, challenge: Scalar) -> bool:
+    """Whether ``commit`` is base^resp * pk^-challenge, compared as
+    encodings: the one point the sigma equation allows is recomputed
+    and encoded, so the received commitment is never decoded."""
+    return (base ** resp * (pk ** challenge).inverse()).to_bytes() == commit.to_bytes()
+
+
+def verify_sigma_equations(statement, proof) -> bool:
+    """The group-equation checks alone, one per clause, with the proof's
+    own challenge.  This is the interactive-verifier view used by the
+    honest-verifier zero-knowledge test; it deliberately skips the
+    Fiat-Shamir challenge recomputation.
+
+    Each check recomputes the commitment C = g^s * X^-c and compares
+    its encoding with the received one.  Encodings are canonical and C
+    lies in the subgroup, so the bytes match exactly when the
+    commitment decodes (subgroup check included) and satisfies
+    g^s == C * X^c."""
+    commits, challenge, responses, _ = proof._parts()
+    return all(_commits_to(commit, base, resp, pk, challenge)
+               for commit, (base, pk), resp in zip(commits, statement.clauses(), responses))
+
+
+def _verify(statement, nonce: bytes, proof) -> bool:
+    """Nonce binding, challenge recomputation, then the sigma equations."""
+    commits, challenge, _, proof_nonce = proof._parts()
+    if proof_nonce != nonce or challenge != _challenge(statement, commits):
+        return False
+    return verify_sigma_equations(statement, proof)
+
+
 @dataclass(frozen=True)
 class AuthStatement:
     """Public inputs an authentication proof is bound to."""
@@ -203,6 +285,11 @@ class AuthStatement:
     response_commitment: G1Element
     challenge_epoch: int
     session_nonce: bytes
+
+    def clauses(self):
+        """(base, public key) per clause: sk against pk, and the
+        response scalar against the registered commitment."""
+        return (_G2, self.pk), (_G1, self.response_commitment)
 
     def to_bytes(self) -> bytes:
         return b"".join([
@@ -225,48 +312,15 @@ class AuthWitness:
 
 
 @dataclass(frozen=True)
-class CorrectedAuthProof:
+class CorrectedAuthProof(_CorrectedProof):
+    _GROUPS, _WIRE_BYTES = (G2Element, G1Element), CORRECTED_AUTH_PROOF_WIRE_BYTES
+
     commit_sk: G2Element
     commit_puf: G1Element
     challenge: Scalar
     resp_sk: Scalar
     resp_puf: Scalar
     session_nonce: bytes
-
-    def to_bytes(self) -> bytes:
-        return (
-            bytes([WIRE_TAG_CORRECTED])
-            + self.commit_sk.to_bytes()
-            + self.commit_puf.to_bytes()
-            + self.challenge.to_bytes()
-            + self.resp_sk.to_bytes()
-            + self.resp_puf.to_bytes()
-            + self.session_nonce
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "CorrectedAuthProof":
-        if len(data) != CORRECTED_AUTH_PROOF_WIRE_BYTES or data[0] != WIRE_TAG_CORRECTED:
-            raise DecodeError("not a corrected-mode auth proof")
-        return cls(
-            commit_sk=G2Element.deferred(data[1:97]),
-            commit_puf=G1Element.deferred(data[97:145]),
-            challenge=Scalar.from_bytes(data[145:177]),
-            resp_sk=Scalar.from_bytes(data[177:209]),
-            resp_puf=Scalar.from_bytes(data[209:241]),
-            session_nonce=data[241:241 + NONCE_LEN],
-        )
-
-
-def _corrected_auth_challenge(statement: AuthStatement, commit_sk: G2Element,
-                              commit_puf: G1Element) -> Scalar:
-    transcript = (
-        _CORRECTED_VERSION
-        + statement.to_bytes()
-        + commit_sk.to_bytes()
-        + commit_puf.to_bytes()
-    )
-    return hash_to_scalar(transcript, DomainTag.CORRECTED_CHALLENGE)
 
 
 def auth_prove_corrected(statement: AuthStatement, witness: AuthWitness, rng) -> CorrectedAuthProof:
@@ -275,54 +329,14 @@ def auth_prove_corrected(statement: AuthStatement, witness: AuthWitness, rng) ->
     The prover never checks witness consistency; an inconsistent
     witness yields a proof that simply fails verification.
     """
-    secrets, fresh = (witness.sk, witness.response_scalar), rng.randbytes(32)
-    k_sk, k_puf = (prover_nonce(secrets, statement.to_bytes(), i, fresh) for i in (0, 1))
-    commit_sk = _G2 ** k_sk
-    commit_puf = _G1 ** k_puf
-    challenge = _corrected_auth_challenge(statement, commit_sk, commit_puf)
-    return CorrectedAuthProof(
-        commit_sk=commit_sk,
-        commit_puf=commit_puf,
-        challenge=challenge,
-        resp_sk=k_sk + challenge * witness.sk,
-        resp_puf=k_puf + challenge * witness.response_scalar,
-        session_nonce=statement.session_nonce,
-    )
-
-
-def _commits_to(commit, base, resp: Scalar, pk, challenge: Scalar) -> bool:
-    """Whether ``commit`` is base^resp * pk^-challenge, compared as
-    encodings: the one point the sigma equation allows is recomputed
-    and encoded, so the received commitment is never decoded."""
-    return (base ** resp * (pk ** challenge).inverse()).to_bytes() == commit.to_bytes()
-
-
-def verify_sigma_equations(statement: AuthStatement, proof: CorrectedAuthProof) -> bool:
-    """The two group-equation checks alone, with the proof's own
-    challenge.  This is the interactive-verifier view used by the
-    honest-verifier zero-knowledge test; it deliberately skips the
-    Fiat-Shamir challenge recomputation.
-
-    Each check recomputes the commitment C = g^s * X^-c and compares
-    its encoding with the received one.  Encodings are canonical and C
-    lies in the subgroup, so the bytes match exactly when the
-    commitment decodes (subgroup check included) and satisfies
-    g^s == C * X^c."""
-    return (
-        _commits_to(proof.commit_sk, _G2, proof.resp_sk, statement.pk, proof.challenge)
-        and _commits_to(proof.commit_puf, _G1, proof.resp_puf,
-                        statement.response_commitment, proof.challenge)
-    )
+    return _prove(CorrectedAuthProof, statement, (witness.sk, witness.response_scalar),
+                  statement.session_nonce, rng)
 
 
 def auth_verify_corrected(statement: AuthStatement, proof: CorrectedAuthProof) -> bool:
     """Full non-interactive verification: nonce binding, challenge
     recomputation, and both sigma equations."""
-    if proof.session_nonce != statement.session_nonce:
-        return False
-    if proof.challenge != _corrected_auth_challenge(statement, proof.commit_sk, proof.commit_puf):
-        return False
-    return verify_sigma_equations(statement, proof)
+    return _verify(statement, statement.session_nonce, proof)
 
 
 def simulate_auth_transcript(statement: AuthStatement, rng) -> CorrectedAuthProof:
@@ -333,19 +347,10 @@ def simulate_auth_transcript(statement: AuthStatement, rng) -> CorrectedAuthProo
     commitments.  It satisfies ``verify_sigma_equations`` but not the
     Fiat-Shamir binding, so ``auth_verify_corrected`` rejects it.
     """
-    challenge = Scalar.random(rng)
-    resp_sk = Scalar.random(rng)
-    resp_puf = Scalar.random(rng)
-    commit_sk = (_G2 ** resp_sk) * (statement.pk ** challenge).inverse()
-    commit_puf = (_G1 ** resp_puf) * (statement.response_commitment ** challenge).inverse()
-    return CorrectedAuthProof(
-        commit_sk=commit_sk,
-        commit_puf=commit_puf,
-        challenge=challenge,
-        resp_sk=resp_sk,
-        resp_puf=resp_puf,
-        session_nonce=statement.session_nonce,
-    )
+    clauses = statement.clauses()
+    challenge, *responses = (Scalar.random(rng) for _ in range(len(clauses) + 1))
+    commits = [base ** s * (pk ** challenge).inverse() for (base, pk), s in zip(clauses, responses)]
+    return CorrectedAuthProof(*commits, challenge, *responses, statement.session_nonce)
 
 
 @dataclass(frozen=True)
@@ -356,6 +361,10 @@ class TxStatement:
     pk: G2Element
     payload_digest: bytes
     tx_nonce: bytes
+
+    def clauses(self):
+        """(base, public key) of the one clause: sk against pk."""
+        return ((_G2, self.pk),)
 
     def to_bytes(self) -> bytes:
         return b"".join([
@@ -368,61 +377,24 @@ class TxStatement:
 
 
 @dataclass(frozen=True)
-class CorrectedTxProof:
+class CorrectedTxProof(_CorrectedProof):
+    _GROUPS, _WIRE_BYTES = (G2Element,), CORRECTED_TX_PROOF_WIRE_BYTES
+
     commit_sk: G2Element
     challenge: Scalar
     resp_sk: Scalar
     tx_nonce: bytes
-
-    def to_bytes(self) -> bytes:
-        return (
-            bytes([WIRE_TAG_CORRECTED])
-            + self.commit_sk.to_bytes()
-            + self.challenge.to_bytes()
-            + self.resp_sk.to_bytes()
-            + self.tx_nonce
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "CorrectedTxProof":
-        if len(data) != CORRECTED_TX_PROOF_WIRE_BYTES or data[0] != WIRE_TAG_CORRECTED:
-            raise DecodeError("not a corrected-mode tx proof")
-        return cls(
-            commit_sk=G2Element.deferred(data[1:97]),
-            challenge=Scalar.from_bytes(data[97:129]),
-            resp_sk=Scalar.from_bytes(data[129:161]),
-            tx_nonce=data[161:161 + NONCE_LEN],
-        )
-
-
-def _corrected_tx_challenge(statement: TxStatement, commit_sk: G2Element) -> Scalar:
-    return hash_to_scalar(
-        _CORRECTED_VERSION + statement.to_bytes() + commit_sk.to_bytes(),
-        DomainTag.CORRECTED_CHALLENGE,
-    )
 
 
 def tx_prove_corrected(statement: TxStatement, sk: Scalar, rng) -> CorrectedTxProof:
     """Knowledge-of-sk proof bound to the payload digest and nonce; a
     signature of knowledge playing the printed transaction proof's role
     in corrected mode."""
-    k = prover_nonce((sk,), statement.to_bytes(), 0, rng.randbytes(32))
-    commit_sk = _G2 ** k
-    challenge = _corrected_tx_challenge(statement, commit_sk)
-    return CorrectedTxProof(
-        commit_sk=commit_sk,
-        challenge=challenge,
-        resp_sk=k + challenge * sk,
-        tx_nonce=statement.tx_nonce,
-    )
+    return _prove(CorrectedTxProof, statement, (sk,), statement.tx_nonce, rng)
 
 
 def tx_verify_corrected(statement: TxStatement, proof: CorrectedTxProof) -> bool:
-    if proof.tx_nonce != statement.tx_nonce:
-        return False
-    if proof.challenge != _corrected_tx_challenge(statement, proof.commit_sk):
-        return False
-    return _commits_to(proof.commit_sk, _G2, proof.resp_sk, statement.pk, proof.challenge)
+    return _verify(statement, statement.tx_nonce, proof)
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +453,6 @@ def schnorr_verify(pk: G1Element, message: bytes, signature: bytes) -> bool:
 
     Raises ``DecodeError`` unless the signature is exactly two scalars
     below the group order, so each signature has one encoding."""
-    if len(signature) != SCHNORR_SIGNATURE_WIRE_BYTES:
-        raise DecodeError("bad Schnorr signature length")
     e = Scalar.from_bytes(signature[:SCALAR_ENC_LEN])
     s = Scalar.from_bytes(signature[SCALAR_ENC_LEN:])
     return e == _schnorr_challenge(_G1 ** s * (pk ** e).inverse(), pk, message)

@@ -284,9 +284,6 @@ class TestBenchCommand:
         assert main(["bench", "--seed", str(2**63), "--iterations", "1",
                      "--params", "fast"]) == EXIT_OK
 
-    def test_bad_iterations_usage_error(self):
-        assert main(["bench", "--iterations", "0"]) == EXIT_USAGE
-
     @pytest.mark.parametrize("mode", ["no-such-mode", "literal"])
     def test_bad_mode_usage_error(self, mode, capsys):
         """The bench runs the corrected scheme only and has no --mode."""
@@ -370,12 +367,6 @@ class TestAttackCommand:
 
     def test_suite_selection(self):
         assert main(["attack", "--scale", "0.02", "--suite", "replay"]) == EXIT_OK
-
-    def test_empty_suite_flag_usage_error(self):
-        assert main(["attack", "--suite", ""]) == EXIT_USAGE
-
-    def test_unknown_suite_usage_error(self):
-        assert main(["attack", "--suite", "quantum"]) == EXIT_USAGE
 
 
 class TestAttempts:

@@ -150,6 +150,19 @@ class TestInvoke:
         assert not result and result.reason == f"malformed signature: {detail}"
         assert (ledger.state_digest(), ledger.height) == (digest, height)
 
+    @pytest.mark.parametrize("rewrite", [
+        lambda proof: proof + b"\x00",
+        lambda proof: b"\x00" + proof[1:],
+        lambda proof: proof[:-1] + bytes([proof[-1] ^ 1]),
+    ], ids=["trailing-byte", "zero-tag", "rewritten-nonce"])
+    def test_tx_proof_off_its_layout_or_nonce_is_invalid(self, env, rewrite):
+        ledger, rng = env["ledger"], env["rng"]
+        tx = _submit_record(ledger, env["device_id"], env["keypair"], b"reading-7", rng)
+        digest, height = ledger.state_digest(), ledger.height
+        result = ledger.invoke("submit", dataclasses.replace(tx, proof=rewrite(tx.proof)))
+        assert not result and result.reason == "proof invalid"
+        assert (ledger.state_digest(), ledger.height) == (digest, height)
+
     def test_nonce_reuse_rejected(self, env):
         """Two submits built from one read of the device's sequence
         number conflict: the first to commit makes the other stale."""
@@ -225,13 +238,15 @@ class TestInvoke:
             ledger.register_chaincode("echo", echo)
 
 
-def _registration(env, **changes):
-    """A CA-certified registration tuple for a fresh key, with fields
-    replaced by ``changes``."""
+def _registration(env, device_id=None, **changes):
+    """A CA-certified registration tuple for a fresh key, under
+    ``device_id`` (by default a fresh one), with fields replaced by
+    ``changes``."""
     import dataclasses
     rng = env["rng"]
     keypair = KeyPair.generate(rng)
-    device_id = rng.getrandbits(256).to_bytes(32, "big")
+    if device_id is None:
+        device_id = rng.getrandbits(256).to_bytes(32, "big")
     commitment, challenges = (G1Element.generator() ** 99).to_bytes(), bytes(8 * 4)
     fingerprint = rng.getrandbits(256).to_bytes(32, "big")
     record = DeviceRecord(
@@ -269,6 +284,21 @@ class TestRegistrationValidation:
         result = ledger.invoke("register", _registration(env, **changes))
         assert not result and result.reason.startswith("malformed registration: ")
         assert ledger.state_digest() == digest and ledger.height == height
+
+    def test_registration_before_bootstrap_rejected(self, env):
+        ledger = ledger_new()
+        digest, height = ledger.state_digest(), ledger.height
+        result = ledger.invoke("register", _registration(env))
+        assert not result and result.reason == "ledger not bootstrapped"
+        assert (ledger.state_digest(), ledger.height) == (digest, height)
+
+    def test_registered_device_id_is_a_duplicate(self, env):
+        # certified, and under a fingerprint no device has enrolled with
+        ledger = env["ledger"]
+        digest, height = ledger.state_digest(), ledger.height
+        result = ledger.invoke("register", _registration(env, device_id=env["device_id"]))
+        assert not result and result.reason == "duplicate device id"
+        assert (ledger.state_digest(), ledger.height) == (digest, height)
 
     @pytest.mark.parametrize("envelope", [
         lambda env: {"device_id": bytes(16)},

@@ -512,7 +512,7 @@ def _reference_auth_decision(statement, raw):
         return False, "malformed"
     g1, g2, c = G1Element.generator(), G2Element.generator(), proof.challenge
     ok = (proof.session_nonce == statement.session_nonce
-          and c == zkp._corrected_auth_challenge(statement, commit_sk, commit_puf)
+          and c == zkp._challenge(statement, (commit_sk, commit_puf))
           and g2 ** proof.resp_sk == commit_sk * statement.pk ** c
           and g1 ** proof.resp_puf == commit_puf * statement.response_commitment ** c)
     return (True, "ok") if ok else (False, "proof invalid")
@@ -526,7 +526,7 @@ def _reference_tx_accepts(statement, raw) -> bool:
         return False
     c = proof.challenge
     return (proof.tx_nonce == statement.tx_nonce
-            and c == zkp._corrected_tx_challenge(statement, commit_sk)
+            and c == zkp._challenge(statement, (commit_sk,))
             and G2Element.generator() ** proof.resp_sk == commit_sk * statement.pk ** c)
 
 

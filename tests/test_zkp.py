@@ -413,6 +413,14 @@ class TestSchnorrSignature:
                 pass
         assert accepted == 0
 
+    @pytest.mark.parametrize("length", [0, 63, 65])
+    def test_signature_of_any_other_length_is_undecodable(self, length):
+        from pufzk.zkp import schnorr_sign, schnorr_verify
+        sk = Scalar.random(random.Random(33))
+        sig = (schnorr_sign(sk, G1 ** sk, b"msg") + b"\x00")[:length]
+        with pytest.raises(DecodeError):
+            schnorr_verify(G1 ** sk, b"msg", sig)
+
 
 class TestWireVectors:
     def test_committed_wire_vectors_match(self):
