@@ -10,10 +10,12 @@ from .group import (
     G2Element,
     GtElement,
     Scalar,
+    challenge_scalar,
     hash_to_g1,
     hash_to_scalar,
     multi_pair,
     pair,
+    random_challenge,
 )
 
 __all__ = [
@@ -26,8 +28,10 @@ __all__ = [
     "G2Element",
     "GtElement",
     "Scalar",
+    "challenge_scalar",
     "hash_to_g1",
     "hash_to_scalar",
     "multi_pair",
     "pair",
+    "random_challenge",
 ]

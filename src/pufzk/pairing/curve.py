@@ -4,10 +4,17 @@ G1 lives on E(Fq): y^2 = x^3 + 4, G2 on the sextic twist E'(Fq2):
 y^2 = x^3 + 4(1+u).  Affine points are (x, y) tuples, None is the point
 at infinity.  Variable-base scalar multiplication runs in Jacobian
 coordinates and splits the scalar with an endomorphism: GLV in G1
-(Gallant-Lambert-Vanstone, CRYPTO 2001), k = a + b*x^2 with a 2-way
-ladder of 128 doublings, and GLS in G2 (Galbraith-Lin-Scott, EUROCRYPT
-2009), k in base |x| with a 4-way ladder over psi of 64 doublings.  Both
-splits hold only in the prime-order subgroups.
+(Gallant-Lambert-Vanstone, CRYPTO 2001), k = a + b*x^2, and GLS in G2
+(Galbraith-Lin-Scott, EUROCRYPT 2009), k in base |x|.  One ladder serves
+both: it reads two halves two bits at a time against the 16 affine
+points [i]P + [j][x^2]P, i, j < 4, with two doublings a step.  In G1
+the halves are a and b, 128 bits each.  In G2, psi^2 acts as [x^2], so
+the digit pairs (d0, d2) and (d1, d3) each form such a pair of halves,
+64 bits each, and the second pair reads the table's -psi image.  A
+Fiat-Shamir challenge c0 + c1*x^2 with c0, c1 < 2^64 (see
+group.challenge_scalar) has a, b < 2^64 and d1, d3 <= 1, so it takes
+at most 63 doublings in either group.  Both splits hold only in the
+prime-order subgroups.
 
 Long-lived bases are walked over fixed-base tables in signed 8-bit
 windows instead (Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992),
@@ -84,6 +91,7 @@ PSI_CY = (
     0x135203E60180A68EE2E9C448D77A2CD91C3DEDD930B1CF60EF396489F61EB45E304466CF3E67FA0AF1EE7B04121BDEA2,
     0x06AF0E0437FF400B6831E36D6BD17FFE48395DABC2D3435E77F76E17009241C5EE67992F72EC05F4C81084FBEDE3CC09,
 )
+PSI2_CX = PSI_CX[1] * PSI_CX[1] % P
 _X_SQR = X_ABS * X_ABS
 
 
@@ -183,8 +191,8 @@ def g1_mul(pt, k):
     """[k]P for P in G1, the prime-order subgroup, by GLV.
 
     k mod r = a + b*x^2 with a, b < x^2 < 2^128 gives [k]P = [a]P + [b]Q
-    for Q = [x^2]P.  One ladder of 128 doublings walks a and b two bits at
-    a time against the affine table [i]P + [j]Q, i, j < 4.  The identity
+    for Q = [x^2]P.  One ladder of at most 128 doublings walks a and b two
+    bits at a time against the affine table [i]P + [j]Q, i, j < 4.  The identity
     holds only on G1: multiply other curve points with g1_mul_unchecked.
     A base that keeps coming back is walked over rows of its own instead
     (see _KeyTables).
@@ -195,25 +203,41 @@ def g1_mul(pt, k):
     rows = _G1_KEYS.get(pt)
     if rows is not None:
         return _g1_walk(rows, a, b)
-    q = _g1_x_sqr(pt)
-    p1 = (pt[0], pt[1], 1)
-    p2 = _g1_dbl(p1)
-    ps = [p1, p2, _g1_add_mixed(p2, pt)]
-    # table[4i + j] = [i]P + [j]Q, made affine with one inversion
-    table = [None] + [_g1_x_sqr(p) for p in ps]
+    table = _pair_table(pt, 1, _g1_x_sqr, _g1_dbl, _g1_add_mixed, _batch_affine_g1)
+    return _g1_to_affine(_ladder([(table, a, b)], 128, _g1_dbl, _g1_add_mixed))
+
+
+def _pair_table(pt, one, x_sqr, dbl, add, batch_affine):
+    """The 16 affine points [i]P + [j]Q at index 4i + j, i, j < 4, for
+    Q = [x^2]P = x_sqr(P), made affine with one inversion; entry 0 is
+    None.  One doubling and ten mixed additions."""
+    q = x_sqr(pt)
+    p1 = (*pt, one)
+    p2 = dbl(p1)
+    ps = [p1, p2, add(p2, pt)]
+    table = [None] + [x_sqr(p) for p in ps]
     for p in ps:
         table.append(p)
         for _ in range(3):
-            table.append(_g1_add_mixed(table[-1], q))
-    table = _batch_affine_g1(table)
+            table.append(add(table[-1], q))
+    return batch_affine(table)
+
+
+def _ladder(columns, bits, dbl, add):
+    """The sum over columns (table, a, b) of [a]T + [b]U, where a, b <
+    2^bits and table[4i + j] = [i]T + [j]U for i, j < 4: a pair table or
+    its image.  a and b are read two bits at a time, most significant
+    first; each step doubles twice, then adds one entry per column whose
+    two bits are not both zero.  Jacobian, or None."""
     acc = None
-    for shift in range(126, -1, -2):
+    for shift in range(bits - 2, -1, -2):
         if acc is not None:
-            acc = _g1_dbl(_g1_dbl(acc))
-        d = (a >> shift & 3) << 2 | b >> shift & 3
-        if d:
-            acc = _g1_add_mixed(acc, table[d])
-    return _g1_to_affine(acc)
+            acc = dbl(dbl(acc))
+        for table, a, b in columns:
+            d = (a >> shift & 3) << 2 | b >> shift & 3
+            if d:
+                acc = add(acc, table[d])
+    return acc
 
 
 def g1_in_subgroup(pt):
@@ -324,10 +348,13 @@ def g2_mul(pt, k):
     """[k]P for P in G2, the prime-order subgroup, by GLS.
 
     On G2, psi acts as [x] = -[|x|], and r < |x|^4, so k mod r in base
-    |x| has four digits d0..d3 below 2^64 and
-    [k]P = [d0]P - [d1]psi(P) + [d2]psi^2(P) - [d3]psi^3(P).  One ladder
-    of 64 doublings walks the four digits a bit at a time against the 16
-    affine subset sums of those bases.  The identity holds only on G2:
+    |x| has four digits d0..d3 below 2^64, and with Q = psi^2(P) = [x^2]P
+    [k]P = [d0]P + [d2]Q - psi([d1]P + [d3]Q).  One ladder of at most 64
+    doublings walks the pairs (d0, d2) and (d1, d3) two bits at a time:
+    the first against g1_mul's table shape, [i]P + [j]Q for i, j < 4,
+    the second against its -psi image, whose entries are mapped on first
+    use.  A challenge's d1 and d3 are 0 or 1 (see group.challenge_scalar), so
+    it reads the image at most once.  The identity holds only on G2:
     multiply other twist points with g2_mul_unchecked.  A base that keeps
     coming back is walked over rows of its own instead (see _KeyTables).
     """
@@ -339,23 +366,21 @@ def g2_mul(pt, k):
     if rows is not None:
         return _g2_walk(rows, digits)
     d0, d1, d2, d3 = digits
-    bases = [pt]
-    for _ in range(3):
-        bases.append(_g2_neg_psi(bases[-1]))  # [|x|] of the previous base
-    # table[m] = sum of bases[i] over the set bits i of m
-    table = [None]
-    for m in range(1, 16):
-        low = m & -m
-        table.append(_g2_add_mixed(table[m ^ low], bases[low.bit_length() - 1]))
-    table = _batch_affine_g2(table)
-    acc = None
-    for i in range(63, -1, -1):
-        if acc is not None:
-            acc = _g2_dbl(acc)
-        m = (d0 >> i & 1) | (d1 >> i & 1) << 1 | (d2 >> i & 1) << 2 | (d3 >> i & 1) << 3
-        if m:
-            acc = _g2_add_mixed(acc, table[m])
-    return _g2_to_affine(acc)
+    table = _pair_table(pt, FQ2_ONE, _g2_x_sqr, _g2_dbl, _g2_add_mixed, _batch_affine_g2)
+    columns = [(table, d0, d2), (_NegPsiImage(table), d1, d3)]
+    return _g2_to_affine(_ladder(columns, 64, _g2_dbl, _g2_add_mixed))
+
+
+class _NegPsiImage(dict):
+    """-psi(table[m]) for each index m, mapped on first lookup."""
+
+    def __init__(self, table):
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, m):
+        pt = self[m] = _g2_neg_psi(self.table[m])
+        return pt
 
 
 def _base_x_digits(k):
@@ -387,6 +412,14 @@ def _g2_neg_psi(p):
     c, (d0, d1) = PSI_CX[1], PSI_CY
     return ((c * x1 % P, c * x0 % P), (-(y0 * d0 + y1 * d1) % P, (y1 * d0 - y0 * d1) % P),
             *[(z0, -z1 % P) for z0, z1 in z])
+
+
+def _g2_x_sqr(p):
+    """[x^2]P = psi^2(P) = (PSI2_CX*x, -y) for P in G2, affine or
+    Jacobian: psi^2 scales X by the norm of PSI_CX and Y by that of
+    PSI_CY, which is -1."""
+    (x0, x1), (y0, y1), *z = p
+    return ((PSI2_CX * x0 % P, PSI2_CX * x1 % P), (-y0 % P, -y1 % P), *z)
 
 
 def g2_in_subgroup(pt):
@@ -594,17 +627,19 @@ def g2_mul_gen(k):
 
 
 # A variable base gets rows of its own on its TABLE_AFTER_USES-th
-# multiplication.  Measured in pure Python on a 2-core x86-64 host, a G2
-# table takes 15-24 ms to build and turns a 3.3-4.3 ms ladder into a
-# 0.9-1.4 ms walk, so it repays itself after 6-10 further uses; a G1
-# table takes 14-21 ms and turns 1.6-2.4 ms into 0.35-0.55 ms, 8-18
-# uses.  9 is the least count that the benchmark's set-up cannot reach:
-# it multiplies a device's pk at most 4 times (3 authentication attempts
-# and a warm-up submit) and the CA key once per registration, at most 8
-# times (4 devices, each replaced once if it fails its first contact), so
-# no table is built, and timed, in set-up.  A key used exactly 9 times
-# then costs at most 2.2 (G2) and 2.4 (G1) times the best choice made in
-# hindsight over the measured ranges, and less the more it comes back.
+# multiplication.  The keys that come back are raised to 128-bit
+# challenges (see group.challenge_scalar).  Measured for those in pure
+# Python on a 2-core x86-64 host, a G2 table takes 13-17 ms to build and
+# turns a 1.9-2.3 ms ladder into a 0.39-0.49 ms walk, so it repays
+# itself after 7-12 further uses; a G1 table takes 12-14 ms and turns
+# 0.78-0.93 ms into 0.16-0.21 ms, 15-25 uses.  9 is the least count that
+# the benchmark's set-up cannot reach: it multiplies a device's pk at
+# most 4 times (3 authentication attempts and a warm-up submit) and the
+# CA key once per registration, at most 8 times (4 devices, each
+# replaced once if it fails its first contact), so no table is built,
+# and timed, in set-up.  A key used exactly 9 times then costs at most
+# 1.9 (G2) and 2.9 (G1) times the best choice made in hindsight over the
+# measured ranges, and less the more it comes back.
 # A table holds about 0.45 MiB in either group.  At most TABLES_MAX
 # exist per group; once they are built, other bases keep to the ladder.
 # Nothing is evicted: in a fleet of keys that each come back now and

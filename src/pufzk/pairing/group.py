@@ -1,12 +1,12 @@
 """Public group API: scalars, group elements, pairing, and hashing.
 
 Everything above this module is group-agnostic: protocol code deals in
-``Scalar``, ``G1Element``, ``G2Element``, ``GtElement`` and the two hash
+``Scalar``, ``G1Element``, ``G2Element``, ``GtElement`` and the hash
 functions, never in raw coordinates.  Group notation is multiplicative
 to match the usual pairing-protocol conventions: ``a * b`` is the group
 operation, ``a ** k`` scalar exponentiation.
 
-Both hash functions take a mandatory domain tag.  Distinct tags give
+Every hash function takes a mandatory domain tag.  Distinct tags give
 independent random oracles; every usage site in the protocol stack has
 its own tag (see ``DomainTag``).
 """
@@ -339,6 +339,34 @@ def hash_to_scalar(data: bytes, tag: bytes) -> Scalar:
     """Map bytes to a uniform-looking scalar under a domain tag."""
     digest = hashlib.shake_256(_framed(data, tag)).digest(48)
     return Scalar(int.from_bytes(digest, "big"))
+
+
+_CHALLENGE_BYTES = 16
+
+
+def _challenge_from_bytes(data: bytes) -> Scalar:
+    """The member c0 + c1*x^2 of the challenge set whose halves c0 and
+    c1 are the two big-endian 8-byte words of ``data``, c0 first.
+
+    c0 < 2^64 < x^2, so distinct halves give distinct integers, and all
+    of them lie below 2^192 < r: the set has 2^128 members, any two of
+    which differ by an invertible scalar.  The halves are the split that
+    g1_mul and g2_mul read, so a challenge takes 64 bits of either
+    ladder."""
+    c0, c1 = int.from_bytes(data[:8], "big"), int.from_bytes(data[8:], "big")
+    return Scalar(c0 + c1 * X_ABS * X_ABS)
+
+
+def challenge_scalar(data: bytes, tag: bytes) -> Scalar:
+    """Map bytes to a uniform-looking member of the challenge set under a
+    domain tag: 16 bytes of SHAKE-256 output (see _challenge_from_bytes)."""
+    return _challenge_from_bytes(hashlib.shake_256(_framed(data, tag)).digest(_CHALLENGE_BYTES))
+
+
+def random_challenge(rng) -> Scalar:
+    """A uniform member of the challenge set from 16 bytes of
+    ``rng.randbytes``."""
+    return _challenge_from_bytes(rng.randbytes(_CHALLENGE_BYTES))
 
 
 # The G1 cofactor is (x - 1)^2 / 3 = (|x| + 1) * ((|x| + 1) / 3).  Two

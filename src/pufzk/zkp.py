@@ -18,8 +18,11 @@ Two proof schemes are defined here:
     protocol for the same statement shape, an AND-composition of two
     discrete-log knowledge proofs, one for the secret key against the
     device public key and one for the PUF response scalar against the
-    response commitment registered at enrollment.  Challenges bind a protocol version tag, the full
-    statement, and the per-session nonce.  The verifier recomputes each
+    response commitment registered at enrollment.  Challenges bind a
+    protocol version tag, the full statement, and the per-session nonce.
+    Each is a 128-bit member of the challenge set (``challenge_scalar``),
+    so the soundness error is 2^-128 and the verifier's multiplications
+    walk 64 bits.  The verifier recomputes each
     commitment from the responses and compares encodings, as a Schnorr
     (e, s) verifier recomputes R, so an accepted proof's commitments
     are never decoded: the proof codec keeps them as received bytes.
@@ -34,7 +37,8 @@ Two signature schemes sit beside the proofs.  Devices sign
 transactions with the usual pairing scheme: sig = H(msg)^sk in G1 with
 a two-pairing product check.  The certificate authority signs
 registrations with a pairing-free Schnorr signature in G1, (e, s) with
-a deterministic nonce, whose check costs two G1 multiplications.
+a deterministic nonce and a challenge from the same set, whose check
+costs two G1 multiplications.
 """
 
 from __future__ import annotations
@@ -48,9 +52,11 @@ from .pairing import (
     G2Element,
     SCALAR_ENC_LEN,
     Scalar,
+    challenge_scalar,
     hash_to_g1,
     hash_to_scalar,
     multi_pair,
+    random_challenge,
 )
 
 MODE_LITERAL = "literal"
@@ -229,10 +235,11 @@ class _CorrectedProof:
 
 
 def _challenge(statement, commits) -> Scalar:
-    """The Fiat-Shamir challenge: the version tag, the statement and
-    every commitment, in clause order."""
+    """The Fiat-Shamir challenge, a member of the 128-bit challenge set
+    (see challenge_scalar): the version tag, the statement and every
+    commitment, in clause order."""
     transcript = _CORRECTED_VERSION + statement.to_bytes() + b"".join(c.to_bytes() for c in commits)
-    return hash_to_scalar(transcript, DomainTag.CORRECTED_CHALLENGE)
+    return challenge_scalar(transcript, DomainTag.CORRECTED_CHALLENGE)
 
 
 def _prove(proof_type, statement, secrets, nonce: bytes, rng):
@@ -343,12 +350,14 @@ def simulate_auth_transcript(statement: AuthStatement, rng) -> CorrectedAuthProo
     """Honest-verifier zero-knowledge simulator.
 
     Produces a transcript distributed like an honest one without any
-    witness: sample the challenge and responses, then solve for the
-    commitments.  It satisfies ``verify_sigma_equations`` but not the
-    Fiat-Shamir binding, so ``auth_verify_corrected`` rejects it.
+    witness: sample the challenge from the challenge set and the
+    responses from the scalars, then solve for the commitments.  It
+    satisfies ``verify_sigma_equations`` but not the Fiat-Shamir binding,
+    so ``auth_verify_corrected`` rejects it.
     """
     clauses = statement.clauses()
-    challenge, *responses = (Scalar.random(rng) for _ in range(len(clauses) + 1))
+    challenge = random_challenge(rng)
+    responses = [Scalar.random(rng) for _ in clauses]
     commits = [base ** s * (pk ** challenge).inverse() for (base, pk), s in zip(clauses, responses)]
     return CorrectedAuthProof(*commits, challenge, *responses, statement.session_nonce)
 
@@ -433,8 +442,8 @@ def verify_sig(pk: G2Element, message: bytes, signature: Signature) -> bool:
 # ---------------------------------------------------------------------------
 
 def _schnorr_challenge(commit: G1Element, pk: G1Element, message: bytes) -> Scalar:
-    return hash_to_scalar(commit.to_bytes() + pk.to_bytes() + message,
-                          DomainTag.SCHNORR_CHALLENGE)
+    return challenge_scalar(commit.to_bytes() + pk.to_bytes() + message,
+                            DomainTag.SCHNORR_CHALLENGE)
 
 
 def schnorr_sign(sk: Scalar, pk: G1Element, message: bytes) -> bytes:

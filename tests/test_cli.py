@@ -17,17 +17,17 @@ HEX = "0123456789abcdef"
 
 # SHA-256 of the `demo --seed 7` transcript.  A change that means to
 # alter transcripts updates this digest and says so.
-DEMO_SEED_7_SHA256 = "5e3c46843db6a80fec46f7201cbfe649c9b41b01a64bca7a9ddb89f0cc36d49e"
+DEMO_SEED_7_SHA256 = "3c26429eafda842dd17f915e7d6f27138ed6c5e42c235c5c7e0fa4a563451ffc"
 
 # SHA-256 of that transcript's `ledger` line, the exported transaction
 # log.  It depends on the committed transactions alone, not on how the
 # state is digested.
-DEMO_SEED_7_LEDGER_LINE_SHA256 = "54296037361423dbf75b42911e200506008e0573a75dc8b63673e580b4a523ab"
+DEMO_SEED_7_LEDGER_LINE_SHA256 = "91c340e04246393480101e563c837acd2fe3158b21423a615acebec395283abd"
 
 # SHA-256 of `json.dumps(run_attack_suite(seed=0, scale=0.02).to_dict(),
 # sort_keys=True)`: every scenario's name, counts and reasons.  A change
 # that means to alter the report updates this digest and says so.
-ATTACK_SEED_0_SHA256 = "2a195a6aab61d34c0b9a05e77ea39c05f7ae2ce7e46efcd1cde59fa41714ffda"
+ATTACK_SEED_0_SHA256 = "1967dce8bd360510424515845e933830d442bbe7898140ab1bd56ee8ee153764"
 
 
 @pytest.fixture(scope="module")

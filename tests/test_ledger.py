@@ -382,6 +382,60 @@ class TestCertificateCheck:
         assert not result and result.reason == "certificate signature invalid"
 
 
+# moves a challenge out of the 128-bit challenge set: c0 + c1*x^2 with
+# c0, c1 < 2^64 lies below 2^192, and c + 2^200 stays below r
+_OFF_THE_SET = 1 << 200
+
+
+def _off_the_set(proof, secrets):
+    """``proof`` with its challenge moved out of the challenge set and
+    each response moved to match, so that its sigma equations hold."""
+    commits, challenge, responses, nonce = proof._parts()
+    return type(proof)(*commits, challenge + _OFF_THE_SET,
+                       *(s + _OFF_THE_SET * x for s, x in zip(responses, secrets)), nonce)
+
+
+class TestChallengeSet:
+    """A proof or certificate whose challenge lies outside the challenge
+    set is refused, although its group equations hold: only the hashed
+    challenge is accepted."""
+
+    @staticmethod
+    def _refused(ledger, chaincode, tx, reason):
+        digest, height = ledger.state_digest(), ledger.height
+        result = ledger.invoke(chaincode, tx)
+        assert not result and result.reason == reason
+        assert (ledger.state_digest(), ledger.height) == (digest, height)
+
+    def test_auth_proof_off_the_set_is_invalid(self, env):
+        ledger, device_id = env["ledger"], env["device_id"]
+        stored = ledger.load_device(device_id)
+        nonce = rotate_nonce(stored.epoch)
+        statement = stored.auth_statement(nonce)
+        honest = zkp.CorrectedAuthProof.from_bytes(_auth_proof(env, nonce))
+        assert zkp.auth_verify_corrected(statement, honest)
+        rho = response_scalar(puf_respond(puf_new(7000, 0.0), stored.challenges))
+        proof = _off_the_set(honest, (env["keypair"].sk, rho))
+        assert zkp.verify_sigma_equations(statement, proof)
+        tx = TransactionRecord(b"", device_id, b"", proof.to_bytes(), "rotate", nonce)
+        self._refused(ledger, "rotate", tx, "proof invalid")
+
+    def test_tx_proof_off_the_set_is_invalid(self, env):
+        ledger, keypair = env["ledger"], env["keypair"]
+        tx = _submit_record(ledger, env["device_id"], keypair, b"reading-off-the-set", env["rng"])
+        statement = zkp.TxStatement(env["device_id"], keypair.pk, hashlib.sha256(tx.payload).digest(), tx.nonce)
+        proof = _off_the_set(zkp.CorrectedTxProof.from_bytes(tx.proof), (keypair.sk,))
+        assert zkp.verify_sigma_equations(statement, proof)
+        self._refused(ledger, "submit", dataclasses.replace(tx, proof=proof.to_bytes()), "proof invalid")
+
+    def test_certificate_off_the_set_is_invalid(self, env):
+        # R = g1^s * pk^-e is unchanged when s moves by 2^200 * sk
+        sk = env["ca"].sk.value
+        tx = _with_cert_sig(_registration(env), lambda e, s: _scalars(
+            e + _OFF_THE_SET, (s + _OFF_THE_SET * sk) % ORDER))
+        self._refused(env["ledger"], "register", tx, "certificate signature invalid")
+
+
 class TestQueries:
     def test_missing_key_not_found(self):
         with pytest.raises(KeyError):

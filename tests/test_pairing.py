@@ -1,5 +1,6 @@
 """Group arithmetic, hashing, and serialization contracts."""
 
+import hashlib
 import pathlib
 import random
 
@@ -14,6 +15,7 @@ from pufzk.pairing import (
     G2Element,
     GtElement,
     Scalar,
+    challenge_scalar,
     hash_to_g1,
     hash_to_scalar,
     multi_pair,
@@ -292,6 +294,15 @@ class TestHashToGroup:
     def test_scalar_hash_tag_separation(self):
         assert hash_to_scalar(b"x", b"a") != hash_to_scalar(b"x", b"b")
 
+    @given(st.binary(max_size=80), st.binary(max_size=40))
+    @settings(max_examples=200)
+    def test_challenge_halves_are_the_digest_words(self, data, tag):
+        # the framing written out: tag length, tag, data
+        digest = hashlib.shake_256(bytes([len(tag)]) + tag + data).digest(16)
+        c1, c0 = divmod(challenge_scalar(data, tag).value, X_ABS * X_ABS)
+        assert c0 < 1 << 64 and c1 < 1 << 64
+        assert (c0, c1) == (int.from_bytes(digest[:8], "big"), int.from_bytes(digest[8:], "big"))
+
 
 class TestScalar:
     def test_arithmetic_matches_integers_mod_order(self):
@@ -549,13 +560,19 @@ class TestSubgroupChecks:
 
 
 _X_SQR = X_ABS * X_ABS
+_HALF_MAX = (1 << 64) - 1
 # scalars at the edges of the GLV (k = a + b*x^2) and GLS (base |x|)
 # splits.  No k < R has all four GLS digits at |x| - 1: R - 2 has three of
 # them there and the fourth at |x| - 2, and its GLV halves are x^2 - 1 and
-# x^2 - 2; |x|^3 - 1 has three GLS digits at |x| - 1 and a zero.
+# x^2 - 2; |x|^3 - 1 has three GLS digits at |x| - 1 and a zero.  Then
+# challenges c0 + c1*x^2 at the edges of their halves: c0 = |x| - 1 and
+# c1 = |x| - 1 leave d1 and d3 zero, and c0 = |x| or 2^64 - 1 and
+# c1 = |x| or 2^64 - 1 carry into them.
 _EDGE_SCALARS = [
     0, 1, 2, R - 2, R - 1, R, R + 1, X_ABS - 1, X_ABS, X_ABS + 1, _X_SQR - 1, _X_SQR,
-    X_ABS ** 3 - 1, X_ABS ** 3, _X_SQR * _X_SQR - 1, (1 << 64) - 1, (1 << 128) - 1, (1 << 256) - 1,
+    X_ABS ** 3 - 1, X_ABS ** 3, _X_SQR * _X_SQR - 1, _HALF_MAX, (1 << 128) - 1, (1 << 256) - 1,
+    (X_ABS - 1) * (1 + _X_SQR), X_ABS * (1 + _X_SQR), _HALF_MAX * _X_SQR, _HALF_MAX * (1 + _X_SQR),
+    X_ABS + _HALF_MAX * _X_SQR, _HALF_MAX + X_ABS * _X_SQR,
 ]
 
 
@@ -627,6 +644,39 @@ class TestEndomorphismMultiplication:
         counts["_g2_dbl"] = 0
         assert commitment ** c == expected[1]
         assert 0 < counts["_g1_dbl"] <= 128 and counts["_g2_dbl"] == 0
+
+    def test_challenge_counts(self, monkeypatch):
+        # exact bounds for a challenge c0 + c1*x^2: its GLV halves are
+        # c0 and c1, below 2^64, and its GLS digits d1 and d3 are 0 or 1.
+        # A pair table takes one doubling and ten additions, and each of
+        # the 32 ladder steps (2 bits of 64) two doublings, but the first,
+        # and one addition per column that reads a nonzero digit; the
+        # -psi column of G2 reads d1 and d3, so only its last step can
+        rng = random.Random(32)
+        names = ("_g1_dbl", "_g2_dbl", "_g1_add_mixed", "_g2_add_mixed")
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _name=name, _fn=getattr(curve, name)):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(curve, name, counted)
+        odd_digits = []
+        for i in range(12):
+            c = challenge_scalar(i.to_bytes(4, "big"), DomainTag.CORRECTED_CHALLENGE)
+            d0, d1, d2, d3 = curve._base_x_digits(c.value)
+            odd_digits.append(d1 | d3)
+            pk, commitment = G2 ** rng.randrange(1, ORDER), G1 ** rng.randrange(1, ORDER)
+            expected = (g2_mul_unchecked(pk._pt, c.value), g1_mul_unchecked(commitment._pt, c.value))
+            counts.update(dict.fromkeys(names, 0))
+            assert (pk ** c)._pt == expected[0]
+            assert counts["_g2_dbl"] <= 63 and counts["_g2_add_mixed"] <= 10 + 32 + 1
+            assert counts["_g1_dbl"] == counts["_g1_add_mixed"] == 0
+            counts.update(dict.fromkeys(names, 0))
+            assert (commitment ** c)._pt == expected[1]
+            assert counts["_g1_dbl"] <= 63 and counts["_g1_add_mixed"] <= 10 + 32
+            assert counts["_g2_dbl"] == counts["_g2_add_mixed"] == 0
+        # the -psi column was read, and was not
+        assert set(odd_digits) == {0, 1}
 
 # halves below x^2 (top byte 0xAC) whose signed digits carry into the
 # 17th window, through every window below it

@@ -32,6 +32,7 @@ from pufzk.zkp import (
     auth_verify_literal,
     forge_literal_proof,
     prover_nonce,
+    schnorr_sign,
     sign,
     simulate_auth_transcript,
     trust_setup,
@@ -41,6 +42,7 @@ from pufzk.zkp import (
     verify_sigma_equations,
 )
 from pufzk.zkp import _literal_challenge
+from pufzk.pairing.fields import X_ABS
 
 G1 = G1Element.generator()
 G2 = G2Element.generator()
@@ -222,6 +224,22 @@ class TestCorrectedMode:
         wrong = AuthWitness(sk=witness.sk, response_scalar=witness.response_scalar + 1)
         proof = auth_prove_corrected(statement, wrong, rng)
         assert not auth_verify_corrected(statement, proof)
+
+    def test_challenges_lie_in_the_challenge_set(self):
+        # c0 + c1*x^2 with both halves below 2^64: honest challenges of
+        # both proofs and of the CA signature, and the simulator's, which
+        # must be distributed like them
+        rng = random.Random(20)
+        statement, witness = _statement_and_witness(rng)
+        tx_statement = TxStatement(statement.device_id, statement.pk, bytes(32), bytes(16))
+        challenges = [
+            auth_prove_corrected(statement, witness, rng).challenge,
+            tx_prove_corrected(tx_statement, witness.sk, rng).challenge,
+            Scalar.from_bytes(schnorr_sign(witness.sk, G1 ** witness.sk, b"cert")[:32]),
+        ] + [simulate_auth_transcript(statement, rng).challenge for _ in range(8)]
+        for c in challenges:
+            c1, c0 = divmod(c.value, X_ABS * X_ABS)
+            assert c0 < 1 << 64 and c1 < 1 << 64
 
     def test_simulator_passes_equations_but_fails_fiat_shamir(self):
         rng = random.Random(18)
