@@ -13,11 +13,12 @@ the two generator tables only, which every later exponentiation of a
 generator reads (near zero when this process built them earlier), and
 ``trust_setup_ms`` is the trust set-up alone.  A key that is multiplied
 again and again gets a table of its own inside the multiplication of
-its ``TABLE_AFTER_USES``-th use (see :mod:`pufzk.pairing.curve`), so
-that build is timed in whichever stage makes the use.  Here that is
-the CA key, checked once per registration: its table is built in the
-registration of iteration ``TABLE_AFTER_USES - 1`` (the warm-up is
-iteration 0), inside that cycle's ``end_to_end_ms``.
+its ``G1_TABLE_AFTER_USES``-th or ``G2_TABLE_AFTER_USES``-th use (see
+:mod:`pufzk.pairing.curve`), so that build is timed in whichever stage
+makes the use.  Here that is the CA key, a G1 point checked once per
+registration: its table is built in the registration of iteration
+``G1_TABLE_AFTER_USES - 1`` (the warm-up is iteration 0), inside that
+cycle's ``end_to_end_ms``.
 The proof pipeline here has no circuit compilation or witness-file
 generation, so those stages are listed as absent rather than reported
 as zero.

@@ -6,15 +6,22 @@ at infinity.  Variable-base scalar multiplication runs in Jacobian
 coordinates and splits the scalar with an endomorphism: GLV in G1
 (Gallant-Lambert-Vanstone, CRYPTO 2001), k = a + b*x^2, and GLS in G2
 (Galbraith-Lin-Scott, EUROCRYPT 2009), k in base |x|.  One ladder serves
-both: it reads two halves two bits at a time against the 16 affine
-points [i]P + [j][x^2]P, i, j < 4, with two doublings a step.  In G1
-the halves are a and b, 128 bits each.  In G2, psi^2 acts as [x^2], so
-the digit pairs (d0, d2) and (d1, d3) each form such a pair of halves,
-64 bits each, and the second pair reads the table's -psi image.  A
+both: interleaved width-4 NAF (Moller, SAC 2001; Solinas, Des. Codes
+Cryptogr. 2000) over one table of P's affine multiples 1, 2, 3, 5, 7 and
+its images under the endomorphisms, which cost no addition.  Each part
+of the split is recoded into odd digits |d| <= 7, each with at least
+three zeros above it; each bit doubles once and adds one entry per part
+whose digit is nonzero, the negated entry for a negative digit.  A
+b-bit part has at most b + 1 digits, and then the top one is 1: a top
+digit 1 folds into 2P one place down, so the part takes at most b - 1
+doublings.  In G1 the parts are a and b, read against the table and its
+[x^2] image: at most 127 doublings.  In G2, psi^2 acts as [x^2] and -psi
+as [|x|], so the digits d0, d2, d1, d3 are read against the table and
+its images under psi^2, -psi and -psi*psi^2: at most 63 doublings.  A
 Fiat-Shamir challenge c0 + c1*x^2 with c0, c1 < 2^64 (see
-group.challenge_scalar) has a, b < 2^64 and d1, d3 <= 1, so it takes
-at most 63 doublings in either group.  Both splits hold only in the
-prime-order subgroups.
+group.challenge_scalar) has a, b < 2^64 and d1, d3 <= 1, so it takes at
+most 63 doublings in either group, and at most 34 mixed additions in G1
+and 36 in G2.  Both splits hold only in the prime-order subgroups.
 
 Long-lived bases are walked over fixed-base tables in signed 8-bit
 windows instead (Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992),
@@ -29,10 +36,11 @@ them in Horner form over the four digits, mapping the sum by -psi =
 rows are built by affine additions, one level of doublings and sums at
 a time, sharing one inversion per level (Montgomery, Math. Comp. 1987).
 Each generator's table is built once per process, on first use.  Any
-other base gets a table on its TABLE_AFTER_USES-th multiplication, up to
-TABLES_MAX tables per group that are then kept for the process's life:
-the CA key that every registration checks, and the device keys that
-every authentication and submit checks (see _KeyTables).
+other base gets a table on its G1_TABLE_AFTER_USES-th or
+G2_TABLE_AFTER_USES-th multiplication, up to TABLES_MAX tables per group
+that are then kept for the process's life: the CA key that every
+registration checks, and the device keys that every authentication and
+submit checks (see _KeyTables).
 
 Encodings are the widely used 48/96-byte compressed format: three flag
 bits (compressed, infinity, y-sign) folded into the top of big-endian x.
@@ -93,6 +101,8 @@ PSI_CY = (
 )
 PSI2_CX = PSI_CX[1] * PSI_CX[1] % P
 _X_SQR = X_ABS * X_ABS
+# The NAF width of the variable-base ladder; _odd_table holds its digits.
+_W = 4
 
 
 class DecodeError(ValueError):
@@ -191,11 +201,13 @@ def g1_mul(pt, k):
     """[k]P for P in G1, the prime-order subgroup, by GLV.
 
     k mod r = a + b*x^2 with a, b < x^2 < 2^128 gives [k]P = [a]P + [b]Q
-    for Q = [x^2]P.  One ladder of at most 128 doublings walks a and b two
-    bits at a time against the affine table [i]P + [j]Q, i, j < 4.  The identity
-    holds only on G1: multiply other curve points with g1_mul_unchecked.
-    A base that keeps coming back is walked over rows of its own instead
-    (see _KeyTables).
+    for Q = [x^2]P.  One width-4 NAF ladder reads a against P's
+    odd-multiple table and b against its [x^2] image (see _wnaf_ladder):
+    at most 127 doublings.  A challenge's halves are below 2^64 (see
+    group.challenge_scalar), so it takes at most 63 doublings and 34
+    mixed additions.  The identity holds only on G1: multiply other curve
+    points with g1_mul_unchecked.  A base that keeps coming back is
+    walked over rows of its own instead (see _KeyTables).
     """
     a, b = _x_sqr_split(k)
     if pt is None or a == b == 0:
@@ -203,40 +215,79 @@ def g1_mul(pt, k):
     rows = _G1_KEYS.get(pt)
     if rows is not None:
         return _g1_walk(rows, a, b)
-    table = _pair_table(pt, 1, _g1_x_sqr, _g1_dbl, _g1_add_mixed, _batch_affine_g1)
-    return _g1_to_affine(_ladder([(table, a, b)], 128, _g1_dbl, _g1_add_mixed))
+    table = _odd_table(pt, _g1_affine_sums)
+    columns = [(table, a), (_Image(table, _g1_x_sqr), b)]
+    return _g1_to_affine(_wnaf_ladder(columns, _g1_dbl, _g1_add_mixed, g1_neg))
 
 
-def _pair_table(pt, one, x_sqr, dbl, add, batch_affine):
-    """The 16 affine points [i]P + [j]Q at index 4i + j, i, j < 4, for
-    Q = [x^2]P = x_sqr(P), made affine with one inversion; entry 0 is
-    None.  One doubling and ten mixed additions."""
-    q = x_sqr(pt)
-    p1 = (*pt, one)
-    p2 = dbl(p1)
-    ps = [p1, p2, add(p2, pt)]
-    table = [None] + [x_sqr(p) for p in ps]
-    for p in ps:
-        table.append(p)
-        for _ in range(3):
-            table.append(add(table[-1], q))
-    return batch_affine(table)
+def _odd_table(pt, affine_sums):
+    """[d]P at index d for the digits d = 1, 3, 5, 7 of a width-4 NAF and
+    d = 2 of its fold (see _wnaf_ladder), None at 0, 4 and 6, all affine.
+    Three levels of affine sums, each sharing one inversion: 2P; then
+    3P = 2P + P and 4P; then 5P = 4P + P and 7P = 4P + 3P.  No
+    exceptional case can arise, as P has prime order r > 7."""
+    p2, = affine_sums([(pt, None)])
+    p3, p4 = affine_sums([(p2, pt), (p2, None)])
+    p5, p7 = affine_sums([(p4, pt), (p4, p3)])
+    return [None, pt, p2, p3, None, p5, None, p7]
 
 
-def _ladder(columns, bits, dbl, add):
-    """The sum over columns (table, a, b) of [a]T + [b]U, where a, b <
-    2^bits and table[4i + j] = [i]T + [j]U for i, j < 4: a pair table or
-    its image.  a and b are read two bits at a time, most significant
-    first; each step doubles twice, then adds one entry per column whose
-    two bits are not both zero.  Jacobian, or None."""
-    acc = None
-    for shift in range(bits - 2, -1, -2):
-        if acc is not None:
-            acc = dbl(dbl(acc))
-        for table, a, b in columns:
-            d = (a >> shift & 3) << 2 | b >> shift & 3
+class _Image(dict):
+    """f(table[d]) for each index d, mapped on first lookup: the image of
+    an odd-multiple table under an endomorphism f."""
+
+    def __init__(self, table, f):
+        super().__init__()
+        self.table = table
+        self.f = f
+
+    def __missing__(self, d):
+        pt = self[d] = self.f(self.table[d])
+        return pt
+
+
+def _wnaf(k):
+    """The width-_W NAF of k >= 0, least significant first (Solinas, Des.
+    Codes Cryptogr. 2000): odd digits |d| < 2^(_W-1), each with at least
+    _W - 1 zeros above it.  It has at most one digit more than k has
+    bits, and then that top digit is 1."""
+    digits = []
+    while k:
+        d = 0
+        if k & 1:
+            d = k & (1 << _W) - 1
+            if d >> _W - 1:
+                d -= 1 << _W
+            k -= d
+        digits.append(d)
+        k >>= 1
+    return digits
+
+
+def _wnaf_ladder(columns, dbl, add, neg):
+    """The sum over columns (table, k) of [k]T, where table[d] = [d]T for
+    d = 1, 2, 3, 5, 7: an _odd_table or its _Image.  Each k is read in
+    width-_W NAF (see _wnaf), whose top digit 1, if it has one, folds into
+    a 2 one place down, where the NAF holds a zero; so a k of b bits
+    takes at most b - 1 doublings.  The columns are interleaved (Moller,
+    SAC 2001): each place doubles once, then adds one entry per column
+    whose digit is nonzero, the negated entry for a negative digit.
+    Jacobian, or None."""
+    steps = []
+    for table, k in columns:
+        digits = _wnaf(k)
+        if len(digits) > 1 and digits[-1] == 1:
+            digits[-2:] = [2]
+        steps += [[] for _ in range(len(digits) - len(steps))]
+        for i, d in enumerate(digits):
             if d:
-                acc = add(acc, table[d])
+                steps[i].append((table, d))
+    acc = None
+    for step in reversed(steps):
+        if acc is not None:
+            acc = dbl(acc)
+        for table, d in step:
+            acc = add(acc, table[d] if d > 0 else neg(table[-d]))
     return acc
 
 
@@ -349,14 +400,15 @@ def g2_mul(pt, k):
 
     On G2, psi acts as [x] = -[|x|], and r < |x|^4, so k mod r in base
     |x| has four digits d0..d3 below 2^64, and with Q = psi^2(P) = [x^2]P
-    [k]P = [d0]P + [d2]Q - psi([d1]P + [d3]Q).  One ladder of at most 64
-    doublings walks the pairs (d0, d2) and (d1, d3) two bits at a time:
-    the first against g1_mul's table shape, [i]P + [j]Q for i, j < 4,
-    the second against its -psi image, whose entries are mapped on first
-    use.  A challenge's d1 and d3 are 0 or 1 (see group.challenge_scalar), so
-    it reads the image at most once.  The identity holds only on G2:
-    multiply other twist points with g2_mul_unchecked.  A base that keeps
-    coming back is walked over rows of its own instead (see _KeyTables).
+    [k]P = [d0]P + [d2]Q + [d1](-psi(P)) + [d3](-psi(Q)).  g1_mul's
+    width-4 NAF ladder reads the four digits against P's odd-multiple
+    table and its images under [x^2] = psi^2, -psi and -psi*psi^2, each
+    entry mapped on first use: at most 63 doublings.  A challenge's d1
+    and d3 are 0 or 1 (see group.challenge_scalar), so it reads at most
+    one entry of each -psi image and takes at most 36 mixed additions.
+    The identity holds only on G2: multiply other twist points with
+    g2_mul_unchecked.  A base that keeps coming back is walked over rows
+    of its own instead (see _KeyTables).
     """
     k %= R
     if pt is None or k == 0:
@@ -366,21 +418,11 @@ def g2_mul(pt, k):
     if rows is not None:
         return _g2_walk(rows, digits)
     d0, d1, d2, d3 = digits
-    table = _pair_table(pt, FQ2_ONE, _g2_x_sqr, _g2_dbl, _g2_add_mixed, _batch_affine_g2)
-    columns = [(table, d0, d2), (_NegPsiImage(table), d1, d3)]
-    return _g2_to_affine(_ladder(columns, 64, _g2_dbl, _g2_add_mixed))
-
-
-class _NegPsiImage(dict):
-    """-psi(table[m]) for each index m, mapped on first lookup."""
-
-    def __init__(self, table):
-        super().__init__()
-        self.table = table
-
-    def __missing__(self, m):
-        pt = self[m] = _g2_neg_psi(self.table[m])
-        return pt
+    table = _odd_table(pt, _g2_affine_sums)
+    x_sqr = _Image(table, _g2_x_sqr)
+    columns = [(table, d0), (x_sqr, d2), (_Image(table, _g2_neg_psi), d1),
+               (_Image(x_sqr, _g2_neg_psi), d3)]
+    return _g2_to_affine(_wnaf_ladder(columns, _g2_dbl, _g2_add_mixed, g2_neg))
 
 
 def _base_x_digits(k):
@@ -626,25 +668,28 @@ def g2_mul_gen(k):
     return _g2_walk(_G2_ROWS, _base_x_digits(k % R))
 
 
-# A variable base gets rows of its own on its TABLE_AFTER_USES-th
-# multiplication.  The keys that come back are raised to 128-bit
-# challenges (see group.challenge_scalar).  Measured for those in pure
-# Python on a 2-core x86-64 host, a G2 table takes 13-17 ms to build and
-# turns a 1.9-2.3 ms ladder into a 0.39-0.49 ms walk, so it repays
-# itself after 7-12 further uses; a G1 table takes 12-14 ms and turns
-# 0.78-0.93 ms into 0.16-0.21 ms, 15-25 uses.  9 is the least count that
-# the benchmark's set-up cannot reach: it multiplies a device's pk at
-# most 4 times (3 authentication attempts and a warm-up submit) and the
-# CA key once per registration, at most 8 times (4 devices, each
-# replaced once if it fails its first contact), so no table is built,
-# and timed, in set-up.  A key used exactly 9 times then costs at most
-# 1.9 (G2) and 2.9 (G1) times the best choice made in hindsight over the
-# measured ranges, and less the more it comes back.
+# A variable base gets rows of its own on its G1_TABLE_AFTER_USES-th or
+# G2_TABLE_AFTER_USES-th multiplication.  The keys that come back are
+# raised to 128-bit challenges (see group.challenge_scalar), and each
+# threshold is the ski-rental break-even for those: a table's build cost
+# over what one walk saves against the ladder, rounded up, which costs at
+# most twice the best choice made in hindsight, however often the key
+# comes back.  Measured in pure Python on a 2-core x86-64 host (medians
+# over 10 or 30 bases and 6 challenges each, five runs), a G2 table
+# takes 13-22 ms to build and turns a 1.6-2.7 ms ladder into a
+# 0.39-0.67 ms walk, a ratio of 11-12 (8 in one run); a G1 table takes
+# 12-19 ms and turns 0.70-1.2 ms into 0.17-0.28 ms, a ratio of 20-21 (27
+# in one run).  Both stay above 8, the most uses the benchmark's set-up
+# makes: it multiplies a device's pk at most 4 times (3 authentication
+# attempts and a warm-up submit) and the CA key once per registration,
+# at most 8 times (4 devices, each replaced once if it fails its first
+# contact), so no table is built, and timed, in set-up.
 # A table holds about 0.45 MiB in either group.  At most TABLES_MAX
 # exist per group; once they are built, other bases keep to the ladder.
 # Nothing is evicted: in a fleet of keys that each come back now and
 # then, a table rebuilt after eviction costs more than it saves.
-TABLE_AFTER_USES = 9
+G1_TABLE_AFTER_USES = 21
+G2_TABLE_AFTER_USES = 12
 TABLES_MAX = 16
 _USES_MAX = 1024
 
@@ -654,18 +699,19 @@ class _KeyTables:
     the pairing's line cache.  The use counter is cleared when it holds
     _USES_MAX bases."""
 
-    def __init__(self, build):
+    def __init__(self, build, after_uses):
         self._build = build
+        self.after_uses = after_uses
         self.tables = {}
         self.uses = {}
 
     def get(self, pt):
-        """pt's rows, built on the use that reaches TABLE_AFTER_USES, or
-        None while pt keeps to the ladder."""
+        """pt's rows, built on the use that reaches after_uses, or None
+        while pt keeps to the ladder."""
         rows = self.tables.get(pt)
         if rows is None and len(self.tables) < TABLES_MAX:
             n = self.uses.pop(pt, 0) + 1
-            if n >= TABLE_AFTER_USES:
+            if n >= self.after_uses:
                 rows = self.tables[pt] = self._build(pt)
             else:
                 if len(self.uses) >= _USES_MAX:
@@ -674,8 +720,8 @@ class _KeyTables:
         return rows
 
 
-_G1_KEYS = _KeyTables(_g1_rows)
-_G2_KEYS = _KeyTables(_g2_rows)
+_G1_KEYS = _KeyTables(_g1_rows, G1_TABLE_AFTER_USES)
+_G2_KEYS = _KeyTables(_g2_rows, G2_TABLE_AFTER_USES)
 
 
 # ---------------------------------------------------------------------------

@@ -561,18 +561,25 @@ class TestSubgroupChecks:
 
 _X_SQR = X_ABS * X_ABS
 _HALF_MAX = (1 << 64) - 1
+# halves whose width-4 NAF has one digit more than they have bits: two
+# challenge halves below |x|, and a full-width G1 half below x^2
+_FOLD_HALVES = [0x8FFF_FFFF_FFFF_FFFF, 0xCFFF_FFFF_FFFF_FFFF, int("8" + "F" * 31, 16)]
 # scalars at the edges of the GLV (k = a + b*x^2) and GLS (base |x|)
 # splits.  No k < R has all four GLS digits at |x| - 1: R - 2 has three of
 # them there and the fourth at |x| - 2, and its GLV halves are x^2 - 1 and
 # x^2 - 2; |x|^3 - 1 has three GLS digits at |x| - 1 and a zero.  Then
 # challenges c0 + c1*x^2 at the edges of their halves: c0 = |x| - 1 and
 # c1 = |x| - 1 leave d1 and d3 zero, and c0 = |x| or 2^64 - 1 and
-# c1 = |x| or 2^64 - 1 carry into them.
+# c1 = |x| or 2^64 - 1 carry into them.  Last, scalars whose halves'
+# width-4 NAFs carry one place past their top bit, so that the ladder
+# folds the carry into 2P (see _FOLD_HALVES), and challenges with one
+# such half and the other zero.
 _EDGE_SCALARS = [
     0, 1, 2, R - 2, R - 1, R, R + 1, X_ABS - 1, X_ABS, X_ABS + 1, _X_SQR - 1, _X_SQR,
     X_ABS ** 3 - 1, X_ABS ** 3, _X_SQR * _X_SQR - 1, _HALF_MAX, (1 << 128) - 1, (1 << 256) - 1,
     (X_ABS - 1) * (1 + _X_SQR), X_ABS * (1 + _X_SQR), _HALF_MAX * _X_SQR, _HALF_MAX * (1 + _X_SQR),
     X_ABS + _HALF_MAX * _X_SQR, _HALF_MAX + X_ABS * _X_SQR,
+    *(h * (1 + _X_SQR) for h in _FOLD_HALVES), _FOLD_HALVES[0], _FOLD_HALVES[0] * _X_SQR,
 ]
 
 
@@ -584,12 +591,17 @@ def _check_decompositions(k):
     assert 0 <= a < 1 << 128 and 0 <= b < 1 << 128
 
 
+def _after_uses(group):
+    """The key-table threshold of "g1" or "g2"."""
+    return getattr(curve, f"{group.upper()}_TABLE_AFTER_USES")
+
+
 @pytest.fixture()
 def key_tables(monkeypatch):
     """Fresh, empty per-key tables in both groups, as {group: tables}."""
     out = {}
     for group in ("g1", "g2"):
-        out[group] = curve._KeyTables(getattr(curve, f"_{group}_rows"))
+        out[group] = curve._KeyTables(getattr(curve, f"_{group}_rows"), _after_uses(group))
         monkeypatch.setattr(curve, f"_{group.upper()}_KEYS", out[group])
     return out
 
@@ -640,18 +652,23 @@ class TestEndomorphismMultiplication:
                 return _fn(p)
             monkeypatch.setattr(curve, name, counted)
         assert pk ** c == expected[0]
-        assert 0 < counts["_g2_dbl"] <= 64 and counts["_g1_dbl"] == 0
+        assert 0 < counts["_g2_dbl"] <= 63 and counts["_g1_dbl"] == 0
         counts["_g2_dbl"] = 0
         assert commitment ** c == expected[1]
-        assert 0 < counts["_g1_dbl"] <= 128 and counts["_g2_dbl"] == 0
+        assert 0 < counts["_g1_dbl"] <= 127 and counts["_g2_dbl"] == 0
 
     def test_challenge_counts(self, monkeypatch):
         # exact bounds for a challenge c0 + c1*x^2: its GLV halves are
-        # c0 and c1, below 2^64, and its GLS digits d1 and d3 are 0 or 1.
-        # A pair table takes one doubling and ten additions, and each of
-        # the 32 ladder steps (2 bits of 64) two doublings, but the first,
-        # and one addition per column that reads a nonzero digit; the
-        # -psi column of G2 reads d1 and d3, so only its last step can
+        # c0 and c1, below 2^64; of its GLS digits, d0 and d2 are below
+        # |x| < 2^64 and d1 and d3 are 0 or 1.  The odd-multiple table
+        # takes no doubling or mixed addition (see test_odd_table_counts).
+        # A 64-bit part's width-4 NAF has at most 65 places, and then its
+        # top digit is 1 and folds into 2P one place down, so the ladder
+        # doubles at most 63 times.  Each nonzero digit has three zeros
+        # above it, so at most ceil(65 / 4) = 17 digits of a part are
+        # nonzero, the folded one counting as one addition: at most
+        # 2*17 = 34 additions in G1, and 2*17 + 2 = 36 in G2, where the
+        # -psi columns read d1 and d3
         rng = random.Random(32)
         names = ("_g1_dbl", "_g2_dbl", "_g1_add_mixed", "_g2_add_mixed")
         counts = dict.fromkeys(names, 0)
@@ -669,14 +686,57 @@ class TestEndomorphismMultiplication:
             expected = (g2_mul_unchecked(pk._pt, c.value), g1_mul_unchecked(commitment._pt, c.value))
             counts.update(dict.fromkeys(names, 0))
             assert (pk ** c)._pt == expected[0]
-            assert counts["_g2_dbl"] <= 63 and counts["_g2_add_mixed"] <= 10 + 32 + 1
+            assert counts["_g2_dbl"] <= 63 and counts["_g2_add_mixed"] <= 2 * 17 + 2
             assert counts["_g1_dbl"] == counts["_g1_add_mixed"] == 0
             counts.update(dict.fromkeys(names, 0))
             assert (commitment ** c)._pt == expected[1]
-            assert counts["_g1_dbl"] <= 63 and counts["_g1_add_mixed"] <= 10 + 32
+            assert counts["_g1_dbl"] <= 63 and counts["_g1_add_mixed"] <= 2 * 17
             assert counts["_g2_dbl"] == counts["_g2_add_mixed"] == 0
         # the -psi column was read, and was not
         assert set(odd_digits) == {0, 1}
+
+    @pytest.mark.parametrize("group", ["g1", "g2"])
+    def test_odd_table_counts(self, group, monkeypatch):
+        # three levels of affine sums, one inversion each: 2P; 3P and 4P;
+        # 5P and 7P
+        pt = getattr(curve, f"{group}_mul_gen")(0xABCDEF)
+        ladder = g1_mul_unchecked if group == "g1" else g2_mul_unchecked
+        expected = [None if d in (0, 4, 6) else ladder(pt, d) for d in range(8)]
+        names = ("fq_inv", f"_{group}_dbl", f"_{group}_add_mixed")
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _name=name, _fn=getattr(curve, name)):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(curve, name, counted)
+        table = curve._odd_table(pt, getattr(curve, f"_{group}_affine_sums"))
+        assert counts == {"fq_inv": 3, f"_{group}_dbl": 0, f"_{group}_add_mixed": 0}
+        assert table == expected
+
+    @given(st.integers(min_value=0, max_value=(1 << 128) - 1))
+    @settings(max_examples=300)
+    def test_wnaf_recoding(self, k):
+        digits = curve._wnaf(k)
+        assert sum(d << i for i, d in enumerate(digits)) == k
+        places = [i for i, d in enumerate(digits) if d]
+        assert all(digits[i] % 2 == 1 and abs(digits[i]) <= 7 for i in places)
+        # at least three zeros above each nonzero digit, and none on top
+        assert all(j - i >= 4 for i, j in zip(places, places[1:]))
+        assert not digits or digits[-1]
+        # an overflow digit is a 1 above a zero, which the ladder folds
+        assert len(digits) <= k.bit_length() + 1
+        if k and len(digits) > k.bit_length():
+            assert digits[-2:] == [0, 1]
+
+    def test_fold_halves_carry(self):
+        for h in _FOLD_HALVES:
+            assert len(curve._wnaf(h)) == h.bit_length() + 1
+        for h in _FOLD_HALVES[:2]:
+            # both GLV halves and both even GLS digits of the challenge
+            k = h * (1 + _X_SQR)
+            assert h < X_ABS and curve._base_x_digits(k) == [h, 0, h, 0]
+        k = _FOLD_HALVES[2] * (1 + _X_SQR)
+        assert k < R and divmod(k, _X_SQR) == (_FOLD_HALVES[2], _FOLD_HALVES[2])
 
 # halves below x^2 (top byte 0xAC) whose signed digits carry into the
 # 17th window, through every window below it
@@ -732,7 +792,7 @@ def keyed_tables():
     one base: {group: (tables, base)}."""
     out = {}
     for group, base in (("g1", curve.g1_mul_gen(0xC0FFEE)), ("g2", curve.g2_mul_gen(0x1234567))):
-        tables = curve._KeyTables(getattr(curve, f"_{group}_rows"))
+        tables = curve._KeyTables(getattr(curve, f"_{group}_rows"), _after_uses(group))
         tables.tables[base] = getattr(curve, f"_{group}_rows")(base)
         out[group] = (tables, base)
     return out
@@ -834,7 +894,8 @@ class TestFixedBaseMultiplication:
         keys = {"g1": curve.g1_mul_gen(rng.randrange(1, R)), "g2": curve.g2_mul_gen(rng.randrange(1, R))}
         for group in ("g1", "g2"):
             mul, key = getattr(curve, f"{group}_mul"), keys[group]
-            for use in range(curve.TABLE_AFTER_USES):  # build the key's table outside the count
+            # build the key's table outside the count
+            for use in range(_after_uses(group)):
                 mul(key, use + 1)
             assert key in key_tables[group].tables
             for mul_one in (getattr(curve, f"{group}_mul_gen"), lambda k: mul(key, k)):
@@ -849,8 +910,8 @@ class TestFixedBaseMultiplication:
 
 class TestKeyTables:
     """The fill-once policy of the per-key tables: a base gets rows of
-    its own on its TABLE_AFTER_USES-th use, until TABLES_MAX bases have
-    them."""
+    its own on the use that reaches its group's threshold, until
+    TABLES_MAX bases have them."""
 
     @staticmethod
     def _count_builds(monkeypatch, key_tables):
@@ -866,9 +927,10 @@ class TestKeyTables:
     def test_nth_use_builds_one_table(self, group, key_tables, monkeypatch):
         built = self._count_builds(monkeypatch, key_tables)
         mul, key = getattr(curve, f"{group}_mul"), getattr(curve, f"{group}_mul_gen")(0xBEEF)
-        for use in range(1, curve.TABLE_AFTER_USES):
+        after = _after_uses(group)
+        for use in range(1, after):
             mul(key, use)
-        assert built == [] and key_tables[group].uses == {key: curve.TABLE_AFTER_USES - 1}
+        assert built == [] and key_tables[group].uses == {key: after - 1}
         mul(key, 7)
         assert built == [key] and list(key_tables[group].tables) == [key]
         assert key_tables[group].uses == {}
@@ -882,7 +944,7 @@ class TestKeyTables:
         scalars = range(2, 2 + 2 * curve.TABLES_MAX)
         keys = [mul_gen(s) for s in scalars]
         for s, key in zip(scalars, keys):
-            for use in range(1, curve.TABLE_AFTER_USES + 1):
+            for use in range(1, _after_uses(group) + 1):
                 assert mul(key, use) == mul_gen(use * s)
         tables = key_tables[group]
         assert built == keys[:curve.TABLES_MAX] and list(tables.tables) == built

@@ -615,8 +615,8 @@ class TestAcceptDecodesNoCommitment:
 
 
 class TestSetUpBuildsNoKeyTable:
-    """The benchmark's own set-up multiplies every key fewer than
-    TABLE_AFTER_USES times, even when each new device fails its first
+    """The benchmark's own set-up multiplies every key fewer times than
+    its group's table threshold, even when each new device fails its first
     contact and is replaced, so no per-key table is built, and charged
     to setup_s, inside it."""
 
@@ -624,7 +624,8 @@ class TestSetUpBuildsNoKeyTable:
     def key_tables(self, monkeypatch):
         tables = {}
         for group in ("g1", "g2"):
-            tables[group] = curve._KeyTables(getattr(curve, f"_{group}_rows"))
+            tables[group] = curve._KeyTables(getattr(curve, f"_{group}_rows"),
+                                             getattr(curve, f"{group.upper()}_TABLE_AFTER_USES"))
             monkeypatch.setattr(curve, f"_{group.upper()}_KEYS", tables[group])
         return tables
 
