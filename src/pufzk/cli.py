@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 acceptance failure.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 
@@ -134,7 +135,6 @@ def _cmd_attack(args) -> int:
     params = PRESETS[args.params]
     report = run_attack_suite(seed=args.seed, params=params, suites=args.suite, scale=args.scale)
     if args.out:
-        import json
         try:
             with open(args.out, "w") as fh:
                 json.dump(report.to_dict(), fh, indent=2)

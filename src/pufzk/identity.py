@@ -2,17 +2,17 @@
 
 Enrollment follows the registration flow end to end: draw challenges,
 collect stabilised responses, mint a key pair, derive the device
-identifier from the public key and the responses, obtain a CA
-certificate, and commit the whole tuple to the ledger in one atomic
+identifier from the public key and the responses, have the CA sign the
+registration record, and commit it to the ledger in one atomic
 registration transaction.  That ledger record is the registration's only
 copy: the device keeps its PUF, its id and its key pair, and reads
 everything else back from the ledger.
 
-The CA stands in for a Fabric MSP, which issues ECDSA certificates; here
-it signs with a pairing-free Schnorr signature in G1 over the device id,
-key, role, serial and a digest of the commitment, fingerprint and
-challenge set, so the register chaincode checks a certificate without a
-pairing.
+The CA stands in for a Fabric MSP, which issues ECDSA certificates.
+Here the record is the certificate: the CA appends a serial and a
+pairing-free Schnorr signature in G1 over the record's encoding up to
+the signature (device id, key, commitment, fingerprint, challenge set
+and serial), so the register chaincode checks it without a pairing.
 
 The response commitment in the registration record is the G1 image
 of the hashed response bits; authentication later proves knowledge of
@@ -41,7 +41,7 @@ from .puf import (
     challenges_to_bytes,
     responses_to_bytes,
 )
-from .wire import Certificate, DeviceRecord, TransactionRecord, WireError, registration_binding
+from .wire import DeviceRecord, TransactionRecord, WireError
 from .zkp import schnorr_sign, schnorr_verify
 from .zkp import sign, verify_sig  # noqa: F401  (bound here for the benchmark tracer's hooks)
 
@@ -68,8 +68,8 @@ class KeyPair:
 
 
 class CertificateAuthority:
-    """Issues and revokes device certificates; stands in for an MSP.
-    Its key is a scalar with its G1 image published at bootstrap."""
+    """Signs and revokes device registration records; stands in for an
+    MSP.  Its key is a scalar with its G1 image published at bootstrap."""
 
     def __init__(self, rng):
         self.sk = Scalar.random(rng)
@@ -78,28 +78,22 @@ class CertificateAuthority:
         self._revoked: Set[int] = set()
 
     def issue(self, device_id: bytes, pk: G2Element, commitment_bytes: bytes,
-              fingerprint: bytes, challenge_bytes: bytes, role: str = "device") -> Certificate:
-        cert = Certificate(
-            device_id=device_id,
-            pk_bytes=pk.to_bytes(),
-            role=role,
-            serial=self._next_serial,
-            binding=registration_binding(commitment_bytes, fingerprint, challenge_bytes),
-            sig_bytes=b"",
-        )
+              fingerprint: bytes, challenge_bytes: bytes) -> DeviceRecord:
+        """The registration record under the next serial, signed."""
+        record = DeviceRecord(device_id, pk.to_bytes(), commitment_bytes, fingerprint,
+                              challenge_bytes, self._next_serial, b"")
         self._next_serial += 1
-        sig = schnorr_sign(self.sk, self.pk, cert.signing_payload())
-        return replace(cert, sig_bytes=sig)
+        return replace(record, sig_bytes=schnorr_sign(self.sk, self.pk, record.signed_bytes()))
 
     def revoke(self, serial: int) -> None:
         self._revoked.add(serial)
 
-    def verify(self, cert: Certificate) -> bool:
+    def verify(self, record: DeviceRecord) -> bool:
         """Signature check plus revocation-list lookup."""
-        if cert.serial in self._revoked:
+        if record.serial in self._revoked:
             return False
         try:
-            return schnorr_verify(self.pk, cert.signing_payload(), cert.sig_bytes)
+            return schnorr_verify(self.pk, record.signed_bytes(), record.sig_bytes)
         except (DecodeError, WireError):
             return False
 
@@ -125,8 +119,8 @@ def device_fingerprint(puf: PufDevice) -> bytes:
 def register_device(puf: PufDevice, ca: CertificateAuthority, ledger: Ledger,
                     rng, np_rng=None, params: ParamSet = DEFAULT_PARAMS,
                     challenges=None) -> Tuple[bytes, KeyPair]:
-    """Enroll a device: challenges, responses, keys, identifier,
-    certificate, and one atomic ledger registration.
+    """Enroll a device: challenges, responses, keys, identifier, the
+    CA-signed record, and one atomic ledger registration.
 
     The enrolled responses are the unanimous bits observed while
     screening the challenges, so every stored bit is the device's
@@ -145,19 +139,8 @@ def register_device(puf: PufDevice, ca: CertificateAuthority, ledger: Ledger,
     keypair = KeyPair.generate(rng)
     device_id = compute_device_id(keypair.pk, responses)
     commitment = G1Element.generator() ** response_scalar(responses)
-    commitment_bytes = commitment.to_bytes()
-    challenge_bytes = challenges_to_bytes(challenges)
-    fingerprint = device_fingerprint(puf)
-    cert = ca.issue(device_id, keypair.pk, commitment_bytes, fingerprint, challenge_bytes)
-
-    record = DeviceRecord(
-        device_id=device_id,
-        pk_bytes=keypair.pk.to_bytes(),
-        commitment_bytes=commitment_bytes,
-        fingerprint=fingerprint,
-        cert_bytes=cert.to_bytes(),
-        challenge_bytes=challenge_bytes,
-    )
+    record = ca.issue(device_id, keypair.pk, commitment.to_bytes(), device_fingerprint(puf),
+                      challenges_to_bytes(challenges))
     result = ledger.invoke("register",
                            TransactionRecord(record.to_bytes(), device_id, b"", b"", "register", b""))
     if not result:

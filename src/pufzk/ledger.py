@@ -34,11 +34,13 @@ write-set; the built-in ones cover publishing the CA key, device
 registration, challenge-epoch rotation, and the guarded data-submit
 path that checks a signature and a corrected-mode transaction proof
 before writing.
-Registration checks the CA's Schnorr certificate over the whole tuple
-(id, key, commitment, challenges) against the G1 key published at
-bootstrap, so it runs no pairing; only submits check a pairing
-signature.  A rotation commits only if the device's authentication
-proof it carries verifies, and every replay of the log re-verifies it.
+A registration record is its own certificate: registration checks the
+CA's Schnorr signature over the record's encoding up to the signature
+(id, key, commitment, fingerprint, challenges and the CA's serial)
+against the G1 key published at bootstrap, so it runs no pairing; only
+submits check a pairing signature.  A rotation commits only if the
+device's authentication proof it carries verifies, and every replay of
+the log re-verifies it.
 The ledger alone decides who may submit: the submit chaincode admits a
 device whose epoch a committed rotation has moved off 0, and refuses
 any other as "unauthenticated", on every path and on every replay.
@@ -71,7 +73,6 @@ from .pairing import DecodeError, G1Element, G2Element
 from .puf import ChallengeSet, challenges_from_bytes
 from .wire import (
     TX_PAYLOAD_WIDTH,
-    Certificate,
     DeviceRecord,
     SubsetRecord,
     TransactionRecord,
@@ -80,7 +81,6 @@ from .wire import (
     _get_field,
     _get_int,
     _put_field,
-    registration_binding,
 )
 
 GENESIS_PREV_HASH = b"\x00" * 32
@@ -495,8 +495,8 @@ def _cc_bootstrap(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
 
 
 def _cc_register(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
-    """Store a registration tuple, enforcing identifier and device
-    uniqueness and a valid CA certificate over the whole tuple.  The
+    """Store a registration record, enforcing identifier and device
+    uniqueness and a valid CA signature over the whole record.  The
     envelope carries nothing else: its device id is the record's, and
     its signature, proof and nonce are empty."""
     try:
@@ -516,16 +516,8 @@ def _cc_register(state: StateView, tx: TransactionRecord) -> Dict[str, bytes]:
     if ca_pk_bytes is None:
         raise ChaincodeRejection("ledger not bootstrapped")
     try:
-        cert = Certificate.from_bytes(record.cert_bytes)
-    except WireError as exc:
-        raise ChaincodeRejection(f"malformed certificate: {exc}")
-    binding = registration_binding(record.commitment_bytes, record.fingerprint,
-                                   record.challenge_bytes)
-    if (cert.device_id, cert.pk_bytes, cert.binding) != (record.device_id, record.pk_bytes, binding):
-        raise ChaincodeRejection("certificate does not match registration")
-    try:
         valid = zkp.schnorr_verify(G1Element.from_bytes(ca_pk_bytes),
-                                   cert.signing_payload(), cert.sig_bytes)
+                                   record.signed_bytes(), record.sig_bytes)
     except DecodeError as exc:
         raise ChaincodeRejection(f"malformed certificate: {exc}")
     if not valid:

@@ -37,6 +37,7 @@ from .ledger import Ledger, RecordError, StoredDevice, rotate_challenges, rotate
 from .params import DEFAULT_PARAMS, ParamSet
 from .puf import PufDevice, puf_respond
 from .wire import (
+    TAG_AUTH_REQUEST,
     AuthDecision,
     AuthRequest,
     TransactionRecord,
@@ -77,7 +78,6 @@ class Session:
         return self
 
     def auth_request_bytes(self) -> Optional[bytes]:
-        from .wire import TAG_AUTH_REQUEST
         for raw in self.transcript:
             if raw and raw[0] == TAG_AUTH_REQUEST:
                 return raw

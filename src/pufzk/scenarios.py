@@ -20,6 +20,7 @@ and the pass-through control judge a whole run, each by its own rule.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import random
 from dataclasses import dataclass, field
@@ -321,14 +322,12 @@ def attack_tamper_payload(device: Device, verifier: Verifier, ledger: Ledger, rn
 
 def _malformed_registrations(ledger: Ledger, ca: CertificateAuthority, rng) -> AttackOutcome:
     """Registrations the register chaincode must refuse, each a genuine
-    CA-certified tuple with one field broken."""
+    CA-signed record with one field broken."""
     pk = KeyPair.generate(rng).pk
     device_id = rng.getrandbits(256).to_bytes(32, "big")
     commitment, challenges = G1Element.generator().to_bytes(), bytes(8 * 4)
     fingerprint = rng.getrandbits(256).to_bytes(32, "big")
-    honest = DeviceRecord(device_id, pk.to_bytes(), commitment, fingerprint,
-                          ca.issue(device_id, pk, commitment, fingerprint, challenges).to_bytes(),
-                          challenges)
+    honest = ca.issue(device_id, pk, commitment, fingerprint, challenges)
     payloads = [dataclasses.replace(honest, **changes).to_bytes() for changes in (
         {"commitment_bytes": bytes(48), "challenge_bytes": bytes(9)},
         {"pk_bytes": b"\x80" + bytes(94) + b"\x02"},  # x = 2: on the twist, outside G2
@@ -585,6 +584,15 @@ def _literal_defect_demos(device: Device, ledger: Ledger, setup: zkp.TrustSetup,
     }
 
 
+def _scenario_rngs(seed: int, name: str) -> Tuple[random.Random, np.random.Generator]:
+    """The random and numpy generators of one scenario, seeded by
+    SHA-256 of the suite's seed and the scenario's name, so that no
+    scenario's draws move another's."""
+    digest = hashlib.sha256(f"{seed}/{name}".encode()).digest()
+    derived = int.from_bytes(digest[:8], "big")
+    return random.Random(derived), np.random.default_rng(derived)
+
+
 def run_attack_suite(seed: int = 0, params: ParamSet = DEFAULT_PARAMS,
                      suites: Optional[Tuple[str, ...]] = None,
                      scale: float = 1.0) -> AttackSuiteReport:
@@ -593,7 +601,9 @@ def run_attack_suite(seed: int = 0, params: ParamSet = DEFAULT_PARAMS,
     ``suites`` selects scenario groups (default: all); ``scale``, above
     0 and at most :data:`MAX_SCALE`, multiplies trial counts, and below
     1 shrinks them for quick runs while keeping every scenario
-    exercised.
+    exercised.  The set-up (the CA, the ledger, the verifier and two
+    devices) draws from ``seed``; each scenario then draws from its own
+    generators (:func:`_scenario_rngs`).
     """
     if not 0 < scale <= MAX_SCALE:
         raise ValueError(f"scale must be above 0 and at most {MAX_SCALE:g}, got {scale!r}")
@@ -619,58 +629,72 @@ def run_attack_suite(seed: int = 0, params: ParamSet = DEFAULT_PARAMS,
 
     report = AttackSuiteReport(seed=seed)
 
+    def scenario(name: str, run: Callable[..., AttackOutcome]) -> None:
+        report.outcomes.append(run(*_scenario_rngs(seed, name)))
+
     if "replay" in suites:
-        def replays():
+        def replays(rng, np_rng):
             for _ in range(n(100)):
                 honest = _honest_auth(device, verifier, ledger, rng, np_rng)
                 yield partial(_replay, honest, verifier, False)
 
-        report.outcomes.append(_attempts("replay", ledger, replays()))
-        report.outcomes.append(attack_replay(_honest_auth(device, verifier, ledger, rng, np_rng),
-                                             verifier, ledger, forge_current_nonce=True))
-        report.outcomes.append(_session_flood((device, device_b), verifier, ledger, rng, np_rng))
-        report.outcomes.append(_interleaved_sessions(
+        scenario("replay", lambda rng, np_rng: _attempts("replay", ledger, replays(rng, np_rng)))
+        scenario("replay-forged-nonce", lambda rng, np_rng: attack_replay(
+            _honest_auth(device, verifier, ledger, rng, np_rng), verifier, ledger,
+            forge_current_nonce=True))
+        scenario("session-flood", partial(_session_flood, (device, device_b), verifier, ledger))
+        scenario("session-eviction", lambda rng, np_rng: _interleaved_sessions(
             "session-eviction", device, [rng.randbytes(32) for _ in range(_FLOOD)],
             verifier, ledger, rng, np_rng))
-        report.outcomes.append(_interleaved_sessions(
-            "session-displacement", device, [device.device_id], verifier, ledger, rng, np_rng))
+        scenario("session-displacement", partial(
+            _interleaved_sessions, "session-displacement", device, [device.device_id],
+            verifier, ledger))
 
     if "impersonate" in suites:
-        report.outcomes.append(
-            attack_impersonate(device.device_id, ledger, verifier, rng, trials=n(400)))
-        report.outcomes.append(
-            attack_impersonate(device.device_id, ledger, verifier, rng, trials=n(100),
-                               leaked_sk=device.keypair.sk))
-        report.outcomes.append(_attempts("clone-device", ledger, _clones(
+        scenario("impersonate", lambda rng, _: attack_impersonate(
+            device.device_id, ledger, verifier, rng, trials=n(400)))
+        scenario("impersonate-stolen-key", lambda rng, _: attack_impersonate(
+            device.device_id, ledger, verifier, rng, trials=n(100), leaked_sk=device.keypair.sk))
+        scenario("clone-device", lambda rng, _: _attempts("clone-device", ledger, _clones(
             device.device_id, ledger, verifier, rng, range(7_000_000, 7_000_000 + n(100)), params)))
-        report.outcomes.append(_simulator_replay(device, verifier, ledger, rng, n(100)))
+        scenario("simulator-replay", lambda rng, _: _simulator_replay(
+            device, verifier, ledger, rng, n(100)))
 
     if "mitm" in suites:
-        report.outcomes.append(
-            attack_mitm_bitflip(device, verifier, ledger, rng, np_rng, flips=n(100)))
-        report.outcomes.append(attack_swap_proofs(device, device_b, verifier, ledger, rng, np_rng))
-        report.outcomes.append(
-            _perturb_proof_fields(device, verifier, ledger, rng, np_rng, rounds=n(60)))
-        control = run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, np_rng,
-                                     tamper=lambda raw: raw)
-        report.outcomes.append(AttackOutcome(
-            "pass-through-control", 1, 0 if control.accepted else 1,
-            "honest session must still succeed"))
+        scenario("mitm-bitflip", lambda rng, np_rng: attack_mitm_bitflip(
+            device, verifier, ledger, rng, np_rng, flips=n(100)))
+        scenario("mitm-swap", partial(attack_swap_proofs, device, device_b, verifier, ledger))
+        scenario("perturb-proof-fields", lambda rng, np_rng: _perturb_proof_fields(
+            device, verifier, ledger, rng, np_rng, rounds=n(60)))
+
+        def control(rng, np_rng):
+            session = run_authentication(device, verifier, ledger, zkp.MODE_CORRECTED, rng, np_rng,
+                                         tamper=lambda raw: raw)
+            return AttackOutcome("pass-through-control", 1, 0 if session.accepted else 1,
+                                 "honest session must still succeed")
+
+        scenario("pass-through-control", control)
 
     if "tamper" in suites:
-        auth = _honest_auth(device, verifier, ledger, rng, np_rng)
-        report.outcomes.append(attack_tamper_payload(device, verifier, ledger, rng, trials=n(100)))
-        report.outcomes.append(_malformed_registrations(ledger, ca, rng))
-        report.outcomes.append(_registration_rewrite(ledger, ca, rng, np_rng, params))
+        auth = _honest_auth(device, verifier, ledger, *_scenario_rngs(seed, "tamper"))
         request = decode_message(auth.auth_request_bytes())
-        report.outcomes.append(_anonymous_rotations(device, device_b, request, ledger, rng, np_rng))
-        report.outcomes.append(_mode_downgrade(device, verifier, ledger, request.proof, rng))
-        report.outcomes.append(_leaked_key_submit(ca, verifier, ledger, rng, np_rng, params))
-        report.outcomes.append(_mislabeled_submits(device, verifier, ledger, rng))
-        report.outcomes.append(_rng_reset(ca, verifier, ledger, rng, np_rng, params))
+        scenario("tamper-payload", lambda rng, _: attack_tamper_payload(
+            device, verifier, ledger, rng, trials=n(100)))
+        scenario("malformed-registration", lambda rng, _: _malformed_registrations(ledger, ca, rng))
+        scenario("registration-rewrite", lambda rng, np_rng: _registration_rewrite(
+            ledger, ca, rng, np_rng, params))
+        scenario("anonymous-rotate", partial(_anonymous_rotations, device, device_b, request, ledger))
+        scenario("mode-downgrade", lambda rng, _: _mode_downgrade(
+            device, verifier, ledger, request.proof, rng))
+        scenario("leaked-key-submit", lambda rng, np_rng: _leaked_key_submit(
+            ca, verifier, ledger, rng, np_rng, params))
+        scenario("mislabeled-submit", lambda rng, _: _mislabeled_submits(device, verifier, ledger, rng))
+        scenario("rng-reset", lambda rng, np_rng: _rng_reset(
+            ca, verifier, ledger, rng, np_rng, params))
 
     if "literal-defects" in suites:
-        report.literal_defects = _literal_defect_demos(device, ledger, setup, rng)
+        report.literal_defects = _literal_defect_demos(
+            device, ledger, setup, _scenario_rngs(seed, "literal-defects")[0])
 
     return report
 

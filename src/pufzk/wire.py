@@ -5,10 +5,9 @@ encoding built from two primitives: fixed-width integers (big-endian)
 and length-prefixed fields (u16 or u32 length followed by the bytes).
 Messages carry a leading tag byte.  Layouts:
 
-    Certificate      u16 device_id | u16 pk | u16 role | u64 serial
-                     | 32 binding | u16 sig (64: Schnorr e | s)
-    DeviceRecord     "PZDR" u8 ver | u16 device_id | u16 pk | u16 commitment
-                     | u16 fingerprint | u16 cert | u32 challenges
+    DeviceRecord     "PZDR" u8 ver (2) | u16 device_id | u16 pk | u16 commitment
+                     | u16 fingerprint | u32 challenges | u64 serial
+                     | u16 CA signature (64: Schnorr e | s over all before it)
     SubsetRecord     u64 epoch
     TransactionRecord u32 payload | u16 device_id | u16 signature
                      | u16 proof | u16 chaincode | u16 nonce
@@ -23,7 +22,6 @@ accept flag other than 0x00 or 0x01 raise ``WireError``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -79,86 +77,38 @@ def _utf8(raw: bytes) -> str:
 # On-ledger records
 # ---------------------------------------------------------------------------
 
-BINDING_LEN = 32
-
-
-def registration_binding(commitment_bytes: bytes, fingerprint: bytes,
-                         challenge_bytes: bytes) -> bytes:
-    """Digest of the registration fields a certificate covers besides
-    the id and key: the response commitment, the device fingerprint and
-    the challenge set."""
-    buf = bytearray(b"binding")
-    _put_field(buf, commitment_bytes)
-    _put_field(buf, fingerprint)
-    _put_field(buf, challenge_bytes, width=4)
-    return hashlib.sha256(buf).digest()
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """CA-issued binding of a device id to its public key, role and
-    the rest of its registration (see :func:`registration_binding`)."""
-
-    device_id: bytes
-    pk_bytes: bytes
-    role: str
-    serial: int
-    binding: bytes
-    sig_bytes: bytes
-
-    def signing_payload(self) -> bytes:
-        buf = bytearray(b"cert")
-        _put_field(buf, self.device_id)
-        _put_field(buf, self.pk_bytes)
-        _put_field(buf, self.role.encode())
-        buf += self.serial.to_bytes(8, "big")
-        if len(self.binding) != BINDING_LEN:
-            raise WireError(f"certificate binding must be {BINDING_LEN} bytes")
-        buf += self.binding
-        return bytes(buf)
-
-    def to_bytes(self) -> bytes:
-        # the signed fields without the b"cert" prefix, then the signature
-        buf = bytearray(self.signing_payload()[4:])
-        _put_field(buf, self.sig_bytes)
-        return bytes(buf)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Certificate":
-        device_id, off = _get_field(data, 0)
-        pk_bytes, off = _get_field(data, off)
-        role, off = _get_field(data, off)
-        serial, off = _get_int(data, off, 8)
-        binding, off = _take(data, off, BINDING_LEN)
-        sig_bytes, off = _get_field(data, off)
-        _done(data, off)
-        return cls(device_id, pk_bytes, _utf8(role), serial, binding, sig_bytes)
-
-
 _DEVICE_RECORD_MAGIC = b"PZDR"
-_DEVICE_RECORD_VERSION = 1
+_DEVICE_RECORD_VERSION = 2
 
 
 @dataclass(frozen=True)
 class DeviceRecord:
-    """The registration tuple stored on the ledger."""
+    """The registration tuple stored on the ledger, which is also its
+    certificate: the CA's serial and its Schnorr signature over
+    :meth:`signed_bytes`, the encoding up to the signature field."""
 
     device_id: bytes
     pk_bytes: bytes
     commitment_bytes: bytes
     fingerprint: bytes
-    cert_bytes: bytes
     challenge_bytes: bytes
+    serial: int
+    sig_bytes: bytes
 
-    def to_bytes(self) -> bytes:
+    def signed_bytes(self) -> bytes:
         buf = bytearray(_DEVICE_RECORD_MAGIC)
         buf.append(_DEVICE_RECORD_VERSION)
         _put_field(buf, self.device_id)
         _put_field(buf, self.pk_bytes)
         _put_field(buf, self.commitment_bytes)
         _put_field(buf, self.fingerprint)
-        _put_field(buf, self.cert_bytes)
         _put_field(buf, self.challenge_bytes, width=4)
+        buf += self.serial.to_bytes(8, "big")
+        return bytes(buf)
+
+    def to_bytes(self) -> bytes:
+        buf = bytearray(self.signed_bytes())
+        _put_field(buf, self.sig_bytes)
         return bytes(buf)
 
     @classmethod
@@ -173,10 +123,12 @@ class DeviceRecord:
         pk_bytes, off = _get_field(data, off)
         commitment_bytes, off = _get_field(data, off)
         fingerprint, off = _get_field(data, off)
-        cert_bytes, off = _get_field(data, off)
         challenge_bytes, off = _get_field(data, off, width=4)
+        serial, off = _get_int(data, off, 8)
+        sig_bytes, off = _get_field(data, off)
         _done(data, off)
-        return cls(device_id, pk_bytes, commitment_bytes, fingerprint, cert_bytes, challenge_bytes)
+        return cls(device_id, pk_bytes, commitment_bytes, fingerprint, challenge_bytes, serial,
+                   sig_bytes)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pufzk import scenarios
 from pufzk.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from pufzk.ledger import ledger_new
 from pufzk.params import PRESETS
@@ -17,17 +18,17 @@ HEX = "0123456789abcdef"
 
 # SHA-256 of the `demo --seed 7` transcript.  A change that means to
 # alter transcripts updates this digest and says so.
-DEMO_SEED_7_SHA256 = "3c26429eafda842dd17f915e7d6f27138ed6c5e42c235c5c7e0fa4a563451ffc"
+DEMO_SEED_7_SHA256 = "11bc75c83bad6bf68067817c8fc5c3824837604091711407bc93ec38909ce82c"
 
 # SHA-256 of that transcript's `ledger` line, the exported transaction
 # log.  It depends on the committed transactions alone, not on how the
 # state is digested.
-DEMO_SEED_7_LEDGER_LINE_SHA256 = "91c340e04246393480101e563c837acd2fe3158b21423a615acebec395283abd"
+DEMO_SEED_7_LEDGER_LINE_SHA256 = "aa1f911013f645d51ac51a715c5901aca956264a3e39bc1c1c3ddcfd5c00f85c"
 
 # SHA-256 of `json.dumps(run_attack_suite(seed=0, scale=0.02).to_dict(),
 # sort_keys=True)`: every scenario's name, counts and reasons.  A change
 # that means to alter the report updates this digest and says so.
-ATTACK_SEED_0_SHA256 = "1967dce8bd360510424515845e933830d442bbe7898140ab1bd56ee8ee153764"
+ATTACK_SEED_0_SHA256 = "cd17566dd36654797f20c062deae7b4014cb05564a6a5a3c2769b83d6859ac40"
 
 
 @pytest.fixture(scope="module")
@@ -315,7 +316,7 @@ class TestAttackCommand:
         report = run_attack_suite(seed=4, suites=("tamper",), scale=0.02)
         outcome = next(o for o in report.outcomes if o.name == "registration-rewrite")
         assert outcome.attempts == 6 and outcome.defended
-        assert outcome.detail == ("certificate does not match registration; "
+        assert outcome.detail == ("certificate signature invalid; "
                                   "malformed registration: envelope does not match the record; "
                                   "unknown nonce")
 
@@ -367,6 +368,23 @@ class TestAttackCommand:
 
     def test_suite_selection(self):
         assert main(["attack", "--scale", "0.02", "--suite", "replay"]) == EXIT_OK
+
+    def test_each_scenario_draws_from_its_own_generators(self, monkeypatch):
+        # one more draw in an early scenario moves no other outcome
+        def others(report):
+            doc = report.to_dict()
+            doc["outcomes"] = [o for o in doc["outcomes"] if o["name"] != "simulator-replay"]
+            return doc
+
+        before = others(run_attack_suite(seed=0, scale=0.02))
+        simulator_replay = scenarios._simulator_replay
+
+        def one_more_draw(device, verifier, ledger, rng, trials):
+            rng.random()
+            return simulator_replay(device, verifier, ledger, rng, trials)
+
+        monkeypatch.setattr(scenarios, "_simulator_replay", one_more_draw)
+        assert others(run_attack_suite(seed=0, scale=0.02)) == before
 
 
 class TestAttempts:

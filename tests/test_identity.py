@@ -21,10 +21,10 @@ from pufzk.ledger import bootstrap, ledger_new
 from pufzk.pairing import G1Element, G2Element, Scalar
 from pufzk.protocol import Device
 from pufzk.puf import challenges_to_bytes, fractional_hamming, generate_challenges, puf_new, puf_respond
-from pufzk.wire import Certificate, DeviceRecord, WireError, registration_binding
+from pufzk.wire import DeviceRecord, WireError
 
 
-# (commitment bytes, fingerprint, challenge bytes) that test certificates bind
+# (commitment bytes, fingerprint, challenge bytes) of the test records
 _TUPLE = ((G1Element.generator() ** 7).to_bytes(), bytes(32), bytes(8 * 4))
 
 
@@ -114,7 +114,7 @@ class TestRegistration:
             return ledger.invoke(name, dataclasses.replace(tx, payload=record.to_bytes()))
 
         digest, height = ledger.state_digest(), ledger.height
-        with pytest.raises(RegistrationError, match="^certificate does not match registration$"):
+        with pytest.raises(RegistrationError, match="^certificate signature invalid$"):
             register_device(puf_new(8106, 0.0), env["ca"], SimpleNamespace(invoke=intercept),
                             env["rng"], env["np_rng"])
         assert (ledger.state_digest(), ledger.height) == (digest, height)
@@ -129,7 +129,7 @@ class TestRegistration:
             return ledger.invoke(name, dataclasses.replace(tx, payload=record.to_bytes()))
 
         digest, height = ledger.state_digest(), ledger.height
-        with pytest.raises(RegistrationError, match="^certificate does not match registration$"):
+        with pytest.raises(RegistrationError, match="^certificate signature invalid$"):
             register_device(puf, env["ca"], SimpleNamespace(invoke=intercept),
                             env["rng"], env["np_rng"])
         assert (ledger.state_digest(), ledger.height) == (digest, height)
@@ -188,62 +188,67 @@ class TestRegistration:
 
 
 class TestCertificates:
+    """The CA signs the registration record itself."""
+
     def test_issue_then_verify(self, env):
         ca, rng = env["ca"], env["rng"]
         kp = KeyPair.generate(rng)
-        cert = ca.issue(bytes(32), kp.pk, *_TUPLE)
-        assert ca.verify(cert)
+        record = ca.issue(bytes(32), kp.pk, *_TUPLE)
+        assert (record.device_id, record.pk_bytes) == (bytes(32), kp.pk.to_bytes())
+        assert (record.commitment_bytes, record.fingerprint, record.challenge_bytes) == _TUPLE
+        assert ca.verify(record)
 
     def test_revoke_then_verify_fails(self, env):
         ca, rng = env["ca"], env["rng"]
         kp = KeyPair.generate(rng)
-        cert = ca.issue(bytes(32), kp.pk, *_TUPLE, role="sensor")
-        assert ca.verify(cert)
-        ca.revoke(cert.serial)
-        assert not ca.verify(cert)
+        record = ca.issue(bytes(32), kp.pk, *_TUPLE)
+        assert ca.verify(record)
+        ca.revoke(record.serial)
+        assert not ca.verify(record)
 
     def test_mutated_device_id_fails(self, env):
         ca, rng = env["ca"], env["rng"]
         kp = KeyPair.generate(rng)
-        cert = ca.issue(bytes(32), kp.pk, *_TUPLE)
-        mutated = dataclasses.replace(cert, device_id=bytes([1]) + bytes(31))
+        record = ca.issue(bytes(32), kp.pk, *_TUPLE)
+        mutated = dataclasses.replace(record, device_id=bytes([1]) + bytes(31))
         assert not ca.verify(mutated)
 
     def test_payload_mutation_fuzz(self, env):
         ca, rng = env["ca"], env["rng"]
         kp = KeyPair.generate(rng)
-        cert = ca.issue(bytes(32), kp.pk, *_TUPLE)
-        raw = cert.to_bytes()
+        record = ca.issue(bytes(32), kp.pk, *_TUPLE)
+        raw = record.to_bytes()
         accepted = 0
         for _ in range(50):
             buf = bytearray(raw)
             buf[rng.randrange(len(buf))] ^= rng.randrange(1, 256)
             try:
-                mutated = Certificate.from_bytes(bytes(buf))
+                mutated = DeviceRecord.from_bytes(bytes(buf))
             except WireError:
                 continue
-            if mutated == cert:
+            if mutated == record:
                 continue
             accepted += int(ca.verify(mutated))
         assert accepted == 0
 
-    def test_mutated_binding_fails(self, env):
+    def test_mutated_registration_fields_fail(self, env):
         ca, rng = env["ca"], env["rng"]
-        cert = ca.issue(bytes(32), KeyPair.generate(rng).pk, *_TUPLE)
-        for other in (registration_binding(*_TUPLE[:2], bytes(8 * 5)),
-                      registration_binding(_TUPLE[0], b"\x01" * 32, _TUPLE[2])):
-            assert not ca.verify(dataclasses.replace(cert, binding=other))
+        record = ca.issue(bytes(32), KeyPair.generate(rng).pk, *_TUPLE)
+        for changes in ({"challenge_bytes": bytes(8 * 5)}, {"fingerprint": b"\x01" * 32},
+                        {"commitment_bytes": G1Element.generator().to_bytes()},
+                        {"serial": record.serial + 1}):
+            assert not ca.verify(dataclasses.replace(record, **changes))
 
     def test_signing_is_deterministic(self, env):
         ca = env["ca"]
-        cert = ca.issue(bytes(32), KeyPair.generate(env["rng"]).pk, *_TUPLE)
-        assert len(cert.sig_bytes) == zkp.SCHNORR_SIGNATURE_WIRE_BYTES
-        assert zkp.schnorr_sign(ca.sk, ca.pk, cert.signing_payload()) == cert.sig_bytes
+        record = ca.issue(bytes(32), KeyPair.generate(env["rng"]).pk, *_TUPLE)
+        assert len(record.sig_bytes) == zkp.SCHNORR_SIGNATURE_WIRE_BYTES
+        assert zkp.schnorr_sign(ca.sk, ca.pk, record.signed_bytes()) == record.sig_bytes
 
     def test_certificate_of_another_ca_fails(self, env):
-        cert = CertificateAuthority(random.Random(6)).issue(
+        record = CertificateAuthority(random.Random(6)).issue(
             bytes(32), KeyPair.generate(env["rng"]).pk, *_TUPLE)
-        assert not env["ca"].verify(cert)
+        assert not env["ca"].verify(record)
 
     def test_serials_increment(self, env):
         ca, rng = env["ca"], env["rng"]
@@ -254,11 +259,10 @@ class TestCertificates:
 
 
 class TestStoredRecord:
-    def test_binding_recomputes_from_the_stored_record(self, env):
+    def test_stored_record_is_the_signed_record(self, env):
         puf = puf_new(8106, 0.0)
         device_id, _ = register_device(puf, env["ca"], env["ledger"], env["rng"], env["np_rng"])
         stored = env["ledger"].load_device(device_id)
         assert stored.record.fingerprint == device_fingerprint(puf)
-        binding = registration_binding(stored.commitment.to_bytes(), stored.record.fingerprint,
-                                       challenges_to_bytes(stored.challenges))
-        assert binding == Certificate.from_bytes(stored.record.cert_bytes).binding
+        assert stored.record.challenge_bytes == challenges_to_bytes(stored.challenges)
+        assert env["ca"].verify(stored.record)

@@ -32,7 +32,6 @@ from pufzk.pairing import ORDER, DecodeError, G1Element, G2Element
 from pufzk.protocol import Device
 from pufzk.puf import challenges_to_bytes, puf_new, puf_respond
 from pufzk.wire import (
-    Certificate,
     DeviceRecord,
     SubsetRecord,
     TransactionRecord,
@@ -239,25 +238,16 @@ class TestInvoke:
 
 
 def _registration(env, device_id=None, **changes):
-    """A CA-certified registration tuple for a fresh key, under
+    """A CA-signed registration record for a fresh key, under
     ``device_id`` (by default a fresh one), with fields replaced by
-    ``changes``."""
-    import dataclasses
+    ``changes`` after signing."""
     rng = env["rng"]
     keypair = KeyPair.generate(rng)
     if device_id is None:
         device_id = rng.getrandbits(256).to_bytes(32, "big")
     commitment, challenges = (G1Element.generator() ** 99).to_bytes(), bytes(8 * 4)
     fingerprint = rng.getrandbits(256).to_bytes(32, "big")
-    record = DeviceRecord(
-        device_id=device_id,
-        pk_bytes=keypair.pk.to_bytes(),
-        commitment_bytes=commitment,
-        fingerprint=fingerprint,
-        cert_bytes=env["ca"].issue(device_id, keypair.pk, commitment, fingerprint,
-                                   challenges).to_bytes(),
-        challenge_bytes=challenges,
-    )
+    record = env["ca"].issue(device_id, keypair.pk, commitment, fingerprint, challenges)
     record = dataclasses.replace(record, **changes)
     return TransactionRecord(record.to_bytes(), record.device_id, b"", b"", "register", b"")
 
@@ -340,13 +330,11 @@ class TestRegistrationValidation:
 
 
 def _with_cert_sig(tx, forge):
-    """The registration ``tx`` with its certificate signature (e, s)
+    """The registration ``tx`` with its record's CA signature (e, s)
     replaced by ``forge(e, s)``."""
     record = DeviceRecord.from_bytes(tx.payload)
-    cert = Certificate.from_bytes(record.cert_bytes)
-    e, s = (int.from_bytes(cert.sig_bytes[i:i + 32], "big") for i in (0, 32))
-    cert = dataclasses.replace(cert, sig_bytes=forge(e, s))
-    record = dataclasses.replace(record, cert_bytes=cert.to_bytes())
+    e, s = (int.from_bytes(record.sig_bytes[i:i + 32], "big") for i in (0, 32))
+    record = dataclasses.replace(record, sig_bytes=forge(e, s))
     return dataclasses.replace(tx, payload=record.to_bytes())
 
 
@@ -380,6 +368,37 @@ class TestCertificateCheck:
         tx = _with_cert_sig(_registration(env), lambda e, s: _scalars(e, (s + 1) % ORDER))
         result = env["ledger"].invoke("register", tx)
         assert not result and result.reason == "certificate signature invalid"
+
+    @pytest.mark.parametrize("changes", [
+        lambda rng: {"pk_bytes": KeyPair.generate(rng).pk.to_bytes()},
+        lambda rng: {"commitment_bytes": (G1Element.generator() ** 1234).to_bytes()},
+        lambda rng: {"fingerprint": rng.getrandbits(256).to_bytes(32, "big")},
+        lambda rng: {"challenge_bytes": bytes(8 * 5)},
+        lambda rng: {"serial": 1 << 40},
+        lambda rng: {"device_id": rng.getrandbits(256).to_bytes(32, "big")},
+    ], ids=["pk", "commitment", "fingerprint", "challenges", "serial", "device-id"])
+    def test_each_signed_field_is_bound(self, env, changes):
+        # each field rewritten after signing to a value that decodes, and
+        # the envelope's device id rewritten to match the record's
+        ledger = env["ledger"]
+        tx = _registration(env)
+        record = dataclasses.replace(DeviceRecord.from_bytes(tx.payload), **changes(env["rng"]))
+        tx = dataclasses.replace(tx, payload=record.to_bytes(), device_id=record.device_id)
+        digest, height = ledger.state_digest(), ledger.height
+        result = ledger.invoke("register", tx)
+        assert not result and result.reason == "certificate signature invalid"
+        assert (ledger.state_digest(), ledger.height) == (digest, height)
+
+    def test_version_1_record_is_malformed(self, env):
+        ledger = env["ledger"]
+        tx = _registration(env)
+        payload = bytearray(tx.payload)
+        payload[4] = 1
+        digest, height = ledger.state_digest(), ledger.height
+        result = ledger.invoke("register", dataclasses.replace(tx, payload=bytes(payload)))
+        assert not result and result.reason == (
+            "malformed registration: unsupported device record version 1")
+        assert (ledger.state_digest(), ledger.height) == (digest, height)
 
 
 # moves a challenge out of the 128-bit challenge set: c0 + c1*x^2 with

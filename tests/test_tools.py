@@ -37,12 +37,21 @@ def test_summary_counts_wins_by_the_metric_direction():
 
 def test_traced_shares_are_over_the_miller_loop():
     values = {"pairing.miller_loop.ms": 4.0, "pairing.final_exponentiation.ms": 5.0,
-              "zkp.verify_sig.self_ms": 1.0, "pairing.miller_loop.calls": 1, "correct": True}
-    assert bench_pairs.traced_shares(values) == {
+              "pairing.g2_mul_gen.ms": 2.0, "zkp.verify_sig.self_ms": 1.0,
+              "pairing.miller_loop.calls": 1, "correct": True}
+    assert bench_pairs.traced_shares(values) == ("pairing.miller_loop.ms", {
         "pairing.miller_loop.ms": 1.0, "pairing.final_exponentiation.ms": 1.25,
-        "zkp.verify_sig.self_ms": 0.25,
-    }
-    assert bench_pairs.traced_shares({"pairing.miller_loop.ms": 0.0}) is None
+        "pairing.g2_mul_gen.ms": 0.5, "zkp.verify_sig.self_ms": 0.25,
+    })
+    # a run that pairs nothing, as an onboard op, is taken over its G2
+    # generator multiplications
+    unpaired = {"pairing.miller_loop.ms": 0.0, "pairing.g2_mul_gen.ms": 2.0,
+                "pairing.g1_mul.ms": 1.0, "pairing.g2_mul_gen.calls": 3}
+    assert bench_pairs.traced_shares(unpaired) == ("pairing.g2_mul_gen.ms", {
+        "pairing.miller_loop.ms": 0.0, "pairing.g2_mul_gen.ms": 1.0, "pairing.g1_mul.ms": 0.5,
+    })
+    assert bench_pairs.traced_shares(
+        {"pairing.miller_loop.ms": 0.0, "pairing.g2_mul_gen.ms": 0.0}) == (None, None)
 
 
 def test_setup_only_pairs_summarise_setup_s_alone(monkeypatch, tmp_path):

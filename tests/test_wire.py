@@ -1,5 +1,7 @@
 """Record and message codecs: round trips and strict decoding."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +10,6 @@ from pufzk.pairing import DecodeError
 from pufzk.wire import (
     AuthDecision,
     AuthRequest,
-    Certificate,
     DeviceRecord,
     SubsetRecord,
     TransactionRecord,
@@ -16,7 +17,6 @@ from pufzk.wire import (
     TxSubmit,
     WireError,
     decode_message,
-    registration_binding,
 )
 
 
@@ -32,36 +32,23 @@ def _sample_tx():
 
 
 class TestRecords:
-    def test_certificate_round_trip(self):
-        cert = Certificate(bytes(32), b"\x05" * 96, "device", 42, b"\x08" * 32, b"\x06" * 64)
-        assert Certificate.from_bytes(cert.to_bytes()) == cert
-
-    def test_certificate_signing_payload_excludes_signature(self):
-        a = Certificate(bytes(32), b"\x05" * 96, "device", 42, b"\x08" * 32, b"\x06" * 64)
-        b = Certificate(bytes(32), b"\x05" * 96, "device", 42, b"\x08" * 32, b"\x07" * 64)
-        assert a.signing_payload() == b.signing_payload()
-
-    def test_certificate_signing_payload_covers_binding(self):
-        a = Certificate(bytes(32), b"\x05" * 96, "device", 42, b"\x08" * 32, b"\x06" * 64)
-        b = Certificate(bytes(32), b"\x05" * 96, "device", 42, b"\x09" * 32, b"\x06" * 64)
-        assert a.signing_payload() != b.signing_payload()
-
-    def test_certificate_binding_is_32_bytes(self):
-        cert = Certificate(bytes(32), b"\x05" * 96, "device", 42, b"\x08" * 31, b"\x06" * 64)
-        with pytest.raises(WireError):
-            cert.to_bytes()
-        raw = Certificate(bytes(32), b"\x05" * 96, "device", 42, b"\x08" * 32, b"").to_bytes()
-        with pytest.raises(WireError):
-            Certificate.from_bytes(raw[:-3] + raw[-2:])
-
-    def test_registration_binding_frames_its_fields(self):
-        assert registration_binding(b"ab", b"c", b"") != registration_binding(b"a", b"bc", b"")
-        assert registration_binding(b"", b"ab", b"c") != registration_binding(b"", b"a", b"bc")
-        assert len(registration_binding(b"", b"", b"")) == 32
-
     def test_device_record_round_trip(self):
-        record = DeviceRecord(bytes(32), b"p" * 96, b"c" * 48, bytes(32), b"cert", b"ch" * 1024)
+        record = DeviceRecord(bytes(32), b"p" * 96, b"c" * 48, bytes(32), b"ch" * 1024, 42, b"s" * 64)
         assert DeviceRecord.from_bytes(record.to_bytes()) == record
+
+    def test_device_record_signs_all_but_its_signature(self):
+        # the CA signs the encoding up to the signature field: a prefix
+        # that every other field, the serial included, changes
+        record = DeviceRecord(bytes(32), b"p" * 96, b"c" * 48, bytes(32), b"ch" * 4, 42, b"s" * 64)
+        raw = record.to_bytes()
+        assert raw.startswith(record.signed_bytes())
+        assert raw[len(record.signed_bytes()):] == (64).to_bytes(2, "big") + b"s" * 64
+        assert dataclasses.replace(record, sig_bytes=b"t" * 64).signed_bytes() == record.signed_bytes()
+        for field, value in (("device_id", b"\x01" * 32), ("pk_bytes", b"q" * 96),
+                             ("commitment_bytes", b"d" * 48), ("fingerprint", b"\x01" * 32),
+                             ("challenge_bytes", b"ch" * 5), ("serial", 43)):
+            other = dataclasses.replace(record, **{field: value})
+            assert other.signed_bytes() != record.signed_bytes(), field
 
     def test_device_record_bad_magic(self):
         with pytest.raises(WireError):
@@ -122,13 +109,13 @@ class TestMessages:
         with pytest.raises(WireError):
             decode_message(b"")
 
-    @given(st.sampled_from([b"", b"PZDR\x01", b"\x01", b"\x02", b"\x03", b"\x04"]),
+    @given(st.sampled_from([b"", b"PZDR\x01", b"PZDR\x02", b"\x01", b"\x02", b"\x03", b"\x04"]),
            st.binary(min_size=0, max_size=64))
     @settings(max_examples=300, deadline=None)
     def test_decode_never_crashes_unhandled(self, prefix, body):
         """Messages, records and blocks: any bytes give a value or a
         typed rejection."""
-        for decode in (decode_message, Certificate.from_bytes, DeviceRecord.from_bytes,
+        for decode in (decode_message, DeviceRecord.from_bytes,
                        SubsetRecord.from_bytes, TransactionRecord.from_bytes, Block.from_bytes):
             try:
                 decode(prefix + body)

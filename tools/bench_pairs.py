@@ -24,7 +24,8 @@ the median of a few set-ups, do not.  ``all_pairs`` then summarises
 With ``--trace-seed``, one traced run per side and workload follows the
 pairs.  Raw traced milliseconds move with the host from run to run, so
 each ``.ms`` and ``.self_ms`` figure is also given as a share of the
-same run's ``pairing.miller_loop.ms``.
+same run's ``pairing.miller_loop.ms``, or, in a run that pairs nothing,
+of its ``pairing.g2_mul_gen.ms``; ``share_base`` names the one used.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
-BASE_MS = "pairing.miller_loop.ms"
+# the traced figures that shares are taken over, in order of preference
+BASES_MS = ("pairing.miller_loop.ms", "pairing.g2_mul_gen.ms")
 
 
 def parse_seeds(text):
@@ -81,13 +83,14 @@ def summarize(runs, metrics):
 
 
 def traced_shares(values):
-    """Each traced ms figure over the run's Miller-loop ms, or None for
-    a run that pairs nothing."""
-    base = values.get(BASE_MS)
-    if not base:
-        return None
-    return {name: round(v / base, 4) for name, v in values.items()
-            if name.endswith((".ms", ".self_ms")) and isinstance(v, (int, float))}
+    """(base, shares): each traced ms figure over the first of
+    :data:`BASES_MS` that reads above 0 in the run, or (None, None) if
+    none does."""
+    base = next((name for name in BASES_MS if values.get(name)), None)
+    if base is None:
+        return None, None
+    return base, {name: round(v / values[base], 4) for name, v in values.items()
+                  if name.endswith((".ms", ".self_ms")) and isinstance(v, (int, float))}
 
 
 def main(argv=None):
@@ -134,10 +137,9 @@ def main(argv=None):
             doc["traced"][workload] = {}
             for side in SIDES:
                 values = run_once(roots[side], workload, args.trace_seed, timed + ["1"])
+                base, shares = traced_shares(values)
                 doc["traced"][workload][side] = {
-                    "values": values,
-                    f"shares_of_{BASE_MS}": traced_shares(values),
-                }
+                    "values": values, "share_base": base, "shares": shares}
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
