@@ -79,7 +79,11 @@ class CertificateAuthority:
 
     def issue(self, device_id: bytes, pk: G2Element, commitment_bytes: bytes,
               fingerprint: bytes, challenge_bytes: bytes) -> DeviceRecord:
-        """The registration record under the next serial, signed."""
+        """The registration record under the next serial, signed.  Raises
+        ``ValueError`` for an identity key or commitment, which the
+        register chaincode refuses."""
+        if pk.is_identity() or commitment_bytes == G1Element.identity().to_bytes():
+            raise ValueError("device key or response commitment is the identity")
         record = DeviceRecord(device_id, pk.to_bytes(), commitment_bytes, fingerprint,
                               challenge_bytes, self._next_serial, b"")
         self._next_serial += 1

@@ -163,7 +163,8 @@ class Block:
 
 def decode_device_record(raw: bytes) -> Tuple[DeviceRecord, G2Element, G1Element, ChallengeSet]:
     """Decode DeviceRecord bytes into (record, pk, commitment, challenges),
-    checking every field.  The point decodes run the subgroup checks."""
+    checking every field.  The point decodes run the subgroup checks,
+    and neither point may be the identity."""
     try:
         record = DeviceRecord.from_bytes(raw)
         if len(record.device_id) != 32:
@@ -177,6 +178,12 @@ def decode_device_record(raw: bytes) -> Tuple[DeviceRecord, G2Element, G1Element
         commitment = G1Element.from_bytes(record.commitment_bytes)
     except ValueError as exc:  # WireError and DecodeError included
         raise RecordError(str(exc)) from None
+    # the identity verifies every signature, and a proof of its exponent
+    # 0 needs no secret
+    if pk.is_identity():
+        raise RecordError("device key is the identity")
+    if commitment.is_identity():
+        raise RecordError("response commitment is the identity")
     return record, pk, commitment, challenges
 
 

@@ -205,10 +205,10 @@ class _Element:
 
 class _Point(_Element):
     """A point of a source group's prime-order subgroup: decoded with a
-    subgroup check, hashed to G1 with cofactor clearing, or derived from
-    such points.  ``**`` relies on it.  The identity is None; each group
-    names its generator ``_GENERATOR`` and its deferred class
-    ``_deferred``."""
+    subgroup check, hashed to G1 with the cofactor cleared (its last
+    factor on first use as a point, see _HashedG1), or derived from such
+    points.  ``**`` relies on it.  The identity is None; each group names
+    its generator ``_GENERATOR`` and its deferred class ``_deferred``."""
 
     __slots__ = ()
     _IDENTITY = None
@@ -272,6 +272,20 @@ class GtElement(_Element):
 
 
 class _Deferred:
+    """A group element whose point is computed on first use as a point,
+    by its class's ``_resolve``, and then kept in the ``_pt`` slot."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        # reached only while the ``_pt`` slot is still unset
+        if name != "_pt":
+            raise AttributeError(name)
+        self._pt = self._resolve()
+        return self._pt
+
+
+class _Received(_Deferred):
     """A group element known by its received encoding and decoded, with
     the subgroup check, on first use as a point.  ``to_bytes`` returns
     the encoding without decoding; a bad encoding raises ``DecodeError``
@@ -282,23 +296,42 @@ class _Deferred:
     def __init__(self, data: bytes):
         self._enc = bytes(data)
 
-    def __getattr__(self, name):
-        # reached only while the ``_pt`` slot is still unset
-        if name != "_pt":
-            raise AttributeError(name)
-        self._pt = self._decode(self._enc)
-        return self._pt
+    def _resolve(self):
+        return self._decode(self._enc)
 
     def to_bytes(self) -> bytes:
         return self._enc
 
 
-class _DeferredG1(_Deferred, G1Element):
+class _DeferredG1(_Received, G1Element):
     __slots__ = ("_enc",)
 
 
-class _DeferredG2(_Deferred, G2Element):
+class _DeferredG2(_Received, G2Element):
     __slots__ = ("_enc",)
+
+
+# The G1 cofactor is (1 - x)^2 / 3 = (|x| + 1) * _COFACTOR_FOLD.
+_COFACTOR_FOLD = (X_ABS + 1) // 3
+
+
+class _HashedG1(_Deferred, G1Element):
+    """[COFACTOR_G1]P for a point P of E(Fq), held as Q = [|x| + 1]P,
+    which is in G1 (see hash_to_g1).  On first use as a point it resolves
+    to [_COFACTOR_FOLD]Q = [COFACTOR_G1]P; ``** k`` skips that and
+    returns [k * _COFACTOR_FOLD mod r]Q, one ladder where resolving and
+    then raising would take two."""
+
+    __slots__ = ("_q",)
+
+    def __init__(self, q):
+        self._q = q
+
+    def _resolve(self):
+        return g1_mul(self._q, _COFACTOR_FOLD)
+
+    def __pow__(self, k) -> G1Element:
+        return G1Element(g1_mul(self._q, _sv(k) * _COFACTOR_FOLD % ORDER))
 
 
 G1Element._group, G2Element._group, GtElement._group = G1Element, G2Element, GtElement
@@ -369,19 +402,6 @@ def random_challenge(rng) -> Scalar:
     return _challenge_from_bytes(rng.randbytes(_CHALLENGE_BYTES))
 
 
-# The G1 cofactor is (x - 1)^2 / 3 = (|x| + 1) * ((|x| + 1) / 3).  Two
-# ladders over the factors take 125 doublings and 33 additions; one over
-# the product takes 125 and 47.
-_COFACTOR_G1_FACTORS = (X_ABS + 1, (X_ABS + 1) // 3)
-
-
-def _clear_cofactor_g1(pt):
-    """[COFACTOR_G1]pt for a point of E(Fq), by the two factors in turn."""
-    for k in _COFACTOR_G1_FACTORS:
-        pt = g1_mul_unchecked(pt, k)
-    return pt
-
-
 def hash_to_g1(data: bytes, tag: bytes) -> G1Element:
     """Map bytes to a G1 subgroup element under a domain tag.
 
@@ -389,9 +409,16 @@ def hash_to_g1(data: bytes, tag: bytes) -> G1Element:
     message and a 4-byte counter to a candidate x and a sign bit, and
     is taken when x^3 + 4 is a square.  A residuosity test (a Jacobi
     symbol) rejects about half the candidates before the square root is
-    taken, so the root runs once per hash.  The point is then multiplied
-    by the cofactor; a try whose product is the identity is skipped, so
-    the identity is never returned.
+    taken, so the root runs once per hash.  The result is the point P
+    times the cofactor (1 - x)^2 / 3.  [1 - x] = [|x| + 1] alone already
+    sends E(Fq) into G1 (Wahby and Boneh, TCHES 2019(4), sec. 5; RFC 9380
+    sec. 8.8.1, h_eff = 0xd201000000010001), so the hash computes only
+    Q = [|x| + 1]P, by 63 doublings and 6 additions, and the remaining
+    factor (|x| + 1) / 3 rides on the next multiplication (see
+    _HashedG1): a signature H(m) ** sk takes one ladder.  A try whose Q
+    is the identity is skipped, so the identity is never returned: Q has
+    order r or 1, and 0 < (|x| + 1) / 3 < r, so [COFACTOR_G1]P is the
+    identity exactly when Q is.
     """
     # absorb the framed message once; each try hashes it plus a counter
     absorbed = hashlib.shake_256(_framed(data, tag))
@@ -406,8 +433,7 @@ def hash_to_g1(data: bytes, tag: bytes) -> G1Element:
             y = fq_sqrt(rhs)
             if digest[48] & 1:
                 y = -y % P
-            pt = _clear_cofactor_g1((x, y))
-            if pt is not None:
-                return G1Element(pt)
+            q = g1_mul_unchecked((x, y), X_ABS + 1)
+            if q is not None:
+                return _HashedG1(q)
         ctr += 1
-

@@ -35,7 +35,9 @@ Two proof schemes are defined here:
 
 Two signature schemes sit beside the proofs.  Devices sign
 transactions with the usual pairing scheme: sig = H(msg)^sk in G1 with
-a two-pairing product check.  The certificate authority signs
+a two-pairing product check.  H(msg) leaves the last factor of its
+cofactor to its ``**``, so signing runs one ladder (see
+group.hash_to_g1).  The certificate authority signs
 registrations with a pairing-free Schnorr signature in G1, (e, s) with
 a deterministic nonce and a challenge from the same set, whose check
 costs two G1 multiplications.

@@ -198,6 +198,15 @@ class TestCertificates:
         assert (record.commitment_bytes, record.fingerprint, record.challenge_bytes) == _TUPLE
         assert ca.verify(record)
 
+    def test_identity_key_or_commitment_not_issued(self, env):
+        ca, pk = env["ca"], KeyPair.generate(env["rng"]).pk
+        serial = ca._next_serial
+        with pytest.raises(ValueError, match="is the identity"):
+            ca.issue(bytes(32), G2Element.identity(), *_TUPLE)
+        with pytest.raises(ValueError, match="is the identity"):
+            ca.issue(bytes(32), pk, G1Element.identity().to_bytes(), *_TUPLE[1:])
+        assert ca._next_serial == serial
+
     def test_revoke_then_verify_fails(self, env):
         ca, rng = env["ca"], env["rng"]
         kp = KeyPair.generate(rng)

@@ -28,7 +28,7 @@ from pufzk.ledger import (
     rotate_nonce,
     submit_nonce,
 )
-from pufzk.pairing import ORDER, DecodeError, G1Element, G2Element
+from pufzk.pairing import ORDER, DecodeError, G1Element, G2Element, Scalar
 from pufzk.protocol import Device
 from pufzk.puf import challenges_to_bytes, puf_new, puf_respond
 from pufzk.wire import (
@@ -147,6 +147,23 @@ class TestInvoke:
         digest, height = ledger.state_digest(), ledger.height
         result = ledger.invoke("submit", dataclasses.replace(tx, signature=signature))
         assert not result and result.reason == f"malformed signature: {detail}"
+        assert (ledger.state_digest(), ledger.height) == (digest, height)
+
+    @pytest.mark.parametrize("signer", ["own-key-other-payload", "other-device-this-payload"])
+    def test_signature_over_another_payload_or_by_another_key_is_invalid(self, env, signer):
+        """The tx proof is valid; only the signature is wrong: the
+        device's own over another payload, or another registered
+        device's over this one."""
+        ledger, rng = env["ledger"], env["rng"]
+        tx = _submit_record(ledger, env["device_id"], env["keypair"], b"reading-8", rng)
+        if signer == "own-key-other-payload":
+            signature = zkp.sign(env["keypair"].sk, b"reading-9")
+        else:
+            other = register_device(puf_new(7001, 0.0), env["ca"], ledger, rng, env["np_rng"])[1]
+            signature = zkp.sign(other.sk, tx.payload)
+        digest, height = ledger.state_digest(), ledger.height
+        result = ledger.invoke("submit", dataclasses.replace(tx, signature=signature.to_bytes()))
+        assert not result and result.reason == "signature invalid"
         assert (ledger.state_digest(), ledger.height) == (digest, height)
 
     @pytest.mark.parametrize("rewrite", [
@@ -327,6 +344,67 @@ class TestRegistrationValidation:
         result = env["ledger"].invoke("register", _registration(env, pk_bytes=pk_bytes))
         assert not result and result.reason == (
             "malformed registration: point not in the prime-order subgroup")
+
+
+_G1_IDENTITY, _G2_IDENTITY = G1Element.identity().to_bytes(), G2Element.identity().to_bytes()
+
+
+def _ca_signed(env, **fields):
+    """A registration record with ``fields`` in place, signed with the
+    CA's key over whatever points it carries, as the CA's own issue
+    refuses to for an identity."""
+    rng, ca = env["rng"], env["ca"]
+    values = {"device_id": rng.getrandbits(256).to_bytes(32, "big"),
+              "pk_bytes": KeyPair.generate(rng).pk.to_bytes(),
+              "commitment_bytes": (G1Element.generator() ** 99).to_bytes(),
+              "fingerprint": rng.getrandbits(256).to_bytes(32, "big"),
+              "challenge_bytes": bytes(8 * 4), "serial": 1, "sig_bytes": b"", **fields}
+    record = DeviceRecord(**values)
+    return dataclasses.replace(record, sig_bytes=zkp.schnorr_sign(ca.sk, ca.pk, record.signed_bytes()))
+
+
+class TestIdentityRefused:
+    """The identity verifies every signature, e(1, g2) = e(H(m), 1), and
+    a proof of knowledge of its exponent 0 needs no secret (s = k), so
+    neither a device key nor a response commitment may be it."""
+
+    @pytest.mark.parametrize("fields, detail", [
+        ({"pk_bytes": _G2_IDENTITY}, "device key is the identity"),
+        ({"commitment_bytes": _G1_IDENTITY}, "response commitment is the identity"),
+    ], ids=["pk", "commitment"])
+    def test_certified_identity_registration_rejected(self, env, fields, detail):
+        ledger = env["ledger"]
+        record = _ca_signed(env, **fields)
+        assert env["ca"].verify(record)
+        digest, height = ledger.state_digest(), ledger.height
+        result = ledger.invoke("register", TransactionRecord(
+            record.to_bytes(), record.device_id, b"", b"", "register", b""))
+        assert not result and result.reason == f"malformed registration: {detail}"
+        assert (ledger.state_digest(), ledger.height) == (digest, height)
+
+    def test_stored_identity_key_admits_no_submit(self, env):
+        """A record written past the register chaincode: load_device
+        refuses it, so the keyless submit, an identity signature and a
+        tx proof with s = k, reads "malformed record"."""
+        rng, ledger = env["rng"], _PutLedger()
+        record = _ca_signed(env, pk_bytes=_G2_IDENTITY)
+        device_id = record.device_id
+        assert ledger.invoke("put", _put_tx({
+            f"identity/{device_id.hex()}": record.to_bytes(),
+            f"subset/{device_id.hex()}": SubsetRecord(1).to_bytes()}))
+        with pytest.raises(RecordError, match="^device key is the identity$"):
+            ledger.load_device(device_id)
+        payload, nonce = b"forged", submit_nonce(0)
+        statement = zkp.TxStatement(device_id, G2Element.identity(),
+                                    hashlib.sha256(payload).digest(), nonce)
+        assert zkp.verify_sig(G2Element.identity(), payload, zkp.Signature(G1Element.identity()))
+        tx = TransactionRecord(payload, device_id, _G1_IDENTITY,
+                               zkp.tx_prove_corrected(statement, Scalar(0), rng).to_bytes(),
+                               "submit", nonce)
+        digest, height = ledger.state_digest(), ledger.height
+        result = ledger.invoke("submit", tx)
+        assert not result and result.reason == "malformed record: device key is the identity"
+        assert (ledger.state_digest(), ledger.height) == (digest, height)
 
 
 def _with_cert_sig(tx, forge):

@@ -263,20 +263,86 @@ class TestHashToGroup:
             assert hash_to_g1(bytes.fromhex(msg_hex), bytes.fromhex(tag_hex)).to_bytes().hex() == enc
         assert len(calls) == len(cases)
 
-    def test_split_cofactor_matches_single_ladder(self):
-        from pufzk.pairing.curve import COFACTOR_G1
-        from pufzk.pairing.group import _COFACTOR_G1_FACTORS, _clear_cofactor_g1
-        assert (X_ABS + 1) % 3 == 0
-        assert COFACTOR_G1 == (X_ABS + 1) * ((X_ABS + 1) // 3) == (X_ABS + 1) ** 2 // 3
-        assert _COFACTOR_G1_FACTORS == (X_ABS + 1, (X_ABS + 1) // 3)
+    def test_effective_cofactor_sends_the_curve_into_g1(self):
+        """[1 - x] = [|x| + 1] clears the cofactor's torsion on its own
+        (Wahby and Boneh, TCHES 2019(4), sec. 5; RFC 9380 sec. 8.8.1,
+        h_eff = 0xd201000000010001), so hash_to_g1 multiplies by it alone
+        and folds the rest of the cofactor into the next ladder.  The
+        points of E(Fq) whose order divides r * (|x| + 1) form a subgroup;
+        if it were proper, it would hold at most half of E(Fq), and 20
+        random points would all land in it with a chance below 2^-20."""
+        assert (X_ABS + 1) % 3 == 0 and X_ABS + 1 == 0xD201000000010001
         rng = random.Random(2303)
         points = [_random_e1_point(rng) for _ in range(20)]
         assert not any(curve.g1_in_subgroup(pt) for pt in points)
-        # [R]P lies in the cofactor's torsion, which clearing sends to the identity
+        for pt in points:
+            image = g1_mul_unchecked(pt, X_ABS + 1)
+            assert image is not None and curve.g1_in_subgroup(image)
+            # [r]P is an h-torsion point, which [|x| + 1] sends to the identity
+            torsion = g1_mul_unchecked(pt, R)
+            assert torsion is not None and g1_mul_unchecked(torsion, X_ABS + 1) is None
+
+    def test_fold_completes_the_cofactor(self):
+        # [(|x| + 1) / 3] of the image is the full cofactor's multiple,
+        # through the element hash_to_g1 returns and its resolving ladder
+        from pufzk.pairing.curve import COFACTOR_G1
+        from pufzk.pairing.group import _COFACTOR_FOLD, _HashedG1
+        assert COFACTOR_G1 == (X_ABS + 1) * _COFACTOR_FOLD == (X_ABS + 1) ** 2 // 3
+        rng = random.Random(2304)
+        points = [_random_e1_point(rng) for _ in range(20)]
         torsion = [g1_mul_unchecked(pt, R) for pt in points[:3]]
         for pt in points + torsion + [None]:
-            assert _clear_cofactor_g1(pt) == g1_mul_unchecked(pt, COFACTOR_G1)
-        assert torsion[0] is not None and _clear_cofactor_g1(torsion[0]) is None
+            expected = g1_mul_unchecked(pt, COFACTOR_G1)
+            image = g1_mul_unchecked(pt, X_ABS + 1)
+            assert g1_mul_unchecked(image, _COFACTOR_FOLD) == expected
+            assert _HashedG1(image)._pt == expected
+        assert torsion[0] is not None and g1_mul_unchecked(torsion[0], COFACTOR_G1) is None
+
+    @given(st.integers(min_value=-2 * ORDER, max_value=2 * ORDER))
+    @settings(max_examples=25, deadline=None)
+    def test_unresolved_power_matches_resolved(self, k):
+        # ** on a fresh hash folds the cofactor's last factor into k
+        # without resolving the point
+        from pufzk.pairing.group import _Element
+        for exponent in (0, 1, ORDER - 1, Scalar(k), k):
+            h = hash_to_g1(b"fold", DomainTag.SIGNATURE_MESSAGE)
+            resolved = G1Element(hash_to_g1(b"fold", DomainTag.SIGNATURE_MESSAGE)._pt)
+            assert h ** exponent == resolved ** exponent
+            with pytest.raises(AttributeError):
+                _Element._pt.__get__(h)
+
+    def test_unresolved_hash_behaves_as_resolved(self):
+        def fresh():
+            return hash_to_g1(b"unresolved", DomainTag.SIGNATURE_MESSAGE)
+
+        resolved = G1Element(fresh()._pt)
+        assert type(fresh()) is not G1Element and type(resolved) is G1Element
+        assert fresh().to_bytes() == resolved.to_bytes()
+        assert fresh() == resolved and resolved == fresh()
+        assert hash(fresh()) == hash(resolved)
+        assert fresh() * G1 == resolved * G1 and G1 * fresh() == G1 * resolved
+        assert fresh().inverse() == resolved.inverse() and not fresh().is_identity()
+
+    def test_signature_takes_one_ladder(self, monkeypatch):
+        # [|x| + 1] takes 63 doublings and the folded ladder at most 127;
+        # clearing the whole cofactor before a separate ** sk took 252
+        from pufzk import zkp
+        from pufzk.pairing import group
+        rng = random.Random(2305)
+        keys = [Scalar(rng.randrange(1, ORDER)) for _ in range(4)]
+        point = G1Element(hash_to_g1(b"reading", DomainTag.SIGNATURE_MESSAGE)._pt)
+        expected = [zkp.Signature(point ** sk) for sk in keys]
+        counts = {"_g1_dbl": 0, "g1_mul": 0}
+        for module, name in ((curve, "_g1_dbl"), (group, "g1_mul")):
+            def counted(*args, _name=name, _fn=getattr(module, name)):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        for sk, sig in zip(keys, expected):
+            counts.update(dict.fromkeys(counts, 0))
+            assert zkp.sign(sk, b"reading") == sig
+            assert counts["_g1_dbl"] <= 190 and counts["g1_mul"] == 1
+        assert zkp.verify_sig(G2 ** keys[0], b"reading", expected[0])
 
     def test_scalar_hash_deterministic_and_pinned_empty_vector(self):
         s = hash_to_scalar(b"", DomainTag.GENERIC_SCALAR)

@@ -35,6 +35,45 @@ def test_summary_counts_wins_by_the_metric_direction():
     assert ms["bound"] == 0.2 and ms["better"] == "lower"
 
 
+def _rules(parent, change, better="lower", bound=0.2):
+    metrics = [{"name": "m", "unit": "ms", "better": better, "bound": bound}]
+    runs = {"parent": [{"m": v} for v in parent], "change": [{"m": v} for v in change]}
+    out = bench_pairs.summarize(runs, metrics)["m"]
+    return out["gain_rule"], out["bound_rule"]
+
+
+def test_gain_rule_needs_nine_wins_in_ten_and_a_gap_past_the_parent_iqr():
+    parent = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]  # IQR 0.9
+    # better in all ten pairs, median 1.8 lower
+    assert _rules(parent, [v - 1.8 for v in parent]) == (True, "holds")
+    # in the metric's own direction: the same numbers are a loss for a rate
+    assert _rules(parent, [v - 1.8 for v in parent], better="higher") == (False, "holds")
+    assert _rules(parent, [v + 1.8 for v in parent], better="higher") == (True, "holds")
+    # nine wins of ten still gain; eight do not
+    nine = [v - 1.8 for v in parent[:9]] + [parent[9] + 1]
+    assert _rules(parent, nine)[0] is True
+    eight = [v - 1.8 for v in parent[:8]] + [v + 1 for v in parent[8:]]
+    assert _rules(parent, eight)[0] is False
+    # ten wins, but the medians lie closer than the parent's IQR
+    assert _rules(parent, [v - 0.5 for v in parent]) == (False, "holds")
+
+
+def test_bound_rule_holds_breaks_or_stays_unresolved():
+    parent = [10.0, 10.1, 10.2, 10.3, 10.4]
+    # worse by 10% against a 0.2 bound
+    assert _rules(parent, [v * 1.1 for v in parent])[1] == "holds"
+    # worse by 25%
+    assert _rules(parent, [v * 1.25 for v in parent])[1] == "broken"
+    assert _rules(parent, [v * 0.75 for v in parent], better="higher")[1] == "broken"
+    # a parent spread wider than the bound cannot tell a 10% loss apart
+    wide = [6.0, 8.0, 10.0, 12.0, 14.0]  # IQR 4 against 0.2 * 10 = 2
+    assert _rules(wide, [v * 1.1 for v in wide])[1] == "unresolved"
+    # unless every change run beats every parent run
+    assert _rules(wide, [v - 9.0 for v in wide]) == (True, "holds")
+    # a break beyond the bound is broken however wide the spread
+    assert _rules(wide, [v * 1.5 for v in wide])[1] == "broken"
+
+
 def test_traced_shares_are_over_the_miller_loop():
     values = {"pairing.miller_loop.ms": 4.0, "pairing.final_exponentiation.ms": 5.0,
               "pairing.g2_mul_gen.ms": 2.0, "zkp.verify_sig.self_ms": 1.0,

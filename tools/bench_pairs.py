@@ -13,7 +13,18 @@ block per workload: for each end-to-end metric of the change's
 ``BENCHMARK.json``, both sides' quartiles and interquartile range,
 ``change_over_parent`` (the change's median over the parent's, minus
 one) and ``change_better_in`` (pairs where the change reads strictly
-better, of all pairs).  The file is rewritten after every pair.
+better, of all pairs), and two acceptance rules:
+
+- ``gain_rule`` is true when the change reads better, in the metric's
+  own direction, in at least 9/10 of the pairs, and its median beats the
+  parent's by more than the parent's interquartile range;
+- ``bound_rule`` is "broken" when the change's median is worse than the
+  parent's by more than the metric's ``bound`` (a fraction of the
+  parent's median), else "unresolved" when the parent's interquartile
+  range is wider than ``bound`` times its median and not every change
+  run beats every parent run, else "holds".
+
+The file is rewritten after every pair.
 
 With ``--setup-only``, each run is ``benchmark/run.py --setup-only``
 instead: one set-up in a fresh interpreter and no timed phase, so many
@@ -78,6 +89,19 @@ def summarize(runs, metrics):
         sign = 1 if better == "higher" else -1
         wins = sum(sign * (c[name] - p[name]) > 0 for p, c in zip(runs["parent"], runs["change"]))
         entry["change_better_in"] = f"{wins}/{len(runs['change'])}"
+        entry["gain_rule"] = (10 * wins >= 9 * len(runs["change"]) and
+                              sign * (entry["change_median"] - entry["parent_median"])
+                              > entry["parent_iqr"])
+        worse_by = -sign * entry["change_over_parent"]
+        # signed so that higher reads better on either side
+        parent, change = ([sign * r[name] for r in runs[side]] for side in SIDES)
+        if worse_by > m["bound"]:
+            entry["bound_rule"] = "broken"
+        elif (entry["parent_iqr"] > m["bound"] * abs(entry["parent_median"])
+              and min(change) <= max(parent)):
+            entry["bound_rule"] = "unresolved"
+        else:
+            entry["bound_rule"] = "holds"
         out[name] = {k: round(v, 4) if isinstance(v, float) else v for k, v in entry.items()}
     return out
 
