@@ -7,6 +7,7 @@ from .group import (
     GT_ENC_LEN,
     DomainTag,
     G1Element,
+    G2_FOLD_INV,
     G2Element,
     GtElement,
     Scalar,
@@ -25,6 +26,7 @@ __all__ = [
     "DecodeError",
     "DomainTag",
     "G1Element",
+    "G2_FOLD_INV",
     "G2Element",
     "GtElement",
     "Scalar",

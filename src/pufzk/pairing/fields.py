@@ -156,10 +156,6 @@ def fq2_sqrt(a):
 # Fq6 = Fq2[v] / (v^3 - xi)
 # ---------------------------------------------------------------------------
 
-def fq6_add(a, b):
-    return (fq2_add(a[0], b[0]), fq2_add(a[1], b[1]), fq2_add(a[2], b[2]))
-
-
 def fq6_sub(a, b):
     return (fq2_sub(a[0], b[0]), fq2_sub(a[1], b[1]), fq2_sub(a[2], b[2]))
 
@@ -168,10 +164,15 @@ def fq6_neg(a):
     return (fq2_neg(a[0]), fq2_neg(a[1]), fq2_neg(a[2]))
 
 
-def fq6_mul(x, y):
-    # Karatsuba over both extension levels with the Fq2 arithmetic
-    # inlined; this is the innermost pairing hot spot, so the tuple
-    # plumbing of fq2_* helpers is deliberately avoided.
+def _fq6_mul_wide(x, y):
+    """x * y in Fq6 with no reduction: six ints, the real and imaginary
+    parts of c0, c1 and c2, each within a small multiple of P^2.
+
+    Karatsuba over both extension levels with the Fq2 arithmetic
+    inlined; this is the innermost pairing hot spot, so the tuple
+    plumbing of fq2_* helpers is deliberately avoided.  The inputs need
+    not be reduced either, so Fq12 products add and subtract the wide
+    outputs and reduce each of their twelve coefficients once."""
     (a0, a1), (b0, b1), (c0, c1) = x
     (d0, d1), (e0, e1), (f0, f1) = y
     t0 = a0 * d0; t1 = a1 * d1
@@ -184,18 +185,23 @@ def fq6_mul(x, y):
     s0 = b0 + c0; s1 = b1 + c1; u0 = e0 + f0; u1 = e1 + f1
     t0 = s0 * u0; t1 = s1 * u1
     m0 = t0 - t1 - v1r - v2r; m1 = (s0 + s1) * (u0 + u1) - t0 - t1 - v1i - v2i
-    r0r = (v0r + m0 - m1) % P; r0i = (v0i + m0 + m1) % P
+    r0r = v0r + m0 - m1; r0i = v0i + m0 + m1
     # c1 = (a+b)(d+e) - v0 - v1 + xi*v2
     s0 = a0 + b0; s1 = a1 + b1; u0 = d0 + e0; u1 = d1 + e1
     t0 = s0 * u0; t1 = s1 * u1
-    m0 = t0 - t1 - v0r - v1r; m1 = (s0 + s1) * (u0 + u1) - t0 - t1 - v0i - v1i
-    r1r = (m0 + v2r - v2i) % P; r1i = (m1 + v2r + v2i) % P
+    r1r = t0 - t1 - v0r - v1r + v2r - v2i
+    r1i = (s0 + s1) * (u0 + u1) - t0 - t1 - v0i - v1i + v2r + v2i
     # c2 = (a+c)(d+f) - v0 - v2 + v1
     s0 = a0 + c0; s1 = a1 + c1; u0 = d0 + f0; u1 = d1 + f1
     t0 = s0 * u0; t1 = s1 * u1
-    m0 = t0 - t1 - v0r - v2r + v1r
-    m1 = (s0 + s1) * (u0 + u1) - t0 - t1 - v0i - v2i + v1i
-    return ((r0r, r0i), (r1r, r1i), (m0 % P, m1 % P))
+    r2r = t0 - t1 - v0r - v2r + v1r
+    r2i = (s0 + s1) * (u0 + u1) - t0 - t1 - v0i - v2i + v1i
+    return r0r, r0i, r1r, r1i, r2r, r2i
+
+
+def fq6_mul(x, y):
+    r0r, r0i, r1r, r1i, r2r, r2i = _fq6_mul_wide(x, y)
+    return ((r0r % P, r0i % P), (r1r % P, r1i % P), (r2r % P, r2i % P))
 
 
 def fq6_mul_by_v(a):
@@ -218,23 +224,49 @@ def fq6_inv(a):
 # ---------------------------------------------------------------------------
 
 def fq12_mul(a, b):
-    a0, a1 = a
-    b0, b1 = b
-    v0 = fq6_mul(a0, b0)
-    v1 = fq6_mul(a1, b1)
-    c1 = fq6_sub(fq6_mul(fq6_add(a0, a1), fq6_add(b0, b1)), fq6_add(v0, v1))
-    c0 = fq6_add(v0, fq6_mul_by_v(v1))
-    return (c0, c1)
+    # Karatsuba: (v + u v) + (s - v - u) w with v = a0 b0, u = a1 b1 and
+    # s = (a0 + a1)(b0 + b1); the three Fq6 products stay wide and each
+    # output coefficient is reduced once
+    x0, x1 = a
+    y0, y1 = b
+    (g00, g01), (g10, g11), (g20, g21) = x0
+    (h00, h01), (h10, h11), (h20, h21) = x1
+    (k00, k01), (k10, k11), (k20, k21) = y0
+    (l00, l01), (l10, l11), (l20, l21) = y1
+    v00, v01, v10, v11, v20, v21 = _fq6_mul_wide(x0, y0)
+    u00, u01, u10, u11, u20, u21 = _fq6_mul_wide(x1, y1)
+    s00, s01, s10, s11, s20, s21 = _fq6_mul_wide(
+        ((g00 + h00, g01 + h01), (g10 + h10, g11 + h11), (g20 + h20, g21 + h21)),
+        ((k00 + l00, k01 + l01), (k10 + l10, k11 + l11), (k20 + l20, k21 + l21)),
+    )
+    # v u = (xi u2, u0, u1)
+    return (
+        (((v00 + u20 - u21) % P, (v01 + u20 + u21) % P),
+         ((v10 + u00) % P, (v11 + u01) % P),
+         ((v20 + u10) % P, (v21 + u11) % P)),
+        (((s00 - v00 - u00) % P, (s01 - v01 - u01) % P),
+         ((s10 - v10 - u10) % P, (s11 - v11 - u11) % P),
+         ((s20 - v20 - u20) % P, (s21 - v21 - u21) % P)),
+    )
 
 
 def fq12_sqr(a):
-    a0, a1 = a
-    v0 = fq6_mul(a0, a1)
-    # (a0 + a1 w)^2 = (a0 + a1)(a0 + v a1) - v0 - v*v0 + 2 v0 w
-    t = fq6_mul(fq6_add(a0, a1), fq6_add(a0, fq6_mul_by_v(a1)))
-    c0 = fq6_sub(fq6_sub(t, v0), fq6_mul_by_v(v0))
-    c1 = fq6_add(v0, v0)
-    return (c0, c1)
+    # (a0 + a1 w)^2 = (t - v - v v) + 2 v w with v = a0 a1 and
+    # t = (a0 + a1)(a0 + v a1); both Fq6 products stay wide, as in fq12_mul
+    x0, x1 = a
+    (g00, g01), (g10, g11), (g20, g21) = x0
+    (h00, h01), (h10, h11), (h20, h21) = x1
+    v00, v01, v10, v11, v20, v21 = _fq6_mul_wide(x0, x1)
+    t00, t01, t10, t11, t20, t21 = _fq6_mul_wide(
+        ((g00 + h00, g01 + h01), (g10 + h10, g11 + h11), (g20 + h20, g21 + h21)),
+        ((g00 + h20 - h21, g01 + h20 + h21), (g10 + h00, g11 + h01), (g20 + h10, g21 + h11)),
+    )
+    return (
+        (((t00 - v00 - v20 + v21) % P, (t01 - v01 - v20 - v21) % P),
+         ((t10 - v10 - v00) % P, (t11 - v11 - v01) % P),
+         ((t20 - v20 - v10) % P, (t21 - v21 - v11) % P)),
+        ((2 * v00 % P, 2 * v01 % P), (2 * v10 % P, 2 * v11 % P), (2 * v20 % P, 2 * v21 % P)),
+    )
 
 
 def fq12_inv(a):

@@ -314,13 +314,29 @@ class _DeferredG2(_Received, G2Element):
 # The G1 cofactor is (1 - x)^2 / 3 = (|x| + 1) * _COFACTOR_FOLD.
 _COFACTOR_FOLD = (X_ABS + 1) // 3
 
+# [1/_COFACTOR_FOLD mod r] times the G2 generator, a literal that a test
+# recomputes: zkp.verify_sig pairs a signature with it so that the hash
+# goes in unfolded (see _HashedG1.unfolded).
+G2_FOLD_INV = G2Element((
+    (
+        0x1504C20AE824334D933BC1196D3CF188163C73DECBEFC75B53E2D8E7AF41CE363FC1D9AB9C88D448B28146CE0DEF69FA,
+        0x11A2A4DBD7B3613AB9AAD5913C244897D745488C9F310089D0667CCAEAC2DD6AB12B223ED52786655348BB246733C2F4,
+    ),
+    (
+        0x0519C8F432E3A8CF91F5EDAD146670BA5064B0F627AF00D16A60EB500F769672726B2EB676CAF3A25A92366BF364CD04,
+        0x0CFA39306C699FA159D683474FDE89946A8EE63E3AF16C35F1AB0C780A0F54B819BA04D3FFB203264A1C387CA4E2001D,
+    ),
+))
+
 
 class _HashedG1(_Deferred, G1Element):
     """[COFACTOR_G1]P for a point P of E(Fq), held as Q = [|x| + 1]P,
-    which is in G1 (see hash_to_g1).  On first use as a point it resolves
-    to [_COFACTOR_FOLD]Q = [COFACTOR_G1]P; ``** k`` skips that and
-    returns [k * _COFACTOR_FOLD mod r]Q, one ladder where resolving and
-    then raising would take two."""
+    which is in G1 (see hash_to_g1).  The fold [_COFACTOR_FOLD] that
+    takes Q to [COFACTOR_G1]P runs only where it cannot be avoided:
+    ``** k`` returns [k * _COFACTOR_FOLD mod r]Q, one ladder where
+    resolving and then raising would take two; ``unfolded`` hands Q to
+    a pairing check that moves the fold onto its G2 side; any other use
+    as a point resolves it by the width-4 NAF ladder."""
 
     __slots__ = ("_q",)
 
@@ -333,13 +349,21 @@ class _HashedG1(_Deferred, G1Element):
     def __pow__(self, k) -> G1Element:
         return G1Element(g1_mul(self._q, _sv(k) * _COFACTOR_FOLD % ORDER))
 
+    def unfolded(self) -> G1Element:
+        """Q, of which this element is [_COFACTOR_FOLD]Q, with no ladder.
+        e(this, X) = e(Q, [_COFACTOR_FOLD]X), so a product check can pair
+        Q and carry the fold as 1/_COFACTOR_FOLD on the other pairs'
+        fixed G2 points, such as G2_FOLD_INV."""
+        return G1Element(self._q)
+
 
 G1Element._group, G2Element._group, GtElement._group = G1Element, G2Element, GtElement
 G1Element._deferred, G2Element._deferred = _DeferredG1, _DeferredG2
 
 
-# Miller-loop line tables for G2 points that keep being paired
-# (generators, setup and CA keys, cached device keys).
+# Miller-loop line tables for G2 points that keep being paired: the
+# generator and the literal setup key (both for the exhibits),
+# G2_FOLD_INV (every signature check) and device keys.
 _LINE_CACHE: dict = {}
 _LINE_CACHE_MAX = 128
 
@@ -415,7 +439,8 @@ def hash_to_g1(data: bytes, tag: bytes) -> G1Element:
     sec. 8.8.1, h_eff = 0xd201000000010001), so the hash computes only
     Q = [|x| + 1]P, by 63 doublings and 6 additions, and the remaining
     factor (|x| + 1) / 3 rides on the next multiplication (see
-    _HashedG1): a signature H(m) ** sk takes one ladder.  A try whose Q
+    _HashedG1): a signature H(m) ** sk takes one ladder, and its check
+    pairs Q and takes none (see zkp.verify_sig).  A try whose Q
     is the identity is skipped, so the identity is never returned: Q has
     order r or 1, and 0 < (|x| + 1) / 3 < r, so [COFACTOR_G1]P is the
     identity exactly when Q is.

@@ -1,13 +1,18 @@
 """Optimal ate pairing on BLS12-381.
 
 The Miller loop runs over the 64-bit absolute curve parameter with the
-G2 argument kept in affine coordinates on the twist.  Each line, after
-clearing denominators, has only three nonzero slots in the tower (w^0,
-w^2 and w^3, the textbook M-twist layout), so the accumulator is
-multiplied by it with a sparse product (Costello, Lange and Naehrig,
-PKC 2010) rather than a general Fq12 multiplication.  Because the curve
-parameter is negative the accumulated value is conjugated before the
-final exponentiation.
+G2 argument kept in affine coordinates on the twist, its lines
+precomputed as (a, slope) pairs that do not depend on the G1 argument.
+Each line, after clearing denominators, has only three nonzero slots in
+the tower (w^0, w^2 and w^3, the textbook M-twist layout), so the
+accumulator is multiplied by it with a sparse product (Costello, Lange
+and Naehrig, PKC 2010) rather than a general Fq12 multiplication.  Every
+line of a pair is divided by the G1 point's y, which turns the w^3 slot
+into 1 and leaves four Fq products per line to evaluate it: the loop's
+value moves by an element of Fq, which the final exponentiation sends
+to 1 (Scott, Pairing 2007; Lauter, Montgomery and Naehrig, Pairing
+2010).  Because the curve parameter is negative the accumulated value is
+conjugated before the final exponentiation.
 
 The final exponentiation uses the easy part (p^6-1)(p^2+1) followed by
 the parameter-driven addition chain for three times the hard part,
@@ -40,27 +45,25 @@ _X_BITS = bin(X_ABS)[3:]  # skip the leading 1
 _X_SET_BITS = tuple(i for i in range(X_ABS.bit_length()) if X_ABS >> i & 1)
 
 
-def _mul_by_line(f, slope, point, xp_neg, yp):
-    """f times the line through `point` = (x, y) on the twist with `slope`,
-    evaluated at the G1 point (given as -xP and yP).
+def _mul_by_line(f, a, slope, yp_inv, xq):
+    """f times one (a, slope) entry of a line table, evaluated at the G1
+    point P = (xP, yP) and divided by yP; ``yp_inv`` is 1/yP and ``xq``
+    is -xP/yP.
 
-    The line is sparse: its only nonzero slots are a = slope*x - y at
-    w^0, b = slope*(-xP) at w^2 and yP (an Fq value) at w^3, that is
-    (a + b v) + (yP v) w in the tower.  With f = g + h w, the product is
-    (g (a + b v) + yP v^2 h) + (yP v g + h (a + b v)) w: twelve Fq2
-    products by a or b (Karatsuba, inlined) and six Fq2-by-Fq scalings
-    by yP, reduced once per output coefficient.
+    At P the line is (a + slope*(-xP) v) + (yP v) w in the tower, with
+    three nonzero slots.  Divided by yP it is (A + B v) + v w, where
+    A = a/yP and B = slope*(-xP/yP): four Fq products, and the w^3 slot
+    is 1.  With f = g + h w, the product is
+    (g (A + B v) + v^2 h) + (v g + h (A + B v)) w: twelve Fq2 products
+    by A or B (Karatsuba, inlined), reduced once per output coefficient.
     """
-    (px0, px1), (py0, py1) = point
-    s0, s1 = slope
-    t0 = s0 * px0; t1 = s1 * px1
-    a0 = (t0 - t1 - py0) % P; a1 = ((s0 + s1) * (px0 + px1) - t0 - t1 - py1) % P
-    b0 = s0 * xp_neg % P; b1 = s1 * xp_neg % P
+    a0 = a[0] * yp_inv % P; a1 = a[1] * yp_inv % P  # A
+    b0 = slope[0] * xq % P; b1 = slope[1] * xq % P  # B
     sa = a0 + a1; sb = b0 + b1
     ((g00, g01), (g10, g11), (g20, g21)), ((h00, h01), (h10, h11), (h20, h21)) = f
     sg0 = g00 + g01; sg1 = g10 + g11; sg2 = g20 + g21
     sh0 = h00 + h01; sh1 = h10 + h11; sh2 = h20 + h21
-    # g0*a, g1*a, g2*a, g0*b, g1*b, g2*b
+    # g0*A, g1*A, g2*A, g0*B, g1*B, g2*B
     t0 = g00 * a0; t1 = g01 * a1; ga00 = t0 - t1; ga01 = sg0 * sa - t0 - t1
     t0 = g10 * a0; t1 = g11 * a1; ga10 = t0 - t1; ga11 = sg1 * sa - t0 - t1
     t0 = g20 * a0; t1 = g21 * a1; ga20 = t0 - t1; ga21 = sg2 * sa - t0 - t1
@@ -74,36 +77,39 @@ def _mul_by_line(f, slope, point, xp_neg, yp):
     t0 = h00 * b0; t1 = h01 * b1; hb00 = t0 - t1; hb01 = sh0 * sb - t0 - t1
     t0 = h10 * b0; t1 = h11 * b1; hb10 = t0 - t1; hb11 = sh1 * sb - t0 - t1
     t0 = h20 * b0; t1 = h21 * b1; hb20 = t0 - t1; hb21 = sh2 * sb - t0 - t1
-    # g (a + b v) + yP v^2 h, with v^3 = xi:
-    #   (g0 a + xi (g2 b + yP h1), g0 b + g1 a + xi yP h2, g1 b + g2 a + yP h0)
-    m0 = gb20 + yp * h10; m1 = gb21 + yp * h11
-    n0 = yp * h20; n1 = yp * h21
+    # g (A + B v) + v^2 h, with v^3 = xi:
+    #   (g0 A + xi (g2 B + h1), g0 B + g1 A + xi h2, g1 B + g2 A + h0)
+    m0 = gb20 + h10; m1 = gb21 + h11
     c0 = (
         ((ga00 + m0 - m1) % P, (ga01 + m0 + m1) % P),
-        ((gb00 + ga10 + n0 - n1) % P, (gb01 + ga11 + n0 + n1) % P),
-        ((gb10 + ga20 + yp * h00) % P, (gb11 + ga21 + yp * h01) % P),
+        ((gb00 + ga10 + h20 - h21) % P, (gb01 + ga11 + h20 + h21) % P),
+        ((gb10 + ga20 + h00) % P, (gb11 + ga21 + h01) % P),
     )
-    # yP v g + h (a + b v):
-    #   (h0 a + xi (h2 b + yP g2), h0 b + h1 a + yP g0, h1 b + h2 a + yP g1)
-    m0 = hb20 + yp * g20; m1 = hb21 + yp * g21
+    # v g + h (A + B v):
+    #   (h0 A + xi (h2 B + g2), h0 B + h1 A + g0, h1 B + h2 A + g1)
+    m0 = hb20 + g20; m1 = hb21 + g21
     c1 = (
         ((ha00 + m0 - m1) % P, (ha01 + m0 + m1) % P),
-        ((hb00 + ha10 + yp * g00) % P, (hb01 + ha11 + yp * g01) % P),
-        ((hb10 + ha20 + yp * g10) % P, (hb11 + ha21 + yp * g11) % P),
+        ((hb00 + ha10 + g00) % P, (hb01 + ha11 + g01) % P),
+        ((hb10 + ha20 + g10) % P, (hb11 + ha21 + g11) % P),
     )
     return (c0, c1)
 
 
 def precompute_g2_lines(q):
-    """The per-step (slope, point) sequence of the Miller loop depends
-    only on the G2 argument; precompute it once for a point that will
-    be paired many times (generators, long-lived public keys)."""
+    """The Miller loop's lines for the G2 argument ``q``, one (a, slope)
+    per step: the line through the step's point T = (xT, yT) on the
+    twist with ``slope`` (the tangent, or the chord through T and q),
+    where a = slope*xT - yT.  Neither depends on the G1 argument, so
+    the table is built once for a point that will be paired many times
+    (generators, long-lived public keys); see :func:`_mul_by_line` for
+    how an entry is evaluated."""
     steps = []
     t = q
     for bit in _X_BITS:
         tx, ty = t
         slope = fq2_mul(fq2_scale(fq2_sqr(tx), 3), fq2_inv(fq2_scale(ty, 2)))
-        steps.append((slope, t))
+        steps.append((fq2_sub(fq2_mul(slope, tx), ty), slope))
         x3 = fq2_sub(fq2_sqr(slope), fq2_scale(tx, 2))
         y3 = fq2_sub(fq2_mul(slope, fq2_sub(tx, x3)), ty)
         t = (x3, y3)
@@ -111,7 +117,7 @@ def precompute_g2_lines(q):
             tx, ty = t
             qx, qy = q
             slope = fq2_mul(fq2_sub(ty, qy), fq2_inv(fq2_sub(tx, qx)))
-            steps.append((slope, q))
+            steps.append((fq2_sub(fq2_mul(slope, qx), qy), slope))
             x3 = fq2_sub(fq2_sub(fq2_sqr(slope), tx), qx)
             y3 = fq2_sub(fq2_mul(slope, fq2_sub(tx, x3)), ty)
             t = (x3, y3)
@@ -124,25 +130,26 @@ def miller_loop(pairs):
     The second member of each pair is the G2 argument's line table from
     :func:`precompute_g2_lines`, or None for the point at infinity.
     Pairs containing the point at infinity contribute the identity and
-    are skipped.  Returns an un-exponentiated Fq12 value.
+    are skipped.  Every line of a pair is divided by its yP (G1 has no
+    point with y = 0), with one inversion shared by all pairs.  Returns
+    an un-exponentiated Fq12 value: the plain loop's value times an
+    element of Fq, which the final exponentiation sends to 1.
     """
-    work = []
-    for p1, lines in pairs:
-        if p1 is None or lines is None:
-            continue
-        work.append((iter(lines), -p1[0] % P, p1[1]))
-    f = FQ12_ONE
+    work = [(iter(lines), p1) for p1, lines in pairs if p1 is not None and lines is not None]
     if not work:
-        return f
+        return FQ12_ONE
+    yp_invs = _batch_inv([p1[1] for _, p1 in work])
+    work = [(lines, yi, -p1[0] * yi % P) for (lines, p1), yi in zip(work, yp_invs)]
+    f = FQ12_ONE
     for bit in _X_BITS:
         f = fq12_sqr(f)
-        for lines, xp_neg, yp in work:
-            slope, point = next(lines)
-            f = _mul_by_line(f, slope, point, xp_neg, yp)
+        for lines, yp_inv, xq in work:
+            a, slope = next(lines)
+            f = _mul_by_line(f, a, slope, yp_inv, xq)
         if bit == "1":
-            for lines, xp_neg, yp in work:
-                slope, point = next(lines)
-                f = _mul_by_line(f, slope, point, xp_neg, yp)
+            for lines, yp_inv, xq in work:
+                a, slope = next(lines)
+                f = _mul_by_line(f, a, slope, yp_inv, xq)
     # negative curve parameter: invert via conjugation
     return fq12_conj(f)
 

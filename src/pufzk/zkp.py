@@ -37,10 +37,11 @@ Two signature schemes sit beside the proofs.  Devices sign
 transactions with the usual pairing scheme: sig = H(msg)^sk in G1 with
 a two-pairing product check.  H(msg) leaves the last factor of its
 cofactor to its ``**``, so signing runs one ladder (see
-group.hash_to_g1).  The certificate authority signs
-registrations with a pairing-free Schnorr signature in G1, (e, s) with
-a deterministic nonce and a challenge from the same set, whose check
-costs two G1 multiplications.
+group.hash_to_g1), and the check pairs a fixed G2 point that carries
+that factor's inverse, so it runs none (see verify_sig).  The
+certificate authority signs registrations with a pairing-free Schnorr
+signature in G1, (e, s) with a deterministic nonce and a challenge from
+the same set, whose check costs two G1 multiplications.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .pairing import (
     DomainTag,
     G1Element,
     G2Element,
+    G2_FOLD_INV,
     SCALAR_ENC_LEN,
     Scalar,
     challenge_scalar,
@@ -431,10 +433,15 @@ def sign(sk: Scalar, message: bytes) -> Signature:
 
 
 def verify_sig(pk: G2Element, message: bytes, signature: Signature) -> bool:
-    """Check e(sig, g2) == e(H(msg), pk) via one pairing product."""
+    """Check e(sig, g2) == e(H(msg), pk) via one pairing product.
+
+    H(msg) = [f]Q is held as Q, with f the last factor of its cofactor
+    (see group.hash_to_g1).  f is invertible mod r, so the check reads
+    e(sig, [1/f]g2) == e(Q, pk), the same predicate: the fold moves onto
+    a fixed G2 point whose line table is cached, and no G1 ladder runs."""
     check = multi_pair([
-        (signature.sig.inverse(), _G2),
-        (hash_to_g1(message, DomainTag.SIGNATURE_MESSAGE), pk),
+        (signature.sig.inverse(), G2_FOLD_INV),
+        (hash_to_g1(message, DomainTag.SIGNATURE_MESSAGE).unfolded(), pk),
     ])
     return check.is_identity()
 

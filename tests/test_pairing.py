@@ -121,27 +121,77 @@ class TestPairing:
         assert final_exponentiation(miller_loop([(None, None), (G1_GEN, None)])) == FQ12_ONE
 
     def test_mul_by_line_matches_dense_product(self):
-        # the line from the documented slot layout: slope*x - y at w^0,
-        # slope*(-xP) at w^2 and yP at w^3, as a dense Fq12 value
+        # each table entry (a, slope) is the line through the step's point
+        # T with that slope (the tangent at T, or the chord through T and
+        # q), a = slope*xT - yT; scaled by 1/yP it is a/yP at w^0,
+        # slope*(-xP/yP) at w^2 and 1 at w^3, as a dense Fq12 value
         from pufzk.pairing.curve import G2_GEN
         from pufzk.pairing.fields import FQ2_ZERO, fq12_mul, fq2_scale, fq2_sub
         rng = random.Random(6)
         xp, yp = g1_mul(G1_GEN, rng.randrange(2, R))
+        yp_inv = pow(yp, -1, P)
+        xq = -xp * yp_inv % P
         for q in (G2_GEN, curve.g2_mul(G2_GEN, rng.randrange(2, R))):
             steps = precompute_g2_lines(q)
             kinds = [k for bit in bin(X_ABS)[3:] for k in ("dbl", "add")[:1 + (bit == "1")]]
             assert len(kinds) == len(steps)
-            picked = [i for i, k in enumerate(kinds) if k == "add"]
-            picked += rng.sample([i for i, k in enumerate(kinds) if k == "dbl"], 8)
-            for i in picked:
-                slope, (x, y) = steps[i]
-                assert kinds[i] == "dbl" or (x, y) == q
-                a = fq2_sub(fq2_mul(slope, x), y)
-                b = fq2_scale(slope, -xp % P)
-                line = ((a, b, FQ2_ZERO), (FQ2_ZERO, (yp, 0), FQ2_ZERO))
-                f = tuple(tuple((rng.randrange(P), rng.randrange(P)) for _ in range(3))
-                          for _ in range(2))
-                assert _mul_by_line(f, slope, (x, y), -xp % P, yp) == fq12_mul(f, line)
+            t = q
+            for i, (kind, (a, slope)) in enumerate(zip(kinds, steps)):
+                (tx, ty), (qx, qy) = t, q
+                if kind == "dbl":
+                    assert fq2_mul(slope, fq2_scale(ty, 2)) == fq2_scale(fq2_sqr(tx), 3)
+                    t = curve.g2_add(t, t)
+                else:
+                    assert fq2_mul(slope, fq2_sub(tx, qx)) == fq2_sub(ty, qy)
+                    assert a == fq2_sub(fq2_mul(slope, qx), qy)
+                    t = curve.g2_add(t, q)
+                assert a == fq2_sub(fq2_mul(slope, tx), ty)
+                if kind == "add" or rng.randrange(8) == 0:
+                    line = ((fq2_scale(a, yp_inv), fq2_scale(slope, xq), FQ2_ZERO),
+                            (FQ2_ZERO, (1, 0), FQ2_ZERO))
+                    f = tuple(tuple((rng.randrange(P), rng.randrange(P)) for _ in range(3))
+                              for _ in range(2))
+                    assert _mul_by_line(f, a, slope, yp_inv, xq) == fq12_mul(f, line)
+            assert t == curve.g2_mul(q, X_ABS)
+
+    @pytest.mark.parametrize("n_pairs", [1, 2])
+    def test_miller_loop_is_the_plain_loop_times_an_fq_element(self, n_pairs):
+        # the plain loop: the G2 point walked in affine coordinates, each
+        # line with its three unscaled slots (a at w^0, slope*(-xP) at
+        # w^2, yP at w^3) multiplied in densely, squarings as products
+        from pufzk.pairing.curve import G2_GEN
+        from pufzk.pairing.fields import (
+            FQ2_ZERO, fq12_conj, fq12_inv, fq12_mul, fq2_scale, fq2_sub,
+        )
+
+        def plain(p1, q):
+            xp, yp = p1
+            f, t = FQ12_ONE, q
+            for bit in bin(X_ABS)[3:]:
+                f = fq12_mul(f, f)
+                for kind in ("dbl", "add")[:1 + (bit == "1")]:
+                    partner = t if kind == "dbl" else q
+                    (tx, ty), (qx, qy) = t, q
+                    if kind == "dbl":
+                        slope = fq2_mul(fq2_scale(fq2_sqr(tx), 3), fq2_inv(fq2_scale(ty, 2)))
+                    else:
+                        slope = fq2_mul(fq2_sub(ty, qy), fq2_inv(fq2_sub(tx, qx)))
+                    a = fq2_sub(fq2_mul(slope, tx), ty)
+                    line = ((a, fq2_scale(slope, -xp % P), FQ2_ZERO), (FQ2_ZERO, (yp, 0), FQ2_ZERO))
+                    f = fq12_mul(f, line)
+                    t = curve.g2_add(t, partner)
+            return fq12_conj(f)
+
+        rng = random.Random(60 + n_pairs)
+        pairs = [(g1_mul(G1_GEN, rng.randrange(2, R)), curve.g2_mul(G2_GEN, rng.randrange(2, R)))
+                 for _ in range(n_pairs)]
+        expected = FQ12_ONE
+        for p1, q in pairs:
+            expected = fq12_mul(expected, plain(p1, q))
+        quotient = fq12_mul(miller_loop([(p1, precompute_g2_lines(q)) for p1, q in pairs]),
+                            fq12_inv(expected))
+        coeffs = [c for half in quotient for pair_ in half for c in pair_]
+        assert coeffs[0] != 0 and coeffs[1:] == [0] * 11
 
     def test_miller_loop_counts(self, monkeypatch):
         # exact counts, independent of host speed: one squaring per bit
@@ -343,6 +393,40 @@ class TestHashToGroup:
             assert zkp.sign(sk, b"reading") == sig
             assert counts["_g1_dbl"] <= 190 and counts["g1_mul"] == 1
         assert zkp.verify_sig(G2 ** keys[0], b"reading", expected[0])
+
+    def test_signature_check_runs_no_g1_ladder(self, monkeypatch):
+        # the check pairs the hash's Q = [|x| + 1]P as it is, so its only
+        # G1 ladder is the hash's own; the fold rides on G2_FOLD_INV,
+        # whose line table, like the key's, is built once
+        from pufzk import zkp
+        from pufzk.pairing import group
+        rng = random.Random(2306)
+        sk = Scalar(rng.randrange(1, ORDER))
+        pk = G2 ** sk
+        signed = [(m, zkp.sign(sk, m)) for m in (b"first reading", b"second reading")]
+        names = ("_miller_loop", "_final_exp", "g1_mul", "g1_mul_unchecked", "_precompute_g2_lines")
+        counts = dict.fromkeys(names + ("pairs",), 0)
+        for name in names:
+            def counted(*args, _name=name, _fn=getattr(group, name)):
+                counts[_name] += 1
+                if _name == "_miller_loop":
+                    counts["pairs"] += len(args[0])
+                return _fn(*args)
+            monkeypatch.setattr(group, name, counted)
+        for i, (message, sig) in enumerate(signed):
+            counts.update(dict.fromkeys(counts, 0))
+            assert zkp.verify_sig(pk, message, sig)
+            built = counts.pop("_precompute_g2_lines")
+            assert counts == {"_miller_loop": 1, "pairs": 2, "_final_exp": 1,
+                              "g1_mul": 0, "g1_mul_unchecked": 1}
+            assert built <= 2 if i == 0 else built == 0
+            counts["_precompute_g2_lines"] = 0
+
+    def test_fold_inverse_point_is_recomputed(self):
+        from pufzk.pairing import G2_FOLD_INV
+        from pufzk.pairing.group import _COFACTOR_FOLD
+        assert G2_FOLD_INV == G2 ** pow(_COFACTOR_FOLD, -1, ORDER)
+        assert G2_FOLD_INV ** _COFACTOR_FOLD == G2
 
     def test_scalar_hash_deterministic_and_pinned_empty_vector(self):
         s = hash_to_scalar(b"", DomainTag.GENERIC_SCALAR)

@@ -390,6 +390,25 @@ class TestSignature:
             accepted += int(verify_sig(pk, bytes(mutated), sig))
         assert accepted == 0
 
+    def test_verification_equation(self):
+        # H(m)^sk is accepted; the hash with its cofactor fold applied
+        # zero times or twice, a shifted signature and the identity are not
+        from pufzk.pairing import DomainTag, hash_to_g1
+        from pufzk.pairing.group import _COFACTOR_FOLD
+        from pufzk.zkp import Signature, verify_sig
+        rng = random.Random(30)
+        fold, unfold = _COFACTOR_FOLD, pow(_COFACTOR_FOLD, -1, ORDER)
+        for message in (b"", b"reading 1", bytes(range(64))):
+            h = G1Element(hash_to_g1(message, DomainTag.SIGNATURE_MESSAGE)._pt)
+            for _ in range(2):
+                sk = Scalar.random(rng)
+                pk = G2 ** sk
+                assert verify_sig(pk, message, Signature(h ** sk))
+                assert sign(sk, message) == Signature(h ** sk)
+                for forged in (h ** (sk * unfold), h ** (sk * fold), h ** sk * G1,
+                               G1Element.identity()):
+                    assert not verify_sig(pk, message, Signature(forged))
+
     def test_signature_wire(self):
         rng = random.Random(29)
         sig = sign(Scalar.random(rng), b"m")

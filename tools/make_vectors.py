@@ -43,7 +43,7 @@ def pairing_vectors() -> str:
         lines.append(f"h2s {tag.hex()}:{msg.hex()} {hash_to_scalar(msg, tag).to_bytes().hex()}")
     for a, b in [(1, 1), (7, 0xFFFF), (Scalar.ORDER - 1, 2**64 - 1)]:
         lines.append(f"pair {a:x}:{b:x} {pair(g1 ** a, g2 ** b).to_bytes().hex()}")
-    # verify_sig's shape: (sig^-1, g2) and (H(m), pk)
+    # a two-pair product, verify_sig's shape: (sig^-1, fixed point), (hash, pk)
     terms = [(Scalar.ORDER - 5, 1), (0x1234567, Scalar.ORDER - 3)]
     product = multi_pair([(g1 ** a, g2 ** b) for a, b in terms])
     lines.append(f"pair {','.join(f'{a:x}:{b:x}' for a, b in terms)} {product.to_bytes().hex()}")
